@@ -266,8 +266,8 @@ let run_arm ?clock ~seed ~workload:w arm =
   (* Slice the measured window: applied rate from the per-window tally,
      install activity from the series snapshots, and the exact p99 install
      latency from the stall attributions falling in each window. *)
-  let attrs = Stall.of_entries entries in
   let cp = Critpath.of_entries entries in
+  let attrs = List.map (fun ip -> ip.Critpath.ip_attr) cp.Critpath.installs in
   let windows =
     let in_measured (s : Series.snapshot) =
       s.Series.t_start >= !window_start -. (interval /. 2.)

@@ -4,9 +4,9 @@
     decomposed into typed, contiguous segments by walking the DAG backwards
     from the installer's own flush-ack, always following the
     latest-finishing predecessor — the classic critical-path rule.  The
-    flush-ack-wait and stability-wait phases reuse the exact anchors of
-    {!Stall.of_entries} (same clamping), so the per-phase components agree
-    with the vsmon stall attribution on the same recording by construction.
+    walk steps {!Stall}'s anchor tracker and cuts each install at the
+    {!Stall.attr} it yields, so the flush-ack-wait and stability-wait
+    phases are the vsmon stall attribution of the same recording.
 
     Applied ops get the same treatment: for each [(origin, seq)] identity
     the walk runs backwards from its last delivery to its first wire send,
@@ -47,16 +47,18 @@ val seg_owner : segment -> string
 (** ["p2"] or ["p0->p2"]. *)
 
 type install_path = {
-  ip_proc : Event.proc;
-  ip_vid : Event.vid;
-  ip_install_time : float;
-  ip_latency : float;  (** [t_install - t_propose] *)
+  ip_attr : Stall.attr;
+      (** the stall attribution the path was cut from: installer, view,
+          install time and the propose / flush-ack / stability anchors *)
   ip_segments : segment list;
       (** chronological and contiguous over the latency window, so segment
-          durations sum to [ip_latency] (up to float telescoping) *)
+          durations sum to {!latency} (up to float telescoping) *)
   ip_straggler : Event.proc option;
       (** largest summed charge on this install's path *)
 }
+
+val latency : install_path -> float
+(** [t_install - t_propose]. *)
 
 type view_row = {
   vr_vid : Event.vid;
@@ -92,7 +94,7 @@ val kind_seconds : t -> (seg_kind * float) list
 (** Summed across all install paths, every kind present, fixed order. *)
 
 val path_sum : install_path -> float
-(** Summed segment durations — equals [ip_latency] up to float
+(** Summed segment durations — equals {!latency} up to float
     telescoping. *)
 
 val default_tol : float

@@ -397,31 +397,27 @@ let chrome_of_entries ?(extra = []) entries =
            ("tid", Json.Int cluster_tid); ("s", Json.Str "p");
          ])
   in
-  (* open flush windows keyed by "proc|vid", open tasks keyed by "proc|task" *)
-  let open_flush : (string, float) Hashtbl.t = Hashtbl.create 32 in
+  (* flush windows open at the member's own flush-ack; open tasks keyed by
+     "proc|task" *)
+  let anchors = Stall.tracker () in
   let open_task : (string, float) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (e : Recorder.entry) ->
       let time = e.time in
+      let install = Stall.step anchors ~time e.event in
       match e.event with
       | Event.Install { proc; vid; sync; _ } ->
-          let key = Event.proc_to_string proc ^ "|" ^ Event.vid_to_string vid in
-          (match Hashtbl.find_opt open_flush key with
-          | Some start ->
-              Hashtbl.remove open_flush key;
+          (match install with
+          | Some { Stall.i_own_flush = Some (start, _); _ } ->
               span ~start ~stop:time ~proc
                 ~name:("flush " ^ Event.vid_to_string vid)
                 ~cat:"gms"
-          | None -> ());
+          | Some _ | None -> ());
           instant ~time ~proc
             ~name:
               (Printf.sprintf "install %s (+%d sync)" (Event.vid_to_string vid)
                  sync)
             ~cat:"gms"
-      | Event.Flush { proc; vid; _ } ->
-          let key = Event.proc_to_string proc ^ "|" ^ Event.vid_to_string vid in
-          if not (Hashtbl.mem open_flush key) then
-            Hashtbl.replace open_flush key time
       | Event.Propose { proc; vid; _ } ->
           instant ~time ~proc
             ~name:("propose " ^ Event.vid_to_string vid)
@@ -479,7 +475,7 @@ let chrome_of_entries ?(extra = []) entries =
           instant ~time ~proc
             ~name:(Printf.sprintf "retransmit x%d" count)
             ~cat:"vsync"
-      | Event.Send _ | Event.Recv _ | Event.Drop _ | Event.Dup _
+      | Event.Flush _ | Event.Send _ | Event.Recv _ | Event.Drop _ | Event.Dup _
       | Event.Backoff _ | Event.Note _ ->
           ())
     entries;

@@ -14,7 +14,7 @@ let folded (cp : Critpath.t) =
           let stack =
             String.concat ";"
               [
-                Event.vid_to_string ip.Critpath.ip_vid;
+                Event.vid_to_string ip.Critpath.ip_attr.Stall.a_vid;
                 Critpath.seg_kind_to_string s.Critpath.s_kind;
                 Critpath.seg_owner s;
               ]
@@ -43,7 +43,7 @@ let critpath_spans (cp : Critpath.t) =
   let spans =
     List.concat_map
       (fun (ip : Critpath.install_path) ->
-        let tid = ip.Critpath.ip_proc.Event.node in
+        let tid = ip.Critpath.ip_attr.Stall.a_proc.Event.node in
         Hashtbl.replace seen_nodes tid ();
         List.filter_map
           (fun (s : Critpath.segment) ->
@@ -58,7 +58,7 @@ let critpath_spans (cp : Critpath.t) =
                          (Printf.sprintf "%s %s [%s]"
                             (Critpath.seg_kind_to_string s.Critpath.s_kind)
                             (Critpath.seg_owner s)
-                            (Event.vid_to_string ip.Critpath.ip_vid)) );
+                            (Event.vid_to_string ip.Critpath.ip_attr.Stall.a_vid)) );
                      ("cat", Json.Str "critpath");
                      ("ph", Json.Str "X");
                      ("ts", Json.Float (s.Critpath.s_from *. 1e6));

@@ -69,10 +69,8 @@ type deriv = {
   metrics : t;
   (* current app mode per node, for the messages-per-mode split *)
   node_mode : (int, string) Hashtbl.t;
-  (* first propose time per view id, for install latency *)
-  proposed : (string, float) Hashtbl.t;
-  (* first flush-ack per (proc, view id), for flush stall *)
-  flushed : (string, float) Hashtbl.t;
+  (* propose / flush-ack anchors, for install latency and flush stall *)
+  anchors : Stall.tracker;
   (* open tasks per (proc, task kind) *)
   tasks : (string, float) Hashtbl.t;
 }
@@ -81,8 +79,7 @@ let deriv_create () =
   {
     metrics = create ();
     node_mode = Hashtbl.create 8;
-    proposed = Hashtbl.create 16;
-    flushed = Hashtbl.create 32;
+    anchors = Stall.tracker ();
     tasks = Hashtbl.create 8;
   }
 
@@ -94,6 +91,15 @@ let step d ~time (event : Event.t) =
     match Hashtbl.find_opt d.node_mode p.node with Some s -> s | None -> "N"
   in
   set_gauge m "run.last-event-time" time;
+  (match Stall.step d.anchors ~time event with
+  | Some i ->
+      Option.iter
+        (fun t0 -> observe m "view.install-latency" (time -. t0))
+        i.Stall.i_proposed;
+      Option.iter
+        (fun (t0, _) -> observe m "view.flush-stall" (time -. t0))
+        i.Stall.i_own_flush
+  | None -> ());
   match event with
   | Event.Send { src; _ } ->
       incr m "net.sends";
@@ -109,28 +115,11 @@ let step d ~time (event : Event.t) =
   | Event.Backoff _ -> incr m "vsync.backoffs"
   | Event.Suspect _ -> incr m "fd.suspects"
   | Event.Unsuspect _ -> incr m "fd.unsuspects"
-  | Event.Propose { vid; _ } ->
-      incr m "gms.proposes";
-      let key = Event.vid_to_string vid in
-      if not (Hashtbl.mem d.proposed key) then
-        Hashtbl.replace d.proposed key time
-  | Event.Flush { proc; vid; _ } ->
-      incr m "gms.flushes";
-      let key = Event.proc_to_string proc ^ "|" ^ Event.vid_to_string vid in
-      if not (Hashtbl.mem d.flushed key) then Hashtbl.replace d.flushed key time
-  | Event.Install { proc; vid; sync; _ } ->
+  | Event.Propose _ -> incr m "gms.proposes"
+  | Event.Flush _ -> incr m "gms.flushes"
+  | Event.Install { sync; _ } ->
       incr m "gms.installs";
-      observe m "view.sync-deliveries" (float_of_int sync);
-      let vkey = Event.vid_to_string vid in
-      (match Hashtbl.find_opt d.proposed vkey with
-      | Some t0 -> observe m "view.install-latency" (time -. t0)
-      | None -> ());
-      let fkey = Event.proc_to_string proc ^ "|" ^ vkey in
-      (match Hashtbl.find_opt d.flushed fkey with
-      | Some t0 ->
-          Hashtbl.remove d.flushed fkey;
-          observe m "view.flush-stall" (time -. t0)
-      | None -> ())
+      observe m "view.sync-deliveries" (float_of_int sync)
   | Event.Eview _ -> incr m "evs.eviews"
   | Event.Mode_change { proc; into_mode; cause; _ } ->
       incr m ("mode.transitions." ^ cause);

@@ -165,21 +165,16 @@ let op_alignment a b =
 (* Per-phase decomposition: the three stall phases, then the six
    critical-path segment kinds, then the total install latency. *)
 let phases entries =
-  let attrs = Stall.of_entries entries in
-  let stall_sums =
+  let cp = Critpath.of_entries entries in
+  let total, p, f, s =
     List.fold_left
-      (fun (p, f, s) a ->
-        ( p +. a.Stall.a_propose_wait,
+      (fun (t, p, f, s) ip ->
+        let a = ip.Critpath.ip_attr in
+        ( t +. Critpath.latency ip,
+          p +. a.Stall.a_propose_wait,
           f +. a.Stall.a_flush_wait,
           s +. a.Stall.a_stability_wait ))
-      (0., 0., 0.) attrs
-  in
-  let p, f, s = stall_sums in
-  let cp = Critpath.of_entries entries in
-  let total =
-    List.fold_left
-      (fun acc ip -> acc +. ip.Critpath.ip_latency)
-      0. cp.Critpath.installs
+      (0., 0., 0., 0.) cp.Critpath.installs
   in
   [ ("install-latency", total); ("propose-wait", p); ("flush-ack-wait", f);
     ("stability-wait", s) ]

@@ -18,13 +18,55 @@ type attr = {
   a_proc : Event.proc;
   a_vid : Event.vid;
   a_time : float;  (** install time *)
+  a_proposed : float;  (** first [Propose] of the view *)
+  a_own_flush : float;  (** [p]'s own flush-ack, clamped *)
+  a_last_flush : float;  (** last flush-ack of the view, clamped *)
   a_propose_wait : float;
   a_flush_wait : float;
   a_stability_wait : float;
 }
+(** The cut points satisfy
+    [a_proposed <= a_own_flush <= a_last_flush <= a_time]; the three waits
+    are the differences of consecutive cut points. *)
 
 val total : attr -> float
 (** Sum of the three segments = the install's latency. *)
+
+(** {2 The anchor tracker}
+
+    The single owner of the Propose -> Flush -> Install anchors in lib/obs:
+    {!of_entries}, [Critpath], [Metrics] and the Chrome exporter all step
+    one of these over the stream. *)
+
+type install = {
+  i_proc : Event.proc;
+  i_vid : Event.vid;
+  i_time : float;
+  i_proposed : float option;
+      (** first [Propose] of the view; [None] when not retained *)
+  i_own_flush : (float * int) option;
+      (** [i_proc]'s first flush-ack of the view and its stream index *)
+  i_last_flush : (float * Event.proc) option;
+      (** the view's newest flush-ack so far and its sender *)
+}
+(** The raw anchors of one [Install] event, as the tracker saw them. *)
+
+type tracker
+
+val tracker : unit -> tracker
+
+val step : tracker -> time:float -> Event.t -> install option
+(** Feed the next event of the stream; [Some] exactly at [Install] events.
+    The stream index of an event is the number of events stepped before
+    it, so a consumer must step every event to get stream indices.  A
+    member's first flush-ack of a view is kept across installs: if one
+    process incarnation installs the same view twice, both installs
+    anchor on that flush-ack. *)
+
+val attr : install -> attr option
+(** Clamp the anchors into the three waits.  [None] when the view's
+    [Propose] was not retained; with no own flush-ack (the member joined
+    mid-change) the propose-wait is zero. *)
 
 val of_entries : Recorder.entry list -> attr list
 (** One forward pass; result in install order.  Installs whose [Propose]

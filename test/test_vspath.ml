@@ -130,11 +130,11 @@ let test_critpath_sums_to_install_latency () =
           if
             not
               (Critpath.close ~tol:Critpath.default_tol sum
-                 ip.Critpath.ip_latency)
+                 (Critpath.latency ip))
           then
             Alcotest.failf
               "seed %d: segments sum to %.12f but install latency is %.12f"
-              seed sum ip.Critpath.ip_latency;
+              seed sum (Critpath.latency ip);
           (* segments tile the window chronologically: each begins where
              the previous ended *)
           ignore
@@ -146,7 +146,7 @@ let test_critpath_sums_to_install_latency () =
                    Alcotest.failf "seed %d: segment gap at %.12f" seed
                      s.Critpath.s_from;
                  s.Critpath.s_until)
-               (ip.Critpath.ip_install_time -. ip.Critpath.ip_latency)
+               ip.Critpath.ip_attr.Stall.a_proposed
                ip.Critpath.ip_segments
               : float))
         cp.Critpath.installs)
@@ -162,6 +162,10 @@ let test_critpath_agrees_with_stall () =
         (Printf.sprintf "seed %d: one path per stall attribution" seed)
         (List.length attrs)
         (List.length cp.Critpath.installs);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: paths carry Stall's attributions" seed)
+        true
+        (List.map (fun ip -> ip.Critpath.ip_attr) cp.Critpath.installs = attrs);
       Alcotest.(check bool)
         (Printf.sprintf
            "seed %d: flush/stability components agree with Stall" seed)
