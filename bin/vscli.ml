@@ -15,7 +15,6 @@
      lint         run the vslint determinism checks (same driver as vslint) *)
 
 module Sim = Vs_sim.Sim
-module Trace = Vs_sim.Trace
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
 module Export = Vs_obs.Export

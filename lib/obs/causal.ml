@@ -57,9 +57,7 @@ let actors (ev : Event.t) =
   | Event.Drop { src; reason; _ } ->
       (* Send-time drops are decided by (and charged to) the sender;
          arrival-time reasons have no acting process. *)
-      if reason = "src-dead" || reason = "partition" || reason = "loss" then
-        [ src ]
-      else []
+      if Event.send_time_drop reason then [ src ] else []
   | Event.Retransmit { proc; _ }
   | Event.Backoff { proc; _ }
   | Event.Suspect { proc; _ }
@@ -149,7 +147,7 @@ let of_entries (entries : Recorder.entry list) =
           (* Arrival-time drops consume the copy their send put on the wire;
              send-time drops never had one, and [pop_copy] returning [None]
              covers both a send-time reason and a truncated recording. *)
-          if reason = "partition-inflight" || reason = "dst-dead" then (
+          if not (Event.send_time_drop reason) then (
             match pop_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg)
             with
             | Some j -> add_edge Message j i

@@ -182,6 +182,12 @@ let all_type_names =
     "quarantine"; "note";
   ]
 
+(* Only the two arrival-time reasons kill a copy already on the wire; any
+   other reason, including one Net never emits, is a send-time kill. *)
+let send_time_drop = function
+  | "dst-dead" | "partition-inflight" -> false
+  | _ -> true
+
 let members_to_string ms = String.concat "," (List.map proc_to_string ms)
 
 (* " [p0#3]" when the payload carries a correlation identity, "" otherwise. *)

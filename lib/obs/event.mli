@@ -58,11 +58,11 @@ type t =
       reason : string;
       msg : msg option;
     }
-      (** [reason] is one of ["src-dead"], ["dst-dead"], ["partition"],
-          ["loss"] (all decided at send time) or ["partition-inflight"],
-          ["dst-dead"] at arrival time — a message already on the wire killed
-          by a partition installed, or a crash happening, while it was in
-          flight. *)
+      (** [reason] is one of ["src-dead"], ["partition"], ["loss"] (all
+          decided at send time) or ["partition-inflight"], ["dst-dead"] at
+          arrival time — a message already on the wire killed by a partition
+          installed, or a crash happening, while it was in flight.  See
+          {!send_time_drop}. *)
   | Dup of { src : proc; dst : proc; kind : string; msg : msg option }
   | Retransmit of { proc : proc; origin : proc; count : int; peer : bool }
       (** [proc] re-sent [count] messages of [origin]'s stream; [peer] when
@@ -128,10 +128,19 @@ type t =
           were installed.  [views] counts the fresh views, [quarantined]
           the violations attributed to the window. *)
   | Note of { component : string; message : string }
-      (** Untyped escape hatch; carries legacy [Trace.record] calls. *)
+      (** Untyped escape hatch; carries [Sim.record] calls. *)
+
+val send_time_drop : string -> bool
+(** Classify a [Drop] reason.  [true] for a send-time kill: no copy went
+    on the wire, and the drop is the sender's action.  [false] only for the
+    arrival-time reasons ["dst-dead"] and ["partition-inflight"], which
+    kill a copy that a [Send] or [Dup] already put on the wire.  A reason
+    [Net] never emits (it can only arrive through a hand-edited replay)
+    counts as send-time, so it never consumes another message's wire copy
+    and never breaks the lineage conservation count. *)
 
 val component : t -> string
-(** The legacy trace component this event renders under ("net", "vsync",
+(** The component this event renders under ("net", "vsync",
     "fd", "gms", "evs", "mode", "app", "harness", or the [Note]
     component). *)
 

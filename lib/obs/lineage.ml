@@ -20,15 +20,12 @@ type hop = {
 
 type delivery = { d_proc : Event.proc; d_time : float; d_vid : Event.vid option }
 
-(* Send-time drops ("src-dead", "partition", "loss") kill an attempt before
-   it reaches the wire — no Send event is emitted for them.  Arrival drops
-   ("dst-dead", "partition-inflight") kill a copy that a Send or Dup already
-   put on the wire.  The split makes conservation exact:
+(* Send-time drops (Event.send_time_drop) kill an attempt before it reaches
+   the wire — no Send event is emitted for them.  Arrival drops ("dst-dead",
+   "partition-inflight") kill a copy that a Send or Dup already put on the
+   wire.  The split makes conservation exact:
 
      in_flight = copies - received - dropped_in_flight  >= 0           *)
-let send_time_reason = function
-  | "src-dead" | "partition" | "loss" -> true
-  | _ -> false
 
 type lifecycle = {
   l_msg : Event.msg;
@@ -331,7 +328,7 @@ let of_entries entries =
                        { d_proc = h.h_dst; d_time = h.h_time; d_vid = vid }
                        :: dels )
                  | Dropped reason ->
-                     if send_time_reason reason then
+                     if Event.send_time_drop reason then
                        (c, rc, d, bump pre reason, infl, dels)
                      else (c, rc, d, pre, bump infl reason, dels))
                (0, 0, 0, [], [], []) hs

@@ -35,7 +35,7 @@ type lifecycle = {
   l_received : int;
   l_dups : int;
   l_predrops : (string * int) list;
-      (** attempts killed before the wire ("src-dead", "partition", "loss"),
+      (** attempts killed before the wire ({!Event.send_time_drop}),
           reason -> count, sorted by reason *)
   l_inflight_drops : (string * int) list;
       (** copies killed in flight ("dst-dead", "partition-inflight") *)
@@ -44,10 +44,6 @@ type lifecycle = {
           is >= 0 and counts envelopes pending at shutdown *)
   l_deliveries : delivery list;  (** network arrivals, chronological *)
 }
-
-val send_time_reason : string -> bool
-(** Whether a drop reason classifies as a send-time kill (no envelope ever
-    went on the wire) as opposed to an in-flight loss. *)
 
 (** {2 Per-process timelines} *)
 

@@ -18,7 +18,6 @@ and t = {
   root_rng : Rng.t;
   obs : Vs_obs.Recorder.t;
   series : Vs_obs.Series.t option;
-  tracer : Trace.t;
 }
 
 let compare_handle a b =
@@ -48,7 +47,6 @@ let create ?(seed = 1L) ?obs ?series () =
     root_rng = Rng.create seed;
     obs;
     series;
-    tracer = Trace.of_recorder obs;
   }
 
 let now t = t.clock
@@ -56,8 +54,6 @@ let now t = t.clock
 let rng t = t.root_rng
 
 let fork_rng t = Rng.split t.root_rng
-
-let trace t = t.tracer
 
 let obs t = t.obs
 
@@ -76,7 +72,7 @@ let obs_on t = Vs_obs.Recorder.protocol_on t.obs
 let obs_full t = Vs_obs.Recorder.full_on t.obs
 
 let record t ~component message =
-  Trace.record t.tracer ~time:t.clock ~component message
+  emit t (Vs_obs.Event.Note { component; message })
 
 let at t fire_at thunk =
   if fire_at < t.clock then

@@ -31,8 +31,6 @@ val fork_rng : t -> Vs_util.Rng.t
 (** An independent generator split off the root — give one to each component
     that needs private randomness. *)
 
-val trace : t -> Trace.t
-
 val obs : t -> Vs_obs.Recorder.t
 (** The engine's event recorder. *)
 
@@ -55,8 +53,8 @@ val obs_full : t -> bool
     non-[Full] runs pay zero allocations per send. *)
 
 val record : t -> component:string -> string -> unit
-(** Record a trace entry at the current virtual time.
-    @deprecated prefer [emit] with a typed event. *)
+(** [record t ~component message] emits an untyped [Note] event at the
+    current virtual time; prefer [emit] with a typed event. *)
 
 val after : t -> float -> (unit -> unit) -> handle
 (** [after t d f] schedules [f] at [now t +. d]. [d] must be >= 0. *)

@@ -7,7 +7,8 @@
 module Lint = Vs_lint.Lint
 module Rules = Vs_lint.Rules
 module Sim = Vs_sim.Sim
-module Trace = Vs_sim.Trace
+module Recorder = Vs_obs.Recorder
+module Event = Vs_obs.Event
 module Faults = Vs_harness.Faults
 module Vc = Vs_harness.Vsync_cluster
 
@@ -110,8 +111,10 @@ let rendered_trace seed =
   Vc.run c ~until:6.0;
   String.concat "\n"
     (List.map
-       (fun e -> Format.asprintf "%a" Trace.pp_entry e)
-       (Trace.entries (Sim.trace (Vc.sim c))))
+       (fun (e : Recorder.entry) ->
+         Printf.sprintf "[%10.4f] %-8s %s" e.time (Event.component e.event)
+           (Event.render e.event))
+       (Recorder.entries (Sim.obs (Vc.sim c))))
 
 let test_identical_seed_identical_trace () =
   let a = rendered_trace 11L and b = rendered_trace 11L in

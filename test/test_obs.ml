@@ -1,9 +1,7 @@
 (* Tests for the observability layer: recorder levels, JSONL/Chrome
    exporters, metrics derivation, histogram quantiles, determinism of the
-   rendered artifacts, and the legacy Trace shim. *)
+   rendered artifacts. *)
 
-module Sim = Vs_sim.Sim
-module Trace = Vs_sim.Trace
 module Event = Vs_obs.Event
 module Recorder = Vs_obs.Recorder
 module Json = Vs_obs.Json
@@ -258,7 +256,7 @@ let assert_conservation entries =
           (fun (pre, infl) (h : Lineage.hop) ->
             match h.Lineage.h_what with
             | Lineage.Dropped r ->
-                if Lineage.send_time_reason r then (pre + 1, infl)
+                if Event.send_time_drop r then (pre + 1, infl)
                 else (pre, infl + 1)
             | Lineage.Sent | Lineage.Received | Lineage.Duplicated ->
                 (pre, infl))
@@ -282,12 +280,12 @@ let assert_conservation entries =
       List.iter
         (fun (r, _) ->
           check Alcotest.bool (name ^ ": predrop reason " ^ r) true
-            (Lineage.send_time_reason r))
+            (Event.send_time_drop r))
         l.Lineage.l_predrops;
       List.iter
         (fun (r, _) ->
           check Alcotest.bool (name ^ ": in-flight reason " ^ r) true
-            (not (Lineage.send_time_reason r)))
+            (not (Event.send_time_drop r)))
         l.Lineage.l_inflight_drops;
       total_drops :=
         !total_drops + assoc_total l.Lineage.l_predrops
@@ -361,6 +359,47 @@ let test_lineage_conservation_batched () =
     ((Vc.stats_total c).Endpoint.batches_sent > 0);
   assert_conservation (Recorder.entries recorder)
 
+(* Causal and Lineage share one drop classification: the five reasons Net
+   emits keep their split, and a reason Net never emits (a hand-edited
+   replay) is a send-time kill in both — the sender's action, consuming no
+   wire copy, so the later delivery still matches the send. *)
+let test_drop_classification () =
+  check (Alcotest.list Alcotest.bool) "Net's reasons"
+    [ true; true; true; false; false ]
+    (List.map Event.send_time_drop
+       [ "src-dead"; "partition"; "loss"; "dst-dead"; "partition-inflight" ]);
+  let m = { Event.origin = p 0 0; mseq = 1 } in
+  let e time event = { Recorder.time; event } in
+  let drop =
+    Event.Drop
+      {
+        src = p 0 0; dst = p 1 0; kind = "data"; reason = "bogus";
+        msg = Some m;
+      }
+  in
+  let entries =
+    [
+      e 0.1
+        (Event.Send
+           { src = p 0 0; dst = p 1 0; kind = "data"; bytes = 8; msg = Some m });
+      e 0.2 drop;
+      e 0.3 (Event.Recv { src = p 0 0; dst = p 1 0; kind = "data"; msg = Some m });
+    ]
+  in
+  check Alcotest.bool "unknown reason: send-time" true
+    (Event.send_time_drop "bogus");
+  check (Alcotest.option Alcotest.string) "charged to the sender" (Some "p0")
+    (Option.map Event.proc_to_string (Vs_obs.Causal.actor drop));
+  let dag = Vs_obs.Causal.of_entries entries in
+  check (Alcotest.list Alcotest.int) "the delivery still matches the send" []
+    (Vs_obs.Causal.orphans dag);
+  match Lineage.lifecycle (Lineage.of_entries entries) m with
+  | None -> Alcotest.fail "message not tracked"
+  | Some l ->
+      check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+        "lineage counts it before the wire" [ ("bogus", 1) ] l.Lineage.l_predrops;
+      check Alcotest.int "nothing left in flight" 0 l.Lineage.l_in_flight
+
 (* ---------- canonical JSON ---------- *)
 
 let test_json_canonical () =
@@ -377,26 +416,6 @@ let test_json_canonical () =
     ];
   check Alcotest.string "integer float" "3.0" (Json.float_repr 3.);
   check Alcotest.string "fraction" "0.0012" (Json.float_repr 0.0012)
-
-(* ---------- the legacy Trace shim ---------- *)
-
-let test_trace_shim () =
-  let sim = Sim.create ~obs:(Recorder.create ~level:Recorder.Full ()) () in
-  let tr = Sim.trace sim in
-  Sim.record sim ~component:"app" "first";
-  Sim.emit sim (Event.Crash { proc = p 2 0 });
-  Sim.record sim ~component:"app" "second";
-  check Alcotest.int "length counts typed and note events" 3 (Trace.length tr);
-  let app = Trace.by_component tr "app" in
-  check (Alcotest.list Alcotest.string) "by_component filters notes"
-    [ "first"; "second" ]
-    (List.map (fun e -> e.Trace.message) app);
-  let all = Trace.entries tr in
-  check (Alcotest.list Alcotest.string) "typed events render into the stream"
-    [ "app"; "net"; "app" ]
-    (List.map (fun e -> e.Trace.component) all);
-  (* repeated reads share the materialized view *)
-  check Alcotest.bool "entries cache is reused" true (Trace.entries tr == all)
 
 let () =
   Alcotest.run "obs"
@@ -429,7 +448,8 @@ let () =
           Alcotest.test_case "conservation" `Quick test_lineage_conservation;
           Alcotest.test_case "conservation (batched wire)" `Quick
             test_lineage_conservation_batched;
+          Alcotest.test_case "drop classification" `Quick
+            test_drop_classification;
         ] );
       ( "json", [ Alcotest.test_case "canonical" `Quick test_json_canonical ] );
-      ( "trace-shim", [ Alcotest.test_case "compat" `Quick test_trace_shim ] );
     ]

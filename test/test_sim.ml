@@ -2,7 +2,8 @@
    cancellation, horizons and determinism. *)
 
 module Sim = Vs_sim.Sim
-module Trace = Vs_sim.Trace
+module Recorder = Vs_obs.Recorder
+module Event = Vs_obs.Event
 
 let check = Alcotest.check
 
@@ -143,10 +144,11 @@ let test_trace () =
   let sim = Sim.create () in
   ignore (Sim.after sim 0.5 (fun () -> Sim.record sim ~component:"test" "hello"));
   ignore (Sim.run sim);
-  match Trace.by_component (Sim.trace sim) "test" with
+  match Recorder.entries (Sim.obs sim) with
   | [ e ] ->
-      check (Alcotest.float 1e-9) "trace time" 0.5 e.Trace.time;
-      check Alcotest.string "trace message" "hello" e.Trace.message
+      check (Alcotest.float 1e-9) "trace time" 0.5 e.Recorder.time;
+      check Alcotest.string "trace component" "test" (Event.component e.event);
+      check Alcotest.string "trace message" "hello" (Event.render e.event)
   | other -> Alcotest.failf "expected one entry, got %d" (List.length other)
 
 (* Determinism: the same seeded program produces the same event history. *)

@@ -7,6 +7,7 @@ module Hdr = Vs_obs.Hdr
 module Metrics = Vs_obs.Metrics
 module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
+module Critpath = Vs_obs.Critpath
 module Openmetrics = Vs_obs.Openmetrics
 module Bench_diff = Vs_obs.Bench_diff
 module Json = Vs_obs.Json
@@ -183,9 +184,13 @@ let test_series_ring_truncation () =
 
 (* --- stall attribution ---------------------------------------------------- *)
 
+(* The stream also carries the edge cases every consumer of Stall's anchor
+   tracker must treat alike: p2 joins mid-change (installs with no own
+   flush-ack, then flushes after its install), p0 installs the same view a
+   second time, and view v3 installs with its Propose not retained. *)
 let test_stall_attribution () =
   let e time event = { Recorder.time; event } in
-  let vid = v 2 0 in
+  let vid = v 2 0 and vid3 = v 3 0 in
   let members = [ p 0 0; p 1 0 ] in
   let entries =
     [
@@ -195,10 +200,16 @@ let test_stall_attribution () =
       e 1.5 (Event.Flush { proc = p 1 0; vid; seen = 2 });
       e 1.6 (Event.Install { proc = p 0 0; vid; members; sync = 2 });
       e 1.7 (Event.Install { proc = p 1 0; vid; members; sync = 2 });
+      e 2.1 (Event.Install { proc = p 2 0; vid; members; sync = 0 });
+      e 2.2 (Event.Flush { proc = p 2 0; vid; seen = 2 });
+      e 2.4 (Event.Install { proc = p 0 0; vid; members; sync = 0 });
+      e 2.5 (Event.Flush { proc = p 0 0; vid = vid3; seen = 2 });
+      e 2.6 (Event.Install { proc = p 0 0; vid = vid3; members; sync = 0 });
     ]
   in
   let attrs = Stall.of_entries entries in
-  Alcotest.(check int) "one attribution per install" 2 (List.length attrs);
+  Alcotest.(check int) "one attribution per install with a propose" 4
+    (List.length attrs);
   List.iter
     (fun a ->
       Alcotest.(check bool) "segments non-negative" true
@@ -209,18 +220,60 @@ let test_stall_attribution () =
       Alcotest.(check (float 1e-9)) "segments sum to latency"
         (a.Stall.a_time -. 1.0) (Stall.total a))
     attrs;
-  (* proc 0 flushed early: its flush-ack wait spans to the last flush *)
+  let split name (a : Stall.attr) (pw, fw, sw) =
+    Alcotest.(check (float 1e-9)) (name ^ ": propose wait") pw a.a_propose_wait;
+    Alcotest.(check (float 1e-9)) (name ^ ": flush-ack wait") fw a.a_flush_wait;
+    Alcotest.(check (float 1e-9)) (name ^ ": stability wait") sw
+      a.a_stability_wait
+  in
   (match attrs with
-  | a0 :: _ ->
-      Alcotest.(check (float 1e-9)) "propose wait" 0.2 a0.Stall.a_propose_wait;
-      Alcotest.(check (float 1e-9)) "flush-ack wait" 0.3 a0.Stall.a_flush_wait;
-      Alcotest.(check (float 1e-9)) "stability wait" 0.1
-        a0.Stall.a_stability_wait
-  | [] -> Alcotest.fail "no attributions");
+  | [ a0; _; joined; again ] ->
+      (* proc 0 flushed early: its flush-ack wait spans to the last flush *)
+      split "p0" a0 (0.2, 0.3, 0.1);
+      (* no own flush-ack: the propose wait is empty *)
+      split "p2 joined mid-change" joined (0., 0.5, 0.6);
+      (* the repeated install keeps p0's first flush-ack and waits for p2's
+         late one *)
+      split "p0 again" again (0.2, 1.0, 0.2)
+  | _ -> Alcotest.fail "unexpected attributions");
+  (* every consumer of the tracker agrees on the same stream *)
+  let cp = Critpath.of_entries entries in
+  Alcotest.(check bool) "critical paths carry the attributions" true
+    (List.map (fun ip -> ip.Critpath.ip_attr) cp.Critpath.installs = attrs);
+  Alcotest.(check bool) "critical paths consistent with stall" true
+    (Critpath.consistent_with_stall cp attrs);
+  let hist_count name =
+    match Metrics.hist (Metrics.of_entries entries) name with
+    | Some h -> Hdr.count h
+    | None -> 0
+  in
+  Alcotest.(check int) "install-latency samples" 4
+    (hist_count "view.install-latency");
+  (* an install with an own flush-ack at or before it, propose or not *)
+  let with_own_flush = 4 in
+  Alcotest.(check int) "flush-stall samples" with_own_flush
+    (hist_count "view.flush-stall");
+  let flush_spans =
+    match Json.of_string (Export.chrome_of_entries entries) with
+    | Error err -> Alcotest.failf "chrome export: %s" err
+    | Ok doc ->
+        List.length
+          (List.filter
+             (fun ev ->
+               let str k = Option.bind (Json.member k ev) Json.to_string_opt in
+               str "ph" = Some "X"
+               &&
+               match str "name" with
+               | Some n -> String.starts_with ~prefix:"flush " n
+               | None -> false)
+             (Option.value ~default:[]
+                (Option.bind (Json.member "traceEvents" doc) Json.to_list_opt)))
+  in
+  Alcotest.(check int) "chrome flush spans" with_own_flush flush_spans;
   let rows = Stall.windows ~interval:1.0 attrs in
-  Alcotest.(check int) "one occupied window" 1 (List.length rows);
+  Alcotest.(check int) "two occupied windows" 2 (List.length rows);
   match rows with
-  | [ r ] ->
+  | [ r; _ ] ->
       Alcotest.(check int) "installs in window" 2 r.Stall.w_installs;
       Alcotest.(check (float 1e-9)) "window total = summed latency"
         (0.6 +. 0.7) (Stall.window_total r)
