@@ -32,6 +32,43 @@ let bench_record : (string * Json.t) list ref = ref []
 
 let exp_walls : (string * float) list ref = ref []
 
+(* Regression gate for a committed BENCH_*.json: diff the candidate against
+   it and refuse to overwrite it on a deterministic regression (zero-alloc
+   booleans, counted words, lint findings, the 10x data-plane gate, the
+   critical path's consistent_with_stall), so a re-run still sees the
+   baseline.  Wall clock and allocation totals are reported but never
+   gate. *)
+let gate_and_write ~path json =
+  let module Bd = Vs_obs.Bench_diff in
+  (if Sys.file_exists path then
+     match Bd.load path with
+     | Error msg ->
+         Printf.printf
+           "note: committed %s unparseable (%s); skipping the regression diff\n"
+           path msg
+     | Ok old_doc ->
+         let rows = Bd.diff ~old_doc ~new_doc:json () in
+         Table.print (Bd.to_table rows);
+         print_endline (Bd.summary rows);
+         let det = Bd.deterministic_regressions rows in
+         List.iter
+           (fun (r : Bd.row) ->
+             Printf.printf "BENCH REGRESSION (deterministic key): %s (%s)\n"
+               r.Bd.key r.Bd.r_note)
+           det;
+         if det <> [] then begin
+           Printf.printf
+             "%s left unchanged (deterministic regression vs the committed \
+              baseline)\n"
+             path;
+           exit 1
+         end);
+  let oc = open_out path in
+  output_string oc (Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" path
+
 let experiments =
   [
     ("e1", "Figure 1: mode-transition matrix", Vs_exp.Exp_modes.tables);
@@ -631,54 +668,7 @@ let run_throughput ~quick ~scale =
                merges) );
       ]
   in
-  (* Refusal gate, same pattern as the BENCH_obs.json one below: diff the
-     candidate against the committed BENCH_throughput.json and refuse to
-     overwrite on a deterministic regression.  Here the deterministic keys
-     are the 10x data-plane gate and the per-arm consistent_with_stall
-     cross-check the critical-path block carries. *)
-  let module Bd = Vs_obs.Bench_diff in
-  let baseline =
-    if Sys.file_exists "BENCH_throughput.json" then begin
-      let ic = open_in_bin "BENCH_throughput.json" in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Json.of_string text with
-      | Ok doc -> Some doc
-      | Error msg ->
-          Printf.printf
-            "note: committed BENCH_throughput.json unparseable (%s); \
-             skipping the regression diff\n"
-            msg;
-          None
-    end
-    else None
-  in
-  (match baseline with
-  | None -> ()
-  | Some old_doc ->
-      let rows = Bd.diff ~old_doc ~new_doc:json () in
-      Table.print (Bd.to_table rows);
-      print_endline (Bd.summary rows);
-      let det = Bd.deterministic_regressions rows in
-      if det <> [] then begin
-        List.iter
-          (fun (r : Bd.row) ->
-            Printf.printf "BENCH REGRESSION (deterministic key): %s (%s)\n"
-              r.Bd.key r.Bd.r_note)
-          det;
-        print_endline
-          "BENCH_throughput.json left unchanged (deterministic regression \
-           vs the committed baseline)";
-        exit 1
-      end);
-  let oc = open_out "BENCH_throughput.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_throughput.json"
+  gate_and_write ~path:"BENCH_throughput.json" json
 
 (* ---------- Bechamel micro-benchmarks: the hot operation of each table ---------- *)
 
@@ -928,54 +918,5 @@ let () =
               );
             ])
     in
-    (* Regression gate: diff the candidate record against the committed
-       BENCH_obs.json before overwriting it.  Only deterministic keys
-       (zero-alloc booleans, counted words, lint findings) gate — wall
-       clock and allocation totals are reported but never fail the bench.
-       On a deterministic regression the committed baseline is left in
-       place so a re-run still sees it. *)
-    let module Bd = Vs_obs.Bench_diff in
-    let baseline =
-      if Sys.file_exists "BENCH_obs.json" then begin
-        let ic = open_in_bin "BENCH_obs.json" in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match Json.of_string text with
-        | Ok doc -> Some doc
-        | Error msg ->
-            Printf.printf "note: committed BENCH_obs.json unparseable (%s); \
-                           skipping the regression diff\n" msg;
-            None
-      end
-      else None
-    in
-    let regressed =
-      match baseline with
-      | None -> false
-      | Some old_doc ->
-          let rows = Bd.diff ~old_doc ~new_doc:json () in
-          Table.print (Bd.to_table rows);
-          print_endline (Bd.summary rows);
-          let det = Bd.deterministic_regressions rows in
-          List.iter
-            (fun (r : Bd.row) ->
-              Printf.printf "BENCH REGRESSION (deterministic key): %s (%s)\n"
-                r.Bd.key r.Bd.r_note)
-            det;
-          det <> []
-    in
-    if regressed then begin
-      print_endline
-        "BENCH_obs.json left unchanged (deterministic regression vs the \
-         committed baseline)";
-      exit 1
-    end;
-    let oc = open_out "BENCH_obs.json" in
-    output_string oc (Json.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    print_endline "wrote BENCH_obs.json"
+    gate_and_write ~path:"BENCH_obs.json" json
   end

@@ -1,8 +1,6 @@
 (* vscli — command-line driver for the view-synchrony simulator.
 
    Subcommands:
-     experiment   regenerate the paper's tables (all or selected)
-     campaign     run a randomized fault campaign and check the properties
      check        sweep seeds through the schedule explorer; shrink failures
      explain      run/replay a campaign and print the failure attribution
      query        run/replay a campaign and filter the recorded event stream
@@ -12,21 +10,16 @@
      path         causal critical-path profile (vspath); --flame for stacks
      diff-runs    structural diff of two runs; first causal divergence
      bench diff   compare two BENCH_*.json artifacts; non-zero on regression
-     lint         run the vslint determinism checks (same driver as vslint) *)
+     lint         run the vslint determinism checks (same driver as vslint)
+     throughput   wall-clock sustained-throughput profile; writes no file *)
 
-module Sim = Vs_sim.Sim
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
 module Export = Vs_obs.Export
 module Metrics = Vs_obs.Metrics
-module Explain = Vs_obs.Explain
 module Lineage = Vs_obs.Lineage
 module Query = Vs_obs.Query
 module Json = Vs_obs.Json
-module Faults = Vs_harness.Faults
-module Oracle = Vs_harness.Oracle
-module Vc = Vs_harness.Vsync_cluster
-module Ec = Vs_harness.Evs_cluster
 module Campaign = Vs_check.Campaign
 module Explorer = Vs_check.Explorer
 module Shrink = Vs_check.Shrink
@@ -47,11 +40,6 @@ let seed_arg =
 
 let nodes_arg =
   Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-
-let duration_arg =
-  Arg.(
-    value & opt float 6.0
-    & info [ "duration" ] ~docv:"SECONDS" ~doc:"Fault-injection window.")
 
 let obs_level_conv =
   let parse s =
@@ -117,131 +105,6 @@ let evs_arg =
     value & flag
     & info [ "evs" ]
         ~doc:"Generate an EVS campaign from the seed (default plain VS).")
-
-(* ---------- experiment ---------- *)
-
-let experiments =
-  [
-    ("e1", Vs_exp.Exp_modes.tables);
-    ("e2e3", Vs_exp.Exp_figures.tables);
-    ("e4", Vs_exp.Exp_join.tables);
-    ("e5", Vs_exp.Exp_classify.tables);
-    ("e6", Vs_exp.Exp_transfer.tables);
-    ("e7", Vs_exp.Exp_file.tables);
-    ("e8", Vs_exp.Exp_db.tables);
-    ("e9e10", Vs_exp.Exp_overhead.tables);
-    ("e11", Vs_exp.Exp_loss.tables);
-    ("t", Vs_exp.Exp_throughput.tables);
-  ]
-
-let experiment_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps (CI-sized).")
-  in
-  let names =
-    Arg.(
-      value
-      & pos_all (enum (List.map (fun (n, _) -> (n, n)) experiments)) []
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "Experiments to run (e1 e2e3 e4 e5 e6 e7 e8 e9e10 e11 t); all \
-             by default; t runs without wall-clock numbers — see the \
-             throughput subcommand for those.")
-  in
-  let run quick names =
-    let selected =
-      match names with
-      | [] -> experiments
-      | names -> List.filter (fun (n, _) -> List.mem n names) experiments
-    in
-    List.iter
-      (fun (name, tables) ->
-        Printf.printf "### %s\n\n%!" (String.uppercase_ascii name);
-        let t : ?quick:bool -> unit -> Vs_stats.Table.t list = tables in
-        List.iter Vs_stats.Table.print (t ~quick ()))
-      selected
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate the paper's evaluation tables.")
-    Term.(const run $ quick $ names)
-
-(* ---------- campaign ---------- *)
-
-let campaign_cmd =
-  let evs =
-    Arg.(
-      value & flag
-      & info [ "evs" ]
-          ~doc:"Run enriched view synchrony (checks Properties 6.1/6.3 too).")
-  in
-  let run seed nodes duration evs obs_level =
-    let seed64 = Int64.of_int seed in
-    let node_list = List.init nodes (fun i -> i) in
-    let script rng =
-      Faults.random_script rng ~nodes:node_list ~start:1.0 ~duration
-        ~mean_gap:0.5 ()
-    in
-    let rng = Vs_util.Rng.create (Int64.add seed64 999L) in
-    let obs = Recorder.create ~level:obs_level () in
-    let wrap property detail =
-      { Explain.property; msg = None; procs = []; vids = []; detail }
-    in
-    let verdicts, summary =
-      if evs then begin
-        let c = Ec.create ~seed:seed64 ~obs ~n:nodes () in
-        Ec.run_script c (script rng);
-        Ec.pump_traffic c ~start:0.5 ~until:(duration +. 0.5) ~mean_gap:0.03;
-        Ec.run c ~until:(duration +. 4.0);
-        ( List.map Oracle.to_obs_violation (Oracle.all_violations (Ec.oracle c))
-          @ List.map (wrap Explain.Evs_total_order) (Ec.check_total_order c)
-          @ List.map (wrap Explain.Evs_structure) (Ec.check_structure c),
-          Printf.sprintf
-            "deliveries=%d installs=%d distinct-views=%d e-view-changes=%d"
-            (Oracle.total_deliveries (Ec.oracle c))
-            (Oracle.total_installs (Ec.oracle c))
-            (Oracle.distinct_views (Ec.oracle c))
-            (Ec.eview_changes_total c) )
-      end
-      else begin
-        let c = Vc.create ~seed:seed64 ~obs ~n:nodes () in
-        Vc.run_script c (script rng);
-        Vc.pump_traffic c ~start:0.5 ~until:(duration +. 0.5) ~mean_gap:0.03;
-        Vc.run c ~until:(duration +. 4.0);
-        ( List.map Oracle.to_obs_violation (Oracle.all_violations (Vc.oracle c)),
-          Printf.sprintf "deliveries=%d installs=%d distinct-views=%d stable=%b"
-            (Oracle.total_deliveries (Vc.oracle c))
-            (Oracle.total_installs (Vc.oracle c))
-            (Oracle.distinct_views (Vc.oracle c))
-            (Vc.stable_view_reached c) )
-      end
-    in
-    Printf.printf "campaign: seed=%d nodes=%d duration=%.1fs %s\n" seed nodes
-      duration
-      (if evs then "(EVS)" else "(plain VS)");
-    Printf.printf "run: %s\n" summary;
-    if verdicts = [] then
-      print_endline "properties: all hold (agreement, uniqueness, integrity, order)"
-    else begin
-      Printf.printf "VIOLATIONS (%d):\n" (List.length verdicts);
-      let entries = Recorder.entries obs in
-      let lineage = Lineage.of_entries entries in
-      List.iteri
-        (fun i v ->
-          Printf.printf "[%d] " (i + 1);
-          print_string (Explain.to_text (Explain.explain ~lineage ~entries v)))
-        verdicts;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "campaign"
-       ~doc:
-         "Run a randomized fault campaign and check the view-synchrony \
-          properties against the oracle; any violation is printed as a full \
-          causal explanation.")
-    Term.(
-      const run $ seed_arg $ nodes_arg $ duration_arg $ evs
-      $ obs_level_arg Recorder.Full)
 
 (* ---------- check ---------- *)
 
@@ -917,23 +780,12 @@ let diff_runs_cmd =
 
 (* ---------- bench diff ---------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_bench path =
-  match read_file path with
-  | exception Sys_error msg ->
-      Printf.eprintf "cannot read %s: %s\n" path msg;
+  match Bench_diff.load path with
+  | Ok doc -> doc
+  | Error msg ->
+      Printf.eprintf "cannot load %s: %s\n" path msg;
       exit 2
-  | text -> (
-      match Json.of_string text with
-      | Ok doc -> doc
-      | Error msg ->
-          Printf.eprintf "cannot parse %s: %s\n" path msg;
-          exit 2)
 
 let bench_diff_cmd =
   let old_arg =
@@ -1108,7 +960,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            experiment_cmd; campaign_cmd; check_cmd; explain_cmd; query_cmd;
-            trace_cmd; top_cmd; metrics_cmd; path_cmd; diff_runs_cmd;
-            bench_cmd; lint_cmd; throughput_cmd;
+            check_cmd; explain_cmd; query_cmd; trace_cmd; top_cmd; metrics_cmd;
+            path_cmd; diff_runs_cmd; bench_cmd; lint_cmd; throughput_cmd;
           ]))

@@ -2,7 +2,7 @@
    recorded stream through Lineage and pairs every structured verdict with
    its causal slice.  One builder serves the CLI `explain` subcommand, the
    failure paths of campaign/check/sweep, corpus attachments, and the
-   @explain-corpus determinism guard — so they cannot drift apart. *)
+   corpus determinism test — so they cannot drift apart. *)
 
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event

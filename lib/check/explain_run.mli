@@ -4,7 +4,7 @@
     stream: every structured verdict paired with its causal slice and
     lineage notes, or — for a clean run — a conservation and view-graph
     summary.  Both renderings are deterministic functions of their inputs,
-    which is what the @explain-corpus alias asserts over the committed
+    which is what test_check's corpus loop asserts over the committed
     repros. *)
 
 type t

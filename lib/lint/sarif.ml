@@ -6,8 +6,8 @@
    is deliberately minimal — tool.driver with the full rule table, one
    result per finding — and deliberately deterministic: no timestamps, no
    GUIDs, rule and result order fixed by the (sorted) report, so the same
-   tree always produces byte-identical SARIF.  test/sarif_schema_check.ml
-   validates the shape against a committed sample. *)
+   tree always produces byte-identical SARIF.  test/sarif_sample.sarif
+   pins the output and test_lint validates its shape. *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in

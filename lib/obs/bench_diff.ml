@@ -71,6 +71,11 @@ let classify ?(threshold = default_threshold) key =
   else if has "alloc_bytes" || has "overhead_ratio" then Lower threshold
   else Info
 
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> Json.of_string text
+
 (* --- flattening ----------------------------------------------------------- *)
 
 let id_of_arr_elem v =

@@ -35,6 +35,10 @@ val classify : ?threshold:float -> string -> cls
     lower-better; [alloc_bytes]/[overhead_ratio] lower-better;
     [ops_per_wall_s]/[speedup] higher-better; all else informational. *)
 
+val load : string -> (Json.t, string) result
+(** Read and parse a [BENCH_*.json] file; an unreadable file is an
+    [Error] too. *)
+
 val flatten : Json.t -> (string * Json.t) list
 (** Dotted leaf paths, sorted. *)
 

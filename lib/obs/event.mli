@@ -148,8 +148,8 @@ val type_name : t -> string
 (** Stable wire name used by the JSONL schema. *)
 
 val all_type_names : string list
-(** Every value [type_name] can return; the @trace-schema guard checks the
-    committed sample covers all of them. *)
+(** Every value [type_name] can return; test_obs checks the committed
+    trace-schema sample covers all of them. *)
 
 val render : t -> string
 (** Human-readable one-liner (no timestamp/component prefix). *)

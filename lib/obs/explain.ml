@@ -2,7 +2,7 @@
    causal slice of the event stream plus derived lineage notes, rendered as
    deterministic text and canonical JSON.  Everything here is a pure function
    of (violation, stream), so explanations are byte-stable across runs —
-   the @explain-corpus alias pins that down. *)
+   the corpus's committed .explain.txt artifacts pin that down. *)
 
 type property =
   | Agreement

@@ -1,6 +1,6 @@
 (* Exporters over a recorded event stream: deterministic JSONL (one object per
    line, fixed key order), Chrome trace_event JSON for Perfetto, and the
-   parser used by the @trace-schema round-trip guard. *)
+   parser used by the trace-schema round-trip test. *)
 
 let proc_json p = Json.Str (Event.proc_to_string p)
 

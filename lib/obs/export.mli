@@ -3,8 +3,8 @@
     Formats:
     - JSONL: one canonical JSON object per line with fixed key order
       [{"t":…,"c":…,"ev":…,…payload}] — deterministic, parseable back via
-      {!entry_of_jsonl} (the @trace-schema drift guard round-trips a
-      committed sample).
+      {!entry_of_jsonl} (test_obs round-trips a committed golden
+      sample).
     - Chrome [trace_event] JSON: one pid for the cluster, one tid lane per
       node; installs/e-views/modes/faults as instants, state-transfer tasks
       and flush->install windows as complete spans.  Loads in Perfetto or

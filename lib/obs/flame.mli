@@ -6,8 +6,8 @@
       ([view;segment-kind;owner <microseconds>] lines) that
       [flamegraph.pl] / [inferno-flamegraph] consume directly.  Values are
       integer microseconds summed per stack; lines are sorted, so the
-      output is byte-deterministic on identically-seeded runs (the
-      @critpath-schema guard pins a committed sample).
+      output is byte-deterministic on identically-seeded runs (a
+      committed golden sample pins it).
     - {!critpath_spans}: Chrome [trace_event] span objects on a dedicated
       "critical path" process (pid 2, one lane per installing node), shaped
       to pass to [Export.chrome_of_entries ~extra] — which

@@ -1,5 +1,5 @@
 (* A minimal deterministic JSON value type, printer, and parser.  Used by the
-   JSONL / Chrome exporters and the @trace-schema round-trip guard.  Kept
+   JSONL / Chrome exporters and the trace-schema round-trip test.  Kept
    dependency-free on purpose: the container has no JSON library baked in. *)
 
 type t =

@@ -4,7 +4,7 @@
     builds), no whitespace, shortest round-trippable float repr — so
     identical event streams serialize byte-identically, and parsing then
     re-printing a canonical document reproduces it exactly (the property the
-    @trace-schema guard checks). *)
+    trace-schema round-trip test checks). *)
 
 type t =
   | Null

@@ -4,7 +4,7 @@
     The fold is purely structural: it never consults protocol state, only
     the typed events, and every output list is sorted by the typed
     comparators of {!Event}, so identical streams produce identical
-    lineages (the property the @explain-corpus alias pins down).
+    lineages (the property the corpus's .explain.txt artifacts pin down).
 
     Requires a [Full]-level stream for message lifecycles; view/mode
     timelines and the view graph also work on [Protocol]-level streams. *)

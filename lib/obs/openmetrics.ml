@@ -6,7 +6,7 @@
    round-trippable repr ([Json.float_repr]), LF line endings, and a final
    [# EOF] terminator per the OpenMetrics spec.  Two identically-seeded
    runs therefore expose byte-identical text — the property the
-   @openmetrics-schema guard pins with a committed sample.
+   committed test/openmetrics_sample.txt golden pins.
 
    Mapping from the registry namespace:
    - counter  [net.sends]            -> [vs_net_sends_total]

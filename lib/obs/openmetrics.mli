@@ -4,7 +4,7 @@
     Canonical like {!Json}: families sorted by metric name, fixed label
     order ([le] only), floats in shortest round-trippable repr, LF line
     endings, trailing [# EOF].  Identically-seeded runs expose
-    byte-identical text — pinned by the @openmetrics-schema guard. *)
+    byte-identical text — pinned by a committed golden sample. *)
 
 val of_metrics : ?prefix:string -> Metrics.t -> string
 (** Render the registry.  Counters become [<prefix><name>_total], gauges

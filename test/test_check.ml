@@ -12,7 +12,8 @@
      corresponding checker fire — the checkers provably can detect bugs;
    - corpus replay: every checked-in repro artifact under test/corpus/
      parses and runs clean (a minimized schedule that once found a bug can
-     never silently regress). *)
+     never silently regress), and its failure attribution is deterministic
+     and equal to the committed <name>.explain.txt. *)
 
 module Sim = Vs_sim.Sim
 module Proc_id = Vs_net.Proc_id
@@ -25,6 +26,8 @@ module Campaign = Vs_check.Campaign
 module Explorer = Vs_check.Explorer
 module Shrink = Vs_check.Shrink
 module Repro = Vs_check.Repro
+module Explain_run = Vs_check.Explain_run
+module Recorder = Vs_obs.Recorder
 
 let check = Alcotest.check
 
@@ -692,12 +695,15 @@ let test_transient_batching_equivalence () =
 
 (* ---------- corpus replay ---------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* One Full-level run of [spec] and its failure-attribution text. *)
+let explain spec =
+  let obs = Recorder.create ~level:Recorder.Full () in
+  let outcome = Campaign.run ~obs spec in
+  ( outcome,
+    Explain_run.to_text
+      (Explain_run.build ~spec ~outcome ~entries:(Recorder.entries obs)) )
 
 let test_corpus_replays_clean () =
   let entries = Repro.load_dir "corpus" in
@@ -726,13 +732,23 @@ let test_corpus_replays_clean () =
           if spec.Campaign.transient then
             check Alcotest.string (path ^ ": byte-identical reprint")
               (read_file path) (Repro.to_string spec);
-          let outcome = Campaign.run spec in
+          let outcome, text = explain spec in
           if outcome.Campaign.violations <> [] then begin
             Printf.printf "%s (%s):\n" path (Campaign.describe spec);
             List.iter print_endline outcome.Campaign.violations;
             Alcotest.failf "%s regressed: %d violation(s)" path
               (List.length outcome.Campaign.violations)
-          end)
+          end;
+          (* The explanation is deterministic and pinned by the committed
+             <name>.explain.txt; regenerate one after an intentional change
+             with: vscli explain --replay <name>.sexp > <name>.explain.txt *)
+          check Alcotest.string (path ^ ": same explanation twice") text
+            (snd (explain spec));
+          let artifact = Filename.remove_extension path ^ ".explain.txt" in
+          if not (Sys.file_exists artifact) then
+            Alcotest.failf "%s has no committed %s" path artifact;
+          check Alcotest.string (path ^ ": matches " ^ artifact)
+            (read_file artifact) text)
     entries
 
 let () =

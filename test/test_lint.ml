@@ -2,10 +2,12 @@
    span-accurate findings, every good fixture (including justified
    suppressions) passes clean — plus the determinism regression the linter
    exists to protect: two identically-seeded cluster runs must produce
-   byte-identical traces. *)
+   byte-identical traces — and the SARIF structure of the committed
+   sample. *)
 
 module Lint = Vs_lint.Lint
 module Rules = Vs_lint.Rules
+module Json = Vs_obs.Json
 module Sim = Vs_sim.Sim
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
@@ -328,6 +330,87 @@ let test_real_tree_certified () =
         (contains ~sub:"zero_alloc_contract" (Lint.read_file bench))
   end
 
+(* ---------- the committed SARIF sample (golden.exe sarif) ---------- *)
+
+exception Malformed of string
+
+(* Problems with a SARIF log: version 2.1.0, exactly one run whose driver is
+   vslint with the rule table of Rules.all, and every result naming a known
+   rule at one location with a 1-based line and column. *)
+let sarif_problems text =
+  let field name j =
+    match Json.member name j with
+    | Some v -> v
+    | None -> raise (Malformed ("missing field " ^ name))
+  in
+  let typed conv name j =
+    match conv (field name j) with
+    | Some v -> v
+    | None -> raise (Malformed (name ^ " has the wrong type"))
+  in
+  let str = typed Json.to_string_opt and arr = typed Json.to_list_opt in
+  let expect ok msg = if ok then [] else [ msg ] in
+  let rule r =
+    List.iter
+      (fun d -> ignore (str "text" (field d r)))
+      [ "shortDescription"; "fullDescription"; "help" ];
+    let level = str "level" (field "defaultConfiguration" r) in
+    expect (level = "error" || level = "warning") ("bad level " ^ level)
+  in
+  let result r =
+    let id = str "ruleId" r in
+    ignore (str "text" (field "message" r));
+    match arr "locations" r with
+    | [ loc ] ->
+        let phys = field "physicalLocation" loc in
+        ignore (str "uri" (field "artifactLocation" phys));
+        let region = field "region" phys in
+        expect (Rules.find id <> None) ("unknown rule " ^ id)
+        @ List.concat_map
+            (fun pos ->
+              expect (typed Json.to_int_opt pos region >= 1)
+                (id ^ ": " ^ pos ^ " is not 1-based"))
+            [ "startLine"; "startColumn" ]
+    | _ -> [ id ^ ": not exactly one location" ]
+  in
+  match Json.of_string text with
+  | Error e -> [ "not JSON: " ^ e ]
+  | Ok log -> (
+      try
+        match arr "runs" log with
+        | [ run ] ->
+            let driver = field "driver" (field "tool" run) in
+            let rules = arr "rules" driver in
+            expect (str "version" log = "2.1.0") "version is not 2.1.0"
+            @ expect (str "name" driver = "vslint") "driver is not vslint"
+            @ expect
+                (List.map (str "id") rules
+                = List.map (fun (r : Rules.t) -> r.Rules.id) Rules.all)
+                "rule table is not Rules.all"
+            @ List.concat_map rule rules
+            @ List.concat_map result (arr "results" run)
+        | _ -> [ "not exactly one run" ]
+      with Malformed msg -> [ msg ])
+
+(* [s] with its first [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then s
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+let test_sarif_sample () =
+  let sample = Lint.read_file "sarif_sample.sarif" in
+  check (Alcotest.list Alcotest.string) "committed sample" []
+    (sarif_problems sample);
+  let mutated = replace_first ~sub:{|"2.1.0"|} ~by:{|"2.0.0"|} sample in
+  check Alcotest.bool "sample claiming version 2.0.0" true
+    (mutated <> sample && sarif_problems mutated <> [])
+
 let () =
   Alcotest.run "vs_lint"
     [
@@ -390,4 +473,6 @@ let () =
           Alcotest.test_case "identical seed, identical trace" `Quick
             test_identical_seed_identical_trace;
         ] );
+      ( "sarif",
+        [ Alcotest.test_case "committed sample" `Quick test_sarif_sample ] );
     ]

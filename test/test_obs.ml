@@ -151,6 +151,55 @@ let test_jsonl_round_trip () =
       check Alcotest.string "re-emission is the identity" text
         (Export.jsonl_of_entries entries)
 
+(* Problems with a JSONL schema sample: every line parses and re-emits
+   byte-identically, and the events cover every wire type name, so adding
+   a variant without extending the sample fails. *)
+let trace_sample_problems text =
+  let parsed =
+    String.split_on_char '\n' text
+    |> List.filter (fun line -> line <> "")
+    |> List.map (fun line -> (line, Export.entry_of_jsonl line))
+  in
+  let covered name =
+    List.exists
+      (function
+        | _, Ok entry -> Event.type_name entry.Recorder.event = name
+        | _, Error _ -> false)
+      parsed
+  in
+  List.filter_map
+    (fun (line, entry) ->
+      match entry with
+      | Error e -> Some (Printf.sprintf "%s does not parse: %s" line e)
+      | Ok entry ->
+          let again = Export.jsonl_of_entry entry in
+          if String.equal again line then None
+          else Some (Printf.sprintf "%s re-emits as %s" line again))
+    parsed
+  @ List.filter_map
+      (fun name ->
+        if covered name then None
+        else Some (Printf.sprintf "event type %S is not covered" name))
+      Event.all_type_names
+
+let test_trace_schema_sample () =
+  let text =
+    In_channel.with_open_bin "trace_schema_sample.jsonl" In_channel.input_all
+  in
+  check (Alcotest.list Alcotest.string) "committed sample" []
+    (trace_sample_problems text);
+  let not_quarantine line =
+    match Export.entry_of_jsonl line with
+    | Ok entry -> Event.type_name entry.Recorder.event <> "quarantine"
+    | Error _ -> true
+  in
+  let mutated =
+    String.concat "\n"
+      (List.filter not_quarantine (String.split_on_char '\n' text))
+  in
+  check Alcotest.bool "without its quarantine lines" true
+    (trace_sample_problems mutated <> [])
+
 let test_chrome_export () =
   let recorder = full_run 7 in
   let doc = Export.chrome_of_entries (Recorder.entries recorder) in
@@ -440,6 +489,7 @@ let () =
           Alcotest.test_case "jsonl-deterministic" `Quick test_jsonl_deterministic;
           Alcotest.test_case "jsonl-round-trip" `Quick test_jsonl_round_trip;
           Alcotest.test_case "chrome" `Quick test_chrome_export;
+          Alcotest.test_case "schema sample" `Quick test_trace_schema_sample;
         ] );
       ( "metrics",
         [ Alcotest.test_case "derivation" `Quick test_metrics_derivation ] );

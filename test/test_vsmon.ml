@@ -281,6 +281,66 @@ let test_stall_attribution () =
 
 (* --- openmetrics ---------------------------------------------------------- *)
 
+(* Problems with an OpenMetrics exposition: every sample belongs to a
+   declared # TYPE family, histogram buckets are cumulative and end with an
+   le="+Inf" bucket equal to _count, and the text ends with # EOF. *)
+let openmetrics_problems text =
+  let problems = ref [] in
+  let problem fmt =
+    Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
+  in
+  let families = Hashtbl.create 16 in
+  (* histogram family -> its latest bucket's label and count *)
+  let buckets = Hashtbl.create 4 in
+  let family_of metric =
+    if Hashtbl.mem families metric then metric
+    else
+      List.find_map
+        (fun suffix ->
+          if String.ends_with ~suffix metric then
+            Some
+              (String.sub metric 0 (String.length metric - String.length suffix))
+          else None)
+        [ "_total"; "_bucket"; "_sum"; "_count" ]
+      |> Option.value ~default:metric
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "" ] | [ "#"; "EOF" ] -> ()
+      | [ "#"; "TYPE"; name; kind ] ->
+          if not (List.mem kind [ "counter"; "gauge"; "histogram" ]) then
+            problem "%s: unknown family type %S" name kind;
+          Hashtbl.replace families name kind
+      | [ series; value ] -> (
+          let metric, label =
+            match String.index_opt series '{' with
+            | Some i ->
+                ( String.sub series 0 i,
+                  String.sub series i (String.length series - i) )
+            | None -> (series, "")
+          in
+          let family = family_of metric in
+          match Hashtbl.find_opt families family with
+          | None -> problem "%s has no # TYPE declaration" metric
+          | Some "histogram" when String.ends_with ~suffix:"_bucket" metric ->
+              let n = Option.value ~default:(-1) (int_of_string_opt value) in
+              (match Hashtbl.find_opt buckets family with
+              | Some (_, prev) when n < prev ->
+                  problem "%s buckets are not cumulative" family
+              | _ -> ());
+              Hashtbl.replace buckets family (label, n)
+          | Some "histogram" when String.ends_with ~suffix:"_count" metric -> (
+              match Hashtbl.find_opt buckets family with
+              | Some ("{le=\"+Inf\"}", n) when string_of_int n = value -> ()
+              | _ -> problem "%s has no +Inf bucket equal to _count" family)
+          | Some _ -> ())
+      | _ -> problem "malformed line %S" line)
+    (String.split_on_char '\n' text);
+  if not (String.ends_with ~suffix:"\n# EOF\n" text) then
+    problem "the text does not end with # EOF";
+  List.rev !problems
+
 let test_openmetrics_format () =
   let m = Metrics.create () in
   Metrics.incr ~by:3 m "net.sends";
@@ -307,7 +367,23 @@ let test_openmetrics_format () =
   Alcotest.(check string) "sanitize" "a_b:c_9_"
     (Openmetrics.sanitize "a.b:c 9%");
   Alcotest.(check string) "non-finite spelling" "+Inf"
-    (Openmetrics.sample_value infinity)
+    (Openmetrics.sample_value infinity);
+  (* the committed sample (golden.exe openmetrics) is well-formed, and
+     losing one histogram's +Inf bucket is caught *)
+  let sample =
+    In_channel.with_open_bin "openmetrics_sample.txt" In_channel.input_all
+  in
+  Alcotest.(check (list string)) "committed sample" []
+    (openmetrics_problems sample);
+  let inf_bucket = "vs_view_install_latency_bucket{le=\"+Inf\"}" in
+  let mutated =
+    String.split_on_char '\n' sample
+    |> List.filter (fun line -> not (String.starts_with ~prefix:inf_bucket line))
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "sample without a +Inf bucket" true
+    (String.length mutated < String.length sample
+    && openmetrics_problems mutated <> [])
 
 (* --- bench diff ----------------------------------------------------------- *)
 
@@ -376,6 +452,21 @@ let test_bench_diff_keyed_arrays () =
   Alcotest.(check int) "removed arm reported" 2 (count Bench_diff.Removed);
   Alcotest.(check int) "added arm reported" 2 (count Bench_diff.Added)
 
+(* Unreadable and unparseable files are typed errors, not exceptions. *)
+let test_bench_diff_load () =
+  let is_error = function Error _ -> true | Ok _ -> false in
+  Alcotest.(check bool) "missing file" true
+    (is_error (Bench_diff.load "no-such-bench.json"));
+  Alcotest.(check bool) "not JSON" true
+    (is_error (Bench_diff.load "openmetrics_sample.txt"));
+  let path = Filename.temp_file "bench" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc {|{"gate_10x":true}|});
+  let loaded = Bench_diff.load path in
+  Sys.remove path;
+  Alcotest.(check bool) "a BENCH document" true
+    (loaded = Ok (obj [ ("gate_10x", Json.Bool true) ]))
+
 let () =
   Alcotest.run "vsmon"
     [
@@ -408,5 +499,6 @@ let () =
         [
           Alcotest.test_case "verdict rules" `Quick test_bench_diff_verdicts;
           Alcotest.test_case "keyed arrays" `Quick test_bench_diff_keyed_arrays;
+          Alcotest.test_case "load" `Quick test_bench_diff_load;
         ] );
     ]

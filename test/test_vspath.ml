@@ -230,6 +230,78 @@ let test_diff_runs_deterministic () =
   Alcotest.(check bool) "phase deltas present" true
     (List.length d2.Rundiff.d_phases >= 10)
 
+(* --- committed samples (golden.exe folded / diff) ------------------------- *)
+
+let seg_kind_names = List.map Critpath.seg_kind_to_string Critpath.all_seg_kinds
+
+let lines_of text = List.filter (( <> ) "") (String.split_on_char '\n' text)
+
+(* Problems with folded stacks: every line is "view;kind;owner <positive
+   int>" with a known segment kind, and the lines are strictly sorted. *)
+let folded_problems text =
+  let line_problems line =
+    match String.rindex_opt line ' ' with
+    | None -> [ "no value: " ^ line ]
+    | Some j ->
+        let value = String.sub line (j + 1) (String.length line - j - 1) in
+        (match int_of_string_opt value with
+        | Some v when v > 0 -> []
+        | _ -> [ "value is not a positive integer: " ^ line ])
+        @
+        match String.split_on_char ';' (String.sub line 0 j) with
+        | [ _view; kind; _owner ] when List.mem kind seg_kind_names -> []
+        | _ -> [ "not view;kind;owner with a segment kind: " ^ line ]
+  in
+  let rec unsorted = function
+    | a :: (b :: _ as rest) ->
+        (if String.compare a b < 0 then [] else [ "not strictly sorted: " ^ b ])
+        @ unsorted rest
+    | _ -> []
+  in
+  let lines = lines_of text in
+  (if lines = [] then [ "no stacks" ] else [])
+  @ List.concat_map line_problems lines
+  @ unsorted lines
+
+(* Problems with the diff-runs report of two different seeds: it names the
+   first causal divergence and carries the per-phase table with one row
+   per install phase and per critical-path segment kind. *)
+let diff_problems text =
+  let lines = lines_of text in
+  let has_line prefix = List.exists (String.starts_with ~prefix) lines in
+  List.filter_map
+    (fun prefix -> if has_line prefix then None else Some ("no line " ^ prefix))
+    ("first causal divergence at event " :: "== per-phase latency deltas"
+    :: List.map
+         (fun phase -> phase ^ " ")
+         ([ "install-latency"; "propose-wait"; "flush-ack-wait"; "stability-wait" ]
+         @ List.map (( ^ ) "critpath.") seg_kind_names))
+
+let test_folded_sample () =
+  let text =
+    In_channel.with_open_bin "critpath_sample.folded" In_channel.input_all
+  in
+  Alcotest.(check (list string)) "committed sample" [] (folded_problems text);
+  match lines_of text with
+  | a :: b :: rest ->
+      Alcotest.(check bool) "two lines swapped" true
+        (folded_problems (String.concat "\n" (b :: a :: rest)) <> [])
+  | _ -> Alcotest.fail "sample has fewer than two lines"
+
+let test_diff_sample () =
+  let text =
+    In_channel.with_open_bin "critpath_sample.diff.txt" In_channel.input_all
+  in
+  Alcotest.(check (list string)) "committed sample" [] (diff_problems text);
+  let rec before_table = function
+    | l :: rest when not (String.starts_with ~prefix:"== per-phase" l) ->
+        l :: before_table rest
+    | _ -> []
+  in
+  let mutated = String.concat "\n" (before_table (lines_of text)) in
+  Alcotest.(check bool) "per-phase table removed" true
+    (String.length mutated < String.length text && diff_problems mutated <> [])
+
 (* --- clean vs transient-corruption fixture (satellite 6) ----------------- *)
 
 let load_fixture name =
@@ -293,6 +365,8 @@ let () =
         [
           Alcotest.test_case "folded stacks" `Quick test_folded_deterministic;
           Alcotest.test_case "diff-runs" `Quick test_diff_runs_deterministic;
+          Alcotest.test_case "folded sample" `Quick test_folded_sample;
+          Alcotest.test_case "diff-runs sample" `Quick test_diff_sample;
         ] );
       ( "rundiff-fixture",
         [
