@@ -5,6 +5,7 @@
      golden.exe sarif        test/sarif_sample.sarif
      golden.exe folded       test/critpath_sample.folded
      golden.exe diff         test/critpath_sample.diff.txt
+     golden.exe campaigns    test/campaigns_sample.txt
 
    test/dune diffs each output against its sample on `dune runtest`, so
    any drift in field names, key order, float repr, escaping, sort order or
@@ -162,6 +163,47 @@ let record seed =
   let (_ : Campaign.outcome) = Campaign.run ~obs:recorder spec in
   Recorder.entries recorder
 
+(* ---------- campaigns: seeded outcomes of both protocols ---------- *)
+
+(* One line per quick campaign, seeds 1-25 x {vsync, evs} x {plain,
+   transient}: the spec and every head-line counter of its outcome, so any
+   change to a seeded run (RNG draw order, incarnation numbers, message
+   ids, e-view records, verdicts) shows up as a diff. *)
+let campaign_line spec =
+  let o = Campaign.run spec in
+  let quarantine =
+    match o.Campaign.quarantine with
+    | None -> "none"
+    | Some q ->
+        Printf.sprintf "bound=%d,views=%d,cut=%s,quarantined=%d"
+          q.Campaign.Driver.q_bound q.Campaign.Driver.q_views
+          (match q.Campaign.Driver.q_cut with
+          | Some c -> Printf.sprintf "%.6f" c
+          | None -> "never")
+          q.Campaign.Driver.q_quarantined
+  in
+  Printf.sprintf
+    "%s | deliveries=%d installs=%d views=%d eview-changes=%d events=%d \
+     stable=%b quarantine=%s violations=%d\n"
+    (Campaign.describe spec) o.Campaign.deliveries o.Campaign.installs
+    o.Campaign.distinct_views o.Campaign.eview_changes o.Campaign.events
+    o.Campaign.stable quarantine
+    (List.length o.Campaign.violations)
+
+let campaigns () =
+  List.init 25 (fun i -> i + 1)
+  |> List.concat_map (fun seed ->
+         List.concat_map
+           (fun protocol ->
+             List.map
+               (fun transient ->
+                 campaign_line
+                   (Campaign.generate ~protocol ~transient ~seed ~nodes:5
+                      ~quick:true ()))
+               [ false; true ])
+           [ Campaign.Driver.Vsync; Campaign.Driver.Evs ])
+  |> String.concat ""
+
 let () =
   print_string
     (match Sys.argv with
@@ -171,6 +213,8 @@ let () =
     | [| _; "folded" |] -> Flame.folded (Critpath.of_entries (record 3))
     | [| _; "diff" |] ->
         Rundiff.to_text (Rundiff.diff ~a:(record 3) ~b:(record 4))
+    | [| _; "campaigns" |] -> campaigns ()
     | _ ->
-        prerr_endline "usage: golden (trace|openmetrics|sarif|folded|diff)";
+        prerr_endline
+          "usage: golden (trace|openmetrics|sarif|folded|diff|campaigns)";
         exit 2)
