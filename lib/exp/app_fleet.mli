@@ -11,16 +11,18 @@ module History = Evs_core.History
 type 'app t
 
 val create :
-  sim:Vs_sim.Sim.t ->
+  Vs_sim.Sim.t ->
+  'm Vs_net.Net.t ->
   nodes:int list ->
-  make:(node:int -> inc:int -> 'app) ->
+  spawn:(Proc_id.t -> 'app) ->
   kill:('app -> unit) ->
   is_alive:('app -> bool) ->
   me:('app -> Proc_id.t) ->
   history:('app -> History.t) ->
   'app t
-(** [make] boots an instance (it must register itself on the fleet's
-    network); initial incarnations are created immediately. *)
+(** [spawn] boots an instance as the given incarnation (it must register
+    itself on the fleet's network); initial incarnations are created
+    immediately, one per node. *)
 
 val live : 'app t -> 'app list
 
@@ -31,13 +33,16 @@ val all_ever : 'app t -> 'app list
 val history_of : 'app t -> Proc_id.t -> History.t option
 (** History of any process identity that ever existed in the fleet. *)
 
-val apply_action : 'app t -> Vs_harness.Faults.action -> (Vs_harness.Faults.action -> unit) -> unit
-(** Interpret crash/recover (partitions/heals are delegated to the given
-    network handler). *)
+val run_script : 'app t -> Vs_harness.Faults.script -> unit
+(** Schedule a fault script: {!Vs_harness.Fleet.apply_action} interprets
+    each action. *)
 
-val run_script :
-  'app t -> Vs_sim.Sim.t -> Vs_harness.Faults.script ->
-  net_action:(Vs_harness.Faults.action -> unit) -> unit
+val every :
+  'app t -> start:float -> until:float -> gap:float ->
+  (float -> 'app list -> unit) -> unit
+(** [every t ~start ~until ~gap f] calls [f time live] at [start],
+    [start +. gap], ... for every instant before [until], with the members
+    live when it fires.  All the ticks are scheduled up front. *)
 
 (** {2 Open-loop load generation} *)
 
@@ -49,7 +54,6 @@ type load = {
 
 val open_loop :
   'app t ->
-  Vs_sim.Sim.t ->
   rng:Vs_util.Rng.t ->
   start:float ->
   until:float ->

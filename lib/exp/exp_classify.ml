@@ -101,98 +101,58 @@ let score_observations ?(classifier = Classify.flat) fleet ~history_of
         scores.flat_sound <- scores.flat_sound + 1)
     observations
 
-let kv_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
+(* One E5 campaign: five group objects under random churn and a steady
+   trickle of operations, recording every entry into Settling.  [spawn]
+   builds one object on the campaign's simulator and network; [op] issues
+   one operation on a randomly picked live object. *)
+let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap ~op
+    =
   let sim = Sim.create ~seed () in
-  let net = Kv.make_net sim Net.default_config in
+  let net = make_net sim Net.default_config in
   let universe = [ 0; 1; 2; 3; 4 ] in
   let observations = ref [] in
-  let fleet_ref = ref None in
-  let make ~node ~inc =
-    let me = Proc_id.make ~node ~inc in
-    Kv.create sim net ~me ~universe
-      ~observer:(fun obs ->
-        match obs with
-        | Go.Obs_settle { problem; eview } ->
-            observations := { o_proc = me; o_eview = eview; o_enriched = problem } :: !observations
-        | Go.Obs_mode _ -> ())
-      ~config ~policy:Kv.Lww ()
+  let observer me = function
+    | Go.Obs_settle { problem; eview } ->
+        observations :=
+          { o_proc = me; o_eview = eview; o_enriched = problem } :: !observations
+    | Go.Obs_mode _ -> ()
   in
   let fleet =
-    App_fleet.create ~sim ~nodes:universe ~make ~kill:Kv.kill
-      ~is_alive:Kv.is_alive ~me:Kv.me
-      ~history:(fun kv -> Go.history (Kv.obj kv))
+    App_fleet.create sim net ~nodes:universe
+      ~spawn:(fun me -> spawn sim net ~me ~universe ~observer:(observer me))
+      ~kill ~is_alive ~me
+      ~history:(fun app -> Go.history (obj app))
   in
-  fleet_ref := Some fleet;
   let rng = Sim.fork_rng sim in
   let script =
     Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
-  let rec pump time =
-    if time < duration then begin
-      ignore
-        (Sim.at sim time (fun () ->
-             match App_fleet.live fleet with
-             | [] -> ()
-             | apps ->
-                 let kv = Vs_util.Rng.pick rng apps in
-                 ignore
-                   (Kv.put kv
-                      ~key:(Printf.sprintf "k%d" (Vs_util.Rng.int rng 8))
-                      ~value:(Printf.sprintf "v%f" time))));
-      pump (time +. 0.07)
-    end
-  in
-  pump 0.6;
+  App_fleet.run_script fleet script;
+  App_fleet.every fleet ~start:0.6 ~until:duration ~gap (fun time -> function
+    | [] -> ()
+    | apps -> op rng time (Vs_util.Rng.pick rng apps));
   ignore (Sim.run ~until:(duration +. 3.0) sim);
   (fleet, List.rev !observations)
 
-let file_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
-  let sim = Sim.create ~seed () in
-  let net = Rf.make_net sim Net.default_config in
-  let universe = [ 0; 1; 2; 3; 4 ] in
-  let store = Store.create () in
-  let file = Rf.uniform_votes ~universe in
-  let observations = ref [] in
-  let make ~node ~inc =
-    let me = Proc_id.make ~node ~inc in
-    Rf.create sim net ~me ~universe
-      ~observer:(fun obs ->
-        match obs with
-        | Go.Obs_settle { problem; eview } ->
-            observations := { o_proc = me; o_eview = eview; o_enriched = problem } :: !observations
-        | Go.Obs_mode _ -> ())
-      ~config ~file ~store ()
-  in
-  let fleet =
-    App_fleet.create ~sim ~nodes:universe ~make ~kill:Rf.kill
-      ~is_alive:Rf.is_alive ~me:Rf.me
-      ~history:(fun f -> Go.history (Rf.obj f))
-  in
-  let rng = Sim.fork_rng sim in
-  let script =
-    Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ()
-  in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
-  let rec pump time =
-    if time < duration then begin
+let kv_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
+  campaign ~seed ~duration ~make_net:Kv.make_net
+    ~spawn:(fun sim net ~me ~universe ~observer ->
+      Kv.create sim net ~me ~universe ~observer ~config ~policy:Kv.Lww ())
+    ~kill:Kv.kill ~is_alive:Kv.is_alive ~me:Kv.me ~obj:Kv.obj ~gap:0.07
+    ~op:(fun rng time kv ->
       ignore
-        (Sim.at sim time (fun () ->
-             match App_fleet.live fleet with
-             | [] -> ()
-             | apps -> ignore (Rf.write (Vs_util.Rng.pick rng apps) "x")));
-      pump (time +. 0.08)
-    end
-  in
-  pump 0.6;
-  ignore (Sim.run ~until:(duration +. 3.0) sim);
-  (fleet, List.rev !observations)
+        (Kv.put kv
+           ~key:(Printf.sprintf "k%d" (Vs_util.Rng.int rng 8))
+           ~value:(Printf.sprintf "v%f" time)))
+
+let file_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
+  let store = Store.create () in
+  campaign ~seed ~duration ~make_net:Rf.make_net
+    ~spawn:(fun sim net ~me ~universe ~observer ->
+      Rf.create sim net ~me ~universe ~observer ~config
+        ~file:(Rf.uniform_votes ~universe) ~store ())
+    ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me ~obj:Rf.obj ~gap:0.08
+    ~op:(fun _ _ f -> ignore (Rf.write f "x"))
 
 let run ?(quick = false) () =
   let seeds = if quick then [ 9 ] else [ 9; 10; 11; 12 ] in

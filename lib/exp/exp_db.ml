@@ -53,9 +53,9 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
     done
   in
   let fleet =
-    App_fleet.create ~sim ~nodes:universe
-      ~make:(fun ~node ~inc ->
-        Pdb.create sim net ~me:(Proc_id.make ~node ~inc) ~universe
+    App_fleet.create sim net ~nodes:universe
+      ~spawn:(fun me ->
+        Pdb.create sim net ~me ~universe
           ~config:Endpoint.default_config ~keyspace ~gate_on_settling:gate
           ~on_scan ())
       ~kill:Pdb.kill ~is_alive:Pdb.is_alive ~me:Pdb.me
@@ -65,25 +65,14 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
   let script =
     Faults.random_script rng ~nodes:universe ~start:0.8 ~duration ~mean_gap:0.6 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
-  let rec query_pump time =
-    if time < duration then begin
-      ignore
-        (Sim.at sim time (fun () ->
-             match App_fleet.live fleet with
-             | [] -> ()
-             | apps -> (
-                 let db = Vs_util.Rng.pick rng apps in
-                 match Pdb.lookup db ~needle:(Vs_util.Rng.int rng 256) with
-                 | Ok qid -> issued := (Pdb.me db, qid) :: !issued
-                 | Error `Not_serving -> incr refused)));
-      query_pump (time +. 0.04)
-    end
-  in
-  query_pump 0.6;
+  App_fleet.run_script fleet script;
+  App_fleet.every fleet ~start:0.6 ~until:duration ~gap:0.04 (fun _ -> function
+    | [] -> ()
+    | apps -> (
+        let db = Vs_util.Rng.pick rng apps in
+        match Pdb.lookup db ~needle:(Vs_util.Rng.int rng 256) with
+        | Ok qid -> issued := (Pdb.me db, qid) :: !issued
+        | Error `Not_serving -> incr refused));
   ignore (Sim.run ~until:(duration +. 2.5) sim);
   let outcome =
     List.fold_left

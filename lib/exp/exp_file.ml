@@ -14,7 +14,6 @@
 
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
-module Proc_id = Vs_net.Proc_id
 module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 module Store = Vs_store.Store
@@ -37,9 +36,9 @@ let run_churn ~seed ~mean_gap ~duration =
   let store = Store.create () in
   let file = Rf.uniform_votes ~universe in
   let fleet =
-    App_fleet.create ~sim ~nodes:universe
-      ~make:(fun ~node ~inc ->
-        Rf.create sim net ~me:(Proc_id.make ~node ~inc) ~universe
+    App_fleet.create sim net ~nodes:universe
+      ~spawn:(fun me ->
+        Rf.create sim net ~me ~universe
           ~config:Endpoint.default_config ~file ~store ())
       ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me
       ~history:(fun f -> Go.history (Rf.obj f))
@@ -50,52 +49,30 @@ let run_churn ~seed ~mean_gap ~duration =
     Faults.random_script rng ~nodes:universe ~start:0.5 ~duration ~mean_gap
       ~crash_weight:0.2 ~partition_weight:2.0 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet script;
   (* Steady trickle of writes so staleness is observable. *)
-  let rec write_pump time =
-    if time < duration then begin
-      ignore
-        (Sim.at sim time (fun () ->
-             match
-               List.filter
-                 (fun f -> Mode.equal (Rf.mode f) Mode.Normal)
-                 (App_fleet.live fleet)
-             with
-             | [] -> ()
-             | first_writable :: _ ->
-                 ignore (Rf.write first_writable (Printf.sprintf "w%f" time))));
-      write_pump (time +. 0.1)
-    end
-  in
-  write_pump 0.4;
+  App_fleet.every fleet ~start:0.4 ~until:duration ~gap:0.1 (fun time live ->
+      match List.filter (fun f -> Mode.equal (Rf.mode f) Mode.Normal) live with
+      | [] -> ()
+      | first_writable :: _ ->
+          ignore (Rf.write first_writable (Printf.sprintf "w%f" time)));
   let acc = { samples = 0; writable = 0; readable = 0; stale = 0 } in
-  let rec sampler time =
-    if time < duration then begin
-      ignore
-        (Sim.at sim time (fun () ->
-             let live = App_fleet.live fleet in
-             let max_version =
-               List.fold_left (fun m f -> max m (Rf.version f)) 0 live
-             in
-             List.iter
-               (fun f ->
-                 acc.samples <- acc.samples + 1;
-                 match Rf.mode f with
-                 | Mode.Normal ->
-                     acc.writable <- acc.writable + 1;
-                     acc.readable <- acc.readable + 1
-                 | Mode.Reduced ->
-                     acc.readable <- acc.readable + 1;
-                     if Rf.version f < max_version then acc.stale <- acc.stale + 1
-                 | Mode.Settling -> ())
-               live));
-      sampler (time +. 0.05)
-    end
-  in
-  sampler 0.5;
+  App_fleet.every fleet ~start:0.5 ~until:duration ~gap:0.05 (fun _ live ->
+      let max_version =
+        List.fold_left (fun m f -> max m (Rf.version f)) 0 live
+      in
+      List.iter
+        (fun f ->
+          acc.samples <- acc.samples + 1;
+          match Rf.mode f with
+          | Mode.Normal ->
+              acc.writable <- acc.writable + 1;
+              acc.readable <- acc.readable + 1
+          | Mode.Reduced ->
+              acc.readable <- acc.readable + 1;
+              if Rf.version f < max_version then acc.stale <- acc.stale + 1
+          | Mode.Settling -> ())
+        live);
   ignore (Sim.run ~until:(duration +. 2.0) sim);
   acc
 

@@ -8,7 +8,6 @@
 
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
-module Proc_id = Vs_net.Proc_id
 module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 module Store = Vs_store.Store
@@ -31,9 +30,9 @@ let run_campaign ~seed ~n ~duration =
   let store = Store.create () in
   let file = Rf.uniform_votes ~universe in
   let fleet =
-    App_fleet.create ~sim ~nodes:universe
-      ~make:(fun ~node ~inc ->
-        Rf.create sim net ~me:(Proc_id.make ~node ~inc) ~universe
+    App_fleet.create sim net ~nodes:universe
+      ~spawn:(fun me ->
+        Rf.create sim net ~me ~universe
           ~config:Endpoint.default_config ~file ~store ())
       ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me
       ~history:(fun f -> Go.history (Rf.obj f))
@@ -43,25 +42,14 @@ let run_campaign ~seed ~n ~duration =
     Faults.random_script rng ~nodes:universe ~start:1.0 ~duration
       ~mean_gap:0.4 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(fun action ->
-      match action with
-      | Faults.Partition comps -> Net.set_partition net comps
-      | Faults.Heal -> Net.heal net
-      | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet script;
   (* Background writes keep the object exercised. *)
-  let rec pump time =
-    if time < duration +. 1.0 then begin
-      ignore
-        (Sim.at sim time (fun () ->
-             match App_fleet.live fleet with
-             | [] -> ()
-             | apps ->
-                 let f = Vs_util.Rng.pick rng apps in
-                 ignore (Rf.write f (Printf.sprintf "w%f" time))));
-      pump (time +. 0.05)
-    end
-  in
-  pump 0.5;
+  App_fleet.every fleet ~start:0.5 ~until:(duration +. 1.0) ~gap:0.05
+    (fun time -> function
+      | [] -> ()
+      | apps ->
+          let f = Vs_util.Rng.pick rng apps in
+          ignore (Rf.write f (Printf.sprintf "w%f" time)));
   ignore (Sim.run ~until:(duration +. 3.0) sim);
   let machines =
     List.map (fun f -> Go.machine (Rf.obj f)) (App_fleet.all_ever fleet)

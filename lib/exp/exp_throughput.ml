@@ -216,16 +216,15 @@ let run_arm ?clock ~seed ~workload:w arm =
         | None -> ())
     | None -> ()
   in
-  let make ~node ~inc =
-    let me = Proc_id.make ~node ~inc in
-    if node = 0 then
+  let spawn me =
+    if me.Proc_id.node = 0 then
       Kv.create sim net ~me ~universe ~on_apply:observe_apply
         ~config:arm.a_config ~policy:Kv.Lww ()
     else
       Kv.create sim net ~me ~universe ~config:arm.a_config ~policy:Kv.Lww ()
   in
   let fleet =
-    App_fleet.create ~sim ~nodes:universe ~make ~kill:Kv.kill
+    App_fleet.create sim net ~nodes:universe ~spawn ~kill:Kv.kill
       ~is_alive:Kv.is_alive ~me:Kv.me
       ~history:(fun kv -> Go.history (Kv.obj kv))
   in
@@ -249,7 +248,7 @@ let run_arm ?clock ~seed ~workload:w arm =
     | Error `Not_serving -> false
   in
   let load =
-    App_fleet.open_loop fleet sim ~rng ~start:t0 ~until:(t0 +. w.w_window)
+    App_fleet.open_loop fleet ~rng ~start:t0 ~until:(t0 +. w.w_window)
       ~rate:w.w_rate ~clients:w.w_clients ~submit
   in
   let wall0 = Option.map (fun c -> c ()) clock in

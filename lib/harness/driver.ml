@@ -4,8 +4,6 @@ module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module E_view = Evs_core.E_view
 module Classify = Evs_core.Classify
-module Evs = Evs_core.Evs
-module Listx = Vs_util.Listx
 
 type protocol = Vsync | Evs
 
@@ -80,33 +78,11 @@ let finish_stabilization sim (st : Oracle.stabilization) ~extra =
     q_quarantined = quarantined;
   }
 
-(* EVS counterpart of Vsync_cluster.stable_view_reached: every live handle
-   installed the same view, that view covers exactly the live nodes, and
-   nobody is mid-flush. *)
-let evs_stable c =
-  match Evs_cluster.live c with
-  | [] -> false
-  | handles ->
-      let live_nodes =
-        List.map (fun e -> (Evs.me e).Proc_id.node) handles
-        |> List.sort_uniq Int.compare
-      in
-      let views = List.map Evs.view handles in
-      (match views with
-      | v :: rest ->
-          List.for_all (fun v' -> View.equal v v') rest
-          && Listx.equal_set ~cmp:Int.compare
-               (List.sort_uniq Int.compare
-                  (List.map (fun (p : Proc_id.t) -> p.Proc_id.node) v.View.members))
-               live_nodes
-          && List.for_all (fun e -> not (Evs.is_blocked e)) handles
-      | [] -> false)
-
 (* Section 6 structural invariants over every e-view any process ever
    installed: E_view.validate (subviews partition the membership, sv-sets
    partition the subviews) and well-formedness of the classification verdict
    a majority-quorum application would derive from it. *)
-let evs_structural_violations ?(since = neg_infinity) ~n c =
+let evs_structural_violations ~since ~n c =
   let quorum ms = 2 * List.length ms > n in
   List.concat_map
     (fun (r : Evs_cluster.eview_record) ->
@@ -145,91 +121,83 @@ let evs_structural_violations ?(since = neg_infinity) ~n c =
        (fun (r : Evs_cluster.eview_record) -> r.Evs_cluster.er_time >= since)
        (Evs_cluster.eview_records c))
 
+(* Every Section 6 verdict over the e-view records at or after [since]. *)
+let section6_verdicts ~n c ~since =
+  List.map
+    (wrap_verdict Vs_obs.Explain.Evs_total_order)
+    (Evs_cluster.check_total_order ~since c)
+  @ List.map
+      (wrap_verdict Vs_obs.Explain.Evs_structure)
+      (Evs_cluster.check_structure ~since c)
+  @ evs_structural_violations ~since ~n c
+
 let run_schedule ?traffic ?obs ?stabilization_bound setup ~script ~until =
-  let pump pump_traffic c =
-    match traffic with
+  let drive ~run_script ~pump_traffic ~run c =
+    run_script c script;
+    (match traffic with
     | Some tr when tr.tr_gap > 0. ->
         pump_traffic c ~start:tr.tr_start ~until:tr.tr_until ~mean_gap:tr.tr_gap
-    | Some _ | None -> ()
+    | Some _ | None -> ());
+    run c ~until
   in
-  let bound = stabilization_bound in
-  match setup.protocol with
-  | Vsync ->
-      let c =
-        Vsync_cluster.create ~seed:setup.seed ?obs ~net_config:setup.net_config
-          ~n:setup.n ()
-      in
-      Vsync_cluster.run_script c script;
-      pump Vsync_cluster.pump_traffic c;
-      Vsync_cluster.run c ~until;
-      let o = Vsync_cluster.oracle c in
-      let raw = Oracle.all_violations o in
-      let verdicts, quarantine =
-        match Oracle.stabilization o ?bound raw with
-        | None -> (List.map Oracle.to_obs_violation raw, None)
-        | Some st ->
-            ( List.map Oracle.to_obs_violation st.Oracle.st_residual,
-              Some (finish_stabilization (Vsync_cluster.sim c) st ~extra:0) )
-      in
-      {
-        violations = List.map (fun v -> v.Vs_obs.Explain.detail) verdicts;
-        verdicts;
-        deliveries = Oracle.total_deliveries o;
-        installs = Oracle.total_installs o;
-        distinct_views = Oracle.distinct_views o;
-        eview_changes = 0;
-        events = Sim.events_processed (Vsync_cluster.sim c);
-        stable = Vsync_cluster.stable_view_reached c;
-        quarantine;
-        straggler = causal_straggler obs;
-      }
-  | Evs ->
-      let c =
-        Evs_cluster.create ~seed:setup.seed ?obs ~net_config:setup.net_config
-          ~n:setup.n ()
-      in
-      Evs_cluster.run_script c script;
-      pump Evs_cluster.pump_traffic c;
-      Evs_cluster.run c ~until;
-      let o = Evs_cluster.oracle c in
-      let evs_verdicts ?since () =
-        List.map
-          (wrap_verdict Vs_obs.Explain.Evs_total_order)
-          (Evs_cluster.check_total_order ?since c)
-        @ List.map
-            (wrap_verdict Vs_obs.Explain.Evs_structure)
-            (Evs_cluster.check_structure ?since c)
-        @ evs_structural_violations ?since ~n:setup.n c
-      in
-      let raw = Oracle.all_violations o in
-      let verdicts, quarantine =
-        match Oracle.stabilization o ?bound raw with
-        | None ->
-            (List.map Oracle.to_obs_violation raw @ evs_verdicts (), None)
-        | Some st ->
-            (* EVS records inside the recovery window are quarantined by
-               re-running the checks from the cut; a run that never
-               reconverged already carries the synthesized residual, so
-               its EVS noise is forgiven wholesale. *)
-            let since =
-              match st.Oracle.st_cut with Some cut -> cut | None -> infinity
-            in
-            let all_evs = evs_verdicts () in
-            let kept_evs = evs_verdicts ~since () in
-            let extra = List.length all_evs - List.length kept_evs in
-            ( List.map Oracle.to_obs_violation st.Oracle.st_residual
-              @ kept_evs,
-              Some (finish_stabilization (Evs_cluster.sim c) st ~extra) )
-      in
-      {
-        violations = List.map (fun v -> v.Vs_obs.Explain.detail) verdicts;
-        verdicts;
-        deliveries = Oracle.total_deliveries o;
-        installs = Oracle.total_installs o;
-        distinct_views = Oracle.distinct_views o;
-        eview_changes = Evs_cluster.eview_changes_total c;
-        events = Sim.events_processed (Evs_cluster.sim c);
-        stable = evs_stable c;
-        quarantine;
-        straggler = causal_straggler obs;
-      }
+  (* The protocol-specific part of a run: VS contributes no Section 6
+     verdicts and no e-view changes. *)
+  let sim, oracle, stable, section6, eview_changes =
+    match setup.protocol with
+    | Vsync ->
+        let c =
+          Vsync_cluster.create ~seed:setup.seed ?obs
+            ~net_config:setup.net_config ~n:setup.n ()
+        in
+        drive ~run_script:Vsync_cluster.run_script
+          ~pump_traffic:Vsync_cluster.pump_traffic ~run:Vsync_cluster.run c;
+        ( Vsync_cluster.sim c,
+          Vsync_cluster.oracle c,
+          Vsync_cluster.stable_view_reached c,
+          (fun ~since:_ -> []),
+          0 )
+    | Evs ->
+        let c =
+          Evs_cluster.create ~seed:setup.seed ?obs ~net_config:setup.net_config
+            ~n:setup.n ()
+        in
+        drive ~run_script:Evs_cluster.run_script
+          ~pump_traffic:Evs_cluster.pump_traffic ~run:Evs_cluster.run c;
+        ( Evs_cluster.sim c,
+          Evs_cluster.oracle c,
+          Evs_cluster.stable_view_reached c,
+          section6_verdicts ~n:setup.n c,
+          Evs_cluster.eview_changes_total c )
+  in
+  let raw = Oracle.all_violations oracle in
+  let verdicts, quarantine =
+    match Oracle.stabilization oracle ?bound:stabilization_bound raw with
+    | None ->
+        ( List.map Oracle.to_obs_violation raw @ section6 ~since:neg_infinity,
+          None )
+    | Some st ->
+        (* Section 6 records inside the recovery window are quarantined by
+           re-running the checks from the cut; a run that never reconverged
+           already carries the synthesized residual, so its Section 6 noise
+           is forgiven wholesale. *)
+        let since =
+          match st.Oracle.st_cut with Some cut -> cut | None -> infinity
+        in
+        let all = section6 ~since:neg_infinity in
+        let kept = section6 ~since in
+        let extra = List.length all - List.length kept in
+        ( List.map Oracle.to_obs_violation st.Oracle.st_residual @ kept,
+          Some (finish_stabilization sim st ~extra) )
+  in
+  {
+    violations = List.map (fun v -> v.Vs_obs.Explain.detail) verdicts;
+    verdicts;
+    deliveries = Oracle.total_deliveries oracle;
+    installs = Oracle.total_installs oracle;
+    distinct_views = Oracle.distinct_views oracle;
+    eview_changes;
+    events = Sim.events_processed sim;
+    stable;
+    quarantine;
+    straggler = causal_straggler obs;
+  }

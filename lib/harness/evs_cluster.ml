@@ -15,78 +15,64 @@ type eview_record = {
   er_cause : string;
 }
 
-type node_state = {
-  mutable evs : (Oracle.msg_id, unit) Evs.t option;
-  mutable prior_vid : View.Id.t;
-  mutable send_index : int;
-}
+type handle = (Oracle.msg_id, unit) Evs.t
 
 type t = {
-  sim : Sim.t;
+  fleet : handle Fleet.t;
   net : (Oracle.msg_id, unit) Evs.net;
-  config : Endpoint.config;
-  oracle : Oracle.t;
   rng : Rng.t;
-  universe : int list;
-  nodes : (int, node_state) Hashtbl.t;
-  mutable rev_records : eview_record list;
-  mutable echanges : int;
+  rev_records : eview_record list ref;
+  echanges : int ref;
 }
 
-let sim t = t.sim
+let sim t = Fleet.sim t.fleet
 
-let oracle t = t.oracle
+let oracle t = Fleet.oracle t.fleet
 
 let net_stats t = Net.stats t.net
-
-let node_state t node =
-  match Hashtbl.find_opt t.nodes node with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Evs_cluster: unknown node %d" node)
 
 let cause_string = function
   | Evs.View_change -> "view"
   | Evs.Svset_merged id -> "svset-merge " ^ E_view.Svset_id.to_string id
   | Evs.Subview_merged id -> "subview-merge " ^ E_view.Subview_id.to_string id
 
-let boot t node =
-  let st = node_state t node in
-  assert (st.evs = None);
-  let me = Net.fresh_incarnation t.net node in
+(* A handle whose callbacks record every e-view event and feed the oracle:
+   view changes as installs with the incarnation's previous view,
+   deliveries with the view they landed in. *)
+let spawn sim net oracle ~universe ~config ~rev_records ~echanges me =
+  let prior = ref (View.Id.initial me) in
   let handle = ref None in
   let callbacks =
     {
       Evs.on_eview =
         (fun ev ->
-          t.rev_records <-
+          rev_records :=
             {
               er_proc = me;
-              er_time = Sim.now t.sim;
+              er_time = Sim.now sim;
               er_eview = ev.Evs.eview;
               er_cause = cause_string ev.Evs.cause;
             }
-            :: t.rev_records;
+            :: !rev_records;
           match ev.Evs.cause with
           | Evs.View_change ->
-              Oracle.record_install t.oracle ~proc:me
-                ~view:ev.Evs.eview.E_view.view ~prior:st.prior_vid
-                ~time:(Sim.now t.sim);
-              st.prior_vid <- ev.Evs.eview.E_view.view.View.id
-          | Evs.Svset_merged _ | Evs.Subview_merged _ ->
-              t.echanges <- t.echanges + 1);
+              Oracle.record_install oracle ~proc:me
+                ~view:ev.Evs.eview.E_view.view ~prior:!prior
+                ~time:(Sim.now sim);
+              prior := ev.Evs.eview.E_view.view.View.id
+          | Evs.Svset_merged _ | Evs.Subview_merged _ -> incr echanges);
       on_message =
         (fun ~sender:_ msg_id ->
           match !handle with
           | Some e ->
-              Oracle.record_delivery t.oracle ~proc:me
-                ~vid:(Evs.view e).View.id msg_id ~time:(Sim.now t.sim)
+              Oracle.record_delivery oracle ~proc:me
+                ~vid:(Evs.view e).View.id msg_id ~time:(Sim.now sim)
           | None -> ());
     }
   in
-  st.prior_vid <- View.Id.initial me;
-  let e = Evs.create t.sim t.net ~me ~universe:t.universe ~config:t.config ~callbacks in
+  let e = Evs.create sim net ~me ~universe ~config ~callbacks in
   handle := Some e;
-  st.evs <- Some e
+  e
 
 let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     ?(config = Endpoint.default_config) ~n () =
@@ -96,109 +82,46 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
       ~ident:(fun (m : Oracle.msg_id) -> Some (Oracle.msg_id_to_obs m))
       sim net_config
   in
+  let rng = Sim.fork_rng sim in
+  let oracle = Oracle.create () in
+  let rev_records = ref [] and echanges = ref 0 in
   let universe = List.init n (fun i -> i) in
-  let t =
-    {
-      sim;
-      net;
-      config;
-      oracle = Oracle.create ();
-      rng = Sim.fork_rng sim;
-      universe;
-      nodes = Hashtbl.create 16;
-      rev_records = [];
-      echanges = 0;
-    }
+  let fleet =
+    Fleet.create sim net ~oracle ~nodes:universe
+      {
+        Fleet.spawn =
+          spawn sim net oracle ~universe ~config ~rev_records ~echanges;
+        me = Evs.me;
+        is_alive = Evs.is_alive;
+        kill = Evs.kill;
+        corrupt = (fun e c -> Some (Evs.corrupt e c));
+      }
   in
-  List.iter
-    (fun node ->
-      Hashtbl.replace t.nodes node
-        {
-          evs = None;
-          prior_vid = View.Id.initial (Proc_id.initial node);
-          send_index = 0;
-        };
-      boot t node)
-    universe;
-  t
+  { fleet; net; rng; rev_records; echanges }
 
-let run t ~until = ignore (Sim.run ~until t.sim)
+let run t ~until = ignore (Sim.run ~until (sim t))
 
-let live t =
-  List.filter_map
-    (fun node ->
-      match (node_state t node).evs with
-      | Some e when Evs.is_alive e -> Some e
-      | Some _ | None -> None)
-    t.universe
+let live t = Fleet.live t.fleet
 
-let evs_on t node =
-  match (node_state t node).evs with
-  | Some e when Evs.is_alive e -> Some e
-  | Some _ | None -> None
+let evs_on t node = Fleet.on_node t.fleet node
 
 let multicast_from t ~node ?order () =
-  match evs_on t node with
-  | Some e ->
-      let st = node_state t node in
-      let msg_id = { Oracle.m_sender = Evs.me e; m_index = st.send_index } in
-      st.send_index <- st.send_index + 1;
-      let order_class =
-        match order with Some Endpoint.Total -> `Total | _ -> `Fifo
-      in
-      Oracle.record_send t.oracle ~order:order_class msg_id;
-      Evs.multicast e ?order msg_id
-  | None -> ()
+  Fleet.multicast_from t.fleet ~multicast:Evs.multicast ~node ?order ()
 
-let apply_action t action =
-  match action with
-  | Faults.Partition comps -> Net.set_partition t.net comps
-  | Faults.Heal -> Net.heal t.net
-  | Faults.Crash node -> (
-      match evs_on t node with
-      | Some e ->
-          Evs.kill e;
-          (node_state t node).evs <- None
-      | None -> ())
-  | Faults.Recover node ->
-      let st = node_state t node in
-      (match st.evs with
-      | Some e when Evs.is_alive e -> ()
-      | Some _ | None ->
-          st.evs <- None;
-          boot t node)
-  | Faults.Corrupt (node, c) -> (
-      match evs_on t node with
-      | Some e ->
-          let field = Evs.corrupt e c in
-          Oracle.record_corruption t.oracle ~proc:(Evs.me e) ~field
-            ~time:(Sim.now t.sim)
-      | None -> ())
+let apply_action t action = Fleet.apply_action t.fleet action
 
-let run_script t script =
-  Faults.schedule t.sim script ~apply:(fun action ->
-      Sim.record t.sim ~component:"faults" (Faults.to_string action);
-      apply_action t action)
+let run_script t script = Fleet.run_script t.fleet script
 
 let pump_traffic t ~start ~until ~mean_gap =
-  let rec arm time =
-    let time = time +. Rng.exponential t.rng mean_gap in
-    if time < until then begin
-      ignore
-        (Sim.at t.sim time (fun () ->
-             let node = Rng.pick t.rng t.universe in
-             let order =
-               if Rng.bool t.rng 0.2 then Endpoint.Total else Endpoint.Fifo
-             in
-             multicast_from t ~node ~order ()));
-      arm time
-    end
-  in
-  arm start
+  Fleet.pump_traffic t.fleet ~rng:t.rng ~multicast:Evs.multicast ~start
+    ~until ~mean_gap
 
-let eview_records t = List.rev t.rev_records
+let stable_view_reached t =
+  Fleet.stable_view_reached t.fleet ~view:Evs.view ~is_blocked:Evs.is_blocked
 
-let eview_changes_total t = t.echanges
+let eview_records t = List.rev !(t.rev_records)
+
+let eview_changes_total t = !(t.echanges)
 
 (* Property 6.1: within one view, every process records the same sequence
    of e-view changes — match records by (view id, eseq) and require equal
@@ -223,25 +146,19 @@ let check_total_order ?(since = neg_infinity) t =
           let reference = fingerprint first in
           List.concat_map
             (fun r ->
-              let mismatches = ref [] in
-              if not (String.equal (fingerprint r) reference) then
-                mismatches :=
-                  Printf.sprintf
-                    "total-order: %s and %s disagree on e-view (%s, %d): %s vs %s"
-                    (Proc_id.to_string first.er_proc)
-                    (Proc_id.to_string r.er_proc)
-                    (View.Id.to_string vid) eseq reference (fingerprint r)
-                  :: !mismatches;
-              if not (String.equal r.er_cause first.er_cause) then
-                mismatches :=
-                  Printf.sprintf
-                    "total-order: %s and %s disagree on the cause of e-view \
-                     (%s, %d): %s vs %s"
-                    (Proc_id.to_string first.er_proc)
-                    (Proc_id.to_string r.er_proc)
-                    (View.Id.to_string vid) eseq first.er_cause r.er_cause
-                  :: !mismatches;
-              !mismatches)
+              let disagree what a b =
+                Printf.sprintf
+                  "total-order: %s and %s disagree on %s (%s, %d): %s vs %s"
+                  (Proc_id.to_string first.er_proc)
+                  (Proc_id.to_string r.er_proc)
+                  what (View.Id.to_string vid) eseq a b
+              in
+              (if String.equal r.er_cause first.er_cause then []
+               else
+                 [ disagree "the cause of e-view" first.er_cause r.er_cause ])
+              @
+              if String.equal (fingerprint r) reference then []
+              else [ disagree "e-view" reference (fingerprint r) ])
             rest)
     groups
 
@@ -272,7 +189,7 @@ let same_svset ev p q =
 let check_structure ?(since = neg_infinity) t =
   (* prior view of [proc] when it installed [vid], from the oracle *)
   let prior_of proc vid =
-    Oracle.installs_of t.oracle ~proc
+    Oracle.installs_of (oracle t) ~proc
     |> List.find_map (fun (v, prior) ->
            if View.Id.equal v.View.id vid then Some prior else None)
   in
@@ -305,47 +222,37 @@ let check_structure ?(since = neg_infinity) t =
               (fun p ->
                 List.iter
                   (fun q ->
-                    if Proc_id.compare p q < 0 then begin
-                      let same_lineage =
-                        came_from p ~new_vid ~old_vid
-                        && came_from q ~new_vid ~old_vid
+                    if
+                      Proc_id.compare p q < 0
+                      && came_from p ~new_vid ~old_vid
+                      && came_from q ~new_vid ~old_vid
+                    then begin
+                      let report what =
+                        errors :=
+                          Printf.sprintf "structure@%s: %s,%s %s"
+                            (Proc_id.to_string proc) (Proc_id.to_string p)
+                            (Proc_id.to_string q) what
+                          :: !errors
                       in
+                      let old_s = View.Id.to_string old_vid
+                      and new_s = View.Id.to_string new_vid in
                       let together_before = same_subview old_ev p q in
                       let together_after = same_subview new_ev p q in
-                      if same_lineage && together_before && not together_after
+                      if together_before && not together_after then
+                        report
+                          (Printf.sprintf "shared a subview in %s but not in %s"
+                             old_s new_s);
+                      if (not together_before) && together_after then
+                        report
+                          (Printf.sprintf
+                             "were joined into one subview by a view change \
+                              (%s -> %s)"
+                             old_s new_s);
+                      if same_svset old_ev p q && not (same_svset new_ev p q)
                       then
-                        errors :=
-                          Printf.sprintf
-                            "structure@%s: %s,%s shared a subview in %s but \
-                             not in %s"
-                            (Proc_id.to_string proc) (Proc_id.to_string p)
-                            (Proc_id.to_string q)
-                            (View.Id.to_string old_ev.E_view.view.View.id)
-                            (View.Id.to_string new_ev.E_view.view.View.id)
-                          :: !errors;
-                      if same_lineage && (not together_before) && together_after
-                      then
-                        errors :=
-                          Printf.sprintf
-                            "structure@%s: %s,%s were joined into one subview \
-                             by a view change (%s -> %s)"
-                            (Proc_id.to_string proc) (Proc_id.to_string p)
-                            (Proc_id.to_string q)
-                            (View.Id.to_string old_ev.E_view.view.View.id)
-                            (View.Id.to_string new_ev.E_view.view.View.id)
-                          :: !errors;
-                      let ss_before = same_svset old_ev p q in
-                      let ss_after = same_svset new_ev p q in
-                      if same_lineage && ss_before && not ss_after then
-                        errors :=
-                          Printf.sprintf
-                            "structure@%s: %s,%s shared an sv-set in %s but \
-                             not in %s"
-                            (Proc_id.to_string proc) (Proc_id.to_string p)
-                            (Proc_id.to_string q)
-                            (View.Id.to_string old_ev.E_view.view.View.id)
-                            (View.Id.to_string new_ev.E_view.view.View.id)
-                          :: !errors
+                        report
+                          (Printf.sprintf "shared an sv-set in %s but not in %s"
+                             old_s new_s)
                     end)
                   survivors)
               survivors;

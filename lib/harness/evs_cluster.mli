@@ -50,6 +50,10 @@ val run_script : t -> Faults.script -> unit
 
 val pump_traffic : t -> start:float -> until:float -> mean_gap:float -> unit
 
+val stable_view_reached : t -> bool
+(** All live handles share one installed view covering all live nodes and
+    are not flushing, as in {!Vsync_cluster.stable_view_reached}. *)
+
 type eview_record = {
   er_proc : Proc_id.t;
   er_time : float;

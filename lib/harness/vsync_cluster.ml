@@ -3,66 +3,45 @@ module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Endpoint = Vs_vsync.Endpoint
-module Rng = Vs_util.Rng
-module Listx = Vs_util.Listx
 
-type node_state = {
-  mutable endpoint : (Oracle.msg_id, unit) Endpoint.t option;
-  mutable prior_vid : View.Id.t;   (* last installed view of the live proc *)
-  mutable send_index : int;        (* per-node message numbering *)
-  mutable installs : int;          (* cumulative across incarnations *)
-}
+type endpoint = (Oracle.msg_id, unit) Endpoint.t
 
 type t = {
-  sim : Sim.t;
+  fleet : endpoint Fleet.t;
   net : (Oracle.msg_id, unit) Vs_vsync.Wire.t Net.t;
-  config : Endpoint.config;
-  oracle : Oracle.t;
-  rng : Rng.t;
-  universe : int list;
-  nodes : (int, node_state) Hashtbl.t;
+  rng : Vs_util.Rng.t;
 }
 
-let sim t = t.sim
+let sim t = Fleet.sim t.fleet
 
-let oracle t = t.oracle
+let oracle t = Fleet.oracle t.fleet
 
 let net_stats t = Net.stats t.net
 
-let node_state t node =
-  match Hashtbl.find_opt t.nodes node with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Vsync_cluster: unknown node %d" node)
-
-let boot t node =
-  let st = node_state t node in
-  assert (st.endpoint = None);
-  let me = Net.fresh_incarnation t.net node in
+(* An endpoint whose callbacks feed the oracle: each install with the
+   incarnation's previous view, each delivery with the view it landed in. *)
+let spawn sim net oracle ~universe ~config me =
+  let prior = ref (View.Id.initial me) in
   let endpoint = ref None in
   let callbacks =
     {
       Endpoint.on_view =
         (fun ev ->
-          Oracle.record_install t.oracle ~proc:me ~view:ev.Endpoint.view
-            ~prior:st.prior_vid ~time:(Sim.now t.sim);
-          st.prior_vid <- ev.Endpoint.view.View.id;
-          st.installs <- st.installs + 1);
+          Oracle.record_install oracle ~proc:me ~view:ev.Endpoint.view
+            ~prior:!prior ~time:(Sim.now sim);
+          prior := ev.Endpoint.view.View.id);
       on_message =
         (fun ~sender:_ msg_id ->
           match !endpoint with
           | Some ep ->
-              Oracle.record_delivery t.oracle ~proc:me
-                ~vid:(Endpoint.view ep).View.id msg_id ~time:(Sim.now t.sim)
+              Oracle.record_delivery oracle ~proc:me
+                ~vid:(Endpoint.view ep).View.id msg_id ~time:(Sim.now sim)
           | None -> ());
     }
   in
-  st.prior_vid <- View.Id.initial me;
-  let ep =
-    Endpoint.create t.sim t.net ~me ~universe:t.universe ~config:t.config
-      ~callbacks
-  in
+  let ep = Endpoint.create sim net ~me ~universe ~config ~callbacks in
   endpoint := Some ep;
-  st.endpoint <- Some ep
+  ep
 
 let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     ?(config = Endpoint.default_config) ~n () =
@@ -79,163 +58,62 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     Net.create ~size_of ~describe:Vs_vsync.Wire.kind ~ident ~idents sim
       net_config
   in
+  let rng = Sim.fork_rng sim in
+  let oracle = Oracle.create () in
   let universe = List.init n (fun i -> i) in
-  let t =
-    {
-      sim;
-      net;
-      config;
-      oracle = Oracle.create ();
-      rng = Sim.fork_rng sim;
-      universe;
-      nodes = Hashtbl.create 16;
-    }
+  let fleet =
+    Fleet.create sim net ~oracle ~nodes:universe
+      {
+        Fleet.spawn = spawn sim net oracle ~universe ~config;
+        me = Endpoint.me;
+        is_alive = Endpoint.is_alive;
+        kill = Endpoint.kill;
+        corrupt = (fun ep c -> Some (Endpoint.corrupt ep c));
+      }
   in
-  List.iter
-    (fun node ->
-      Hashtbl.replace t.nodes node
-        {
-          endpoint = None;
-          prior_vid = View.Id.initial (Proc_id.initial node);
-          send_index = 0;
-          installs = 0;
-        };
-      boot t node)
-    universe;
-  t
+  { fleet; net; rng }
 
-let run t ~until = ignore (Sim.run ~until t.sim)
+let run t ~until = ignore (Sim.run ~until (sim t))
 
-let live_endpoints t =
-  List.filter_map
-    (fun node ->
-      match (node_state t node).endpoint with
-      | Some ep when Endpoint.is_alive ep -> Some ep
-      | Some _ | None -> None)
-    t.universe
+let live_endpoints t = Fleet.live t.fleet
 
-let endpoint_on t node =
-  match (node_state t node).endpoint with
-  | Some ep when Endpoint.is_alive ep -> Some ep
-  | Some _ | None -> None
+let endpoint_on t node = Fleet.on_node t.fleet node
 
 let multicast_from t ~node ?order () =
-  match endpoint_on t node with
-  | Some ep ->
-      let st = node_state t node in
-      let msg_id =
-        { Oracle.m_sender = Endpoint.me ep; m_index = st.send_index }
-      in
-      st.send_index <- st.send_index + 1;
-      let order_class =
-        match order with Some Endpoint.Total -> `Total | _ -> `Fifo
-      in
-      Oracle.record_send t.oracle ~order:order_class msg_id;
-      Endpoint.multicast ep ?order msg_id
-  | None -> ()
+  Fleet.multicast_from t.fleet ~multicast:Endpoint.multicast ~node ?order ()
 
-let apply_action t action =
-  match action with
-  | Faults.Partition comps -> Net.set_partition t.net comps
-  | Faults.Heal -> Net.heal t.net
-  | Faults.Crash node -> (
-      match endpoint_on t node with
-      | Some ep ->
-          Endpoint.kill ep;
-          (node_state t node).endpoint <- None
-      | None -> ())
-  | Faults.Recover node ->
-      let st = node_state t node in
-      (match st.endpoint with
-      | Some ep when Endpoint.is_alive ep -> () (* already up *)
-      | Some _ | None ->
-          st.endpoint <- None;
-          boot t node)
-  | Faults.Corrupt (node, c) -> (
-      match endpoint_on t node with
-      | Some ep ->
-          let field = Endpoint.corrupt ep c in
-          Oracle.record_corruption t.oracle ~proc:(Endpoint.me ep) ~field
-            ~time:(Sim.now t.sim)
-      | None -> ())
+let apply_action t action = Fleet.apply_action t.fleet action
 
-let run_script t script =
-  Faults.schedule t.sim script ~apply:(fun action ->
-      Sim.record t.sim ~component:"faults" (Faults.to_string action);
-      apply_action t action)
+let run_script t script = Fleet.run_script t.fleet script
 
 let pump_traffic t ~start ~until ~mean_gap =
-  let rec arm time =
-    let time = time +. Rng.exponential t.rng mean_gap in
-    if time < until then
-      ignore
-        (Sim.at t.sim time (fun () ->
-             let node = Rng.pick t.rng t.universe in
-             let order =
-               if Rng.bool t.rng 0.2 then Endpoint.Total else Endpoint.Fifo
-             in
-             multicast_from t ~node ~order ()));
-    if time < until then arm time
-  in
-  arm start
+  Fleet.pump_traffic t.fleet ~rng:t.rng ~multicast:Endpoint.multicast ~start
+    ~until ~mean_gap
 
 (* Endpoint counters summed over the live endpoints — the cluster-level
    view of retry/NACK activity for experiments and tests. *)
 let stats_total t =
-  List.fold_left
-    (fun (acc : Endpoint.stats) ep ->
-      let s = Endpoint.stats ep in
-      {
-        Endpoint.views_installed = acc.Endpoint.views_installed + s.Endpoint.views_installed;
-        proposals_started = acc.Endpoint.proposals_started + s.Endpoint.proposals_started;
-        data_sent = acc.Endpoint.data_sent + s.Endpoint.data_sent;
-        delivered = acc.Endpoint.delivered + s.Endpoint.delivered;
-        sync_delivered = acc.Endpoint.sync_delivered + s.Endpoint.sync_delivered;
-        stale_dropped = acc.Endpoint.stale_dropped + s.Endpoint.stale_dropped;
-        to_dropped = acc.Endpoint.to_dropped + s.Endpoint.to_dropped;
-        nacks_sent = acc.Endpoint.nacks_sent + s.Endpoint.nacks_sent;
-        retransmits = acc.Endpoint.retransmits + s.Endpoint.retransmits;
-        peer_retransmits = acc.Endpoint.peer_retransmits + s.Endpoint.peer_retransmits;
-        stabilized = acc.Endpoint.stabilized + s.Endpoint.stabilized;
-        ctl_retries = acc.Endpoint.ctl_retries + s.Endpoint.ctl_retries;
-        ctl_abandoned = acc.Endpoint.ctl_abandoned + s.Endpoint.ctl_abandoned;
-        batches_sent = acc.Endpoint.batches_sent + s.Endpoint.batches_sent;
-      })
-    {
-      Endpoint.views_installed = 0;
-      proposals_started = 0;
-      data_sent = 0;
-      delivered = 0;
-      sync_delivered = 0;
-      stale_dropped = 0;
-      to_dropped = 0;
-      nacks_sent = 0;
-      retransmits = 0;
-      peer_retransmits = 0;
-      stabilized = 0;
-      ctl_retries = 0;
-      ctl_abandoned = 0;
-      batches_sent = 0;
-    }
-    (live_endpoints t)
+  let all = List.map Endpoint.stats (live_endpoints t) in
+  let sum field = List.fold_left (fun acc s -> acc + field s) 0 all in
+  {
+    Endpoint.views_installed = sum (fun s -> s.Endpoint.views_installed);
+    proposals_started = sum (fun s -> s.Endpoint.proposals_started);
+    data_sent = sum (fun s -> s.Endpoint.data_sent);
+    delivered = sum (fun s -> s.Endpoint.delivered);
+    sync_delivered = sum (fun s -> s.Endpoint.sync_delivered);
+    stale_dropped = sum (fun s -> s.Endpoint.stale_dropped);
+    to_dropped = sum (fun s -> s.Endpoint.to_dropped);
+    nacks_sent = sum (fun s -> s.Endpoint.nacks_sent);
+    retransmits = sum (fun s -> s.Endpoint.retransmits);
+    peer_retransmits = sum (fun s -> s.Endpoint.peer_retransmits);
+    stabilized = sum (fun s -> s.Endpoint.stabilized);
+    ctl_retries = sum (fun s -> s.Endpoint.ctl_retries);
+    ctl_abandoned = sum (fun s -> s.Endpoint.ctl_abandoned);
+    batches_sent = sum (fun s -> s.Endpoint.batches_sent);
+  }
 
-let views_installed_per_process t = Oracle.install_counts t.oracle
+let views_installed_per_process t = Oracle.install_counts (oracle t)
 
 let stable_view_reached t =
-  match live_endpoints t with
-  | [] -> false
-  | eps ->
-      let live_nodes =
-        List.map (fun ep -> (Endpoint.me ep).Proc_id.node) eps
-        |> List.sort_uniq Int.compare
-      in
-      let views = List.map Endpoint.view eps in
-      (match views with
-      | v :: rest ->
-          List.for_all (fun v' -> View.equal v v') rest
-          && Listx.equal_set ~cmp:Int.compare
-               (List.sort_uniq Int.compare
-                  (List.map (fun (p : Proc_id.t) -> p.Proc_id.node) v.View.members))
-               live_nodes
-          && List.for_all (fun ep -> not (Endpoint.is_blocked ep)) eps
-      | [] -> false)
+  Fleet.stable_view_reached t.fleet ~view:Endpoint.view
+    ~is_blocked:Endpoint.is_blocked
