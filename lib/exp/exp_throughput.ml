@@ -188,7 +188,10 @@ let run_arm ?clock ~seed ~workload:w arm =
   let recorder = Recorder.create ~level:Recorder.Protocol () in
   let interval = w.w_window /. float_of_int windows_per_measured in
   let series = Series.create ~interval () in
-  let sim = Sim.create ~seed ~obs:recorder ~series () in
+  let (_ : Recorder.sink_handle) =
+    Recorder.add_sink recorder (Series.observe series)
+  in
+  let sim = Sim.create ~seed ~obs:recorder () in
   let net = Kv.make_net sim Net.default_config in
   let universe = List.init w.w_n (fun i -> i) in
   let applied = ref 0 in
@@ -259,9 +262,9 @@ let run_arm ?clock ~seed ~workload:w arm =
     | _ -> None
   in
   let wire_sent = (Net.stats net).Net.sent - wire_before in
-  Sim.finish_series sim;
+  Series.finish series ~now:(Sim.now sim);
   let entries = Recorder.entries recorder in
-  let metrics = Metrics.of_entries entries in
+  let metrics = Series.metrics series in
   (* Slice the measured window: applied rate from the per-window tally,
      install activity from the series snapshots, and the exact p99 install
      latency from the stall attributions falling in each window. *)

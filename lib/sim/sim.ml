@@ -17,27 +17,16 @@ and t = {
   queue : handle Heap.t;
   root_rng : Rng.t;
   obs : Vs_obs.Recorder.t;
-  series : Vs_obs.Series.t option;
 }
 
 let compare_handle a b =
   let c = Float.compare a.fire_at b.fire_at in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(seed = 1L) ?obs ?series () =
+let create ?(seed = 1L) ?obs () =
   let obs =
     match obs with Some r -> r | None -> Vs_obs.Recorder.create ()
   in
-  (* The vsmon series taps the recorded stream via the recorder sink: off
-     (None) by default, and when on it only reads timestamps already chosen
-     by the schedule — no timers, no RNG draws — so attaching it leaves the
-     run byte-identical. *)
-  (match series with
-  | None -> ()
-  | Some s ->
-      ignore
-        (Vs_obs.Recorder.add_sink obs (Vs_obs.Series.observe s)
-          : Vs_obs.Recorder.sink_handle));
   {
     clock = 0.;
     next_seq = 0;
@@ -46,7 +35,6 @@ let create ?(seed = 1L) ?obs ?series () =
     queue = Heap.create ~cmp:compare_handle;
     root_rng = Rng.create seed;
     obs;
-    series;
   }
 
 let now t = t.clock
@@ -56,13 +44,6 @@ let rng t = t.root_rng
 let fork_rng t = Rng.split t.root_rng
 
 let obs t = t.obs
-
-let series t = t.series
-
-let finish_series t =
-  match t.series with
-  | None -> ()
-  | Some s -> Vs_obs.Series.finish s ~now:t.clock
 
 let emit t event = Vs_obs.Recorder.emit t.obs ~time:t.clock event
 

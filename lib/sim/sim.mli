@@ -11,15 +11,10 @@ type t
 type handle
 (** A scheduled event; can be cancelled before it fires. *)
 
-val create :
-  ?seed:int64 -> ?obs:Vs_obs.Recorder.t -> ?series:Vs_obs.Series.t -> unit -> t
+val create : ?seed:int64 -> ?obs:Vs_obs.Recorder.t -> unit -> t
 (** [create ?seed ()] makes an engine at virtual time 0. Default seed 1.
     [?obs] supplies the per-run event recorder; a fresh one at the
-    process-wide default level is created when omitted.  [?series] attaches
-    a vsmon windowed time series as the recorder's sink — off by default,
-    and byte-invisible to the run when on (the series never schedules
-    timers or draws randomness; call {!finish_series} at end of run to
-    close the last partial window). *)
+    process-wide default level is created when omitted. *)
 
 val now : t -> float
 (** Current virtual time (seconds). *)
@@ -33,13 +28,6 @@ val fork_rng : t -> Vs_util.Rng.t
 
 val obs : t -> Vs_obs.Recorder.t
 (** The engine's event recorder. *)
-
-val series : t -> Vs_obs.Series.t option
-(** The attached vsmon series, if any. *)
-
-val finish_series : t -> unit
-(** Close the series' final partial window at the current virtual time —
-    no-op when no series is attached (idempotent otherwise). *)
 
 val emit : t -> Vs_obs.Event.t -> unit
 (** Emit a typed event at the current virtual time (no-op when recording is
