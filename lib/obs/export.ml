@@ -358,7 +358,7 @@ let entries_of_jsonl text : (Recorder.entry list, string) result =
    transfer tasks and the flush->install window render as complete spans.
    Raw send/recv traffic is deliberately left out of the Chrome view (it
    drowns the lanes); use the JSONL stream for packet-level digging. *)
-let chrome_of_entries ?(extra = []) entries =
+let chrome_of_entries entries =
   let us t = Json.Float (t *. 1e6) in
   let out = ref [] in
   let push ev = out := ev :: !out in
@@ -527,6 +527,6 @@ let chrome_of_entries ?(extra = []) entries =
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.Arr (meta @ List.rev !out @ extra));
+         ("traceEvents", Json.Arr (meta @ List.rev !out));
          ("displayTimeUnit", Json.Str "ms");
        ])

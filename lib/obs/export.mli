@@ -26,8 +26,5 @@ val entries_of_jsonl : string -> (Recorder.entry list, string) result
 (** Parses a whole stream; blank lines are skipped; errors carry the 1-based
     line number. *)
 
-val chrome_of_entries : ?extra:Json.t list -> Recorder.entry list -> string
-(** A complete [{"traceEvents":[...]}] document.  [?extra] appends
-    caller-built trace events after the generated ones (how [Flame] layers
-    the critical-path lanes in); omitted, the output is byte-identical to
-    the historical exporter. *)
+val chrome_of_entries : Recorder.entry list -> string
+(** A complete [{"traceEvents":[...]}] document. *)
