@@ -10,7 +10,6 @@
      path         causal critical-path profile (vspath); --flame for stacks
      diff-runs    structural diff of two runs; first causal divergence
      bench diff   compare two BENCH_*.json artifacts; non-zero on regression
-     lint         run the vslint determinism checks (same driver as vslint)
      throughput   wall-clock sustained-throughput profile; writes no file *)
 
 module Recorder = Vs_obs.Recorder
@@ -539,13 +538,17 @@ let interval_arg =
     & info [ "interval" ] ~docv:"SECONDS"
         ~doc:"Scrape window length in simulated seconds.")
 
-(* Run a seed campaign or corpus repro with a vsmon series tapping the
-   recorder, and close the final window at the last recorded timestamp.
-   Shared by `top` and `metrics`. *)
-(* Full recording level so the series sees data-path traffic too (net.sends
-   and friends are Full-only events); the level only widens what gets
-   recorded — it draws nothing from the RNG, so seeded runs stay aligned
-   with every other subcommand. *)
+(* Full recording, so the causal DAG and the series see data-path traffic
+   too (net.sends and friends are Full-only events); the level only widens
+   what gets recorded — it draws nothing from the RNG, so seeded runs stay
+   aligned with every other subcommand. *)
+let record_run spec =
+  let obs = Recorder.create ~level:Recorder.Full () in
+  let (_ : Campaign.outcome) = Campaign.run ~obs spec in
+  Recorder.entries obs
+
+(* Run a seed campaign or corpus repro with a vsmon series tapping a Full
+   recorder, and close the final window at the last recorded timestamp. *)
 let run_with_series ~spec ~interval =
   let obs = Recorder.create ~level:Recorder.Full () in
   let series = Series.create ~interval () in
@@ -608,10 +611,9 @@ let metrics_cmd =
             "Output format: $(b,openmetrics) (Prometheus text exposition) \
              or $(b,json).")
   in
-  let run seed nodes evs replay interval format =
+  let run seed nodes evs replay format =
     let spec = spec_of ~seed ~nodes ~evs ~replay in
-    let series, _obs, _outcome = run_with_series ~spec ~interval in
-    let m = Series.metrics series in
+    let m = Metrics.of_entries (record_run spec) in
     match format with
     | `Openmetrics -> print_string (Openmetrics.of_metrics m)
     | `Json -> print_endline (Json.to_string (Metrics.to_json m))
@@ -622,9 +624,7 @@ let metrics_cmd =
          "Run a seed campaign or corpus repro and expose the end-of-run \
           metrics registry — counters, gauges, HDR histograms — as \
           deterministic OpenMetrics text or canonical JSON.")
-    Term.(
-      const run $ seed_arg $ nodes_arg $ evs_arg $ replay_arg $ interval_arg
-      $ format)
+    Term.(const run $ seed_arg $ nodes_arg $ evs_arg $ replay_arg $ format)
 
 (* ---------- path / diff-runs (vspath surfacing) ---------- *)
 
@@ -638,12 +638,6 @@ let write_file path text =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc text)
-
-(* Full recording: the causal DAG wants the per-message traffic. *)
-let record_run spec =
-  let obs = Recorder.create ~level:Recorder.Full () in
-  let (_ : Campaign.outcome) = Campaign.run ~obs spec in
-  Recorder.entries obs
 
 let path_cmd =
   let json =
@@ -834,81 +828,6 @@ let bench_cmd =
        ~doc:"Operations on the machine-readable bench artifacts.")
     [ bench_diff_cmd ]
 
-(* ---------- lint ---------- *)
-
-let lint_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Machine-readable JSON report (same as --format json).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some (enum [ ("human", Vs_lint.Driver.Human); ("json", Vs_lint.Driver.Json); ("sarif", Vs_lint.Driver.Sarif) ])) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: $(b,human) (default), $(b,json), or $(b,sarif) (SARIF 2.1.0).")
-  in
-  let chains =
-    Arg.(
-      value & flag
-      & info [ "chains" ]
-          ~doc:"Also print each function's effect provenance (whole-program pass).")
-  in
-  let changed =
-    Arg.(
-      value & flag
-      & info [ "changed" ]
-          ~doc:
-            "Only report findings in files changed per git diff --name-only \
-             HEAD; the analysis itself stays whole-program.")
-  in
-  let rules =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"ID"
-          ~doc:
-            "Only report this rule (repeatable): D1 D2 D3 D4 D5 C1 A1 S1 S2 \
-             B1.")
-  in
-  let explain =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explain" ] ~docv:"ID"
-          ~doc:"Print the rule's rationale and exit.")
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint; defaults to lib bin bench \
-             examples.")
-  in
-  let run json format chains changed rules explain paths =
-    let code =
-      match explain with
-      | Some id -> Vs_lint.Driver.explain id
-      | None ->
-          let format =
-            match format with
-            | Some f -> f
-            | None -> if json then Vs_lint.Driver.Json else Vs_lint.Driver.Human
-          in
-          Vs_lint.Driver.run ~format ~rules ~chains ~changed ~paths ()
-    in
-    if code <> 0 then exit code
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Whole-program lint: per-site determinism rules (D1-D5) plus the \
-          call-graph passes (effect certification C1, alloc-free proof A1, \
-          stale suppressions S2, bench contract B1); shares its driver with \
-          the standalone vslint executable and the @lint dune alias.")
-    Term.(const run $ json $ format $ chains $ changed $ rules $ explain $ paths)
-
 (* ---------- throughput ---------- *)
 
 let throughput_cmd =
@@ -961,5 +880,5 @@ let () =
        (Cmd.group info
           [
             check_cmd; explain_cmd; query_cmd; trace_cmd; top_cmd; metrics_cmd;
-            path_cmd; diff_runs_cmd; bench_cmd; lint_cmd; throughput_cmd;
+            path_cmd; diff_runs_cmd; bench_cmd; throughput_cmd;
           ]))

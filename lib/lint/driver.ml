@@ -1,5 +1,5 @@
-(* Report rendering and the command-line driver shared by the standalone
-   [vslint] executable and the [vscli lint] subcommand.
+(* Report rendering and the command-line driver of the [vslint]
+   executable, which the @lint dune alias and the benchmark run.
 
    Every run is whole-program: the per-file syntactic rules and the
    call-graph passes (C1/A1/B1/S2, see {!Whole}) execute together, so the
