@@ -44,6 +44,8 @@ let history_of t proc =
       if Proc_id.equal (t.me app) proc then Some (t.history app) else None)
     !(t.rev_all)
 
+let apply_action t action = Fleet.apply_action t.fleet action
+
 let run_script t script = Fleet.run_script t.fleet script
 
 let every t ~start ~until ~gap f =
@@ -99,43 +101,32 @@ let open_loop t ~rng ~start ~until ~rate ~clients ~submit =
   schedule start;
   load
 
-(* Walk the history backwards from the View_event of [vid]: the first
-   Mode_event before it is the mode the process was in at the cut. *)
+(* The first Mode_event before the View_event of [vid] is the mode the
+   process was in at the cut; the last View_event before it, the view it
+   came from. *)
 let prior_state_of t proc ~vid =
   match history_of t proc with
   | None -> (Classify.Was_fresh, None)
   | Some h ->
-      let events = History.events h in
-      (* Find the index of the install of [vid]; if absent (the process
-         died first), analyse the whole history. *)
-      let rec find_ix i = function
+      (* Everything before the install of [vid]; the whole history if the
+         process died first. *)
+      let rec before_install = function
         | { History.event = History.View_event v; _ } :: _
           when View.Id.equal v.View.id vid ->
-            Some i
-        | _ :: rest -> find_ix (i + 1) rest
-        | [] -> None
+            []
+        | e :: rest -> e :: before_install rest
+        | [] -> []
       in
-      let horizon =
-        match find_ix 0 events with
-        | Some i -> Vs_util.Listx.take i events
-        | None -> events
-      in
-      let rec scan mode prior = function
-        | [] -> (mode, prior)
-        | { History.event; _ } :: rest ->
-            let mode, prior =
-              match event with
-              | History.Mode_event { mode = m; _ } ->
-                  let state =
-                    match m with
-                    | Mode.Normal -> Classify.Was_normal
-                    | Mode.Reduced -> Classify.Was_reduced
-                    | Mode.Settling -> Classify.Was_settling
-                  in
-                  (state, prior)
-              | History.View_event v -> (mode, Some v.View.id)
-              | History.Deliver _ | History.Eview_event _ -> (mode, prior)
-            in
-            scan mode prior rest
-      in
-      scan Classify.Was_fresh None horizon
+      List.fold_left
+        (fun (mode, prior) { History.event; _ } ->
+          match event with
+          | History.Mode_event { mode = Mode.Normal; _ } ->
+              (Classify.Was_normal, prior)
+          | History.Mode_event { mode = Mode.Reduced; _ } ->
+              (Classify.Was_reduced, prior)
+          | History.Mode_event { mode = Mode.Settling; _ } ->
+              (Classify.Was_settling, prior)
+          | History.View_event v -> (mode, Some v.View.id)
+          | History.Deliver _ | History.Eview_event _ -> (mode, prior))
+        (Classify.Was_fresh, None)
+        (before_install (History.events h))

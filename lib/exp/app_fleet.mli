@@ -33,9 +33,11 @@ val all_ever : 'app t -> 'app list
 val history_of : 'app t -> Proc_id.t -> History.t option
 (** History of any process identity that ever existed in the fleet. *)
 
+val apply_action : 'app t -> Vs_harness.Faults.action -> unit
+(** {!Vs_harness.Fleet.apply_action}: crash/recover re-create instances,
+    partitions and heals act on the fleet's network. *)
+
 val run_script : 'app t -> Vs_harness.Faults.script -> unit
-(** Schedule a fault script: {!Vs_harness.Fleet.apply_action} interprets
-    each action. *)
 
 val every :
   'app t -> start:float -> until:float -> gap:float ->

@@ -21,7 +21,6 @@ module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module E_view = Evs_core.E_view
-module Mode = Evs_core.Mode
 module Classify = Evs_core.Classify
 module History = Evs_core.History
 module Endpoint = Vs_vsync.Endpoint
@@ -62,8 +61,7 @@ let previous_view_members history ~vid ~me =
   in
   walk None (History.events history)
 
-let score_observations ?(classifier = Classify.flat) fleet ~history_of
-    observations scores =
+let score_observations ?(classifier = Classify.flat) fleet observations scores =
   List.iter
     (fun o ->
       let vid = o.o_eview.E_view.view.View.id in
@@ -79,7 +77,7 @@ let score_observations ?(classifier = Classify.flat) fleet ~history_of
       (* Flat reasoning, restricted to what a flat view would reveal. *)
       let my_prior, _ = App_fleet.prior_state_of fleet o.o_proc ~vid in
       let my_prior_members =
-        match history_of o.o_proc with
+        match App_fleet.history_of fleet o.o_proc with
         | Some h -> previous_view_members h ~vid ~me:o.o_proc
         | None -> [ o.o_proc ]
       in
@@ -124,10 +122,8 @@ let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap ~op
       ~history:(fun app -> Go.history (obj app))
   in
   let rng = Sim.fork_rng sim in
-  let script =
-    Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ()
-  in
-  App_fleet.run_script fleet script;
+  App_fleet.run_script fleet
+    (Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ());
   App_fleet.every fleet ~start:0.6 ~until:duration ~gap (fun time -> function
     | [] -> ()
     | apps -> op rng time (Vs_util.Rng.pick rng apps));
@@ -179,9 +175,7 @@ let run ?(quick = false) () =
         let fleet, observations =
           campaign ~seed:(Int64.of_int (seed * 101)) ~duration
         in
-        score_observations fleet
-          ~history_of:(fun proc -> App_fleet.history_of fleet proc)
-          observations scores)
+        score_observations fleet observations scores)
       seeds;
     let pct n = if scores.settles = 0 then "-" else Table.fpct (float_of_int n /. float_of_int scores.settles) in
     Table.add_row table
@@ -229,9 +223,7 @@ let run_isis ?(quick = false) () =
         let fleet, observations =
           file_campaign ~config ~seed:(Int64.of_int (seed * 211)) ~duration ()
         in
-        score_observations ~classifier fleet
-          ~history_of:(fun proc -> App_fleet.history_of fleet proc)
-          observations scores)
+        score_observations ~classifier fleet observations scores)
       seeds;
     scores
   in

@@ -62,10 +62,8 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
       ~history:(fun db -> Go.history (Pdb.obj db))
   in
   let rng = Sim.fork_rng sim in
-  let script =
-    Faults.random_script rng ~nodes:universe ~start:0.8 ~duration ~mean_gap:0.6 ()
-  in
-  App_fleet.run_script fleet script;
+  App_fleet.run_script fleet
+    (Faults.random_script rng ~nodes:universe ~start:0.8 ~duration ~mean_gap:0.6 ());
   App_fleet.every fleet ~start:0.6 ~until:duration ~gap:0.04 (fun _ -> function
     | [] -> ()
     | apps -> (

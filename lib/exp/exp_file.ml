@@ -44,12 +44,10 @@ let run_churn ~seed ~mean_gap ~duration =
       ~history:(fun f -> Go.history (Rf.obj f))
   in
   let rng = Sim.fork_rng sim in
-  let script =
-    (* Partition-only churn isolates the availability question. *)
-    Faults.random_script rng ~nodes:universe ~start:0.5 ~duration ~mean_gap
-      ~crash_weight:0.2 ~partition_weight:2.0 ()
-  in
-  App_fleet.run_script fleet script;
+  (* Partition-only churn isolates the availability question. *)
+  App_fleet.run_script fleet
+    (Faults.random_script rng ~nodes:universe ~start:0.5 ~duration ~mean_gap
+       ~crash_weight:0.2 ~partition_weight:2.0 ());
   (* Steady trickle of writes so staleness is observable. *)
   App_fleet.every fleet ~start:0.4 ~until:duration ~gap:0.1 (fun time live ->
       match List.filter (fun f -> Mode.equal (Rf.mode f) Mode.Normal) live with

@@ -36,15 +36,7 @@ let run_once ~one_at_a_time ~k =
   Cluster.apply_action c Faults.Heal;
   (* Run until the merged view is stable, in small steps to timestamp it. *)
   let deadline = heal_time +. 4.0 +. (0.8 *. float_of_int k) in
-  let rec wait () =
-    if Cluster.stable_view_reached c then Sim.now (Cluster.sim c)
-    else if Sim.now (Cluster.sim c) >= deadline then infinity
-    else begin
-      Cluster.run c ~until:(Sim.now (Cluster.sim c) +. 0.05);
-      wait ()
-    end
-  in
-  let stable_at = wait () in
+  let stable_at = Cluster.await_stable_view c ~step:0.05 ~deadline in
   let installs_total = Oracle.total_installs (Cluster.oracle c) - before in
   {
     installs_total;

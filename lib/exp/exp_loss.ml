@@ -37,16 +37,7 @@ let run_once ~n ~drop ~dup ~seed =
     { Net.default_config with Net.drop_prob = drop; Net.dup_prob = dup }
   in
   let c = Cluster.create ~seed ~net_config ~n () in
-  let deadline = 10.0 in
-  let rec wait () =
-    if Cluster.stable_view_reached c then Sim.now (Cluster.sim c)
-    else if Sim.now (Cluster.sim c) >= deadline then infinity
-    else begin
-      Cluster.run c ~until:(Sim.now (Cluster.sim c) +. 0.05);
-      wait ()
-    end
-  in
-  let formed_at = wait () in
+  let formed_at = Cluster.await_stable_view c ~step:0.05 ~deadline:10.0 in
   if formed_at < infinity then begin
     (* Exercise the data path and a flush on the lossy links: traffic
        around a crash/recover of the highest node. *)

@@ -38,11 +38,9 @@ let run_campaign ~seed ~n ~duration =
       ~history:(fun f -> Go.history (Rf.obj f))
   in
   let rng = Sim.fork_rng sim in
-  let script =
-    Faults.random_script rng ~nodes:universe ~start:1.0 ~duration
-      ~mean_gap:0.4 ()
-  in
-  App_fleet.run_script fleet script;
+  App_fleet.run_script fleet
+    (Faults.random_script rng ~nodes:universe ~start:1.0 ~duration
+       ~mean_gap:0.4 ());
   (* Background writes keep the object exercised. *)
   App_fleet.every fleet ~start:0.5 ~until:(duration +. 1.0) ~gap:0.05
     (fun time -> function

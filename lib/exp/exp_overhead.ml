@@ -32,18 +32,20 @@ let e9_script seed nodes duration =
   let rng = Vs_util.Rng.create seed in
   Faults.random_script rng ~nodes ~start:1.0 ~duration ~mean_gap:0.7 ()
 
+let sample stats oracle echanges =
+  {
+    msgs = stats.Net.sent;
+    bytes = stats.Net.bytes_sent;
+    installs = Oracle.total_installs oracle;
+    echanges;
+  }
+
 let run_plain ~seed ~duration =
   let c = Vc.create ~seed ~n:5 () in
   Vc.run_script c (e9_script (Int64.add seed 1L) [ 0; 1; 2; 3; 4 ] duration);
   Vc.pump_traffic c ~start:0.5 ~until:duration ~mean_gap:0.05;
   Vc.run c ~until:(duration +. 3.0);
-  let s = Vc.net_stats c in
-  {
-    msgs = s.Net.sent;
-    bytes = s.Net.bytes_sent;
-    installs = Oracle.total_installs (Vc.oracle c);
-    echanges = 0;
-  }
+  sample (Vc.net_stats c) (Vc.oracle c) 0
 
 let run_evs ~seed ~duration =
   let c = Ec.create ~seed ~n:5 () in
@@ -80,13 +82,7 @@ let run_evs ~seed ~duration =
   in
   arm 0.7;
   Ec.run c ~until:(duration +. 3.0);
-  let s = Ec.net_stats c in
-  {
-    msgs = s.Net.sent;
-    bytes = s.Net.bytes_sent;
-    installs = Oracle.total_installs (Ec.oracle c);
-    echanges = Ec.eview_changes_total c;
-  }
+  sample (Ec.net_stats c) (Ec.oracle c) (Ec.eview_changes_total c)
 
 let run_e9 ?(quick = false) () =
   let duration = if quick then 4.0 else 12.0 in
@@ -156,15 +152,7 @@ let run_merge ?(stability = true) ~n ~backlog () =
   let heal_time = Sim.now (Vc.sim c) in
   Vc.apply_action c Faults.Heal;
   let deadline = heal_time +. 5.0 in
-  let rec wait () =
-    if Vc.stable_view_reached c then Sim.now (Vc.sim c)
-    else if Sim.now (Vc.sim c) >= deadline then infinity
-    else begin
-      Vc.run c ~until:(Sim.now (Vc.sim c) +. 0.02);
-      wait ()
-    end
-  in
-  let stable_at = wait () in
+  let stable_at = Vc.await_stable_view c ~step:0.02 ~deadline in
   let stats_after = Vc.net_stats c in
   ( stable_at -. heal_time,
     stats_after.Net.sent - stats_before.Net.sent,

@@ -726,15 +726,7 @@ let merge_at_scale ~k =
   let heal_time = Sim.now (Cluster.sim c) in
   Cluster.apply_action c Faults.Heal;
   let deadline = heal_time +. 30.0 +. (0.005 *. float_of_int n) in
-  let rec wait () =
-    if Cluster.stable_view_reached c then Sim.now (Cluster.sim c)
-    else if Sim.now (Cluster.sim c) >= deadline then infinity
-    else begin
-      Cluster.run c ~until:(Sim.now (Cluster.sim c) +. 0.5);
-      wait ()
-    end
-  in
-  let stable_at = wait () in
+  let stable_at = Cluster.await_stable_view c ~step:0.5 ~deadline in
   let installs_total = Oracle.total_installs (Cluster.oracle c) - before in
   {
     m_k = k;

@@ -145,29 +145,25 @@ let run_schedule ?traffic ?obs ?stabilization_bound setup ~script ~until =
   let sim, oracle, stable, section6, eview_changes =
     match setup.protocol with
     | Vsync ->
+        let module C = Vsync_cluster in
         let c =
-          Vsync_cluster.create ~seed:setup.seed ?obs
-            ~net_config:setup.net_config ~n:setup.n ()
-        in
-        drive ~run_script:Vsync_cluster.run_script
-          ~pump_traffic:Vsync_cluster.pump_traffic ~run:Vsync_cluster.run c;
-        ( Vsync_cluster.sim c,
-          Vsync_cluster.oracle c,
-          Vsync_cluster.stable_view_reached c,
-          (fun ~since:_ -> []),
-          0 )
-    | Evs ->
-        let c =
-          Evs_cluster.create ~seed:setup.seed ?obs ~net_config:setup.net_config
+          C.create ~seed:setup.seed ?obs ~net_config:setup.net_config
             ~n:setup.n ()
         in
-        drive ~run_script:Evs_cluster.run_script
-          ~pump_traffic:Evs_cluster.pump_traffic ~run:Evs_cluster.run c;
-        ( Evs_cluster.sim c,
-          Evs_cluster.oracle c,
-          Evs_cluster.stable_view_reached c,
+        drive ~run_script:C.run_script ~pump_traffic:C.pump_traffic ~run:C.run c;
+        (C.sim c, C.oracle c, C.stable_view_reached c, (fun ~since:_ -> []), 0)
+    | Evs ->
+        let module C = Evs_cluster in
+        let c =
+          C.create ~seed:setup.seed ?obs ~net_config:setup.net_config
+            ~n:setup.n ()
+        in
+        drive ~run_script:C.run_script ~pump_traffic:C.pump_traffic ~run:C.run c;
+        ( C.sim c,
+          C.oracle c,
+          C.stable_view_reached c,
           section6_verdicts ~n:setup.n c,
-          Evs_cluster.eview_changes_total c )
+          C.eview_changes_total c )
   in
   let raw = Oracle.all_violations oracle in
   let verdicts, quarantine =

@@ -121,21 +121,21 @@ let stable_view_reached t =
 
 let eview_records t = List.rev !(t.rev_records)
 
+let records_since t since =
+  List.filter (fun r -> r.er_time >= since) (eview_records t)
+
 let eview_changes_total t = !(t.echanges)
 
 (* Property 6.1: within one view, every process records the same sequence
    of e-view changes — match records by (view id, eseq) and require equal
    structures and causes. *)
 let check_total_order ?(since = neg_infinity) t =
-  let records =
-    List.filter (fun r -> r.er_time >= since) (eview_records t)
-  in
   let key r = (r.er_eview.E_view.view.View.id, r.er_eview.E_view.eseq) in
   let groups =
     Listx.group_by ~key
       ~cmp_key:(fun (v1, s1) (v2, s2) ->
         match View.Id.compare v1 v2 with 0 -> Int.compare s1 s2 | c -> c)
-      records
+      (records_since t since)
   in
   List.concat_map
     (fun ((vid, eseq), group) ->
@@ -187,78 +187,66 @@ let same_svset ev p q =
    away from a laggard, or been grown by an application merge the observer
    could not see. *)
 let check_structure ?(since = neg_infinity) t =
-  (* prior view of [proc] when it installed [vid], from the oracle *)
-  let prior_of proc vid =
+  (* did [proc] install [new_vid] straight from [old_vid]? (the oracle) *)
+  let came_from proc ~new_vid ~old_vid =
     Oracle.installs_of (oracle t) ~proc
     |> List.find_map (fun (v, prior) ->
-           if View.Id.equal v.View.id vid then Some prior else None)
+           if View.Id.equal v.View.id new_vid then Some prior else None)
+    |> Option.fold ~none:false ~some:(View.Id.equal old_vid)
   in
-  let came_from proc ~new_vid ~old_vid =
-    match prior_of proc new_vid with
-    | Some prior -> View.Id.equal prior old_vid
-    | None -> false
-  in
-  let by_proc =
-    Listx.group_by ~key:(fun r -> r.er_proc) ~cmp_key:Proc_id.compare
-      (List.filter (fun r -> r.er_time >= since) (eview_records t))
-  in
-  List.concat_map
-    (fun (proc, records) ->
-      let rec walk acc = function
-        | prev :: (next :: _ as rest)
-          when not
-                 (View.Id.equal prev.er_eview.E_view.view.View.id
-                    next.er_eview.E_view.view.View.id) ->
-            (* prev is the last record of its view (records are in order). *)
-            let old_ev = prev.er_eview and new_ev = next.er_eview in
-            let survivors =
-              Listx.inter ~cmp:Proc_id.compare (E_view.members old_ev)
-                (E_view.members new_ev)
-            in
-            let new_vid = new_ev.E_view.view.View.id in
-            let old_vid = old_ev.E_view.view.View.id in
-            let errors = ref acc in
-            List.iter
-              (fun p ->
-                List.iter
-                  (fun q ->
-                    if
-                      Proc_id.compare p q < 0
-                      && came_from p ~new_vid ~old_vid
-                      && came_from q ~new_vid ~old_vid
-                    then begin
-                      let report what =
-                        errors :=
-                          Printf.sprintf "structure@%s: %s,%s %s"
-                            (Proc_id.to_string proc) (Proc_id.to_string p)
-                            (Proc_id.to_string q) what
-                          :: !errors
-                      in
-                      let old_s = View.Id.to_string old_vid
-                      and new_s = View.Id.to_string new_vid in
-                      let together_before = same_subview old_ev p q in
-                      let together_after = same_subview new_ev p q in
-                      if together_before && not together_after then
-                        report
-                          (Printf.sprintf "shared a subview in %s but not in %s"
-                             old_s new_s);
-                      if (not together_before) && together_after then
-                        report
-                          (Printf.sprintf
-                             "were joined into one subview by a view change \
-                              (%s -> %s)"
-                             old_s new_s);
-                      if same_svset old_ev p q && not (same_svset new_ev p q)
-                      then
-                        report
-                          (Printf.sprintf "shared an sv-set in %s but not in %s"
-                             old_s new_s)
-                    end)
-                  survivors)
-              survivors;
-            walk !errors rest
-        | _ :: rest -> walk acc rest
-        | [] -> acc
+  (* [proc]'s last e-view of the old view against its first of the new one,
+     in pair order. *)
+  let transition proc old_ev new_ev =
+    let old_vid = old_ev.E_view.view.View.id in
+    let new_vid = new_ev.E_view.view.View.id in
+    let old_s = View.Id.to_string old_vid and new_s = View.Id.to_string new_vid in
+    let survivors =
+      Listx.inter ~cmp:Proc_id.compare (E_view.members old_ev)
+        (E_view.members new_ev)
+    in
+    let pair p q =
+      let report cond what =
+        if cond then
+          [ Printf.sprintf "structure@%s: %s,%s %s" (Proc_id.to_string proc)
+              (Proc_id.to_string p) (Proc_id.to_string q) what ]
+        else []
       in
-      walk [] records)
-    by_proc
+      let before = same_subview old_ev p q and after = same_subview new_ev p q in
+      report (before && not after)
+        (Printf.sprintf "shared a subview in %s but not in %s" old_s new_s)
+      @ report ((not before) && after)
+          (Printf.sprintf
+             "were joined into one subview by a view change (%s -> %s)" old_s
+             new_s)
+      @ report
+          (same_svset old_ev p q && not (same_svset new_ev p q))
+          (Printf.sprintf "shared an sv-set in %s but not in %s" old_s new_s)
+    in
+    List.concat_map
+      (fun p ->
+        List.concat_map
+          (fun q ->
+            if
+              Proc_id.compare p q < 0
+              && came_from p ~new_vid ~old_vid
+              && came_from q ~new_vid ~old_vid
+            then pair p q
+            else [])
+          survivors)
+      survivors
+  in
+  Listx.group_by ~key:(fun r -> r.er_proc) ~cmp_key:Proc_id.compare
+    (records_since t since)
+  |> List.concat_map (fun (proc, records) ->
+         (* records are in order: [prev] is the last of its view *)
+         let rec walk = function
+           | prev :: (next :: _ as rest)
+             when not
+                    (View.Id.equal prev.er_eview.E_view.view.View.id
+                       next.er_eview.E_view.view.View.id) ->
+               transition proc prev.er_eview next.er_eview @ walk rest
+           | _ :: rest -> walk rest
+           | [] -> []
+         in
+         (* newest first, as the checker has always reported them *)
+         List.rev (walk records))

@@ -25,8 +25,8 @@ type 'a t = {
   ops : 'a ops;
   nodes : int list;
   slots : (int, 'a slot) Hashtbl.t;
-  (* The network half of the fault model, closed over the fleet's net so
-     the fleet's type does not carry the wire format. *)
+  (* The network half of the fault model, closed over the net so the
+     fleet's type does not carry the wire format. *)
   incarnate : int -> Proc_id.t;
   partition : int list list -> unit;
   heal : unit -> unit;
@@ -44,17 +44,11 @@ let slot t node =
 let boot t s node = s.member <- Some (t.ops.spawn (t.incarnate node))
 
 let create sim net ~oracle ~nodes ops =
+  let incarnate = Net.fresh_incarnation net in
+  let partition = Net.set_partition net and heal () = Net.heal net in
   let t =
-    {
-      sim;
-      oracle;
-      ops;
-      nodes;
-      slots = Hashtbl.create 16;
-      incarnate = Net.fresh_incarnation net;
-      partition = Net.set_partition net;
-      heal = (fun () -> Net.heal net);
-    }
+    { sim; oracle; ops; nodes; slots = Hashtbl.create 16; incarnate;
+      partition; heal }
   in
   List.iter
     (fun node ->
@@ -134,13 +128,10 @@ let stable_view_reached t ~view ~is_blocked =
   | [] -> false
   | first :: _ as members ->
       let v = view first in
-      let live_nodes =
+      let nodes procs =
         List.sort_uniq Int.compare
-          (List.map (fun m -> (t.ops.me m).Proc_id.node) members)
+          (List.map (fun (p : Proc_id.t) -> p.Proc_id.node) procs)
       in
-      List.for_all (fun m -> View.equal (view m) v) members
-      && Listx.equal_set ~cmp:Int.compare
-           (List.sort_uniq Int.compare
-              (List.map (fun (p : Proc_id.t) -> p.Proc_id.node) v.View.members))
-           live_nodes
-      && List.for_all (fun m -> not (is_blocked m)) members
+      List.for_all (fun m -> View.equal (view m) v && not (is_blocked m)) members
+      && Listx.equal_set ~cmp:Int.compare (nodes v.View.members)
+           (nodes (List.map t.ops.me members))

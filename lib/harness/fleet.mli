@@ -1,16 +1,12 @@
 (** One member per node under a fault script: the node lifecycle and fault
-    interpreter shared by {!Vsync_cluster}, {!Evs_cluster} and the
-    application fleets of the E-series experiments.
+    interpreter of {!Vsync_cluster}, {!Evs_cluster} and the E-series
+    application fleets.
 
-    The paper's partitionable system model (Sections 2 and 6) is
-    interpreted here once: processes crash and come back as fresh
-    incarnations, links partition and heal, and transient faults corrupt
-    a live member's state.  A fleet is built from a record of member
-    operations.  It boots every member as the network's next incarnation
-    of its node, keeps each node's live member, applies {!Faults} actions
-    and numbers each node's oracle messages.  The traffic and convergence
-    helpers take the member's own [multicast], [view] and [is_blocked], so
-    a fleet of application objects never supplies them. *)
+    The paper's partitionable model (Sections 2 and 6) is interpreted here
+    once: processes crash and return as fresh incarnations, links
+    partition and heal, transient faults corrupt a live member.  Members
+    boot as the network's next incarnation of their node; each node's
+    oracle messages are numbered across its incarnations. *)
 
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
@@ -18,14 +14,12 @@ module Endpoint = Vs_vsync.Endpoint
 
 type 'a ops = {
   spawn : Proc_id.t -> 'a;
-      (** boot a member as this incarnation; it registers itself on the
-          fleet's network *)
+      (** boot a member as this incarnation, registered on the fleet's net *)
   me : 'a -> Proc_id.t;
   is_alive : 'a -> bool;
   kill : 'a -> unit;
   corrupt : 'a -> Faults.corruption -> string option;
-      (** smash one state field and name it; [None] when the member has no
-          corruptible state, which makes {!Faults.Corrupt} a no-op *)
+      (** smash one state field and name it; [None]: nothing to corrupt *)
 }
 
 type 'a t
@@ -43,18 +37,14 @@ val live : 'a t -> 'a list
 (** The live members, in node order. *)
 
 val on_node : 'a t -> int -> 'a option
-(** The live member on a node, if any. *)
 
 val apply_action : 'a t -> Faults.action -> unit
-(** Partition or heal the network; kill a node's live member; boot a fresh
-    incarnation on a node that has none; corrupt a live member and arm the
-    oracle with the field.  Crash and corrupt are no-ops on a node that is
-    down, recover on one that is up.  Raises [Invalid_argument] for a node
-    outside the fleet. *)
+(** Crash and corrupt act on a node's live member (corrupt also arms the
+    oracle), recover boots one on a node that has none; otherwise no-ops.
+    Raises [Invalid_argument] for a node outside the fleet. *)
 
 val run_script : 'a t -> Faults.script -> unit
-(** Schedule every action; each is recorded as a ["faults"] note when it
-    fires. *)
+(** Schedule every action, recorded as a ["faults"] note when it fires. *)
 
 val multicast_from :
   'a t ->
@@ -63,9 +53,8 @@ val multicast_from :
   ?order:Endpoint.order ->
   unit ->
   unit
-(** Multicast the node's next message id, numbered per node across
-    incarnations and recorded with the oracle.  No-op if the node is
-    down. *)
+(** Multicast the node's next message id, recorded with the oracle.  No-op
+    if the node is down. *)
 
 val pump_traffic :
   'a t ->
@@ -75,8 +64,8 @@ val pump_traffic :
   until:float ->
   mean_gap:float ->
   unit
-(** Schedule random multicasts: at exponentially-spaced instants a random
-    node multicasts one message (80% FIFO / 20% total order). *)
+(** At exponentially-spaced instants a random node multicasts one message
+    (80% FIFO / 20% total order). *)
 
 val stable_view_reached :
   'a t -> view:('a -> View.t) -> is_blocked:('a -> bool) -> bool

@@ -117,3 +117,11 @@ let views_installed_per_process t = Oracle.install_counts (oracle t)
 let stable_view_reached t =
   Fleet.stable_view_reached t.fleet ~view:Endpoint.view
     ~is_blocked:Endpoint.is_blocked
+
+let rec await_stable_view t ~step ~deadline =
+  if stable_view_reached t then Sim.now (sim t)
+  else if Sim.now (sim t) >= deadline then infinity
+  else begin
+    run t ~until:(Sim.now (sim t) +. step);
+    await_stable_view t ~step ~deadline
+  end

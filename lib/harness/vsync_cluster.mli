@@ -59,3 +59,7 @@ val views_installed_per_process : t -> (Proc_id.t * int) list
 val stable_view_reached : t -> bool
 (** All live endpoints share one installed view covering all live nodes and
     are not flushing. *)
+
+val await_stable_view : t -> step:float -> deadline:float -> float
+(** Run in [step]-second slices until {!stable_view_reached} holds and
+    return the time it first did, or [infinity] once [deadline] passes. *)
