@@ -22,10 +22,9 @@ let create sim net ~nodes ~spawn ~kill ~is_alive ~me ~history =
     rev_all := app :: !rev_all;
     app
   in
-  (* Corruptions target Endpoint internals; the experiment fleets are typed
-     over an abstract app and run throughput experiments, not the
-     stabilization oracle, so the action is a no-op here, and the fleet's
-     oracle stays empty. *)
+  (* Corruptions target Endpoint internals, which the abstract apps do not
+     expose, so Corrupt is a no-op here.  The apps multicast through their
+     own objects, so the fleet's oracle stays empty. *)
   let fleet =
     Fleet.create sim net ~oracle:(Vs_harness.Oracle.create ()) ~nodes
       { Fleet.spawn; me; is_alive; kill; corrupt = (fun _ _ -> None) }

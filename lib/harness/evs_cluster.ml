@@ -105,8 +105,8 @@ let live t = Fleet.live t.fleet
 
 let evs_on t node = Fleet.on_node t.fleet node
 
-let multicast_from t ~node ?order () =
-  Fleet.multicast_from t.fleet ~multicast:Evs.multicast ~node ?order ()
+let multicast_from t ~node ?(order = Endpoint.Fifo) () =
+  Fleet.multicast_from t.fleet ~multicast:Evs.multicast ~node ~order
 
 let apply_action t action = Fleet.apply_action t.fleet action
 

@@ -14,6 +14,8 @@ type 'a ops = {
   corrupt : 'a -> Faults.corruption -> string option;
 }
 
+type 'a multicast = 'a -> ?order:Endpoint.order -> Oracle.msg_id -> unit
+
 type 'a slot = {
   mutable member : 'a option;  (* the node's latest incarnation *)
   mutable sent : int;          (* oracle message numbering, across incarnations *)
@@ -94,17 +96,19 @@ let run_script t script =
       Sim.record t.sim ~component:"faults" (Faults.to_string action);
       apply_action t action)
 
-let multicast_from t ~multicast ~node ?order () =
+let multicast_from t ~(multicast : _ multicast) ~node ~order =
   match on_node t node with
   | Some m ->
       let s = slot t node in
       let msg_id = { Oracle.m_sender = t.ops.me m; m_index = s.sent } in
       s.sent <- s.sent + 1;
       let order_class =
-        match order with Some Endpoint.Total -> `Total | _ -> `Fifo
+        match order with
+        | Endpoint.Total -> `Total
+        | Endpoint.Fifo | Endpoint.Causal -> `Fifo
       in
       Oracle.record_send t.oracle ~order:order_class msg_id;
-      multicast m ?order msg_id
+      multicast m ~order msg_id
   | None -> ()
 
 let pump_traffic t ~rng ~multicast ~start ~until ~mean_gap =
@@ -117,7 +121,7 @@ let pump_traffic t ~rng ~multicast ~start ~until ~mean_gap =
              let order =
                if Rng.bool rng 0.2 then Endpoint.Total else Endpoint.Fifo
              in
-             multicast_from t ~multicast ~node ~order ()));
+             multicast_from t ~multicast ~node ~order));
       arm time
     end
   in

@@ -24,6 +24,9 @@ type 'a ops = {
 
 type 'a t
 
+type 'a multicast = 'a -> ?order:Endpoint.order -> Oracle.msg_id -> unit
+(** A member's multicast, as {!Endpoint.multicast} or [Evs.multicast]. *)
+
 val create :
   Vs_sim.Sim.t -> 'm Vs_net.Net.t -> oracle:Oracle.t -> nodes:int list ->
   'a ops -> 'a t
@@ -39,31 +42,22 @@ val live : 'a t -> 'a list
 val on_node : 'a t -> int -> 'a option
 
 val apply_action : 'a t -> Faults.action -> unit
-(** Crash and corrupt act on a node's live member (corrupt also arms the
-    oracle), recover boots one on a node that has none; otherwise no-ops.
-    Raises [Invalid_argument] for a node outside the fleet. *)
+(** Partition and heal act on the network.  Crash and corrupt act on a
+    node's live member (corrupt also arms the oracle); recover boots one
+    on a node that has none; otherwise they are no-ops.  Raises
+    [Invalid_argument] for a node outside the fleet. *)
 
 val run_script : 'a t -> Faults.script -> unit
 (** Schedule every action, recorded as a ["faults"] note when it fires. *)
 
 val multicast_from :
-  'a t ->
-  multicast:('a -> ?order:Endpoint.order -> Oracle.msg_id -> unit) ->
-  node:int ->
-  ?order:Endpoint.order ->
-  unit ->
-  unit
+  'a t -> multicast:'a multicast -> node:int -> order:Endpoint.order -> unit
 (** Multicast the node's next message id, recorded with the oracle.  No-op
     if the node is down. *)
 
 val pump_traffic :
-  'a t ->
-  rng:Vs_util.Rng.t ->
-  multicast:('a -> ?order:Endpoint.order -> Oracle.msg_id -> unit) ->
-  start:float ->
-  until:float ->
-  mean_gap:float ->
-  unit
+  'a t -> rng:Vs_util.Rng.t -> multicast:'a multicast -> start:float ->
+  until:float -> mean_gap:float -> unit
 (** At exponentially-spaced instants a random node multicasts one message
     (80% FIFO / 20% total order). *)
 

@@ -79,8 +79,8 @@ let live_endpoints t = Fleet.live t.fleet
 
 let endpoint_on t node = Fleet.on_node t.fleet node
 
-let multicast_from t ~node ?order () =
-  Fleet.multicast_from t.fleet ~multicast:Endpoint.multicast ~node ?order ()
+let multicast_from t ~node ?(order = Endpoint.Fifo) () =
+  Fleet.multicast_from t.fleet ~multicast:Endpoint.multicast ~node ~order
 
 let apply_action t action = Fleet.apply_action t.fleet action
 
