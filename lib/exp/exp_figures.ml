@@ -11,6 +11,7 @@
    totally ordered at all members. *)
 
 module Sim = Vs_sim.Sim
+module Proc_id = Vs_net.Proc_id
 module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
 module Cluster = Vs_harness.Evs_cluster

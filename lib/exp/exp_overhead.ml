@@ -32,20 +32,18 @@ let e9_script seed nodes duration =
   let rng = Vs_util.Rng.create seed in
   Faults.random_script rng ~nodes ~start:1.0 ~duration ~mean_gap:0.7 ()
 
-let sample stats oracle echanges =
-  {
-    msgs = stats.Net.sent;
-    bytes = stats.Net.bytes_sent;
-    installs = Oracle.total_installs oracle;
-    echanges;
-  }
-
 let run_plain ~seed ~duration =
   let c = Vc.create ~seed ~n:5 () in
   Vc.run_script c (e9_script (Int64.add seed 1L) [ 0; 1; 2; 3; 4 ] duration);
   Vc.pump_traffic c ~start:0.5 ~until:duration ~mean_gap:0.05;
   Vc.run c ~until:(duration +. 3.0);
-  sample (Vc.net_stats c) (Vc.oracle c) 0
+  let s = Vc.net_stats c in
+  {
+    msgs = s.Net.sent;
+    bytes = s.Net.bytes_sent;
+    installs = Oracle.total_installs (Vc.oracle c);
+    echanges = 0;
+  }
 
 let run_evs ~seed ~duration =
   let c = Ec.create ~seed ~n:5 () in
@@ -82,7 +80,13 @@ let run_evs ~seed ~duration =
   in
   arm 0.7;
   Ec.run c ~until:(duration +. 3.0);
-  sample (Ec.net_stats c) (Ec.oracle c) (Ec.eview_changes_total c)
+  let s = Ec.net_stats c in
+  {
+    msgs = s.Net.sent;
+    bytes = s.Net.bytes_sent;
+    installs = Oracle.total_installs (Ec.oracle c);
+    echanges = Ec.eview_changes_total c;
+  }
 
 let run_e9 ?(quick = false) () =
   let duration = if quick then 4.0 else 12.0 in
