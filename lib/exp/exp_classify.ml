@@ -103,8 +103,8 @@ let score_observations ?(classifier = Classify.flat) fleet observations scores =
    trickle of operations, recording every entry into Settling.  [spawn]
    builds one object on the campaign's simulator and network; [op] issues
    one operation on a randomly picked live object. *)
-let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap ~op
-    =
+let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap
+    ~op =
   let sim = Sim.create ~seed () in
   let net = make_net sim Net.default_config in
   let universe = [ 0; 1; 2; 3; 4 ] in
