@@ -16,11 +16,6 @@
 
 type edge_kind = Program | Message | Barrier
 
-let edge_kind_to_string = function
-  | Program -> "program"
-  | Message -> "message"
-  | Barrier -> "barrier"
-
 type node = { id : int; time : float; event : Event.t }
 
 type stats = {
@@ -77,12 +72,8 @@ let actors (ev : Event.t) =
 
 let actor ev = match actors ev with p :: _ -> Some p | [] -> None
 
-(* Wire-copy matching key.  [dst] by node (see header); identity rendered so
-   the absent case ("-") cannot collide with a real [p0#3]. *)
-let copy_key ~kind ~(src : Event.proc) ~dst_node ~(msg : Event.msg option) =
-  let id = match msg with Some m -> Event.msg_to_string m | None -> "-" in
-  String.concat "|"
-    [ kind; Event.proc_to_string src; string_of_int dst_node; id ]
+(* Wire-copy matching key.  [dst] by node (see header). *)
+type copy_key = string * Event.proc * int * Event.msg option
 
 let of_entries (entries : Recorder.entry list) =
   let arr = Array.of_list entries in
@@ -101,12 +92,12 @@ let of_entries (entries : Recorder.entry list) =
     | Barrier -> incr b_edges
   in
   (* last node per process incarnation *)
-  let last_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let last_of : (Event.proc, int) Hashtbl.t = Hashtbl.create 64 in
   (* unconsumed wire copies per matching key, FIFO *)
-  let pending : (string, int Queue.t) Hashtbl.t = Hashtbl.create 256 in
+  let pending : (copy_key, int Queue.t) Hashtbl.t = Hashtbl.create 256 in
   (* first Propose node / all Flush nodes (reverse order) per vid *)
-  let propose_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let flushes_of : (string, int list) Hashtbl.t = Hashtbl.create 16 in
+  let propose_of : (Event.vid, int) Hashtbl.t = Hashtbl.create 16 in
+  let flushes_of : (Event.vid, int list) Hashtbl.t = Hashtbl.create 16 in
   let rev_orphans = ref [] in
   let push_copy key i =
     let q =
@@ -129,18 +120,17 @@ let of_entries (entries : Recorder.entry list) =
       (* program-order edge per acting process *)
       List.iter
         (fun p ->
-          let k = Event.proc_to_string p in
-          (match Hashtbl.find_opt last_of k with
+          (match Hashtbl.find_opt last_of p with
           | Some j -> add_edge Program j i
           | None -> ());
-          Hashtbl.replace last_of k i)
+          Hashtbl.replace last_of p i)
         (actors nd.event);
       match nd.event with
       | Event.Send { src; dst; kind; msg; _ } | Event.Dup { src; dst; kind; msg }
         ->
-          push_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg) i
+          push_copy (kind, src, dst.Event.node, msg) i
       | Event.Recv { src; dst; kind; msg } -> (
-          match pop_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg) with
+          match pop_copy (kind, src, dst.Event.node, msg) with
           | Some j -> add_edge Message j i
           | None -> rev_orphans := i :: !rev_orphans)
       | Event.Drop { src; dst; kind; reason; msg } ->
@@ -148,30 +138,26 @@ let of_entries (entries : Recorder.entry list) =
              send-time drops never had one, and [pop_copy] returning [None]
              covers both a send-time reason and a truncated recording. *)
           if not (Event.send_time_drop reason) then (
-            match pop_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg)
-            with
+            match pop_copy (kind, src, dst.Event.node, msg) with
             | Some j -> add_edge Message j i
             | None -> ())
       | Event.Propose { vid; _ } ->
-          let vk = Event.vid_to_string vid in
-          if not (Hashtbl.mem propose_of vk) then Hashtbl.replace propose_of vk i
+          if not (Hashtbl.mem propose_of vid) then Hashtbl.replace propose_of vid i
       | Event.Flush { vid; _ } ->
-          let vk = Event.vid_to_string vid in
-          (match Hashtbl.find_opt propose_of vk with
+          (match Hashtbl.find_opt propose_of vid with
           | Some j -> add_edge Barrier j i
           | None -> ());
           let prev =
-            match Hashtbl.find_opt flushes_of vk with Some l -> l | None -> []
+            match Hashtbl.find_opt flushes_of vid with Some l -> l | None -> []
           in
-          Hashtbl.replace flushes_of vk (i :: prev)
+          Hashtbl.replace flushes_of vid (i :: prev)
       | Event.Install { vid; _ } ->
-          let vk = Event.vid_to_string vid in
-          (match Hashtbl.find_opt propose_of vk with
+          (match Hashtbl.find_opt propose_of vid with
           | Some j -> add_edge Barrier j i
           | None -> ());
           List.iter
             (fun j -> add_edge Barrier j i)
-            (match Hashtbl.find_opt flushes_of vk with
+            (match Hashtbl.find_opt flushes_of vid with
             | Some l -> List.rev l
             | None -> [])
       | _ -> ())

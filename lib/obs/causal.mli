@@ -21,8 +21,6 @@
 
 type edge_kind = Program | Message | Barrier
 
-val edge_kind_to_string : edge_kind -> string
-
 type node = { id : int; time : float; event : Event.t }
 (** [id] is the index in the recorded stream (0-based, oldest first). *)
 

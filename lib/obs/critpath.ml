@@ -367,7 +367,8 @@ let kind_seconds t =
     t.installs;
   kind_list a
 
-let consistent_with_stall ?(tol = default_tol) t attrs =
+let consistent_with_stall t attrs =
+  let tol = default_tol in
   let sums_ok =
     List.for_all (fun ip -> close ~tol (path_sum ip) (latency ip)) t.installs
   in

@@ -104,12 +104,11 @@ val close : tol:float -> float -> float -> bool
 (** Relative closeness at [tol] (absolute below 1.0) — the comparison
     {!consistent_with_stall} and the property suite share. *)
 
-val consistent_with_stall : ?tol:float -> t -> Stall.attr list -> bool
+val consistent_with_stall : t -> Stall.attr list -> bool
 (** The cross-check the bench gate and the property suite assert: every
     install path's segments sum to its latency, and the summed
     flush-ack-wait / stability-wait components equal the {!Stall}
-    attribution of the same recording.  [tol] (default 1e-9) is the
-    relative tolerance absorbing float telescoping. *)
+    attribution of the same recording, each within {!default_tol}. *)
 
 val to_table : t -> Vs_stats.Table.t
 (** Per-view decomposition table. *)

@@ -1,6 +1,6 @@
 (* Exporters over a recorded event stream: deterministic JSONL (one object per
-   line, fixed key order), Chrome trace_event JSON for Perfetto, and the
-   parser used by the trace-schema round-trip test. *)
+   line, fixed key order) and Chrome trace_event JSON for Perfetto.  Both are
+   write-only; nothing in the repository parses a stream back. *)
 
 let proc_json p = Json.Str (Event.proc_to_string p)
 
@@ -109,199 +109,6 @@ let fields_of_event (ev : Event.t) : (string * Json.t) list =
       ]
   | Note { message; _ } -> [ ("msg", Json.Str message) ]
 
-exception Decode of string
-
-let get fields key =
-  match List.assoc_opt key fields with
-  | Some v -> v
-  | None -> raise (Decode ("missing field " ^ key))
-
-let get_str fields key =
-  match Json.to_string_opt (get fields key) with
-  | Some s -> s
-  | None -> raise (Decode ("field " ^ key ^ " not a string"))
-
-let get_int fields key =
-  match Json.to_int_opt (get fields key) with
-  | Some i -> i
-  | None -> raise (Decode ("field " ^ key ^ " not an int"))
-
-let get_float fields key =
-  match Json.to_float_opt (get fields key) with
-  | Some f -> f
-  | None -> raise (Decode ("field " ^ key ^ " not a number"))
-
-let get_bool fields key =
-  match Json.to_bool_opt (get fields key) with
-  | Some b -> b
-  | None -> raise (Decode ("field " ^ key ^ " not a bool"))
-
-let get_proc fields key =
-  match Event.proc_of_string (get_str fields key) with
-  | Some p -> p
-  | None -> raise (Decode ("field " ^ key ^ " not a process id"))
-
-let get_vid fields key =
-  match Event.vid_of_string (get_str fields key) with
-  | Some v -> v
-  | None -> raise (Decode ("field " ^ key ^ " not a view id"))
-
-let get_msg_opt fields =
-  match List.assoc_opt "msg" fields with
-  | None -> None
-  | Some j -> (
-      match Option.bind (Json.to_string_opt j) Event.msg_of_string with
-      | Some m -> Some m
-      | None -> raise (Decode "field msg not a message id"))
-
-let get_members fields key =
-  match Json.to_list_opt (get fields key) with
-  | None -> raise (Decode ("field " ^ key ^ " not a list"))
-  | Some items ->
-      List.map
-        (fun item ->
-          match Json.to_string_opt item with
-          | None -> raise (Decode "member not a string")
-          | Some s -> (
-              match Event.proc_of_string s with
-              | Some p -> p
-              | None -> raise (Decode "member not a process id")))
-        items
-
-let event_of_fields ~type_name ~component fields : Event.t =
-  match type_name with
-  | "send" ->
-      Send
-        {
-          src = get_proc fields "src"; dst = get_proc fields "dst";
-          kind = get_str fields "kind"; bytes = get_int fields "bytes";
-          msg = get_msg_opt fields;
-        }
-  | "recv" ->
-      Recv
-        {
-          src = get_proc fields "src"; dst = get_proc fields "dst";
-          kind = get_str fields "kind"; msg = get_msg_opt fields;
-        }
-  | "drop" ->
-      Drop
-        {
-          src = get_proc fields "src"; dst = get_proc fields "dst";
-          kind = get_str fields "kind"; reason = get_str fields "reason";
-          msg = get_msg_opt fields;
-        }
-  | "dup" ->
-      Dup
-        {
-          src = get_proc fields "src"; dst = get_proc fields "dst";
-          kind = get_str fields "kind"; msg = get_msg_opt fields;
-        }
-  | "retransmit" ->
-      Retransmit
-        {
-          proc = get_proc fields "proc"; origin = get_proc fields "origin";
-          count = get_int fields "count"; peer = get_bool fields "peer";
-        }
-  | "backoff" ->
-      Backoff
-        {
-          proc = get_proc fields "proc"; dst = get_proc fields "dst";
-          attempt = get_int fields "attempt"; delay = get_float fields "delay";
-        }
-  | "suspect" ->
-      Suspect { proc = get_proc fields "proc"; peer = get_proc fields "peer" }
-  | "unsuspect" ->
-      Unsuspect { proc = get_proc fields "proc"; peer = get_proc fields "peer" }
-  | "propose" ->
-      Propose
-        {
-          proc = get_proc fields "proc"; vid = get_vid fields "vid";
-          members = get_members fields "members";
-        }
-  | "flush" ->
-      Flush
-        {
-          proc = get_proc fields "proc"; vid = get_vid fields "vid";
-          seen = get_int fields "seen";
-        }
-  | "install" ->
-      Install
-        {
-          proc = get_proc fields "proc"; vid = get_vid fields "vid";
-          members = get_members fields "members"; sync = get_int fields "sync";
-        }
-  | "eview" ->
-      Eview
-        {
-          proc = get_proc fields "proc"; vid = get_vid fields "vid";
-          eseq = get_int fields "eseq"; cause = get_str fields "cause";
-          subviews = get_int fields "subviews"; svsets = get_int fields "svsets";
-        }
-  | "mode" ->
-      Mode_change
-        {
-          proc = get_proc fields "proc"; from_mode = get_str fields "from";
-          into_mode = get_str fields "to"; cause = get_str fields "cause";
-        }
-  | "settle" ->
-      Settle
-        {
-          proc = get_proc fields "proc"; vid = get_vid fields "vid";
-          transfer = get_bool fields "transfer";
-          creation = get_str fields "creation";
-          merging = get_bool fields "merging";
-          clusters = get_int fields "clusters";
-        }
-  | "task-start" ->
-      Task_start
-        {
-          proc = get_proc fields "proc"; task = get_str fields "task";
-          vid = get_vid fields "vid";
-        }
-  | "task-done" ->
-      Task_done
-        {
-          proc = get_proc fields "proc"; task = get_str fields "task";
-          vid = get_vid fields "vid";
-        }
-  | "crash" -> Crash { proc = get_proc fields "proc" }
-  | "partition" -> (
-      match Json.to_list_opt (get fields "components") with
-      | None -> raise (Decode "components not a list")
-      | Some comps ->
-          Partition
-            {
-              components =
-                List.map
-                  (fun comp ->
-                    match Json.to_list_opt comp with
-                    | None -> raise (Decode "component not a list")
-                    | Some nodes ->
-                        List.map
-                          (fun n ->
-                            match Json.to_int_opt n with
-                            | Some i -> i
-                            | None -> raise (Decode "node not an int"))
-                          nodes)
-                  comps;
-            })
-  | "heal" -> Heal
-  | "corrupt" ->
-      Corrupt
-        {
-          proc = get_proc fields "proc"; field = get_str fields "field";
-          detail = get_str fields "detail";
-        }
-  | "quarantine" ->
-      Quarantine
-        {
-          bound = get_int fields "bound"; opened = get_float fields "opened";
-          cut = get_float fields "cut"; views = get_int fields "views";
-          quarantined = get_int fields "quarantined";
-        }
-  | "note" -> Note { component; message = get_str fields "msg" }
-  | other -> raise (Decode ("unknown event type " ^ other))
-
 (* --- JSONL --------------------------------------------------------------- *)
 
 let jsonl_of_entry (e : Recorder.entry) =
@@ -320,36 +127,6 @@ let jsonl_of_entries entries =
       Buffer.add_char buf '\n')
     entries;
   Buffer.contents buf
-
-let entry_of_jsonl line : (Recorder.entry, string) result =
-  match Json.of_string line with
-  | Error msg -> Error msg
-  | Ok json -> (
-      match json with
-      | Json.Obj fields -> (
-          try
-            let time = get_float fields "t" in
-            let component = get_str fields "c" in
-            let type_name = get_str fields "ev" in
-            let event = event_of_fields ~type_name ~component fields in
-            Ok { Recorder.time; event }
-          with Decode msg -> Error msg)
-      | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-      | Json.Arr _ ->
-          Error "line is not a JSON object")
-
-let entries_of_jsonl text : (Recorder.entry list, string) result =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc idx = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.length (String.trim line) = 0 then go acc (idx + 1) rest
-        else (
-          match entry_of_jsonl line with
-          | Ok e -> go (e :: acc) (idx + 1) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" idx msg))
-  in
-  go [] 1 lines
 
 (* --- Chrome trace_event -------------------------------------------------- *)
 

@@ -39,20 +39,14 @@ type t = {
   over : int;  (* index of the overflow bucket, cached *)
 }
 
-let default_lowest = 1e-6
+let lowest = 1e-6
 
-let default_highest = 1e6
+let highest = 1e6
 
-let default_error = 0.01
+let relative_error = 0.01
 
-let create ?(lowest = default_lowest) ?(highest = default_highest)
-    ?(error = default_error) () =
-  if not (lowest > 0.) then invalid_arg "Hdr.create: lowest must be > 0";
-  if not (highest > lowest) then
-    invalid_arg "Hdr.create: highest must exceed lowest";
-  if not (error > 0. && error < 1.) then
-    invalid_arg "Hdr.create: error must be in (0, 1)";
-  let growth = 1. +. error in
+let create () =
+  let growth = 1. +. relative_error in
   let m =
     let needed = log (highest /. lowest) /. log growth in
     max 1 (int_of_float (ceil needed))
@@ -66,7 +60,7 @@ let create ?(lowest = default_lowest) ?(highest = default_highest)
     top = bounds.(m - 1);
     over_rep = bounds.(m - 1) *. growth;
     zero = 0.;
-    err = error;
+    err = relative_error;
     over = m + 2;
   }
 
@@ -104,8 +98,6 @@ let zero_alloc_contract =
 let count t = t.n
 
 let error t = t.err
-
-let bucket_count t = Array.length t.counts
 
 (* Representative value of occupied slot [i]: the value every sample in the
    bucket is rounded up to. *)
@@ -191,7 +183,3 @@ let cumulative t =
       end)
     t.counts;
   List.rev !acc
-
-let clear t =
-  t.n <- 0;
-  Array.fill t.counts 0 (Array.length t.counts) 0

@@ -13,13 +13,12 @@
 
 type t
 
-val create : ?lowest:float -> ?highest:float -> ?error:float -> unit -> t
+val create : unit -> t
 (** [create ()] builds an empty histogram resolving values in
-    [(lowest, highest)] (defaults [1e-6] and [1e6]) into geometric buckets
-    with relative width [error] (default [0.01], i.e. 1%).  Values at or
-    below zero, in [(0, lowest]], and above [highest] land in dedicated
-    under/overflow buckets.  Raises [Invalid_argument] on a non-positive
-    [lowest], [highest <= lowest], or [error] outside [(0, 1)]. *)
+    [(lowest, highest)] = [(1e-6, 1e6)] into geometric buckets with
+    relative width [error] = [0.01] (1%).  Values at or below zero, in
+    [(0, lowest]], and above [highest] land in dedicated under/overflow
+    buckets. *)
 
 val record : t -> float -> unit
 (** [record t v] adds one sample.  Allocation-free: integer increments and
@@ -57,13 +56,7 @@ val cumulative : t -> (float * int) list
     OpenMetrics exposition renders. *)
 
 val error : t -> float
-(** The relative bucket width the histogram was created with. *)
-
-val bucket_count : t -> int
-(** Number of bucket slots allocated (fixed at creation). *)
-
-val clear : t -> unit
-(** Reset all counts to zero, keeping the bucket layout. *)
+(** The relative bucket width (0.01). *)
 
 val zero_alloc_contract : string list
 (** The ["path:function"] entries whose bodies vslint rule A1 must prove

@@ -3,8 +3,9 @@
     The printer is canonical — fixed field order (whatever the caller
     builds), no whitespace, shortest round-trippable float repr — so
     identical event streams serialize byte-identically, and parsing then
-    re-printing a canonical document reproduces it exactly (the property the
-    trace-schema round-trip test checks). *)
+    re-printing a canonical document reproduces it exactly.  The parser
+    reads [BENCH_*.json] baselines for [Bench_diff] and the committed
+    samples the structural tests check. *)
 
 type t =
   | Null

@@ -1,5 +1,5 @@
 (* The lineage fold: one pass over a materialized event stream producing
-   per-message lifecycles, per-process view/mode timelines, and the view
+   per-message lifecycles, per-process view timelines, and the view
    graph.  Everything is keyed and sorted by the typed comparators of
    [Event], so two identical streams produce identical lineages. *)
 
@@ -48,17 +48,9 @@ type view_span = {
   vs_members : Event.proc list;
 }
 
-type mode_span = {
-  ms_mode : string;
-  ms_from : float;
-  ms_until : float option;
-  ms_cause : string;  (* cause of the transition that entered this mode *)
-}
-
 type timeline = {
   tl_proc : Event.proc;
   tl_views : view_span list;  (* chronological *)
-  tl_modes : mode_span list;
   tl_crashed_at : float option;
 }
 
@@ -135,9 +127,6 @@ let lifecycle t m =
 let timeline t p =
   List.find_opt (fun tl -> Event.compare_proc tl.tl_proc p = 0) t.timelines
 
-let proc_view_at t p time =
-  match timeline t p with None -> None | Some tl -> view_at tl time
-
 (* Mutable per-view aggregate while folding. *)
 type view_agg = {
   mutable a_members : Event.proc list;
@@ -154,10 +143,6 @@ type view_agg = {
 let of_entries entries =
   let hops : (Event.msg, hop list ref) Hashtbl.t = Hashtbl.create 256 in
   let installs : (Event.proc, (float * Event.vid * Event.proc list) list ref)
-      Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let modes : (Event.proc, (float * string * string * string) list ref)
       Hashtbl.t =
     Hashtbl.create 32
   in
@@ -218,9 +203,6 @@ let of_entries entries =
                  a.a_installers)
           then a.a_installers <- proc :: a.a_installers;
           if time < a.a_first then a.a_first <- time
-      | Event.Mode_change { proc; from_mode; into_mode; cause } ->
-          let r = bucket modes proc in
-          r := (time, from_mode, into_mode, cause) :: !r
       | Event.Crash { proc } ->
           if not (Hashtbl.mem crashes proc) then Hashtbl.replace crashes proc time
       | Event.Settle { vid; transfer; creation; merging; clusters; _ } ->
@@ -235,8 +217,9 @@ let of_entries entries =
           if subviews > a.a_subviews then a.a_subviews <- subviews
       | Event.Retransmit _ | Event.Backoff _ | Event.Suspect _
       | Event.Unsuspect _ | Event.Propose _ | Event.Flush _
-      | Event.Task_start _ | Event.Task_done _ | Event.Partition _
-      | Event.Heal | Event.Corrupt _ | Event.Quarantine _ | Event.Note _ ->
+      | Event.Mode_change _ | Event.Task_start _ | Event.Task_done _
+      | Event.Partition _ | Event.Heal | Event.Corrupt _ | Event.Quarantine _
+      | Event.Note _ ->
           ())
     entries;
   (* Timelines first: lifecycles need view_at for delivery views. *)
@@ -257,29 +240,7 @@ let of_entries entries =
                    vs_members = members }
                  :: spans rest
            in
-           let mode_list =
-             match Hashtbl.find_opt modes proc with
-             | Some r -> List.rev !r
-             | None -> []
-           in
-           let rec mode_spans = function
-             | [] -> []
-             | (t0, _, into, cause) :: rest ->
-                 let until =
-                   match rest with
-                   | (t1, _, _, _) :: _ -> Some t1
-                   | [] -> crashed_at
-                 in
-                 { ms_mode = into; ms_from = t0; ms_until = until;
-                   ms_cause = cause }
-                 :: mode_spans rest
-           in
-           {
-             tl_proc = proc;
-             tl_views = spans inst;
-             tl_modes = mode_spans mode_list;
-             tl_crashed_at = crashed_at;
-           })
+           { tl_proc = proc; tl_views = spans inst; tl_crashed_at = crashed_at })
   in
   (* Processes that only ever crashed (no installs recorded) still deserve a
      timeline so explain can say when they died. *)
@@ -292,13 +253,7 @@ let of_entries entries =
       |> List.filter_map (fun (p, time) ->
              if covered p then None
              else
-               Some
-                 {
-                   tl_proc = p;
-                   tl_views = [];
-                   tl_modes = [];
-                   tl_crashed_at = Some time;
-                 }))
+               Some { tl_proc = p; tl_views = []; tl_crashed_at = Some time }))
     |> List.sort (fun a b -> Event.compare_proc a.tl_proc b.tl_proc)
   in
   let timeline_of p =
@@ -351,39 +306,31 @@ let of_entries entries =
            })
   in
   (* Edges: consecutive installs per process, survivors unioned per edge. *)
-  let edge_tbl : (string, (Event.vid * Event.vid * Event.proc list ref))
-      Hashtbl.t =
+  let edge_tbl : (Event.vid * Event.vid, Event.proc list ref) Hashtbl.t =
     Hashtbl.create 32
   in
   List.iter
     (fun tl ->
       let rec go = function
         | a :: (b :: _ as rest) ->
-            let key =
-              Event.vid_to_string a.vs_vid ^ ">" ^ Event.vid_to_string b.vs_vid
-            in
-            (match Hashtbl.find_opt edge_tbl key with
-            | Some (_, _, procs) -> procs := tl.tl_proc :: !procs
-            | None ->
-                Hashtbl.add edge_tbl key
-                  (a.vs_vid, b.vs_vid, ref [ tl.tl_proc ]));
+            let r = bucket edge_tbl (a.vs_vid, b.vs_vid) in
+            r := tl.tl_proc :: !r;
             go rest
         | [ _ ] | [] -> ()
       in
       go tl.tl_views)
     timelines;
+  let compare_edge (f1, t1) (f2, t2) =
+    match Event.compare_vid f1 f2 with 0 -> Event.compare_vid t1 t2 | c -> c
+  in
   let vedges =
-    Hashtblx.sorted_bindings ~cmp:String.compare edge_tbl
-    |> List.map (fun (_, (f, t_, procs)) ->
+    Hashtblx.sorted_bindings ~cmp:compare_edge edge_tbl
+    |> List.map (fun ((f, t_), procs) ->
            {
              e_from = f;
              e_to = t_;
              e_procs = Listx.sorted_set ~cmp:Event.compare_proc !procs;
            })
-    |> List.sort (fun a b ->
-           match Event.compare_vid a.e_from b.e_from with
-           | 0 -> Event.compare_vid a.e_to b.e_to
-           | c -> c)
   in
   let vnodes =
     Hashtblx.sorted_bindings ~cmp:Event.compare_vid views

@@ -1,13 +1,15 @@
-(** Message lineage, process timelines and the view graph, folded from one
-    recorded event stream.
+(** Message lineage, per-process view timelines and the view graph, folded
+    from one recorded event stream.
 
     The fold is purely structural: it never consults protocol state, only
     the typed events, and every output list is sorted by the typed
     comparators of {!Event}, so identical streams produce identical
     lineages (the property the corpus's .explain.txt artifacts pin down).
+    Hops are grouped per message identity; no send is matched to a receive
+    here (that is {!Causal}'s job).
 
-    Requires a [Full]-level stream for message lifecycles; view/mode
-    timelines and the view graph also work on [Protocol]-level streams. *)
+    Requires a [Full]-level stream for message lifecycles; view timelines
+    and the view graph also work on [Protocol]-level streams. *)
 
 (** {2 Per-message lifecycles} *)
 
@@ -54,17 +56,9 @@ type view_span = {
   vs_members : Event.proc list;
 }
 
-type mode_span = {
-  ms_mode : string;
-  ms_from : float;
-  ms_until : float option;
-  ms_cause : string;
-}
-
 type timeline = {
   tl_proc : Event.proc;
   tl_views : view_span list;  (** chronological *)
-  tl_modes : mode_span list;
   tl_crashed_at : float option;
 }
 
@@ -118,8 +112,6 @@ val of_entries : Recorder.entry list -> t
 val lifecycle : t -> Event.msg -> lifecycle option
 
 val timeline : t -> Event.proc -> timeline option
-
-val proc_view_at : t -> Event.proc -> float -> Event.vid option
 
 (** {2 Rendering} *)
 

@@ -42,9 +42,6 @@ let observe t name v =
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
-
 let hist t name = Hashtbl.find_opt t.hists name
 
 let counters t =

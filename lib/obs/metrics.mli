@@ -26,8 +26,6 @@ val observe : t -> string -> float -> unit
 val counter : t -> string -> int
 (** 0 when absent. *)
 
-val gauge : t -> string -> float option
-
 val hist : t -> string -> Hdr.t option
 
 val counters : t -> (string * int) list

@@ -36,11 +36,11 @@ let sample_value v =
   else if v = neg_infinity then "-Inf"
   else float_repr v
 
-let default_prefix = "vs_"
+let prefix = "vs_"
 
 let buf_family b ~name ~mtype = Printf.bprintf b "# TYPE %s %s\n" name mtype
 
-let of_metrics ?(prefix = default_prefix) m =
+let of_metrics m =
   let b = Buffer.create 4096 in
   List.iter
     (fun (k, v) ->

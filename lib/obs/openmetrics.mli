@@ -6,11 +6,11 @@
     endings, trailing [# EOF].  Identically-seeded runs expose
     byte-identical text — pinned by a committed golden sample. *)
 
-val of_metrics : ?prefix:string -> Metrics.t -> string
-(** Render the registry.  Counters become [<prefix><name>_total], gauges
-    [<prefix><name>], histograms a cumulative [_bucket{le="..."}] series
-    over the occupied HDR buckets plus [+Inf], [_sum], [_count].  Names
-    are sanitized to [[a-zA-Z0-9_:]]; [prefix] defaults to ["vs_"]. *)
+val of_metrics : Metrics.t -> string
+(** Render the registry.  Counters become [vs_<name>_total], gauges
+    [vs_<name>], histograms a cumulative [_bucket{le="..."}] series over
+    the occupied HDR buckets plus [+Inf], [_sum], [_count].  Names are
+    sanitized to [[a-zA-Z0-9_:]]. *)
 
 val sanitize : string -> string
 (** Replace every character outside [[a-zA-Z0-9_:]] with ['_']. *)
@@ -18,5 +18,3 @@ val sanitize : string -> string
 val sample_value : float -> string
 (** OpenMetrics float spelling: shortest round-trippable repr, with
     [+Inf] / [-Inf] / [NaN] for the non-finite values. *)
-
-val default_prefix : string

@@ -13,8 +13,6 @@ let ( &&& ) (f : t) (g : t) : t = fun e -> f e && g e
 
 let ( ||| ) (f : t) (g : t) : t = fun e -> f e || g e
 
-let negate (f : t) : t = fun e -> not (f e)
-
 let any fs : t = fun e -> List.exists (fun f -> f e) fs
 
 let mentions_proc p : t =

@@ -17,8 +17,6 @@ val ( &&& ) : t -> t -> t
 val ( ||| ) : t -> t -> t
 (** Disjunction. *)
 
-val negate : t -> t
-
 val any : t list -> t
 (** Disjunction of a list ([none] when empty). *)
 

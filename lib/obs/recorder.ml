@@ -16,16 +16,11 @@ let level_of_string s =
 
 type entry = { time : float; event : Event.t }
 
-(* Storage is either the classic unbounded reversed list or — when
-   [?capacity] is given — a circular buffer retaining only the newest
-   [capacity] entries.  [count] always counts every emission, truncated or
-   not, and doubles as the cache generation stamp. *)
+(* Storage is an unbounded reversed list; [count] counts every emission and
+   doubles as the cache generation stamp. *)
 type t = {
-  mutable level : level;
-  capacity : int option;
-  mutable rev_entries : entry list; (* unbounded mode *)
-  ring : entry array; (* ring mode; length = capacity, else empty *)
-  mutable ring_pos : int; (* next write index *)
+  level : level;
+  mutable rev_entries : entry list;
   (* Materialized chronological view, rebuilt lazily when [count] moves past
      [cache_count].  Every reader (entries, by_component, tail renderers)
      shares one materialization instead of paying for its own. *)
@@ -48,24 +43,11 @@ let set_default_level l = default := l
 
 let default_level () = !default
 
-let dummy_entry = { time = 0.; event = Event.Heal }
-
-let create ?capacity ?level () =
+let create ?level () =
   let level = match level with Some l -> l | None -> !default in
-  (match capacity with
-  | Some n when n <= 0 -> invalid_arg "Recorder.create: capacity must be > 0"
-  | Some _ | None -> ());
-  let ring =
-    match capacity with
-    | Some n -> Array.make n dummy_entry
-    | None -> [||]
-  in
   {
     level;
-    capacity;
     rev_entries = [];
-    ring;
-    ring_pos = 0;
     count = 0;
     cache = [];
     cache_count = -1;
@@ -88,10 +70,6 @@ let remove_sink t handle =
 
 let level t = t.level
 
-let set_level t l = t.level <- l
-
-let capacity t = t.capacity
-
 let protocol_on t = match t.level with Off -> false | Protocol | Full -> true
 
 (* vslint: alloc-free *)
@@ -110,53 +88,24 @@ let emit t ~time event =
   match t.level with
   | Off -> ()
   | Protocol | Full -> (
-      (match t.capacity with
-      | None ->
-          t.rev_entries <- { time; event } :: t.rev_entries;
-          t.count <- t.count + 1
-      | Some n ->
-          t.ring.(t.ring_pos) <- { time; event };
-          t.ring_pos <- (t.ring_pos + 1) mod n;
-          t.count <- t.count + 1);
+      t.rev_entries <- { time; event } :: t.rev_entries;
+      t.count <- t.count + 1;
       match t.sinks with
       | [] -> ()
       | sinks -> notify_sinks sinks ~time event)
 
 let count t = t.count
 
-let retained t =
-  match t.capacity with None -> t.count | Some n -> min t.count n
-
-let ring_entries t ~limit =
-  let n = Array.length t.ring in
-  let stored = min (retained t) limit in
-  (* Oldest-first: walk back [stored] slots from the write position. *)
-  let start = ((t.ring_pos - stored) mod n + n) mod n in
-  List.init stored (fun i -> t.ring.((start + i) mod n))
-
 let entries t =
   if t.cache_count <> t.count then begin
-    (t.cache <-
-       (match t.capacity with
-       | None -> List.rev t.rev_entries
-       | Some _ -> ring_entries t ~limit:t.count));
+    t.cache <- List.rev t.rev_entries;
     t.cache_count <- t.count
   end;
   t.cache
 
 let tail ?(limit = 30) t =
-  match t.capacity with
-  | Some _ -> ring_entries t ~limit
-  | None ->
-      let rec take n acc = function
-        | [] -> acc
-        | e :: rest -> if n <= 0 then acc else take (n - 1) (e :: acc) rest
-      in
-      take limit [] t.rev_entries
-
-let clear t =
-  t.rev_entries <- [];
-  t.ring_pos <- 0;
-  t.count <- 0;
-  t.cache <- [];
-  t.cache_count <- -1
+  let rec take n acc = function
+    | [] -> acc
+    | e :: rest -> if n <= 0 then acc else take (n - 1) (e :: acc) rest
+  in
+  take limit [] t.rev_entries

@@ -24,16 +24,11 @@ type entry = { time : float; event : Event.t }
 
 type t
 
-val create : ?capacity:int -> ?level:level -> unit -> t
-(** Level defaults to the process-wide {!default_level}.  [?capacity] bounds
-    the recorder to a ring buffer retaining only the newest [capacity]
-    entries (raises [Invalid_argument] when [<= 0]); omitted means
-    unbounded.  {!count} always reports the total ever emitted, so
-    [count t > capacity] signals that truncation happened. *)
+val create : ?level:level -> unit -> t
+(** An unbounded recorder.  Level defaults to the process-wide
+    {!default_level}. *)
 
 val level : t -> level
-
-val set_level : t -> level -> unit
 
 val protocol_on : t -> bool
 (** [level >= Protocol]. *)
@@ -61,22 +56,15 @@ val remove_sink : t -> sink_handle -> unit
     handles are ignored. *)
 
 val count : t -> int
-(** Total events ever emitted — including any a bounded recorder has since
-    evicted. *)
-
-val capacity : t -> int option
+(** Total events recorded. *)
 
 val entries : t -> entry list
-(** All retained entries, oldest first.  On a bounded recorder this is at
-    most [capacity] entries — the newest ones; older entries are gone.  The
-    chronological list is materialized once per generation and shared by all
-    readers. *)
+(** All entries, oldest first.  The chronological list is materialized once
+    per generation and shared by all readers. *)
 
 val tail : ?limit:int -> t -> entry list
-(** Last [limit] (default 30) retained entries, oldest first, without
-    materializing the full view. *)
-
-val clear : t -> unit
+(** Last [limit] (default 30) entries, oldest first, without materializing
+    the full view. *)
 
 val set_default_level : level -> unit
 (** Process-wide default used by [create] when [?level] is omitted; lets the

@@ -125,8 +125,8 @@ let align_chains a b =
 
 (* Message identities, sorted; symmetric-difference stats via merge. *)
 let op_idents entries =
-  let lin = Lineage.of_entries entries in
-  List.map (fun l -> l.Lineage.l_msg) lin.Lineage.lifecycles
+  Vs_util.Listx.sorted_set ~cmp:Event.compare_msg
+    (List.filter_map (fun (e : Recorder.entry) -> Event.msg_of e.event) entries)
 
 let op_alignment a b =
   let rec go only_a only_b first a b =

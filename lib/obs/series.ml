@@ -19,9 +19,8 @@
    proves the stream has moved past it, which is the right semantics for a
    discrete-event world: nothing happened in between.
 
-   Snapshots live in a fixed ring (default 1024): long runs keep the newest
-   windows, and [count] exceeding [capacity] signals truncation — the same
-   contract as [Recorder]. *)
+   Snapshots live in a fixed ring of 1024 windows: long runs keep the newest
+   windows, and [count] exceeding [capacity] signals truncation. *)
 
 type hist_scrape = {
   h_n : int;
@@ -54,16 +53,15 @@ type t = {
 
 let default_interval = 0.5
 
-let default_capacity = 1024
+let ring_size = 1024
 
-let create ?(capacity = default_capacity) ?(interval = default_interval) () =
+let create ?(interval = default_interval) () =
   if not (interval > 0.) then
     invalid_arg "Series.create: interval must be > 0";
-  if capacity <= 0 then invalid_arg "Series.create: capacity must be > 0";
   {
     interval;
     deriv = Metrics.deriv_create ();
-    ring = Array.make capacity None;
+    ring = Array.make ring_size None;
     ring_pos = 0;
     count = 0;
     window = 0;
@@ -78,8 +76,6 @@ let capacity t = Array.length t.ring
 let count t = t.count
 
 let metrics t = Metrics.deriv_metrics t.deriv
-
-let events_observed t = t.events
 
 let scrape_hist h =
   {
@@ -188,13 +184,12 @@ let to_json t =
       ("snapshots", Json.Arr (List.map snapshot_to_json (snapshots t)));
     ]
 
-(* The default per-window table: protocol activity deltas plus the paper's
-   cost-model percentiles, one row per retained window.  [counters] picks
-   the delta columns. *)
-let default_columns =
+(* The per-window table: protocol activity deltas plus the paper's
+   cost-model percentiles, one row per retained window. *)
+let delta_columns =
   [ "net.sends"; "gms.proposes"; "gms.installs"; "vsync.retransmits" ]
 
-let to_table ?(counters = default_columns) t =
+let to_table t =
   let table =
     Vs_stats.Table.create
       ~title:
@@ -202,7 +197,7 @@ let to_table ?(counters = default_columns) t =
            t.interval)
       ~columns:
         ([ "window"; "span (s)" ]
-        @ List.map (fun c -> "Δ " ^ c) counters
+        @ List.map (fun c -> "Δ " ^ c) delta_columns
         @ [ "install p99"; "stall p99" ])
   in
   let pct name s =
@@ -220,11 +215,9 @@ let to_table ?(counters = default_columns) t =
            ]
           @ List.map
               (fun c -> Vs_stats.Table.fint (delta_counter ~prev s c))
-              counters
+              delta_columns
           @ [ pct "view.install-latency" s; pct "view.flush-stall" s ]);
         rows (Some s) rest
   in
   rows None (snapshots t);
   table
-
-let to_text t = Vs_stats.Table.to_string (to_table t)

@@ -1,8 +1,7 @@
 (** Windowed time series over a recorded run — the continuous half of the
     telemetry plane (vsmon).
 
-    Attach via [Sim.create ?series] (which installs it as a
-    {!Recorder.add_sink} tap).  Every observed event folds into a live
+    Attach with [Recorder.add_sink recorder (Series.observe s)].  Every observed event folds into a live
     {!Metrics.deriv} registry; each time an event's timestamp crosses a
     window boundary the registry is scraped into an immutable cumulative
     snapshot.  Windows close {e lazily} — driven by observed event times,
@@ -32,10 +31,10 @@ type snapshot = {
 
 type t
 
-val create : ?capacity:int -> ?interval:float -> unit -> t
-(** [create ()] — windows of [interval] simulated seconds (default [0.5]),
-    newest [capacity] snapshots retained (default [1024]).  Raises
-    [Invalid_argument] on a non-positive interval or capacity. *)
+val create : ?interval:float -> unit -> t
+(** [create ()] — windows of [interval] simulated seconds (default [0.5]);
+    a fixed ring retains the newest 1024 snapshots.  Raises
+    [Invalid_argument] on a non-positive interval. *)
 
 val default_interval : float
 
@@ -56,8 +55,6 @@ val count : t -> int
 (** Snapshots ever taken; [count t > capacity t] signals ring
     truncation. *)
 
-val events_observed : t -> int
-
 val metrics : t -> Metrics.t
 (** The live registry the fold maintains — end-of-run totals. *)
 
@@ -76,9 +73,7 @@ val to_json : t -> Json.t
 (** Canonical JSON ([interval] / [windows] / [truncated] / [snapshots]) —
     byte-deterministic across identically-seeded runs. *)
 
-val to_table : ?counters:string list -> t -> Vs_stats.Table.t
-(** One row per retained window: span, per-window deltas of [counters]
-    (default: sends, proposes, installs, retransmits), and the p99
-    install-latency / flush-stall costs. *)
-
-val to_text : t -> string
+val to_table : t -> Vs_stats.Table.t
+(** One row per retained window: span, per-window deltas of sends,
+    proposes, installs and retransmits, and the p99 install-latency /
+    flush-stall costs. *)
