@@ -83,7 +83,7 @@ let record_mode_step t (step : Mode.Machine.step) =
       Sim.emit t.sim
         (Vs_obs.Event.Mode_change
            {
-             proc = Proc_id.to_obs (me t);
+             proc = me t;
              from_mode = Mode.to_string step.Mode.Machine.from_mode;
              into_mode = Mode.to_string step.Mode.Machine.into_mode;
              cause = Mode.transition_to_string cause;
@@ -138,8 +138,8 @@ let handle_eview t (ev : 'ann Evs.eview_event) =
         Sim.emit t.sim
           (Vs_obs.Event.Settle
              {
-               proc = Proc_id.to_obs (me t);
-               vid = View.Id.to_obs ev.Evs.eview.E_view.view.View.id;
+               proc = me t;
+               vid = ev.Evs.eview.E_view.view.View.id;
                transfer = problem.Classify.transfer;
                creation;
                merging = problem.Classify.merging;

@@ -107,8 +107,8 @@ let log_eview t ~cause =
   Sim.emit t.sim
     (Vs_obs.Event.Eview
        {
-         proc = Proc_id.to_obs (me t);
-         vid = View.Id.to_obs t.eview.E_view.view.View.id;
+         proc = me t;
+         vid = t.eview.E_view.view.View.id;
          eseq = t.eview.E_view.eseq;
          cause;
          subviews = List.length t.eview.E_view.structure.E_view.subviews;

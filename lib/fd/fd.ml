@@ -34,17 +34,15 @@ let refresh t =
       let prev = t.current in
       t.current <- next;
       if Sim.obs_on t.sim then begin
-        let me = Proc_id.to_obs t.me in
         List.iter
           (fun p ->
-            Sim.emit t.sim
-              (Vs_obs.Event.Suspect { proc = me; peer = Proc_id.to_obs p }))
+            Sim.emit t.sim (Vs_obs.Event.Suspect { proc = t.me; peer = p }))
           (Vs_util.Listx.diff ~cmp:Proc_id.compare prev next);
         List.iter
           (fun p ->
             if not (Proc_id.equal p t.me) then
               Sim.emit t.sim
-                (Vs_obs.Event.Unsuspect { proc = me; peer = Proc_id.to_obs p }))
+                (Vs_obs.Event.Unsuspect { proc = t.me; peer = p }))
           (Vs_util.Listx.diff ~cmp:Proc_id.compare next prev)
       end;
       t.on_change next

@@ -1,7 +1,8 @@
 module Proc_id = Vs_net.Proc_id
 
 module Id = struct
-  type t = { epoch : int; proposer : Proc_id.t } [@@deriving eq, ord, show]
+  type t = Vs_obs.Event.vid = { epoch : int; proposer : Proc_id.t }
+  [@@deriving eq, ord, show]
 
   let initial proposer = { epoch = 0; proposer }
 
@@ -9,10 +10,7 @@ module Id = struct
     if epoch < 0 then invalid_arg "View.Id.make: negative epoch";
     { epoch; proposer }
 
-  let to_string t = Printf.sprintf "v%d@%s" t.epoch (Proc_id.to_string t.proposer)
-
-  let to_obs t =
-    { Vs_obs.Event.epoch = t.epoch; proposer = Proc_id.to_obs t.proposer }
+  let to_string = Vs_obs.Event.vid_to_string
 end
 
 type t = { id : Id.t; members : Proc_id.t list } [@@deriving eq, show]

@@ -7,7 +7,9 @@
     member. *)
 
 module Id : sig
-  type t = { epoch : int; proposer : Vs_net.Proc_id.t } [@@deriving eq, ord, show]
+  type t = Vs_obs.Event.vid = { epoch : int; proposer : Vs_net.Proc_id.t }
+  [@@deriving eq, ord, show]
+  (** The observability schema's view-id record itself. *)
 
   val initial : Vs_net.Proc_id.t -> t
   (** Epoch-0 identifier of a process's boot-time singleton view. *)
@@ -15,9 +17,7 @@ module Id : sig
   val make : epoch:int -> proposer:Vs_net.Proc_id.t -> t
 
   val to_string : t -> string
-
-  val to_obs : t -> Vs_obs.Event.vid
-  (** Mirror into the observability schema. *)
+  (** {!Vs_obs.Event.vid_to_string}: "v4@p2.1". *)
 end
 
 type t = { id : Id.t; members : Vs_net.Proc_id.t list } [@@deriving eq, show]

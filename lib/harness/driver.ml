@@ -96,8 +96,8 @@ let evs_structural_violations ~since ~n c =
         {
           Vs_obs.Explain.property = Vs_obs.Explain.Evs_invariant;
           msg = None;
-          procs = [ Proc_id.to_obs r.Evs_cluster.er_proc ];
-          vids = [ View.Id.to_obs ev.E_view.view.View.id ];
+          procs = [ r.Evs_cluster.er_proc ];
+          vids = [ ev.E_view.view.View.id ];
           detail;
         }
       in
@@ -131,7 +131,7 @@ let section6_verdicts ~n c ~since =
       (Evs_cluster.check_structure ~since c)
   @ evs_structural_violations ~since ~n c
 
-let run_schedule ?traffic ?obs ?stabilization_bound setup ~script ~until =
+let run_schedule ?traffic ?obs setup ~script ~until =
   let drive ~run_script ~pump_traffic ~run c =
     run_script c script;
     (match traffic with
@@ -167,10 +167,8 @@ let run_schedule ?traffic ?obs ?stabilization_bound setup ~script ~until =
   in
   let raw = Oracle.all_violations oracle in
   let verdicts, quarantine =
-    match Oracle.stabilization oracle ?bound:stabilization_bound raw with
-    | None ->
-        ( List.map Oracle.to_obs_violation raw @ section6 ~since:neg_infinity,
-          None )
+    match Oracle.stabilization oracle raw with
+    | None -> (raw @ section6 ~since:neg_infinity, None)
     | Some st ->
         (* Section 6 records inside the recovery window are quarantined by
            re-running the checks from the cut; a run that never reconverged
@@ -182,8 +180,7 @@ let run_schedule ?traffic ?obs ?stabilization_bound setup ~script ~until =
         let all = section6 ~since:neg_infinity in
         let kept = section6 ~since in
         let extra = List.length all - List.length kept in
-        ( List.map Oracle.to_obs_violation st.Oracle.st_residual @ kept,
-          Some (finish_stabilization sim st ~extra) )
+        (st.Oracle.st_residual @ kept, Some (finish_stabilization sim st ~extra))
   in
   {
     violations = List.map (fun v -> v.Vs_obs.Explain.detail) verdicts;

@@ -75,13 +75,12 @@ type outcome = {
 val run_schedule :
   ?traffic:traffic ->
   ?obs:Vs_obs.Recorder.t ->
-  ?stabilization_bound:int ->
   setup ->
   script:Faults.script ->
   until:float ->
   outcome
 (** Deterministic: the same setup, traffic, script and horizon produce the
     same outcome, bit for bit.  [?obs] receives the run's event stream
-    (pass a [Full]-level recorder to capture per-message traffic).
-    [?stabilization_bound] overrides {!Oracle.stabilization}'s default
-    recovery bound for runs with transient faults. *)
+    (pass a [Full]-level recorder to capture per-message traffic).  Runs
+    with transient faults are judged at {!Oracle.stabilization}'s default
+    recovery bound. *)

@@ -78,9 +78,7 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     ?(config = Endpoint.default_config) ~n () =
   let sim = Sim.create ~seed ?obs () in
   let net : (Oracle.msg_id, unit) Evs.net =
-    Evs.make_net
-      ~ident:(fun (m : Oracle.msg_id) -> Some (Oracle.msg_id_to_obs m))
-      sim net_config
+    Evs.make_net ~ident:Option.some sim net_config
   in
   let rng = Sim.fork_rng sim in
   let oracle = Oracle.create () in

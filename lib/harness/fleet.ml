@@ -100,7 +100,7 @@ let multicast_from t ~(multicast : _ multicast) ~node ~order =
   match on_node t node with
   | Some m ->
       let s = slot t node in
-      let msg_id = { Oracle.m_sender = t.ops.me m; m_index = s.sent } in
+      let msg_id = { Oracle.origin = t.ops.me m; mseq = s.sent } in
       s.sent <- s.sent + 1;
       let order_class =
         match order with

@@ -3,40 +3,24 @@ module View = Vs_gms.View
 module Listx = Vs_util.Listx
 module Hashtblx = Vs_util.Hashtblx
 
-type msg_id = { m_sender : Proc_id.t; m_index : int }
+type msg_id = Vs_obs.Event.msg = { origin : Proc_id.t; mseq : int }
 
-let msg_id_to_string m =
-  Printf.sprintf "%s#%d" (Proc_id.to_string m.m_sender) m.m_index
+let msg_id_to_string = Vs_obs.Event.msg_to_string
 
-let compare_msg_id a b =
-  match Proc_id.compare a.m_sender b.m_sender with
-  | 0 -> Int.compare a.m_index b.m_index
-  | c -> c
+let compare_msg_id = Vs_obs.Event.compare_msg
 
-let msg_id_to_obs m =
-  { Vs_obs.Event.origin = Proc_id.to_obs m.m_sender; mseq = m.m_index }
-
-(* Structured verdicts: the property that broke plus the protocol-typed
-   identities the verdict names.  [v_detail] is the legacy one-line string;
-   [check_*] project it out so existing reporting is unchanged. *)
-type violation = {
-  v_property : Vs_obs.Explain.property;
-  v_msg : msg_id option;
-  v_procs : Proc_id.t list;
-  v_vids : View.Id.t list;
-  v_detail : string;
+(* Structured verdicts: the property that broke plus the protocol ids the
+   verdict names.  [detail] is the legacy one-line string; [check_*]
+   project it out so existing reporting is unchanged. *)
+type violation = Vs_obs.Explain.violation = {
+  property : Vs_obs.Explain.property;
+  msg : msg_id option;
+  procs : Proc_id.t list;
+  vids : View.Id.t list;
+  detail : string;
 }
 
-let to_obs_violation v =
-  {
-    Vs_obs.Explain.property = v.v_property;
-    msg = Option.map msg_id_to_obs v.v_msg;
-    procs = List.map Proc_id.to_obs v.v_procs;
-    vids = List.map View.Id.to_obs v.v_vids;
-    detail = v.v_detail;
-  }
-
-let details vs = List.map (fun v -> v.v_detail) vs
+let details vs = List.map (fun v -> v.detail) vs
 
 type t = {
   sends : (msg_id, [ `Fifo | `Total ]) Hashtbl.t;
@@ -151,12 +135,12 @@ let agreement_violations t =
                 in
                 [
                   {
-                    v_property = Vs_obs.Explain.Agreement;
-                    v_msg =
+                    property = Vs_obs.Explain.Agreement;
+                    msg =
                       (match missing with m :: _ -> Some m | [] -> None);
-                    v_procs = [ first; p ];
-                    v_vids = [ prior; next ];
-                    v_detail =
+                    procs = [ first; p ];
+                    vids = [ prior; next ];
+                    detail =
                       Printf.sprintf
                         "agreement: %s and %s survived %s -> %s with \
                          different delivery sets (%d vs %d messages)"
@@ -195,11 +179,11 @@ let uniqueness_violations t =
            in
            Some
              {
-               v_property = Vs_obs.Explain.Uniqueness;
-               v_msg = Some m;
-               v_procs = deliverers;
-               v_vids = vids;
-               v_detail =
+               property = Vs_obs.Explain.Uniqueness;
+               msg = Some m;
+               procs = deliverers;
+               vids;
+               detail =
                  Printf.sprintf
                    "uniqueness: %s delivered in %d distinct views: %s"
                    (msg_id_to_string m) (List.length vids)
@@ -216,11 +200,11 @@ let integrity_violations t =
         (fun (vid, m) ->
           let mk detail =
             {
-              v_property = Vs_obs.Explain.Integrity;
-              v_msg = Some m;
-              v_procs = [ p ];
-              v_vids = [ vid ];
-              v_detail = detail;
+              property = Vs_obs.Explain.Integrity;
+              msg = Some m;
+              procs = [ p ];
+              vids = [ vid ];
+              detail;
             }
           in
           let dup =
@@ -264,17 +248,17 @@ let fifo_violations t =
           if not (is_fifo m) then []
           else begin
             let prev =
-              Option.value ~default:(-1) (Hashtbl.find_opt last m.m_sender)
+              Option.value ~default:(-1) (Hashtbl.find_opt last m.origin)
             in
-            Hashtbl.replace last m.m_sender m.m_index;
-            if m.m_index <= prev then
+            Hashtbl.replace last m.origin m.mseq;
+            if m.mseq <= prev then
               [
                 {
-                  v_property = Vs_obs.Explain.Fifo;
-                  v_msg = Some m;
-                  v_procs = [ p ];
-                  v_vids = [ vid ];
-                  v_detail =
+                  property = Vs_obs.Explain.Fifo;
+                  msg = Some m;
+                  procs = [ p ];
+                  vids = [ vid ];
+                  detail =
                     Printf.sprintf "fifo: %s delivered %s after index %d"
                       (Proc_id.to_string p) (msg_id_to_string m) prev;
                 };
@@ -341,11 +325,11 @@ let total_order_violations t =
                 else
                   [
                     {
-                      v_property = Vs_obs.Explain.Total_order;
-                      v_msg = (match common with (m, _) :: _ -> Some m | [] -> None);
-                      v_procs = [ p; q ];
-                      v_vids = [ vid ];
-                      v_detail =
+                      property = Vs_obs.Explain.Total_order;
+                      msg = (match common with (m, _) :: _ -> Some m | [] -> None);
+                      procs = [ p; q ];
+                      vids = [ vid ];
+                      detail =
                         Printf.sprintf
                           "total-order: %s and %s deliver totally-ordered \
                            messages of %s in different orders"
@@ -457,7 +441,7 @@ let stabilization t ?(bound = 2) violations =
          pre-existing. *)
       let violation_time v =
         let in_procs p =
-          v.v_procs = [] || List.exists (Proc_id.equal p) v.v_procs
+          v.procs = [] || List.exists (Proc_id.equal p) v.procs
         in
         let t0 =
           List.fold_left
@@ -468,11 +452,11 @@ let stabilization t ?(bound = 2) violations =
                   List.fold_left
                     (fun acc (vid, m', time) ->
                       let relevant =
-                        (match v.v_msg with
+                        (match v.msg with
                         | Some m -> compare_msg_id m m' = 0
                         | None -> false)
                         || (in_procs p
-                           && List.exists (View.Id.equal vid) v.v_vids)
+                           && List.exists (View.Id.equal vid) v.vids)
                       in
                       if relevant then Float.max acc time else acc)
                     acc !r)
@@ -486,7 +470,7 @@ let stabilization t ?(bound = 2) violations =
                 match Hashtbl.find_opt first_install vid with
                 | Some time -> Float.max acc time
                 | None -> acc)
-              neg_infinity v.v_vids
+              neg_infinity v.vids
         in
         if t0 > neg_infinity then t0 else 0.
       in
@@ -498,16 +482,16 @@ let stabilization t ?(bound = 2) violations =
           if violation_time v < first_fault then
             (* Predates the first corruption: not the transient's fault. *)
             residual := v :: !residual
-          else if v.v_vids <> [] && List.for_all in_recovered v.v_vids then
+          else if v.vids <> [] && List.for_all in_recovered v.vids then
             residual :=
               {
                 v with
-                v_property = Vs_obs.Explain.Stabilization;
-                v_detail =
+                property = Vs_obs.Explain.Stabilization;
+                detail =
                   Printf.sprintf
                     "%s — persists after the stabilization bound (%d views \
                      after last transient fault at %.3f; corrupted: %s)"
-                    v.v_detail bound last_fault fields;
+                    v.detail bound last_fault fields;
               }
               :: !residual
           else quarantined := v :: !quarantined)
@@ -517,12 +501,12 @@ let stabilization t ?(bound = 2) violations =
           (* Never re-converged: the quarantine window never closed, and
              violations accumulated inside it. *)
           {
-            v_property = Vs_obs.Explain.Stabilization;
-            v_msg = None;
-            v_procs =
+            property = Vs_obs.Explain.Stabilization;
+            msg = None;
+            procs =
               Proc_id.sort (List.map (fun (p, _, _) -> p) corruptions);
-            v_vids = [];
-            v_detail =
+            vids = [];
+            detail =
               Printf.sprintf
                 "stabilization: never reconverged — only %d of %d required \
                  views installed after last transient fault at %.3f, with \

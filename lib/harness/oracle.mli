@@ -10,26 +10,17 @@
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 
-type msg_id = { m_sender : Proc_id.t; m_index : int }
-
-val msg_id_to_string : msg_id -> string
-
-val msg_id_to_obs : msg_id -> Vs_obs.Event.msg
-(** The same (origin, seq) identity in the observability mirror — what the
-    clusters thread into [Net]'s [?ident] hook, so oracle verdicts and
+type msg_id = Vs_obs.Event.msg = { origin : Proc_id.t; mseq : int }
+(** The observability schema's message identity itself — what the clusters
+    pass straight to [Net]'s [?ident] hook, so oracle verdicts and
     data-path events correlate exactly. *)
 
-type violation = {
-  v_property : Vs_obs.Explain.property;
-  v_msg : msg_id option;  (** the offending message, when one exists *)
-  v_procs : Proc_id.t list;
-  v_vids : View.Id.t list;
-  v_detail : string;  (** the legacy one-line verdict *)
-}
-(** A structured verdict: which property broke and the identities it names.
-    The [check_*] functions below project out [v_detail]. *)
+val msg_id_to_string : msg_id -> string
+(** {!Vs_obs.Event.msg_to_string}: ["p0#3"]. *)
 
-val to_obs_violation : violation -> Vs_obs.Explain.violation
+type violation = Vs_obs.Explain.violation
+(** A structured verdict: which property broke and the identities it names.
+    The [check_*] functions below project out its [detail]. *)
 
 type t
 
@@ -99,7 +90,7 @@ val total_order_violations : t -> violation list
 
 val all_violations : t -> violation list
 (** Concatenation in the [check_all] order, so
-    [List.map (fun v -> v.v_detail) (all_violations t) = check_all t]. *)
+    [List.map (fun v -> v.detail) (all_violations t) = check_all t]. *)
 
 val check_summary : t -> (string * int) list
 (** Violation counts per property, in the order agreement, uniqueness,

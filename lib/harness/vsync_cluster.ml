@@ -51,7 +51,7 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
   let size_of =
     Vs_vsync.Wire.size_of ~user:(fun (_ : Oracle.msg_id) -> 8) ~ann:(fun () -> 8)
   in
-  let user (m : Oracle.msg_id) = Some (Oracle.msg_id_to_obs m) in
+  let user (m : Oracle.msg_id) = Some m in
   let ident = Vs_vsync.Wire.ident ~user in
   let idents = Vs_vsync.Wire.idents ~user in
   let net =

@@ -112,7 +112,7 @@ let crash t p =
     (match live_on_node t p.Proc_id.node with
     | Some q when Proc_id.equal q p -> Hashtbl.remove t.node_live p.Proc_id.node
     | Some _ | None -> ());
-    Sim.emit t.sim (Event.Crash { proc = Proc_id.to_obs p })
+    Sim.emit t.sim (Event.Crash { proc = p })
   end
 
 let set_partition t components =
@@ -173,8 +173,8 @@ let emit_drop t ~src ~dst ~payload ~reason =
         Sim.emit t.sim
           (Event.Drop
              {
-               src = Proc_id.to_obs src;
-               dst = Proc_id.to_obs dst;
+               src;
+               dst;
                kind = t.describe payload;
                reason;
                msg;
@@ -195,8 +195,8 @@ let deliver_later ?(extra_copy = false) t env =
               Sim.emit t.sim
                 (Event.Recv
                    {
-                     src = Proc_id.to_obs env.src;
-                     dst = Proc_id.to_obs env.dst;
+                     src = env.src;
+                     dst = env.dst;
                      kind = t.describe env.payload;
                      msg;
                    }));
@@ -218,8 +218,8 @@ let deliver_later ?(extra_copy = false) t env =
           Sim.emit t.sim
             (Event.Dup
                {
-                 src = Proc_id.to_obs env.src;
-                 dst = Proc_id.to_obs env.dst;
+                 src = env.src;
+                 dst = env.dst;
                  kind = t.describe env.payload;
                  msg;
                }));
@@ -250,8 +250,8 @@ let send_to t ~src ~dst payload =
           Sim.emit t.sim
             (Event.Send
                {
-                 src = Proc_id.to_obs src;
-                 dst = Proc_id.to_obs dst;
+                 src;
+                 dst;
                  kind = t.describe payload;
                  bytes = (if first then t.size_of payload else 0);
                  msg;
@@ -276,7 +276,7 @@ let send_node t ~src ~dst_node payload =
       Sim.emit t.sim
         (Event.Drop
            {
-             src = Proc_id.to_obs src;
+             src;
              dst = node_dst ();
              kind = t.describe payload;
              reason;
@@ -305,7 +305,7 @@ let send_node t ~src ~dst_node payload =
       Sim.emit t.sim
         (Event.Send
            {
-             src = Proc_id.to_obs src;
+             src;
              dst = node_dst ();
              kind = t.describe payload;
              bytes;
@@ -321,8 +321,8 @@ let send_node t ~src ~dst_node payload =
                 Sim.emit t.sim
                   (Event.Recv
                      {
-                       src = Proc_id.to_obs src;
-                       dst = Proc_id.to_obs dst;
+                       src;
+                       dst;
                        kind = t.describe payload;
                        msg = t.ident payload;
                      });
@@ -345,7 +345,7 @@ let send_node t ~src ~dst_node payload =
         Sim.emit t.sim
           (Event.Dup
              {
-               src = Proc_id.to_obs src;
+               src;
                dst = node_dst ();
                kind = t.describe payload;
                msg = t.ident payload;

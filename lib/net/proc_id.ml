@@ -1,4 +1,5 @@
-type t = { node : int; inc : int } [@@deriving eq, ord, show]
+type t = Vs_obs.Event.proc = { node : int; inc : int }
+[@@deriving eq, ord, show]
 
 let make ~node ~inc =
   if node < 0 || inc < 0 then invalid_arg "Proc_id.make: negative component";
@@ -6,16 +7,13 @@ let make ~node ~inc =
 
 let initial node = make ~node ~inc:0
 
-(* Same order as the derived one, spelled out so callers (and vslint rule
-   D5) see a typed comparator rather than Stdlib's polymorphic compare. *)
-let compare a b =
-  match Int.compare a.node b.node with 0 -> Int.compare a.inc b.inc | c -> c
+(* Same order as the derived one, named so callers (and vslint rule D5)
+   see a typed comparator rather than Stdlib's polymorphic compare. *)
+let compare = Vs_obs.Event.compare_proc
 
-let to_string t =
-  if t.inc = 0 then Printf.sprintf "p%d" t.node
-  else Printf.sprintf "p%d.%d" t.node t.inc
-
-let to_obs t = { Vs_obs.Event.node = t.node; inc = t.inc }
+(* [make] rejects negative incarnations, so the schema's "n3" spelling of a
+   node-addressed destination never arises here. *)
+let to_string = Vs_obs.Event.proc_to_string
 
 let sort ids = Vs_util.Listx.sorted_set ~cmp:compare ids
 

@@ -5,7 +5,10 @@
     (node, incarnation) pair, and a recovered process — a higher incarnation
     on the same node — is a brand-new group member with no protocol state. *)
 
-type t = { node : int; inc : int } [@@deriving eq, ord, show]
+type t = Vs_obs.Event.proc = { node : int; inc : int }
+[@@deriving eq, ord, show]
+(** The observability schema's process record itself, so events carry
+    protocol ids with no conversion. *)
 
 val make : node:int -> inc:int -> t
 
@@ -13,11 +16,8 @@ val initial : int -> t
 (** First incarnation on a node. *)
 
 val to_string : t -> string
-(** Compact rendering, e.g. "p3.0" for node 3, incarnation 0. *)
-
-val to_obs : t -> Vs_obs.Event.proc
-(** Mirror into the observability schema (which sits below this library in
-    the dependency order). *)
+(** {!Vs_obs.Event.proc_to_string}: "p3" for node 3, incarnation 0, and
+    "p3.1" for incarnation 1. *)
 
 val sort : t list -> t list
 (** Sorted duplicate-free list — the canonical representation of a

@@ -1,7 +1,7 @@
 (* The typed event schema.  Sits below lib/sim in the dependency order, so
-   processes and view identifiers are mirrored as plain records here; the
-   protocol layers convert with Proc_id.to_obs / View.Id.to_obs at the
-   emission site. *)
+   the process, view and message id records are defined here; Proc_id.t,
+   View.Id.t and Oracle.msg_id are these records, and emission sites pass
+   protocol ids straight through. *)
 
 type proc = { node : int; inc : int }
 

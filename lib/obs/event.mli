@@ -1,18 +1,20 @@
 (** The typed observability event schema.
 
-    This module sits {e below} [lib/sim] in the dependency order, so process
-    and view identifiers are mirrored here as plain records ([proc], [vid]);
-    the protocol layers convert at the emission site via [Proc_id.to_obs] and
-    [View.Id.to_obs].  Every variant carries only immediate data — no
-    closures, no views — so recording stays allocation-light and exporters
-    can serialize without reaching back into protocol state. *)
+    This module sits {e below} [lib/sim] in the dependency order, so the
+    process, view and message id records ([proc], [vid], [msg]) are defined
+    here, and the protocol layers re-export them: [Proc_id.t], [View.Id.t]
+    and [Oracle.msg_id] are these types, so emission sites pass protocol ids
+    through with no conversion.  Every variant carries only immediate data —
+    no closures, no views — so recording stays allocation-light and
+    exporters can serialize without reaching back into protocol state. *)
 
 type proc = { node : int; inc : int }
-(** Mirror of [Proc_id.t].  [inc = -1] encodes a node-addressed destination
-    (a [send_node] target whose live incarnation is resolved at delivery). *)
+(** The type of [Proc_id.t].  [inc = -1] encodes a node-addressed
+    destination (a [send_node] target whose live incarnation is resolved at
+    delivery); [Proc_id.make] never builds one. *)
 
 type vid = { epoch : int; proposer : proc }
-(** Mirror of [View.Id.t]. *)
+(** The type of [View.Id.t]. *)
 
 val proc_to_string : proc -> string
 (** ["p3"], ["p3.1"], or ["n3"] for a node-addressed destination. *)
@@ -26,8 +28,8 @@ val vid_of_string : string -> vid option
 
 type msg = { origin : proc; mseq : int }
 (** Stable correlation identity of an application message: the original
-    sender and its per-sender multicast index — the (origin, seq) pair the
-    oracle also keys on.  Carried by data-path events whose payload wraps an
+    sender and its per-sender multicast index — the type of
+    [Oracle.msg_id].  Carried by data-path events whose payload wraps an
     application message, so one message can be followed through relays,
     retries, drops and duplicates. *)
 

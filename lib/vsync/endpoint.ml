@@ -222,8 +222,6 @@ let log_event t msg =
   Sim.record t.sim ~component:"vsync"
     (Printf.sprintf "%s %s" (Proc_id.to_string t.me) msg)
 
-let obs_me t = Proc_id.to_obs t.me
-
 let unicast t dst payload = Net.send t.net ~src:t.me ~dst payload
 
 (* ---------- reliable control plane ----------
@@ -272,8 +270,8 @@ let rec ctl_arm t rid entry payload ~is_done =
                Sim.emit t.sim
                  (Vs_obs.Event.Backoff
                     {
-                      proc = obs_me t;
-                      dst = Proc_id.to_obs entry.c_dst;
+                      proc = t.me;
+                      dst = entry.c_dst;
                       attempt = entry.c_attempts;
                       delay = entry.c_delay;
                     });
@@ -680,8 +678,8 @@ let send_flush_ack t pvid coordinator =
   Sim.emit t.sim
     (Vs_obs.Event.Flush
        {
-         proc = obs_me t;
-         vid = View.Id.to_obs pvid;
+         proc = t.me;
+         vid = pvid;
          seen = List.length seen;
        });
   (* Moot once this flush is over: either the Install for [pvid] arrived
@@ -735,9 +733,9 @@ and start_proposal t members =
   Sim.emit t.sim
     (Vs_obs.Event.Propose
        {
-         proc = obs_me t;
-         vid = View.Id.to_obs pvid;
-         members = List.map Proc_id.to_obs members;
+         proc = t.me;
+         vid = pvid;
+         members;
        });
   p.p_timer <-
     Some
@@ -935,9 +933,9 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       Sim.emit t.sim
         (Vs_obs.Event.Install
            {
-             proc = obs_me t;
-             vid = View.Id.to_obs new_view.View.id;
-             members = List.map Proc_id.to_obs new_view.View.members;
+             proc = t.me;
+             vid = new_view.View.id;
+             members = new_view.View.members;
              sync = !delivered_now;
            });
       flush_pending t;
@@ -1091,8 +1089,8 @@ let handle_nack t ~src ~vid ~sender ~missing =
           Sim.emit t.sim
             (Vs_obs.Event.Retransmit
                {
-                 proc = obs_me t;
-                 origin = Proc_id.to_obs sender;
+                 proc = t.me;
+                 origin = sender;
                  count = n;
                  peer;
                });
@@ -1404,7 +1402,7 @@ let corrupt t (c : corruption) =
           Printf.sprintf "[%s] %d -> %d" (Proc_id.to_string sender) before
             s.next
     in
-    Sim.emit t.sim (Vs_obs.Event.Corrupt { proc = obs_me t; field; detail });
+    Sim.emit t.sim (Vs_obs.Event.Corrupt { proc = t.me; field; detail });
     log_event t (Printf.sprintf "corrupt %s %s" field detail)
   end;
   field

@@ -184,7 +184,7 @@ let explain_text violations =
     (List.map
        (fun v ->
          Explain.to_text
-           (Explain.explain ~lineage ~entries:[] (Oracle.to_obs_violation v)))
+           (Explain.explain ~lineage ~entries:[] v))
        violations)
 
 let contains hay needle =
@@ -198,10 +198,6 @@ let assert_mentions text parts =
       if not (contains text part) then
         Alcotest.failf "explanation does not mention %S:\n%s" part text)
     parts
-
-let obs_mid m = Event.msg_to_string (Oracle.msg_id_to_obs m)
-
-let obs_vid v = Event.vid_to_string (View.Id.to_obs v)
 
 (* Drive a real, clean run: 3 nodes form a view, exchange FIFO traffic,
    then lose node 2 so a successor view exists (agreement compares the
@@ -302,8 +298,8 @@ let test_mutation_dropped_delivery_breaks_agreement () =
   assert_mentions (explain_text violations)
     [
       "violated: agreement (Property 2.1)";
-      "message: " ^ obs_mid shared_mid;
-      obs_vid last_prior;
+      "message: " ^ Event.msg_to_string shared_mid;
+      Event.vid_to_string last_prior;
     ]
 
 let test_mutation_cross_view_duplicate_breaks_uniqueness () =
@@ -325,16 +321,16 @@ let test_mutation_cross_view_duplicate_breaks_uniqueness () =
   assert_mentions (explain_text violations)
     [
       "violated: uniqueness (Property 2.2)";
-      "message: " ^ obs_mid mid;
-      obs_vid vid;
-      obs_vid other_vid;
+      "message: " ^ Event.msg_to_string mid;
+      Event.vid_to_string vid;
+      Event.vid_to_string other_vid;
     ]
 
 let test_mutation_spurious_message_breaks_integrity () =
   let c = drive_clean_run () in
   let o = Vc.oracle c in
   (* Deliver a message nobody ever multicast. *)
-  let phantom = { Oracle.m_sender = p 9; m_index = 42 } in
+  let phantom = { Oracle.origin = p 9; mseq = 42 } in
   let vid = View.Id.make ~epoch:1 ~proposer:(p 0) in
   Oracle.record_delivery o ~proc:(p 0) ~vid phantom ~time:9.9;
   let violations = Oracle.integrity_violations o in
@@ -343,9 +339,9 @@ let test_mutation_spurious_message_breaks_integrity () =
   assert_mentions (explain_text violations)
     [
       "violated: integrity (Property 2.3)";
-      "message: " ^ obs_mid phantom;
-      "processes: " ^ Event.proc_to_string (Proc_id.to_obs (p 0));
-      obs_vid vid;
+      "message: " ^ Event.msg_to_string phantom;
+      "processes: " ^ Event.proc_to_string (p 0);
+      Event.vid_to_string vid;
     ]
 
 let test_mutation_inverted_delivery_breaks_fifo () =
@@ -353,8 +349,8 @@ let test_mutation_inverted_delivery_breaks_fifo () =
   let o = Vc.oracle c in
   (* Append an inversion: a fresh sender's messages delivered out of
      multicast order at one process. *)
-  let m0 = { Oracle.m_sender = p 7; m_index = 0 } in
-  let m1 = { Oracle.m_sender = p 7; m_index = 1 } in
+  let m0 = { Oracle.origin = p 7; mseq = 0 } in
+  let m1 = { Oracle.origin = p 7; mseq = 1 } in
   Oracle.record_send o m0;
   Oracle.record_send o m1;
   let vid = View.Id.make ~epoch:1 ~proposer:(p 0) in
@@ -363,7 +359,7 @@ let test_mutation_inverted_delivery_breaks_fifo () =
   let violations = Oracle.fifo_violations o in
   check Alcotest.bool "fifo fires on the inversion" true (violations <> []);
   assert_mentions (explain_text violations)
-    [ "violated: per-sender fifo order"; "message: "; obs_vid vid ]
+    [ "violated: per-sender fifo order"; "message: "; Event.vid_to_string vid ]
 
 (* ---------- batching on/off equivalence ---------- *)
 
@@ -491,7 +487,7 @@ let test_stabilization_passes_stabilizing_runs () =
       | Some st ->
           List.iter
             (fun (v : Oracle.violation) ->
-              Printf.printf "%s residual: %s\n" label v.Oracle.v_detail)
+              Printf.printf "%s residual: %s\n" label v.Explain.detail)
             st.Oracle.st_residual;
           check Alcotest.int (label ^ ": no residual violations") 0
             (List.length st.Oracle.st_residual);
@@ -512,7 +508,7 @@ let test_stabilization_trips_on_never_reconverging_runs () =
          delivery (an integrity violation) inside the open window. *)
       Oracle.record_corruption o ~proc:(p 0) ~field:(kind_field kind)
         ~time:100.0;
-      let phantom = { Oracle.m_sender = p 9; m_index = 77 } in
+      let phantom = { Oracle.origin = p 9; mseq = 77 } in
       Oracle.record_delivery o ~proc:(p 0)
         ~vid:(View.Id.make ~epoch:99 ~proposer:(p 1))
         phantom ~time:101.0;
@@ -531,7 +527,7 @@ let test_stabilization_trips_on_never_reconverging_runs () =
           in
           check Alcotest.bool (label ^ ": residual is a Stabilization verdict")
             true
-            (v.Oracle.v_property = Explain.Stabilization);
+            (v.Explain.property = Explain.Stabilization);
           assert_mentions
             (explain_text [ v ])
             [
@@ -552,7 +548,7 @@ let test_stabilization_relabels_persistent_violations () =
     | (view, _) :: _ -> view
     | [] -> Alcotest.fail "no installs recorded"
   in
-  let phantom = { Oracle.m_sender = p 9; m_index = 78 } in
+  let phantom = { Oracle.origin = p 9; mseq = 78 } in
   Oracle.record_delivery o ~proc:(p 0) ~vid:last_view.View.id phantom
     ~time:50.0;
   match Oracle.stabilization o ~bound:1 (Oracle.all_violations o) with
@@ -561,7 +557,7 @@ let test_stabilization_relabels_persistent_violations () =
       match st.Oracle.st_residual with
       | [ v ] ->
           check Alcotest.bool "relabeled Stabilization" true
-            (v.Oracle.v_property = Explain.Stabilization);
+            (v.Explain.property = Explain.Stabilization);
           assert_mentions
             (explain_text [ v ])
             [
@@ -680,7 +676,7 @@ let test_transient_batching_equivalence () =
     match Oracle.stabilization o (Oracle.all_violations o) with
     | None -> Alcotest.fail "stabilization oracle did not arm"
     | Some st ->
-        ( List.map (fun (v : Oracle.violation) -> v.Oracle.v_detail)
+        ( List.map (fun (v : Oracle.violation) -> v.Explain.detail)
             st.Oracle.st_residual,
           st.Oracle.st_cut <> None )
   in

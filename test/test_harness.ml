@@ -14,7 +14,7 @@ let check = Alcotest.check
 
 let p n = Proc_id.initial n
 let vid e = View.Id.make ~epoch:e ~proposer:(p 0)
-let mid sender index = { Oracle.m_sender = p sender; m_index = index }
+let mid sender index = { Oracle.origin = p sender; mseq = index }
 
 (* ---------- oracle detects violations ---------- *)
 

@@ -559,12 +559,12 @@ let test_stash_order_during_flush () =
       let last = Hashtbl.create 4 in
       List.iter
         (fun (m : Oracle.msg_id) ->
-          (match Hashtbl.find_opt last m.Oracle.m_sender with
-          | Some prev when prev >= m.Oracle.m_index ->
+          (match Hashtbl.find_opt last m.Oracle.origin with
+          | Some prev when prev >= m.Oracle.mseq ->
               Alcotest.failf "node %d: origin order broken (%d after %d)" node
-                m.Oracle.m_index prev
+                m.Oracle.mseq prev
           | _ -> ());
-          Hashtbl.replace last m.Oracle.m_sender m.Oracle.m_index)
+          Hashtbl.replace last m.Oracle.origin m.Oracle.mseq)
         mids)
     [ 0; 1 ]
 
