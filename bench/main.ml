@@ -98,32 +98,6 @@ let run_experiments ~quick ~only =
       end)
     experiments
 
-(* ---------- schedule-explorer smoke: a small seed budget on every CI run ---------- *)
-
-let run_explorer_smoke () =
-  let module Explorer = Vs_check.Explorer in
-  let module Campaign = Vs_check.Campaign in
-  let report = Explorer.explore ~seeds:25 ~nodes:5 ~quick:true () in
-  let table =
-    Table.create ~title:"schedule explorer (25 seeds, quick, both protocols)"
-      ~columns:[ "campaigns"; "events"; "deliveries"; "installs"; "violations" ]
-  in
-  Table.add_row table
-    [
-      Table.fint report.Explorer.campaigns;
-      Table.fint report.Explorer.total_events;
-      Table.fint report.Explorer.total_deliveries;
-      Table.fint report.Explorer.total_installs;
-      Table.fint (List.length report.Explorer.failures);
-    ];
-  Table.print table;
-  List.iter
-    (fun (f : Explorer.failure) ->
-      Printf.printf "EXPLORER FAILURE at seed %d: %s\n" f.Explorer.f_seed
-        (Campaign.describe f.Explorer.f_shrunk))
-    report.Explorer.failures;
-  if report.Explorer.failures <> [] then exit 1
-
 (* ---------- observability overhead: instrumentation off vs on ---------- *)
 
 (* Allocation is the honest overhead metric here: it is deterministic (so it
@@ -888,8 +862,6 @@ let () =
     "On Programming with View Synchrony (ICDCS 1996) — experiment \
      reproduction\n";
   if only <> [] || run_all then run_experiments ~quick ~only;
-  (* CI explores a small seed budget on every quick run. *)
-  if quick && only = [] then run_explorer_smoke ();
   if quick && only = [] then run_lint_profile ();
   if obs || run_all then run_obs ();
   if micro || run_all then run_micro ();
@@ -902,7 +874,7 @@ let () =
      when the experiment registry actually ran — an obs-only invocation used
      to leave a dead [{}] behind.  Written only when the obs section itself
      ran: it is the heart of the artifact, and a partial invocation
-     (experiments only, `throughput quick`'s smoke+lint ride-alongs) must
+     (experiments only, `throughput quick`'s lint ride-along) must
      never wipe the committed record down to its own subset of keys. *)
   if (obs || run_all) && (!bench_record <> [] || !exp_walls <> []) then begin
     let json =

@@ -9,8 +9,7 @@
      metrics      expose the end-of-run registry (OpenMetrics or JSON)
      path         causal critical-path profile (vspath); --flame for stacks
      diff-runs    structural diff of two runs; first causal divergence
-     bench diff   compare two BENCH_*.json artifacts; non-zero on regression
-     throughput   wall-clock sustained-throughput profile; writes no file *)
+     bench diff   compare two BENCH_*.json artifacts; non-zero on regression *)
 
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
@@ -828,46 +827,6 @@ let bench_cmd =
        ~doc:"Operations on the machine-readable bench artifacts.")
     [ bench_diff_cmd ]
 
-(* ---------- throughput ---------- *)
-
-let throughput_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps (CI-sized).")
-  in
-  let scale =
-    Arg.(
-      value & flag
-      & info [ "scale" ]
-          ~doc:
-            "Rerun claim C1 with two k=500 partitions (a 1000-process \
-             simulation: several minutes of wall time).")
-  in
-  let run quick scale =
-    let module TP = Vs_exp.Exp_throughput in
-    (* vslint: allow D1 — wall-clock is the quantity being measured; CLI output only *)
-    let clock () = Unix.gettimeofday () in
-    let kv = TP.run_arms ~clock ~quick () in
-    Vs_stats.Table.print (TP.throughput_table kv);
-    let dp = TP.run_data_plane ~clock ~quick () in
-    Vs_stats.Table.print (TP.data_plane_table dp);
-    (match TP.dp_speedup dp with
-    | Some s ->
-        Printf.printf
-          "data-plane sustained ops/sec, batched+pipelined vs unbatched: \
-           %.1fx\n\n"
-          s
-    | None -> ());
-    let k = if scale then 500 else if quick then 25 else 100 in
-    Vs_stats.Table.print (TP.merge_table [ TP.merge_at_scale ~k ])
-  in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:
-         "Sustained-throughput profile: open-loop load on the KV store and \
-          on the bare data plane, batched+pipelined vs unbatched, with \
-          wall-clock ops/sec — the interactive twin of `bench throughput`.")
-    Term.(const run $ quick $ scale)
-
 let () =
   let info =
     Cmd.info "vscli" ~version:"1.0.0"
@@ -880,5 +839,5 @@ let () =
        (Cmd.group info
           [
             check_cmd; explain_cmd; query_cmd; trace_cmd; top_cmd; metrics_cmd;
-            path_cmd; diff_runs_cmd; bench_cmd; throughput_cmd;
+            path_cmd; diff_runs_cmd; bench_cmd;
           ]))

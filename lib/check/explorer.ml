@@ -18,8 +18,7 @@ type report = {
   failures : failure list;
 }
 
-let explore ?(start_seed = 1) ?(protocols = [ Driver.Vsync; Driver.Evs ])
-    ?(transient = false) ?(shrink = true) ?max_shrink_attempts ?progress
+let explore ?(start_seed = 1) ?(transient = false) ?(shrink = true) ?progress
     ~seeds ~nodes ~quick () =
   let campaigns = ref 0 in
   let total_events = ref 0 in
@@ -39,8 +38,7 @@ let explore ?(start_seed = 1) ?(protocols = [ Driver.Vsync; Driver.Evs ])
         if outcome.Campaign.violations <> [] then begin
           let shrunk, stats =
             if shrink then
-              Shrink.shrink ?max_attempts:max_shrink_attempts
-                ~failing:Campaign.fails spec
+              Shrink.shrink ~failing:Campaign.fails spec
             else (spec, { Shrink.attempts = 0; accepted = 0 })
           in
           failures :=
@@ -53,7 +51,7 @@ let explore ?(start_seed = 1) ?(protocols = [ Driver.Vsync; Driver.Evs ])
             }
             :: !failures
         end)
-      protocols
+      [ Driver.Vsync; Driver.Evs ]
   done;
   {
     start_seed;

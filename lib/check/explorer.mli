@@ -29,10 +29,8 @@ type report = {
 
 val explore :
   ?start_seed:int ->
-  ?protocols:Driver.protocol list ->
   ?transient:bool ->
   ?shrink:bool ->
-  ?max_shrink_attempts:int ->
   ?progress:(seed:int -> Campaign.spec -> Campaign.outcome -> unit) ->
   seeds:int ->
   nodes:int ->
@@ -40,7 +38,7 @@ val explore :
   unit ->
   report
 (** [explore ~seeds:n] sweeps seeds [start_seed .. start_seed + n - 1]
-    (default start 1) over both protocols (default), shrinking failures
-    (default on).  [transient] (default false) adds the transient-corruption
+    (default start 1) over both protocols, shrinking failures (default
+    on).  [transient] (default false) adds the transient-corruption
     axis to every generated campaign.  [progress] is invoked after every
     campaign. *)

@@ -352,22 +352,12 @@ let run_arm ?clock ~seed ~workload:w arm =
     r_critpath_consistent = Critpath.consistent_with_stall cp attrs;
   }
 
-let run_arms ?clock ?(quick = false) ?(seed = 1106L) () =
-  let workload = if quick then quick_workload else default_workload in
-  List.map (run_arm ?clock ~seed ~workload) arms
+(* Every arm of the KV comparison runs this seed. *)
+let kv_seed = 1106L
 
-(* The bench gate: wall-clock ops/sec of the batched + pipelined arm over
-   the unbatched arm, on the same seeded workload.  None when no clock was
-   injected. *)
-let speedup results =
-  let ops name =
-    List.find_map
-      (fun r -> if String.equal r.r_name name then r.r_ops_per_wall_s else None)
-      results
-  in
-  match (ops "unbatched", ops "pipelined") with
-  | Some base, Some piped when base > 0. -> Some (piped /. base)
-  | _ -> None
+let run_arms ?clock ?(quick = false) () =
+  let workload = if quick then quick_workload else default_workload in
+  List.map (run_arm ?clock ~seed:kv_seed ~workload) arms
 
 let opt_ms = function
   | None -> "-"
@@ -495,7 +485,10 @@ let run_data_plane_arm ?clock ~seed ~workload:w name config =
     p_batches = batches;
   }
 
-let run_data_plane ?clock ?(quick = false) ?(seed = 2207L) () =
+(* Both data-plane arms draw the same arrivals from this seed. *)
+let dp_seed = 2207L
+
+let run_data_plane ?clock ?(quick = false) () =
   let w = if quick then quick_dp_workload else default_dp_workload in
   let batched =
     {
@@ -506,8 +499,9 @@ let run_data_plane ?clock ?(quick = false) ?(seed = 2207L) () =
     }
   in
   [
-    run_data_plane_arm ?clock ~seed ~workload:w "unbatched" base_config;
-    run_data_plane_arm ?clock ~seed ~workload:w "batched+pipelined" batched;
+    run_data_plane_arm ?clock ~seed:dp_seed ~workload:w "unbatched" base_config;
+    run_data_plane_arm ?clock ~seed:dp_seed ~workload:w "batched+pipelined"
+      batched;
   ]
 
 (* The headline ratio: wall-clock sustained ops/sec, batched + pipelined
