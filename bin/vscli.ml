@@ -629,7 +629,6 @@ let metrics_cmd =
 
 module Causal = Vs_obs.Causal
 module Critpath = Vs_obs.Critpath
-module Flame = Vs_obs.Flame
 module Rundiff = Vs_obs.Rundiff
 
 let write_file path text =
@@ -664,7 +663,7 @@ let path_cmd =
         exit 2);
     let cp = Critpath.of_dag dag in
     (match flame with
-    | Some file -> write_file file (Flame.folded cp)
+    | Some file -> write_file file (Critpath.folded cp)
     | None -> ());
     let st = Causal.stats dag in
     if json then

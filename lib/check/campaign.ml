@@ -111,7 +111,6 @@ type outcome = Driver.outcome = {
   events : int;
   stable : bool;
   quarantine : Driver.quarantine option;
-  straggler : (string * float) option;
 }
 
 let run ?obs spec =

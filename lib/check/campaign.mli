@@ -73,8 +73,6 @@ type outcome = Driver.outcome = {
   events : int;
   stable : bool;
   quarantine : Driver.quarantine option;
-  straggler : (string * float) option;
-      (** vspath straggler verdict; only when [?obs] recorded at Full *)
 }
 
 val run : ?obs:Vs_obs.Recorder.t -> spec -> outcome

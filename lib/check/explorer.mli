@@ -6,8 +6,6 @@
     Failing campaigns are shrunk to minimal repros ready to be persisted
     with {!Repro.save} and replayed forever after. *)
 
-module Driver = Vs_harness.Driver
-
 type failure = {
   f_seed : int;
   f_spec : Campaign.spec;       (** the original failing campaign *)

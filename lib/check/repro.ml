@@ -265,10 +265,9 @@ let filename (spec : Campaign.spec) =
     (Driver.protocol_to_string spec.Campaign.protocol)
     spec.Campaign.seed spec.Campaign.nodes
 
-let save ~dir ?name spec =
+let save ~dir spec =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let name = match name with Some n -> n | None -> filename spec in
-  let path = Filename.concat dir name in
+  let path = Filename.concat dir (filename spec) in
   let oc = open_out path in
   output_string oc (to_string spec);
   close_out oc;

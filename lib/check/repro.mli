@@ -29,9 +29,9 @@ val of_string : string -> (Campaign.spec, string) result
 val filename : Campaign.spec -> string
 (** Canonical artifact name: [<protocol>-seed<seed>-n<nodes>.sexp]. *)
 
-val save : dir:string -> ?name:string -> Campaign.spec -> string
-(** Write the artifact (creating [dir] if needed) and return its path.
-    [name] defaults to {!filename}. *)
+val save : dir:string -> Campaign.spec -> string
+(** Write the artifact as [dir/]{!filename} (creating [dir] if needed) and
+    return its path. *)
 
 val load : string -> (Campaign.spec, string) result
 (** Read one artifact back. *)

@@ -161,7 +161,9 @@ let candidates spec =
 
 (* ---------- the greedy ddmin loop ---------- *)
 
-let shrink ?(max_attempts = 400) ~failing spec =
+let max_attempts = 400
+
+let shrink ~failing spec =
   if not (failing spec) then
     invalid_arg "Shrink.shrink: the starting spec does not fail";
   let attempts = ref 0 in

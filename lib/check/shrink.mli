@@ -21,11 +21,7 @@ type stats = {
 }
 
 val shrink :
-  ?max_attempts:int ->
-  failing:(Campaign.spec -> bool) ->
-  Campaign.spec ->
-  Campaign.spec * stats
+  failing:(Campaign.spec -> bool) -> Campaign.spec -> Campaign.spec * stats
 (** [shrink ~failing spec] requires [failing spec = true] (raises
     [Invalid_argument] otherwise) and returns a minimized spec on which
-    [failing] still holds.  [max_attempts] (default 400) bounds the number
-    of candidate evaluations. *)
+    [failing] still holds, after at most 400 candidate evaluations. *)

@@ -35,21 +35,7 @@ type outcome = {
   events : int;
   stable : bool;
   quarantine : quarantine option;
-  straggler : (string * float) option;
 }
-
-(* The vspath straggler verdict for the run, when the caller recorded it at
-   Full level — the only level at which the causal DAG has its message
-   edges.  Anything below Full yields [None] without touching the entries,
-   so the checking paths (Protocol or Off recorders) pay nothing. *)
-let causal_straggler obs =
-  match obs with
-  | Some r when Vs_obs.Recorder.full_on r && Vs_obs.Recorder.count r > 0 ->
-      let cp = Vs_obs.Critpath.of_entries (Vs_obs.Recorder.entries r) in
-      Option.map
-        (fun (p, c) -> (Vs_obs.Event.proc_to_string p, c))
-        cp.Vs_obs.Critpath.straggler
-  | Some _ | None -> None
 
 (* EVS harness checks return plain strings; wrap them so the explain layer
    can still attribute them to a property class. *)
@@ -192,5 +178,4 @@ let run_schedule ?traffic ?obs setup ~script ~until =
     events = Sim.events_processed sim;
     stable;
     quarantine;
-    straggler = causal_straggler obs;
   }

@@ -64,12 +64,6 @@ type outcome = {
           were filtered through {!Oracle.stabilization} (recovery-window
           violations quarantined, persisting ones relabeled) and, on EVS
           runs, the 6.1/6.3/structural checks re-ran from the cut *)
-  straggler : (string * float) option;
-      (** the vspath verdict — the process carrying the largest summed
-          charge across the run's install critical paths, with that charge
-          in seconds.  Computed only when [?obs] recorded at [Full] level
-          (the causal DAG needs per-message traffic); [None] otherwise, so
-          Protocol/Off-level checking runs pay nothing for it *)
 }
 
 val run_schedule :
@@ -81,6 +75,7 @@ val run_schedule :
   outcome
 (** Deterministic: the same setup, traffic, script and horizon produce the
     same outcome, bit for bit.  [?obs] receives the run's event stream
-    (pass a [Full]-level recorder to capture per-message traffic).  Runs
+    (pass a [Full]-level recorder to capture per-message traffic); the
+    recording level widens that stream only, never the outcome.  Runs
     with transient faults are judged at {!Oracle.stabilization}'s default
     recovery bound. *)

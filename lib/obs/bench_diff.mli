@@ -25,27 +25,18 @@ type row = {
 
 val default_threshold : float
 (** [0.20] — the relative tolerance for measured keys; wall-clock keys get
-    {!wall_factor} times this. *)
-
-val wall_factor : float
-
-val classify : ?threshold:float -> string -> cls
-(** Key-class rules: [zero_alloc*]/[gate_*] exact; [words_per_call]/
-    [findings] zero-tolerance lower-better; [wall_*] wide-tolerance
-    lower-better; [alloc_bytes]/[overhead_ratio] lower-better;
-    [ops_per_wall_s]/[speedup] higher-better; all else informational. *)
+    2.5 times this. *)
 
 val load : string -> (Json.t, string) result
 (** Read and parse a [BENCH_*.json] file; an unreadable file is an
     [Error] too. *)
 
-val flatten : Json.t -> (string * Json.t) list
-(** Dotted leaf paths, sorted. *)
-
 val diff : ?threshold:float -> old_doc:Json.t -> new_doc:Json.t -> unit -> row list
-(** Full keywise comparison, sorted by key. *)
-
-val regressions : row list -> row list
+(** Full keywise comparison, sorted by key.  Key-class rules:
+    [zero_alloc*]/[gate_*] exact; [words_per_call]/[findings]
+    zero-tolerance lower-better; [wall_*] wide-tolerance lower-better;
+    [alloc_bytes]/[overhead_ratio] lower-better; [ops_per_wall_s]/[speedup]
+    higher-better; all else informational. *)
 
 val deterministic_regressions : row list -> row list
 (** Regressions on [Exact] and zero-tolerance keys only — the flake-free

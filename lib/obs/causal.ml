@@ -16,8 +16,6 @@
 
 type edge_kind = Program | Message | Barrier
 
-type node = { id : int; time : float; event : Event.t }
-
 type stats = {
   c_nodes : int;
   c_program_edges : int;
@@ -27,7 +25,7 @@ type stats = {
 }
 
 type t = {
-  g_nodes : node array;
+  g_nodes : Recorder.entry array;
   g_preds : (int * edge_kind) list array;
   g_stats : stats;
   g_orphans : int list;
@@ -76,12 +74,8 @@ let actor ev = match actors ev with p :: _ -> Some p | [] -> None
 type copy_key = string * Event.proc * int * Event.msg option
 
 let of_entries (entries : Recorder.entry list) =
-  let arr = Array.of_list entries in
-  let n = Array.length arr in
-  let g_nodes =
-    Array.init n (fun i ->
-        { id = i; time = arr.(i).Recorder.time; event = arr.(i).Recorder.event })
-  in
+  let g_nodes = Array.of_list entries in
+  let n = Array.length g_nodes in
   let g_preds = Array.make n [] in
   let p_edges = ref 0 and m_edges = ref 0 and b_edges = ref 0 in
   let add_edge kind src dst =
@@ -116,7 +110,7 @@ let of_entries (entries : Recorder.entry list) =
     | Some _ | None -> None
   in
   Array.iteri
-    (fun i (nd : node) ->
+    (fun i (nd : Recorder.entry) ->
       (* program-order edge per acting process *)
       List.iter
         (fun p ->

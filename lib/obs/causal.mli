@@ -1,6 +1,7 @@
 (** Happened-before DAG over a recorded run — the causal half of vspath.
 
-    Nodes are the recorded entries in stream order; edges are the three
+    Nodes are the recorded entries themselves, identified by their index in
+    the stream (0-based, oldest first); edges are the three
     happened-before relations the paper's model admits:
 
     - {e program-order}: consecutive events of the same process (keyed by
@@ -21,9 +22,6 @@
 
 type edge_kind = Program | Message | Barrier
 
-type node = { id : int; time : float; event : Event.t }
-(** [id] is the index in the recorded stream (0-based, oldest first). *)
-
 type stats = {
   c_nodes : int;
   c_program_edges : int;
@@ -36,7 +34,9 @@ type t
 
 val of_entries : Recorder.entry list -> t
 
-val nodes : t -> node array
+val nodes : t -> Recorder.entry array
+(** The recording indexed by node id; the entries are the recorder's own,
+    not copies. *)
 
 val preds : t -> int -> (int * edge_kind) list
 (** Predecessors of node [id] (its happened-before frontier).  Order is not

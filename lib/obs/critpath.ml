@@ -104,7 +104,7 @@ let best_pred dag cur =
       | None -> Some (j, k)
       | Some (j', _) ->
           let c =
-            Float.compare nodes.(j).Causal.time nodes.(j').Causal.time
+            Float.compare nodes.(j).Recorder.time nodes.(j').Recorder.time
           in
           if c > 0 || (c = 0 && j > j') then Some (j, k) else best)
     None (Causal.preds dag cur)
@@ -121,7 +121,7 @@ let classify dag ~cur ~pred ~edge ~s_from ~s_until ~fallback =
   match (edge : Causal.edge_kind) with
   | Causal.Message -> (
       (* [cur] consumed a wire copy; the hop is charged to the sender. *)
-      match nodes.(cur).Causal.event with
+      match nodes.(cur).Recorder.event with
       | Event.Recv { src; dst; kind; _ } | Event.Drop { src; dst; kind; _ } ->
           let s_kind =
             if kind = "retransmit" then Retransmit_wait else Network_flight
@@ -129,7 +129,7 @@ let classify dag ~cur ~pred ~edge ~s_from ~s_until ~fallback =
           { s_kind; s_from; s_until; s_proc = src; s_link = Some dst }
       | ev -> local Network_flight s_from s_until (owner_of ev))
   | Causal.Barrier -> (
-      match nodes.(pred).Causal.event with
+      match nodes.(pred).Recorder.event with
       | Event.Flush { proc; _ } ->
           (* Waiting on [proc]'s flush-ack to clear the sync barrier. *)
           local Flush_ack_wait s_from s_until proc
@@ -137,9 +137,9 @@ let classify dag ~cur ~pred ~edge ~s_from ~s_until ~fallback =
           (* Propose -> Flush: the member draining and flushing — its own
              work, not a wait on anyone else. *)
           local Local_compute s_from s_until
-            (owner_of nodes.(cur).Causal.event))
+            (owner_of nodes.(cur).Recorder.event))
   | Causal.Program -> (
-      match nodes.(pred).Causal.event with
+      match nodes.(pred).Recorder.event with
       | Event.Suspect { proc; _ } ->
           (* The gap after a suspicion is the detector timeout driving the
              change. *)
@@ -152,20 +152,20 @@ let classify dag ~cur ~pred ~edge ~s_from ~s_until ~fallback =
 let walk dag ~stop_time ~start ~fallback =
   let nodes = Causal.nodes dag in
   let rec go cur acc =
-    let tcur = nodes.(cur).Causal.time in
+    let tcur = nodes.(cur).Recorder.time in
     if tcur <= stop_time then acc
     else
       match best_pred dag cur with
       | None ->
           (* Frontier root inside the window: residual local work. *)
           let p =
-            match Causal.actor nodes.(cur).Causal.event with
+            match Causal.actor nodes.(cur).Recorder.event with
             | Some p -> p
             | None -> fallback
           in
           local Local_compute stop_time tcur p :: acc
       | Some (j, edge) ->
-          let tj = nodes.(j).Causal.time in
+          let tj = nodes.(j).Recorder.time in
           let s_from = Float.max stop_time tj in
           let acc =
             if tcur > s_from then
@@ -273,9 +273,9 @@ let of_dag dag =
   let op_last : (Event.msg, float * int) Hashtbl.t = Hashtbl.create 256 in
   let rev_installs = ref [] in
   Array.iteri
-    (fun i (nd : Causal.node) ->
-      let time = nd.Causal.time in
-      match Stall.step anchors ~time nd.Causal.event with
+    (fun i (nd : Recorder.entry) ->
+      let time = nd.Recorder.time in
+      match Stall.step anchors ~time nd.Recorder.event with
       | Some install ->
           Option.iter
             (fun a ->
@@ -291,7 +291,7 @@ let of_dag dag =
                 :: !rev_installs)
             (Stall.attr install)
       | None -> (
-          match nd.Causal.event with
+          match nd.Recorder.event with
           | Event.Send { msg = Some m; _ } ->
               if not (Hashtbl.mem op_first m) then
                 Hashtbl.replace op_first m (time, i)
@@ -497,3 +497,31 @@ let to_json t =
         | Some (_, c) -> Json.Float c
         | None -> Json.Null );
     ]
+
+(* One folded stack per (view, segment kind, owner); the stack line itself
+   is the key, so sorting the keys sorts the output. *)
+let folded t =
+  let sums : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun ip ->
+      List.iter
+        (fun s ->
+          let stack =
+            String.concat ";"
+              [
+                Event.vid_to_string ip.ip_attr.Stall.a_vid;
+                seg_kind_to_string s.s_kind;
+                seg_owner s;
+              ]
+          in
+          let prev = Option.value ~default:0. (Hashtbl.find_opt sums stack) in
+          Hashtbl.replace sums stack (prev +. seg_duration s))
+        ip.ip_segments)
+    t.installs;
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (stack, seconds) ->
+      let us = int_of_float ((seconds *. 1e6) +. 0.5) in
+      if us > 0 then Buffer.add_string buf (Printf.sprintf "%s %d\n" stack us))
+    (Hashtblx.sorted_bindings ~cmp:String.compare sums);
+  Buffer.contents buf

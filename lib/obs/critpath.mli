@@ -114,3 +114,11 @@ val to_table : t -> Vs_stats.Table.t
 (** Per-view decomposition table. *)
 
 val to_json : t -> Json.t
+
+val folded : t -> string
+(** Folded stacks, the [view;segment-kind;owner <microseconds>] lines that
+    [flamegraph.pl] and [inferno-flamegraph] read.  Each stack sums its
+    segments across the view's install paths in integer microseconds, and
+    the lines are sorted, so identically-seeded runs render byte-identical
+    output (a committed golden sample pins it).  Empty when no view was
+    installed. *)

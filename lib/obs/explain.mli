@@ -21,12 +21,6 @@ type property =
           persists after the stabilization oracle's recovery bound, or a run
           that never re-converges at all *)
 
-val property_key : property -> string
-(** Stable machine name (["agreement"], ["evs-structure"], …). *)
-
-val property_title : property -> string
-(** Human title naming the paper property (["agreement (Property 2.1)"]). *)
-
 type violation = {
   property : property;
   msg : Event.msg option;  (** the offending message, when one exists *)
@@ -51,5 +45,3 @@ val to_text : explanation -> string
 
 val to_json : explanation -> Json.t
 (** Canonical object: [violation], [notes], [slice] (schema-format events). *)
-
-val violation_json : violation -> Json.t

@@ -174,10 +174,9 @@ let chrome_of_entries entries =
            ("tid", Json.Int cluster_tid); ("s", Json.Str "p");
          ])
   in
-  (* flush windows open at the member's own flush-ack; open tasks keyed by
-     "proc|task" *)
+  (* flush windows open at the member's own flush-ack *)
   let anchors = Stall.tracker () in
-  let open_task : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let open_task : (Event.proc * string, float) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (e : Recorder.entry) ->
       let time = e.time in
@@ -216,11 +215,11 @@ let chrome_of_entries entries =
                  clusters)
             ~cat:"mode"
       | Event.Task_start { proc; task; _ } ->
-          let key = Event.proc_to_string proc ^ "|" ^ task in
+          let key = (proc, task) in
           if not (Hashtbl.mem open_task key) then
             Hashtbl.replace open_task key time
       | Event.Task_done { proc; task; vid } ->
-          let key = Event.proc_to_string proc ^ "|" ^ task in
+          let key = (proc, task) in
           (match Hashtbl.find_opt open_task key with
           | Some start ->
               Hashtbl.remove open_task key;
@@ -257,20 +256,15 @@ let chrome_of_entries entries =
           ())
     entries;
   (* Unclosed task spans: surface their start as instants so they are not
-     silently invisible.  Sorted for determinism (D2). *)
+     silently invisible.  Sorted by process, then task, for determinism
+     (D2). *)
+  let by_proc_task (p, a) (q, b) =
+    match Event.compare_proc p q with 0 -> String.compare a b | c -> c
+  in
   List.iter
-    (fun (key, start) ->
-      match String.index_opt key '|' with
-      | None -> ()
-      | Some i -> (
-          let proc_s = String.sub key 0 i in
-          let task = String.sub key (i + 1) (String.length key - i - 1) in
-          match Event.proc_of_string proc_s with
-          | Some proc ->
-              instant ~time:start ~proc ~name:(task ^ " start (unfinished)")
-                ~cat:"app"
-          | None -> ()))
-    (Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare open_task);
+    (fun ((proc, task), start) ->
+      instant ~time:start ~proc ~name:(task ^ " start (unfinished)") ~cat:"app")
+    (Vs_util.Hashtblx.sorted_bindings ~cmp:by_proc_task open_task);
   (* Metadata lanes, one per node plus the cluster lane. *)
   let meta =
     List.concat_map

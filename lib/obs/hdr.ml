@@ -160,19 +160,9 @@ let approx_sum t =
 
 let mean t = if t.n = 0 then 0. else approx_sum t /. float_of_int t.n
 
-(* Occupied buckets as (upper bound, count), in value order — the compact
-   representation the series snapshots and the OpenMetrics exposition
-   consume.  Empty buckets are skipped, so the list length tracks the
-   distinct magnitudes observed, not the configured resolution. *)
-let buckets t =
-  let acc = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (rep t i, t.counts.(i)) :: !acc
-  done;
-  !acc
-
-(* Cumulative variant: (upper bound, running count); the running count of
-   the last element equals [count t]. *)
+(* Occupied buckets as (upper bound, running count), in value order — the
+   [le] series the OpenMetrics exposition renders.  Empty buckets are
+   skipped; the running count of the last element equals [count t]. *)
 let cumulative t =
   let acc = ref [] and running = ref 0 in
   Array.iteri

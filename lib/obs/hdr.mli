@@ -47,9 +47,6 @@ val approx_sum : t -> float
 (** Sum of bucket representatives weighted by count — within a factor
     [1 + error] of the exact sum for in-range samples. *)
 
-val buckets : t -> (float * int) list
-(** Occupied buckets as [(upper_bound, count)] in increasing value order. *)
-
 val cumulative : t -> (float * int) list
 (** Occupied buckets as [(upper_bound, running_count)]; the last running
     count equals {!count}.  This is the [le]-labelled series the

@@ -62,9 +62,6 @@ type timeline = {
   tl_crashed_at : float option;
 }
 
-val view_at : timeline -> float -> Event.vid option
-(** The view installed at or before the given time. *)
-
 (** {2 The view graph} *)
 
 type vnode = {
@@ -87,10 +84,6 @@ type vedge = {
 }
 
 type graph = { vnodes : vnode list; vedges : vedge list }
-
-val successors : graph -> Event.vid -> Event.vid list
-
-val predecessors : graph -> Event.vid -> Event.vid list
 
 val splits : graph -> (Event.vid * Event.vid list) list
 (** Views whose survivors installed more than one distinct successor. *)

@@ -69,7 +69,7 @@ type deriv = {
   (* propose / flush-ack anchors, for install latency and flush stall *)
   anchors : Stall.tracker;
   (* open tasks per (proc, task kind) *)
-  tasks : (string, float) Hashtbl.t;
+  tasks : (Event.proc * string, float) Hashtbl.t;
 }
 
 let deriv_create () =
@@ -123,10 +123,10 @@ let step d ~time (event : Event.t) =
       Hashtbl.replace d.node_mode proc.node into_mode
   | Event.Settle _ -> incr m "app.settles"
   | Event.Task_start { proc; task; _ } ->
-      let key = Event.proc_to_string proc ^ "|" ^ task in
+      let key = (proc, task) in
       if not (Hashtbl.mem d.tasks key) then Hashtbl.replace d.tasks key time
   | Event.Task_done { proc; task; _ } ->
-      let key = Event.proc_to_string proc ^ "|" ^ task in
+      let key = (proc, task) in
       (match Hashtbl.find_opt d.tasks key with
       | Some t0 ->
           Hashtbl.remove d.tasks key;

@@ -54,8 +54,6 @@ val of_entries : Recorder.entry list -> t
 
 (** {2 Rendering} *)
 
-val to_tables : t -> Vs_stats.Table.t list
-
 val to_text : t -> string
 
 val to_json : t -> Json.t

@@ -68,8 +68,6 @@ let add_sink t f =
 let remove_sink t handle =
   t.sinks <- List.filter (fun (id, _) -> id <> handle) t.sinks
 
-let level t = t.level
-
 let protocol_on t = match t.level with Off -> false | Protocol | Full -> true
 
 (* vslint: alloc-free *)

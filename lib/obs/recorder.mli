@@ -28,8 +28,6 @@ val create : ?level:level -> unit -> t
 (** An unbounded recorder.  Level defaults to the process-wide
     {!default_level}. *)
 
-val level : t -> level
-
 val protocol_on : t -> bool
 (** [level >= Protocol]. *)
 

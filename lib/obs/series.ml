@@ -69,8 +69,6 @@ let create ?(interval = default_interval) () =
     finished = false;
   }
 
-let interval t = t.interval
-
 let capacity t = Array.length t.ring
 
 let count t = t.count
@@ -147,8 +145,6 @@ let delta_counter ~prev snap name =
   in
   get snap - match prev with Some p -> get p | None -> 0
 
-let hist_of snap name = List.assoc_opt name snap.hists
-
 (* --- rendering ----------------------------------------------------------- *)
 
 let snapshot_to_json (s : snapshot) =
@@ -201,7 +197,7 @@ let to_table t =
         @ [ "install p99"; "stall p99" ])
   in
   let pct name s =
-    match hist_of s name with
+    match List.assoc_opt name s.hists with
     | Some h when h.h_n > 0 -> Vs_stats.Table.ffloat ~decimals:4 h.h_p99
     | Some _ | None -> "-"
   in

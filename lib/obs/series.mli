@@ -47,8 +47,6 @@ val finish : t -> now:float -> unit
 (** Close windows through the one containing [now] — call once at the end
     of a run so the final partial window is captured.  Idempotent. *)
 
-val interval : t -> float
-
 val capacity : t -> int
 
 val count : t -> int
@@ -64,10 +62,6 @@ val snapshots : t -> snapshot list
 val delta_counter : prev:snapshot option -> snapshot -> string -> int
 (** Per-window counter delta between consecutive snapshots; [prev = None]
     treats the cumulative value as the delta (first window). *)
-
-val hist_of : snapshot -> string -> hist_scrape option
-
-val snapshot_to_json : snapshot -> Json.t
 
 val to_json : t -> Json.t
 (** Canonical JSON ([interval] / [windows] / [truncated] / [snapshots]) —

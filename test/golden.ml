@@ -19,7 +19,6 @@ module Export = Vs_obs.Export
 module Metrics = Vs_obs.Metrics
 module Openmetrics = Vs_obs.Openmetrics
 module Critpath = Vs_obs.Critpath
-module Flame = Vs_obs.Flame
 module Rundiff = Vs_obs.Rundiff
 module Lint = Vs_lint.Lint
 module Rules = Vs_lint.Rules
@@ -210,7 +209,7 @@ let () =
     | [| _; "trace" |] -> Export.jsonl_of_entries trace_entries
     | [| _; "openmetrics" |] -> Openmetrics.of_metrics (metrics_registry ())
     | [| _; "sarif" |] -> Sarif.emit ~findings:sarif_findings ^ "\n"
-    | [| _; "folded" |] -> Flame.folded (Critpath.of_entries (record 3))
+    | [| _; "folded" |] -> Critpath.folded (Critpath.of_entries (record 3))
     | [| _; "diff" |] ->
         Rundiff.to_text (Rundiff.diff ~a:(record 3) ~b:(record 4))
     | [| _; "campaigns" |] -> campaigns ()

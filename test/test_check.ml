@@ -163,7 +163,7 @@ let test_shrink_run_derived () =
   let original = Campaign.generate ~seed:3 ~nodes:4 ~quick:true () in
   if not (failing original) then
     Alcotest.fail "expected seed 3 to produce >= 3 distinct views";
-  let shrunk, _stats = Shrink.shrink ~max_attempts:80 ~failing original in
+  let shrunk, _stats = Shrink.shrink ~failing original in
   check Alcotest.bool "still fails after shrinking" true (failing shrunk);
   check Alcotest.bool "strictly smaller" true
     (Campaign.weight shrunk < Campaign.weight original)
@@ -632,6 +632,37 @@ let test_transient_explorer_smoke () =
   check Alcotest.int "no violations over the transient smoke set" 0
     (List.length report.Explorer.failures)
 
+(* The recording level widens the event stream and nothing else: the whole
+   outcome record, verdicts and quarantine summary included, is the same at
+   Off, Protocol and Full for a VS, an EVS and a transient campaign. *)
+let test_outcome_independent_of_recording_level () =
+  let specs =
+    [
+      ("vsync", Campaign.generate ~protocol:Driver.Vsync ~seed:3 ~nodes:4
+                  ~quick:true ());
+      ("evs", Campaign.generate ~protocol:Driver.Evs ~seed:3 ~nodes:4
+                ~quick:true ());
+      ("transient", find_transient_spec ());
+    ]
+  in
+  List.iter
+    (fun (name, spec) ->
+      let at level = Campaign.run ~obs:(Recorder.create ~level ()) spec in
+      let off = at Recorder.Off in
+      check Alcotest.bool (name ^ ": the run did something") true
+        (off.Campaign.events > 0 && off.Campaign.installs > 0);
+      check Alcotest.bool (name ^ ": quarantine summary iff transient")
+        spec.Campaign.transient (off.Campaign.quarantine <> None);
+      List.iter
+        (fun level ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s outcome equals Off's" name
+               (Recorder.level_to_string level))
+            true
+            (at level = off))
+        [ Recorder.Protocol; Recorder.Full ])
+    specs
+
 (* ---------- transient x batching ---------- *)
 
 let transient_equivalence_run ~config =
@@ -762,6 +793,8 @@ let () =
             test_replay_deterministic;
           Alcotest.test_case "through the artifact form" `Quick
             test_replay_from_artifact_deterministic;
+          Alcotest.test_case "same outcome at every recording level" `Quick
+            test_outcome_independent_of_recording_level;
         ] );
       ( "repro",
         [

@@ -183,6 +183,60 @@ let test_chrome_export () =
                 (has "ph" && has "pid" && (has "tid" || meta)))
             events)
 
+(* Task spans on a synthetic stream: a finished task is one complete "X"
+   span, unfinished tasks surface as instants sorted by process (p1 before
+   p1.1, although p1.1 started first), and a done with no start is an
+   instant of its own. *)
+let test_chrome_task_spans () =
+  let e time event = { Recorder.time; event } in
+  let task time proc done_ =
+    let task = "transfer" and vid = v 2 0 in
+    e time
+      (if done_ then Event.Task_done { proc; task; vid }
+       else Event.Task_start { proc; task; vid })
+  in
+  let entries =
+    [
+      task 0.25 (p 0 0) false;
+      task 0.375 (p 1 1) false;
+      task 0.5 (p 1 0) false;
+      task 0.75 (p 0 0) true;
+      task 1.0 (p 2 0) true;
+    ]
+  in
+  let app_events =
+    match Json.of_string (Export.chrome_of_entries entries) with
+    | Error e -> Alcotest.failf "chrome export is not valid JSON: %s" e
+    | Ok json ->
+        Option.value ~default:[]
+          (Option.bind (Json.member "traceEvents" json) Json.to_list_opt)
+        |> List.filter (fun ev ->
+               Option.bind (Json.member "cat" ev) Json.to_string_opt
+               = Some "app")
+  in
+  let field k to_s ev =
+    match Json.member k ev with Some j -> to_s j | None -> "-"
+  in
+  let str j = Option.value ~default:"?" (Json.to_string_opt j) in
+  let num j = Json.to_string j in
+  check
+    (Alcotest.list Alcotest.string)
+    "ph name tid ts dur, in output order"
+    [
+      "X transfer v2@p0 0 250000.0 500000.0";
+      "i transfer done 2 1000000.0 -";
+      "i transfer start (unfinished) 1 500000.0 -";
+      "i transfer start (unfinished) 1 375000.0 -";
+    ]
+    (List.map
+       (fun ev ->
+         String.concat " "
+           [
+             field "ph" str ev; field "name" str ev; field "tid" num ev;
+             field "ts" num ev; field "dur" num ev;
+           ])
+       app_events)
+
 (* ---------- metrics derivation on a synthetic stream ---------- *)
 
 let test_metrics_derivation () =
@@ -447,6 +501,7 @@ let () =
         [
           Alcotest.test_case "jsonl-deterministic" `Quick test_jsonl_deterministic;
           Alcotest.test_case "chrome" `Quick test_chrome_export;
+          Alcotest.test_case "chrome task spans" `Quick test_chrome_task_spans;
           Alcotest.test_case "schema sample" `Quick test_trace_schema_sample;
         ] );
       ( "metrics",

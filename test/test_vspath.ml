@@ -11,7 +11,6 @@ module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
 module Causal = Vs_obs.Causal
 module Critpath = Vs_obs.Critpath
-module Flame = Vs_obs.Flame
 module Rundiff = Vs_obs.Rundiff
 module Json = Vs_obs.Json
 module Campaign = Vs_check.Campaign
@@ -173,30 +172,10 @@ let test_critpath_agrees_with_stall () =
         (Critpath.consistent_with_stall cp attrs))
     seeds
 
-(* The harness plumbs the same verdict into its outcome — but only for
-   Full-level recordings; a Protocol-level run must not pay for the DAG. *)
-let test_outcome_straggler_plumbing () =
-  let spec = Campaign.generate ~seed:3 ~nodes:4 ~quick:true () in
-  let full = Recorder.create ~level:Recorder.Full () in
-  let outcome = Campaign.run ~obs:full spec in
-  let cp = Critpath.of_entries (Recorder.entries full) in
-  let expect =
-    Option.map
-      (fun (p, c) -> (Event.proc_to_string p, c))
-      cp.Critpath.straggler
-  in
-  Alcotest.(check (option (pair string (float 1e-12))))
-    "outcome straggler is the critpath verdict" expect outcome.Campaign.straggler;
-  Alcotest.(check bool) "full-level run has a verdict" true (expect <> None);
-  let proto = Recorder.create ~level:Recorder.Protocol () in
-  let outcome_p = Campaign.run ~obs:proto spec in
-  Alcotest.(check (option (pair string (float 0.))))
-    "protocol-level run skips the verdict" None outcome_p.Campaign.straggler
-
 (* --- byte-determinism (satellite: folded stacks and diff-runs) ----------- *)
 
 let test_folded_deterministic () =
-  let one () = Flame.folded (Critpath.of_entries (record ~seed:3 ())) in
+  let one () = Critpath.folded (Critpath.of_entries (record ~seed:3 ())) in
   let a = one () and b = one () in
   Alcotest.(check bool) "folded output non-empty" true (String.length a > 0);
   Alcotest.(check string) "folded stacks byte-identical" a b
@@ -355,8 +334,6 @@ let () =
             test_critpath_sums_to_install_latency;
           Alcotest.test_case "agrees with stall" `Slow
             test_critpath_agrees_with_stall;
-          Alcotest.test_case "outcome plumbing" `Quick
-            test_outcome_straggler_plumbing;
         ] );
       ( "determinism",
         [
