@@ -1,21 +1,16 @@
 (* Benchmark harness: regenerates every table of EXPERIMENTS.md (the
    executable counterparts of the paper's Figures 1-3 and analytical claims
-   C1-C3) and runs one Bechamel micro-benchmark per table on the hot
-   operation underlying it.
+   C1-C3), the observability overhead record and the throughput profile.
 
    Usage:
      bench/main.exe            run everything (full-size experiments)
      bench/main.exe quick      smaller sweeps (CI-sized)
      bench/main.exe e4 e11     only the named experiments, full-size
-     bench/main.exe micro      only the Bechamel micro-benchmarks
-     bench/main.exe e4 micro   named experiments plus the micro-benchmarks
+     bench/main.exe e4 obs     named experiments plus the obs section
 
    Unknown arguments are rejected with a usage message. *)
 
 module Table = Vs_stats.Table
-module E_view = Evs_core.E_view
-module Mode = Evs_core.Mode
-module Classify = Evs_core.Classify
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 
@@ -644,180 +639,6 @@ let run_throughput ~quick ~scale =
   in
   gate_and_write ~path:"BENCH_throughput.json" json
 
-(* ---------- Bechamel micro-benchmarks: the hot operation of each table ---------- *)
-
-let p n = Proc_id.initial n
-
-let sample_eview =
-  let members = List.init 8 p in
-  let view = View.make (View.Id.make ~epoch:5 ~proposer:(p 0)) members in
-  let reports =
-    List.map
-      (fun (q : Proc_id.t) ->
-        ( q,
-          {
-            E_view.r_tag =
-              Some
-                {
-                  E_view.m_sv = E_view.Subview_id.Fresh (p (q.Proc_id.node / 2));
-                  m_ss = E_view.Svset_id.Fresh (p (q.Proc_id.node / 4));
-                };
-            r_prior = Some (View.Id.make ~epoch:4 ~proposer:(p (q.Proc_id.node / 4)));
-          } ))
-      members
-  in
-  E_view.rebuild view reports
-
-let micro_tests () =
-  let open Bechamel in
-  [
-    (* E1: a mode-machine step. *)
-    Test.make ~name:"e1/mode-machine-step"
-      (Staged.stage (fun () ->
-           let m = Mode.Machine.create () in
-           ignore
-             (Mode.Machine.on_view_change m ~target:Mode.Serve_all
-                ~expanded:true ~policy:Mode.On_expansion);
-           ignore (Mode.Machine.reconcile m)));
-    (* E2: rebuilding an enriched view from flush reports. *)
-    Test.make ~name:"e2/eview-rebuild-8"
-      (Staged.stage (fun () ->
-           let members = List.init 8 p in
-           let view = View.make (View.Id.make ~epoch:5 ~proposer:(p 0)) members in
-           ignore
-             (E_view.rebuild view
-                (List.map
-                   (fun q -> (q, { E_view.r_tag = None; r_prior = None }))
-                   members))));
-    (* E3: applying the two merge operations. *)
-    Test.make ~name:"e3/svset+subview-merge"
-      (Staged.stage (fun () ->
-           let ev = sample_eview in
-           let ss_ids =
-             List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets
-           in
-           match E_view.apply_svset_merge ev ss_ids with
-           | Ok (ev', _) ->
-               let sv_ids =
-                 List.map (fun sv -> sv.E_view.sv_id)
-                   ev'.E_view.structure.E_view.subviews
-               in
-               ignore (E_view.apply_subview_merge ev' sv_ids)
-           | Error `No_effect -> ()));
-    (* E4: membership normalization, the per-proposal hot path. *)
-    Test.make ~name:"e4/membership-sort-64"
-      (let ids = List.init 64 (fun i -> Proc_id.make ~node:(63 - i) ~inc:(i mod 3)) in
-       Staged.stage (fun () -> ignore (Proc_id.sort ids)));
-    (* E5: both local classifiers. *)
-    Test.make ~name:"e5/classify-enriched+flat"
-      (Staged.stage (fun () ->
-           ignore
-             (Classify.enriched ~eview:sample_eview
-                ~would_serve_all:(fun ms -> List.length ms > 4)
-                ());
-           ignore
-             (Classify.flat
-                {
-                  Classify.fk_members = E_view.members sample_eview;
-                  fk_me = p 0;
-                  fk_my_prior = Classify.Was_reduced;
-                  fk_my_prior_members = [ p 0; p 1 ];
-                })));
-    (* E6: wire-size accounting of a synchronisation-carrying install. *)
-    Test.make ~name:"e6/wire-size-install"
-      (let data =
-         List.init 64 (fun i ->
-             {
-               Vs_vsync.Wire.vid = View.Id.make ~epoch:3 ~proposer:(p 0);
-               sender = p (i mod 8);
-               seq = i;
-               body = Vs_vsync.Wire.User i;
-             })
-       in
-       let install =
-         Vs_vsync.Wire.Install
-           {
-             pvid = View.Id.make ~epoch:4 ~proposer:(p 0);
-             view = View.make (View.Id.make ~epoch:4 ~proposer:(p 0)) (List.init 8 p);
-             sync = [ (View.Id.make ~epoch:3 ~proposer:(p 0), data) ];
-             anns = List.map (fun q -> (q, Some ())) (List.init 8 p);
-             priors =
-               List.map
-                 (fun q -> (q, View.Id.make ~epoch:3 ~proposer:(p 0)))
-                 (List.init 8 p);
-           }
-       in
-       Staged.stage (fun () ->
-           ignore
-             (Vs_vsync.Wire.size_of ~user:(fun _ -> 8) ~ann:(fun () -> 8) install)));
-    (* E7: quorum evaluation over a membership. *)
-    Test.make ~name:"e7/quorum-check"
-      (let members = List.init 5 p in
-       Staged.stage (fun () ->
-           ignore
-             (List.fold_left (fun acc (_ : Proc_id.t) -> acc + 1) 0 members > 2)));
-    (* E8: one full range scan of the replicated dataset. *)
-    Test.make ~name:"e8/range-scan-1000"
-      (Staged.stage (fun () ->
-           let hits = ref 0 in
-           for k = 0 to 999 do
-             if (k * 37 + 11) mod 256 = 48 then incr hits
-           done;
-           ignore !hits));
-    (* E9: the structure fingerprint used to compare e-views. *)
-    Test.make ~name:"e9/eview-fingerprint"
-      (Staged.stage (fun () -> ignore (E_view.to_string sample_eview)));
-    (* E10: the simulator's event-queue hot path. *)
-    Test.make ~name:"e10/heap-1k-push-pop"
-      (Staged.stage (fun () ->
-           let h = Vs_util.Heap.create ~cmp:Int.compare in
-           for i = 999 downto 0 do
-             Vs_util.Heap.push h i
-           done;
-           let rec drain () =
-             match Vs_util.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  print_endline "### Bechamel micro-benchmarks (one per experiment table)\n";
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.2) ~kde:(Some 1000) ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let tests =
-    Test.make_grouped ~name:"micro" ~fmt:"%s %s" (micro_tests ())
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare results in
-  let table =
-    Table.create ~title:"micro-benchmarks (monotonic clock)"
-      ~columns:[ "benchmark"; "time/run (ns)"; "r^2" ]
-  in
-  List.iter
-    (fun (name, result) ->
-      let estimate =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.sprintf "%.1f" est
-        | Some ests ->
-            String.concat "," (List.map (Printf.sprintf "%.1f") ests)
-        | None -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "-"
-      in
-      Table.add_row table [ name; estimate; r2 ])
-    rows;
-  Table.print table
-
 let () =
   let args =
     match Array.to_list Sys.argv with [] -> [] | _program :: rest -> rest
@@ -828,18 +649,16 @@ let () =
       (fun a ->
         not
           (List.mem a
-             ("quick" :: "micro" :: "obs" :: "throughput" :: "scale" :: known_ids)))
+             ("quick" :: "obs" :: "throughput" :: "scale" :: known_ids)))
       args
   in
   if unknown <> [] then begin
     Printf.eprintf "unknown argument(s): %s\n" (String.concat " " unknown);
     Printf.eprintf
-      "usage: main.exe [quick] [micro] [obs] [throughput [scale]] [%s]...\n\
+      "usage: main.exe [quick] [obs] [throughput [scale]] [%s]...\n\
       \  no arguments        run all experiments, the observability overhead\n\
-      \                      section, the micro-benchmarks and a quick\n\
-      \                      throughput profile\n\
+      \                      section and a quick throughput profile\n\
       \  quick               smaller sweeps (CI-sized)\n\
-      \  micro               run the Bechamel micro-benchmarks\n\
       \  obs                 run the observability overhead section\n\
       \  throughput          run the wall-clock sustained-throughput profile\n\
       \                      (writes BENCH_throughput.json)\n\
@@ -850,21 +669,19 @@ let () =
     exit 2
   end;
   let quick = List.mem "quick" args in
-  let micro = List.mem "micro" args in
   let obs = List.mem "obs" args in
   let throughput = List.mem "throughput" args in
   let scale = List.mem "scale" args in
   let only = List.filter (fun a -> List.mem a known_ids) args in
-  (* Experiment ids, [micro], [obs] and [throughput] compose; naming any of
-     them skips the unnamed sections. *)
-  let run_all = only = [] && (not micro) && (not obs) && not throughput in
+  (* Experiment ids, [obs] and [throughput] compose; naming any of them
+     skips the unnamed sections. *)
+  let run_all = only = [] && (not obs) && not throughput in
   print_endline
     "On Programming with View Synchrony (ICDCS 1996) — experiment \
      reproduction\n";
   if only <> [] || run_all then run_experiments ~quick ~only;
   if quick && only = [] then run_lint_profile ();
   if obs || run_all then run_obs ();
-  if micro || run_all then run_micro ();
   (* The default profile carries the quick throughput variant, so
      BENCH_throughput.json is refreshed on every full bench run. *)
   if throughput then run_throughput ~quick ~scale
