@@ -187,7 +187,7 @@ let words_per_send_batch ~level =
   let net =
     Net.create
       ~size_of:(Wire.size_of ~user:(fun (_ : int) -> 8) ~ann:(fun () -> 8))
-      ~describe:Wire.kind ~ident:(Wire.ident ~user) ~idents:(Wire.idents ~user)
+      ~describe:Wire.kind ~idents:(Wire.idents ~user)
       sim Net.default_config
   in
   let a = Proc_id.initial 0 and b = Proc_id.initial 1 in

@@ -39,28 +39,6 @@ let seed_arg =
 let nodes_arg =
   Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
-let obs_level_conv =
-  let parse s =
-    match Recorder.level_of_string s with
-    | Some l -> Ok l
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid recording level %S; expected one of: %s" s
-               (String.concat ", " Recorder.all_level_names)))
-  in
-  let print ppf l = Format.pp_print_string ppf (Recorder.level_to_string l) in
-  Arg.conv (parse, print)
-
-let obs_level_arg default =
-  Arg.(
-    value & opt obs_level_conv default
-    & info [ "obs-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Event recording level: $(b,off), $(b,protocol) or $(b,full) \
-           (case-insensitive).  Lineage-based explanations need $(b,full); \
-           below that they fall back to membership traffic only.")
-
 let typed_conv name of_string to_string =
   let parse s =
     match of_string s with
@@ -139,23 +117,8 @@ let check_cmd =
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:"Directory where shrunk repro artifacts are written.")
   in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Replay one repro artifact instead of sweeping seeds; exits \
-             non-zero if the replay still violates a property.")
-  in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-campaign progress.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the derived metrics summary (counters, histograms).")
   in
   let transient =
     Arg.(
@@ -166,25 +129,7 @@ let check_cmd =
              state corruptions and runs are judged by the stabilization \
              oracle (bounded recovery after the last corruption).")
   in
-  let replay_file ~metrics ~obs_level file =
-    match Repro.load file with
-    | Error msg ->
-        Printf.eprintf "cannot load %s: %s\n" file msg;
-        exit 2
-    | Ok spec ->
-        Printf.printf "replay %s\n" file;
-        let obs = Recorder.create ~level:obs_level () in
-        let outcome = Campaign.run ~obs spec in
-        let report =
-          Explain_run.build ~spec ~outcome ~entries:(Recorder.entries obs)
-        in
-        print_indented ~indent:"  " (Explain_run.to_text report);
-        if metrics then
-          print_string (Metrics.to_text (Metrics.of_entries (Recorder.entries obs)));
-        if not (Explain_run.clean report) then exit 1
-  in
-  let sweep seeds start_seed nodes quick no_shrink corpus verbose metrics
-      transient =
+  let run seeds start_seed nodes quick no_shrink corpus verbose transient =
     let progress =
       if verbose then
         Some
@@ -207,22 +152,7 @@ let check_cmd =
       report.Explorer.seeds report.Explorer.campaigns
       report.Explorer.total_events report.Explorer.total_deliveries
       report.Explorer.total_installs;
-    if report.Explorer.failures = [] then begin
-      print_endline "no violations found";
-      if metrics then begin
-        (* Representative metrics: re-run the first seed's VS campaign with
-           recording on. *)
-        let spec =
-          Campaign.generate ~protocol:Vs_harness.Driver.Vsync ~transient
-            ~seed:start_seed ~nodes ~quick ()
-        in
-        let obs = Recorder.create ~level:Recorder.Protocol () in
-        ignore (Campaign.run ~obs spec);
-        Printf.printf "metrics for seed %d (VS):\n" start_seed;
-        print_string
-          (Metrics.to_text (Metrics.of_entries (Recorder.entries obs)))
-      end
-    end
+    if report.Explorer.failures = [] then print_endline "no violations found"
     else begin
       List.iter
         (fun (f : Explorer.failure) ->
@@ -253,32 +183,22 @@ let check_cmd =
             let oc = open_out expl_path in
             output_string oc text;
             close_out oc;
-            Printf.printf "  explanation written to %s\n" expl_path;
-            if metrics then
-              print_string
-                (Metrics.to_text (Metrics.of_entries (Recorder.entries obs)))
+            Printf.printf "  explanation written to %s\n" expl_path
           end)
         report.Explorer.failures;
       exit 1
     end
   in
-  let run seeds start_seed nodes quick no_shrink corpus replay verbose metrics
-      transient obs_level =
-    match replay with
-    | Some file -> replay_file ~metrics ~obs_level file
-    | None ->
-        sweep seeds start_seed nodes quick no_shrink corpus verbose metrics
-          transient
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Sweep seeds through the fault-schedule explorer (random churn x \
-          loss/dup/jitter x traffic, over both protocols), shrink any \
-          failure to a minimal repro artifact, or replay one artifact.")
+          loss/dup/jitter x traffic, over both protocols) and shrink any \
+          failure to a minimal repro artifact.  Replay one artifact with \
+          $(b,explain --replay).")
     Term.(
       const run $ seeds $ start_seed $ check_nodes $ quick $ no_shrink $ corpus
-      $ replay $ verbose $ metrics $ transient $ obs_level_arg Recorder.Full)
+      $ verbose $ transient)
 
 (* ---------- explain ---------- *)
 

@@ -45,7 +45,6 @@ let make_net ?(payload_size = fun _ -> 8) ?(ann_size = fun _ -> 8)
   Net.create
     ~size_of:(Wire.size_of ~user:wire_size ~ann:evs_ann_size)
     ~describe:Wire.kind
-    ~ident:(Wire.ident ~user:wire_ident)
     ~idents:(Wire.idents ~user:wire_ident)
     sim config
 

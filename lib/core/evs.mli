@@ -48,6 +48,10 @@ type cause =
   | Svset_merged of E_view.Svset_id.t    (** an SV-SetMerge was applied *)
   | Subview_merged of E_view.Subview_id.t  (** a SubviewMerge was applied *)
 
+val cause_label : cause -> string
+(** ["view"], ["svset-merge <id>"] or ["subview-merge <id>"] — the [cause]
+    of the [Eview] observability event. *)
+
 type 'ann eview_event = {
   eview : E_view.t;
   cause : cause;

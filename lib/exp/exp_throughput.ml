@@ -689,8 +689,6 @@ let scale_config =
     stability_interval = None;
     retry_backoff = 0.75;
     retry_backoff_max = 6.0;
-    retry_jitter = 0.25;
-    retry_limit = 8;
     batching = true;
   }
 

@@ -31,11 +31,6 @@ let oracle t = Fleet.oracle t.fleet
 
 let net_stats t = Net.stats t.net
 
-let cause_string = function
-  | Evs.View_change -> "view"
-  | Evs.Svset_merged id -> "svset-merge " ^ E_view.Svset_id.to_string id
-  | Evs.Subview_merged id -> "subview-merge " ^ E_view.Subview_id.to_string id
-
 (* A handle whose callbacks record every e-view event and feed the oracle:
    view changes as installs with the incarnation's previous view,
    deliveries with the view they landed in. *)
@@ -51,7 +46,7 @@ let spawn sim net oracle ~universe ~config ~rev_records ~echanges me =
               er_proc = me;
               er_time = Sim.now sim;
               er_eview = ev.Evs.eview;
-              er_cause = cause_string ev.Evs.cause;
+              er_cause = Evs.cause_label ev.Evs.cause;
             }
             :: !rev_records;
           match ev.Evs.cause with

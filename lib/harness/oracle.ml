@@ -10,8 +10,7 @@ let msg_id_to_string = Vs_obs.Event.msg_to_string
 let compare_msg_id = Vs_obs.Event.compare_msg
 
 (* Structured verdicts: the property that broke plus the protocol ids the
-   verdict names.  [detail] is the legacy one-line string; [check_*]
-   project it out so existing reporting is unchanged. *)
+   verdict names.  [detail] is the one-line string [check_all] reports. *)
 type violation = Vs_obs.Explain.violation = {
   property : Vs_obs.Explain.property;
   msg : msg_id option;
@@ -342,16 +341,6 @@ let total_order_violations t =
       in
       pairs per_proc)
     vids
-
-let check_agreement t = details (agreement_violations t)
-
-let check_uniqueness t = details (uniqueness_violations t)
-
-let check_integrity t = details (integrity_violations t)
-
-let check_fifo t = details (fifo_violations t)
-
-let check_total_order_messages t = details (total_order_violations t)
 
 let all_violations t =
   agreement_violations t @ uniqueness_violations t @ integrity_violations t

@@ -12,15 +12,15 @@ module View = Vs_gms.View
 
 type msg_id = Vs_obs.Event.msg = { origin : Proc_id.t; mseq : int }
 (** The observability schema's message identity itself — what the clusters
-    pass straight to [Net]'s [?ident] hook, so oracle verdicts and
+    pass straight to [Net]'s [?idents] hook, so oracle verdicts and
     data-path events correlate exactly. *)
 
 val msg_id_to_string : msg_id -> string
 (** {!Vs_obs.Event.msg_to_string}: ["p0#3"]. *)
 
 type violation = Vs_obs.Explain.violation
-(** A structured verdict: which property broke and the identities it names.
-    The [check_*] functions below project out its [detail]. *)
+(** A structured verdict: which property broke and the identities it names,
+    plus a one-line [detail] rendering. *)
 
 type t
 
@@ -48,49 +48,37 @@ val record_corruption :
 val corruptions : t -> (Proc_id.t * string * float) list
 (** Recorded corruptions in injection order. *)
 
-(** {2 Checks — each returns human-readable violations, empty when the
+(** {2 Checks — each returns the violations found, empty when the
     property holds} *)
 
-val check_agreement : t -> string list
+val agreement_violations : t -> violation list
 (** Property 2.1: processes that survive from one view to the same next view
     delivered the same set of messages in the old view. *)
 
-val check_uniqueness : t -> string list
+val uniqueness_violations : t -> violation list
 (** Property 2.2: across all processes, each message was delivered in at
     most one view. *)
 
-val check_integrity : t -> string list
+val integrity_violations : t -> violation list
 (** Property 2.3: at-most-once delivery per process, and only of messages
     that were actually multicast. *)
 
-val check_fifo : t -> string list
+val fifo_violations : t -> violation list
 (** Per-sender delivery order of FIFO-class messages respects the multicast
     order (gaps allowed only across failures, never inversions).  Messages
     sent totally ordered are exempt: they are sequenced through the
     coordinator and carry no cross-class ordering promise — the paper
     imposes no ordering conditions at all (Section 2). *)
 
-val check_total_order_messages : t -> string list
+val total_order_violations : t -> violation list
 (** Messages sent with total order and delivered within one view reach all
     their receivers in one consistent relative order. *)
 
-val check_all : t -> string list
-
-(** {2 Structured variants — same checks, full identities} *)
-
-val agreement_violations : t -> violation list
-
-val uniqueness_violations : t -> violation list
-
-val integrity_violations : t -> violation list
-
-val fifo_violations : t -> violation list
-
-val total_order_violations : t -> violation list
-
 val all_violations : t -> violation list
-(** Concatenation in the [check_all] order, so
-    [List.map (fun v -> v.detail) (all_violations t) = check_all t]. *)
+(** Every check above, concatenated in that order. *)
+
+val check_all : t -> string list
+(** The [detail] of each of {!all_violations}. *)
 
 val check_summary : t -> (string * int) list
 (** Violation counts per property, in the order agreement, uniqueness,

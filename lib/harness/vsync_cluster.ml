@@ -51,12 +51,9 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
   let size_of =
     Vs_vsync.Wire.size_of ~user:(fun (_ : Oracle.msg_id) -> 8) ~ann:(fun () -> 8)
   in
-  let user (m : Oracle.msg_id) = Some m in
-  let ident = Vs_vsync.Wire.ident ~user in
-  let idents = Vs_vsync.Wire.idents ~user in
+  let idents = Vs_vsync.Wire.idents ~user:Option.some in
   let net =
-    Net.create ~size_of ~describe:Vs_vsync.Wire.kind ~ident ~idents sim
-      net_config
+    Net.create ~size_of ~describe:Vs_vsync.Wire.kind ~idents sim net_config
   in
   let rng = Sim.fork_rng sim in
   let oracle = Oracle.create () in

@@ -40,7 +40,6 @@ type 'm t = {
   config : config;
   size_of : 'm -> int;
   describe : 'm -> string;
-  ident : 'm -> Event.msg option;
   idents : 'm -> Event.msg list;
   handlers : (Proc_id.t, 'm envelope -> unit) Hashtbl.t;
   node_live : (int, Proc_id.t) Hashtbl.t; (* node -> live incarnation *)
@@ -54,21 +53,15 @@ type 'm t = {
 }
 
 let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
-    ?(ident = fun _ -> None) ?idents sim config =
+    ?(idents = fun _ -> []) sim config =
   if config.delay_min < 0. || config.delay_max < config.delay_min then
     invalid_arg "Net.create: bad delay bounds";
-  let idents =
-    match idents with
-    | Some f -> f
-    | None -> fun m -> ( match ident m with Some x -> [ x ] | None -> [])
-  in
   {
     sim;
     rng = Sim.fork_rng sim;
     config;
     size_of;
     describe;
-    ident;
     idents;
     handlers = Hashtbl.create 64;
     node_live = Hashtbl.create 64;
@@ -152,33 +145,50 @@ let sample_delay t ~bytes =
   Rng.uniform t.rng t.config.delay_min t.config.delay_max
   +. (t.config.byte_delay *. float_of_int bytes)
 
-(* Per-message events are Full-level only, and every emission site guards on
-   [Sim.obs_full] *before* constructing the event, so runs at Protocol/Off
-   level allocate nothing extra on the send path (the bench harness asserts
-   this).
+(* Per-message events are Full-level only, and each of the four emitters
+   below guards on [Sim.obs_full] *before* constructing an event, so runs at
+   Protocol/Off level allocate nothing extra on the send path (the bench
+   harness asserts this).  Both send paths emit through them.
 
-   A payload may carry several application messages (a batch): Full-level
-   sites emit one event per carried identity so lineage conservation stays
-   per-payload, and a single identity-free event for control traffic —
-   which is byte-identical to the pre-batching behaviour for every payload
-   carrying zero or one identity. *)
+   A payload may carry several application messages (a batch): the emitters
+   send one event per carried identity so lineage conservation stays
+   per-payload, and a single identity-free event for control traffic. *)
 let emit_each ids ~f =
   match ids with
   | [] -> f None ~first:true
   | ids -> List.iteri (fun i m -> f (Some m) ~first:(i = 0)) ids
 
-let emit_drop t ~src ~dst ~payload ~reason =
+let emit_send t ~src ~dst payload =
   if Sim.obs_full t.sim then
-    emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
+    emit_each (t.idents payload) ~f:(fun msg ~first ->
+        (* A batch's bytes belong to the wire message, not each payload:
+           the first event carries them all so byte sums stay honest. *)
         Sim.emit t.sim
-          (Event.Drop
+          (Event.Send
              {
                src;
                dst;
                kind = t.describe payload;
-               reason;
+               bytes = (if first then t.size_of payload else 0);
                msg;
              }))
+
+let emit_recv t ~src ~dst payload =
+  if Sim.obs_full t.sim then
+    emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
+        Sim.emit t.sim
+          (Event.Recv { src; dst; kind = t.describe payload; msg }))
+
+let emit_dup t ~src ~dst payload =
+  if Sim.obs_full t.sim then
+    emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
+        Sim.emit t.sim (Event.Dup { src; dst; kind = t.describe payload; msg }))
+
+let emit_drop t ~src ~dst payload ~reason =
+  if Sim.obs_full t.sim then
+    emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
+        Sim.emit t.sim
+          (Event.Drop { src; dst; kind = t.describe payload; reason; msg }))
 
 (* Delivery is re-checked at arrival time: the destination incarnation must
    still be live and the nodes still connected, so a partition installed
@@ -190,39 +200,20 @@ let deliver_later ?(extra_copy = false) t env =
     match Hashtbl.find_opt t.handlers env.dst with
     | Some handler when connected t env.src.Proc_id.node env.dst.Proc_id.node ->
         t.delivered <- t.delivered + 1;
-        if Sim.obs_full t.sim then
-          emit_each (t.idents env.payload) ~f:(fun msg ~first:_ ->
-              Sim.emit t.sim
-                (Event.Recv
-                   {
-                     src = env.src;
-                     dst = env.dst;
-                     kind = t.describe env.payload;
-                     msg;
-                   }));
+        emit_recv t ~src:env.src ~dst:env.dst env.payload;
         handler env
     | Some _ ->
         meter_dropped t;
-        emit_drop t ~src:env.src ~dst:env.dst ~payload:env.payload
+        emit_drop t ~src:env.src ~dst:env.dst env.payload
           ~reason:"partition-inflight"
     | None ->
         meter_dropped t;
-        emit_drop t ~src:env.src ~dst:env.dst ~payload:env.payload
-          ~reason:"dst-dead"
+        emit_drop t ~src:env.src ~dst:env.dst env.payload ~reason:"dst-dead"
   in
   ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
   if extra_copy then begin
     t.duplicated <- t.duplicated + 1;
-    if Sim.obs_full t.sim then
-      emit_each (t.idents env.payload) ~f:(fun msg ~first:_ ->
-          Sim.emit t.sim
-            (Event.Dup
-               {
-                 src = env.src;
-                 dst = env.dst;
-                 kind = t.describe env.payload;
-                 msg;
-               }));
+    emit_dup t ~src:env.src ~dst:env.dst env.payload;
     ignore (Sim.after t.sim (sample_delay t ~bytes) deliver)
   end
 
@@ -231,31 +222,19 @@ let send_to t ~src ~dst payload =
   let self = Proc_id.equal src dst in
   if not (is_live t src) then begin
     meter_dropped t;
-    emit_drop t ~src ~dst ~payload ~reason:"src-dead"
+    emit_drop t ~src ~dst payload ~reason:"src-dead"
   end
   else if (not self) && not (connected t src.Proc_id.node dst.Proc_id.node)
   then begin
     meter_dropped t;
-    emit_drop t ~src ~dst ~payload ~reason:"partition"
+    emit_drop t ~src ~dst payload ~reason:"partition"
   end
   else if (not self) && Rng.bool t.rng t.config.drop_prob then begin
     meter_dropped t;
-    emit_drop t ~src ~dst ~payload ~reason:"loss"
+    emit_drop t ~src ~dst payload ~reason:"loss"
   end
   else begin
-    if Sim.obs_full t.sim then
-      emit_each (t.idents payload) ~f:(fun msg ~first ->
-          (* A batch's bytes belong to the wire message, not each payload:
-             the first event carries them all so byte sums stay honest. *)
-          Sim.emit t.sim
-            (Event.Send
-               {
-                 src;
-                 dst;
-                 kind = t.describe payload;
-                 bytes = (if first then t.size_of payload else 0);
-                 msg;
-               }));
+    emit_send t ~src ~dst payload;
     let env = { src; dst; sent_at = Sim.now t.sim; payload } in
     let extra_copy = (not self) && Rng.bool t.rng t.config.dup_prob in
     deliver_later ~extra_copy t env
@@ -263,93 +242,55 @@ let send_to t ~src ~dst payload =
 
 let send t ~src ~dst payload = send_to t ~src ~dst payload
 
+(* Address the node: the live incarnation is resolved when the message
+   lands, so a recovery between send and arrival is reached.  Send-side
+   events name the n<dst_node> pseudo-destination; a Recv names the
+   incarnation that got the message. *)
 let send_node t ~src ~dst_node payload =
-  (* Address the node: resolve the live incarnation at delivery time by
-     re-resolving through a fresh lookup when the message lands. We model it
-     by resolving now and also accepting the case where a *newer* incarnation
-     appears before arrival: resolve at delivery. *)
   meter_send t ~bytes:(t.size_of payload);
-  (* Node-addressed drops render with the n<dst_node> pseudo-destination. *)
-  let node_dst () = { Event.node = dst_node; inc = -1 } in
-  let emit_node_drop reason =
-    if Sim.obs_full t.sim then
-      Sim.emit t.sim
-        (Event.Drop
-           {
-             src;
-             dst = node_dst ();
-             kind = t.describe payload;
-             reason;
-             msg = t.ident payload;
-           })
-  in
+  let node_dst = { Proc_id.node = dst_node; inc = -1 } in
   if not (is_live t src) then begin
     meter_dropped t;
-    emit_node_drop "src-dead"
+    emit_drop t ~src ~dst:node_dst payload ~reason:"src-dead"
   end
   else if
     src.Proc_id.node <> dst_node && not (connected t src.Proc_id.node dst_node)
   then begin
     meter_dropped t;
-    emit_node_drop "partition"
+    emit_drop t ~src ~dst:node_dst payload ~reason:"partition"
   end
   else if src.Proc_id.node <> dst_node && Rng.bool t.rng t.config.drop_prob
   then begin
     meter_dropped t;
-    emit_node_drop "loss"
+    emit_drop t ~src ~dst:node_dst payload ~reason:"loss"
   end
   else begin
     let sent_at = Sim.now t.sim in
     let bytes = t.size_of payload in
-    if Sim.obs_full t.sim then
-      Sim.emit t.sim
-        (Event.Send
-           {
-             src;
-             dst = node_dst ();
-             kind = t.describe payload;
-             bytes;
-             msg = t.ident payload;
-           });
+    emit_send t ~src ~dst:node_dst payload;
     let deliver () =
       match live_on_node t dst_node with
       | Some dst when connected t src.Proc_id.node dst_node -> (
           match Hashtbl.find_opt t.handlers dst with
           | Some handler ->
               t.delivered <- t.delivered + 1;
-              if Sim.obs_full t.sim then
-                Sim.emit t.sim
-                  (Event.Recv
-                     {
-                       src;
-                       dst;
-                       kind = t.describe payload;
-                       msg = t.ident payload;
-                     });
+              emit_recv t ~src ~dst payload;
               handler { src; dst; sent_at; payload }
           | None ->
               meter_dropped t;
-              emit_node_drop "dst-dead")
+              emit_drop t ~src ~dst:node_dst payload ~reason:"dst-dead")
       | Some _ ->
           meter_dropped t;
-          emit_node_drop "partition-inflight"
+          emit_drop t ~src ~dst:node_dst payload ~reason:"partition-inflight"
       | None ->
           meter_dropped t;
-          emit_node_drop "dst-dead"
+          emit_drop t ~src ~dst:node_dst payload ~reason:"dst-dead"
     in
     ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
     (* Same duplication model as [send_to]: self-sends exempt. *)
     if src.Proc_id.node <> dst_node && Rng.bool t.rng t.config.dup_prob then begin
       t.duplicated <- t.duplicated + 1;
-      if Sim.obs_full t.sim then
-        Sim.emit t.sim
-          (Event.Dup
-             {
-               src;
-               dst = node_dst ();
-               kind = t.describe payload;
-               msg = t.ident payload;
-             });
+      emit_dup t ~src ~dst:node_dst payload;
       ignore (Sim.after t.sim (sample_delay t ~bytes) deliver)
     end
   end

@@ -36,22 +36,21 @@ val default_config : config
 val create :
   ?size_of:('m -> int) ->
   ?describe:('m -> string) ->
-  ?ident:('m -> Vs_obs.Event.msg option) ->
   ?idents:('m -> Vs_obs.Event.msg list) ->
   Vs_sim.Sim.t ->
   config ->
   'm t
 (** [?describe] names a payload's message kind for Full-level observability
     events (default ["msg"]); it is never called unless the run records at
-    [Full] level.  [?ident] extracts the stable (origin, seq) correlation
-    identity of the application message a payload carries, if any (default
-    [fun _ -> None]); like [describe] it is only called under [Full]
-    recording, so the off-path send cost is unchanged.  [?idents] is the
-    batch-aware generalisation: every identity a payload carries (defaults
-    to the singleton-or-empty list [?ident] yields).  Full-level
-    Send/Recv/Drop/Dup events are emitted once per carried identity (bytes
-    attributed to the first), so lineage conservation stays per-payload even
-    when the protocol ships many application messages in one wire
+    [Full] level.  [?idents] is the one identity hook: the stable
+    (origin, seq) correlation identities of the application messages a
+    payload carries — none for control traffic, one per payload for a
+    batch (default [fun _ -> []]).  Like [describe] it is only called under
+    [Full] recording, so the off-path send cost is unchanged.  Both
+    {!send} and {!send_node} emit their Send/Recv/Drop/Dup events through
+    the same emitters, once per carried identity (bytes attributed to the
+    first) or once identity-less, so lineage conservation stays per-payload
+    even when the protocol ships many application messages in one wire
     message. *)
 (** [size_of] gives a nominal byte size per payload for traffic accounting
     (defaults to 1 per message). *)
@@ -96,7 +95,9 @@ val send : 'm t -> src:Proc_id.t -> dst:Proc_id.t -> 'm -> unit
 val send_node : 'm t -> src:Proc_id.t -> dst_node:int -> 'm -> unit
 (** Unicast to whatever incarnation is live on [dst_node] at delivery time —
     how heartbeats find recovered processes without knowing their new
-    identifier. *)
+    identifier.  Full-level Send, Dup and Drop events name the pseudo-
+    destination [{ node = dst_node; inc = -1 }]; Recv names the incarnation
+    reached. *)
 
 (** {2 Accounting} *)
 

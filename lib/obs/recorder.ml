@@ -5,15 +5,6 @@ let level_to_string = function
   | Protocol -> "protocol"
   | Full -> "full"
 
-let all_level_names = [ "off"; "protocol"; "full" ]
-
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "off" -> Some Off
-  | "protocol" -> Some Protocol
-  | "full" -> Some Full
-  | _ -> None
-
 type entry = { time : float; event : Event.t }
 
 (* Storage is an unbounded reversed list; [count] counts every emission and

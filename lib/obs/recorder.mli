@@ -14,12 +14,6 @@ type level =
 
 val level_to_string : level -> string
 
-val level_of_string : string -> level option
-(** Case-insensitive: ["Full"], ["FULL"] and ["full"] all parse. *)
-
-val all_level_names : string list
-(** The valid spellings, lowercase — for CLI error messages. *)
-
 type entry = { time : float; event : Event.t }
 
 type t

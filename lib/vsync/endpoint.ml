@@ -20,10 +20,7 @@ type config = {
   stability_interval : float option;
   retry_backoff : float;
   retry_backoff_max : float;
-  retry_jitter : float;
-  retry_limit : int;
   batching : bool;
-  batch_window : float;
   batch_max : int;
   pipeline_depth : int;
 }
@@ -39,13 +36,21 @@ let default_config =
     stability_interval = Some 0.050;
     retry_backoff = 0.040;
     retry_backoff_max = 0.400;
-    retry_jitter = 0.25;
-    retry_limit = 8;
     batching = false;
-    batch_window = 0.002;
     batch_max = 64;
     pipeline_depth = 1;
   }
+
+(* Fixed protocol constants.  Each control-plane retry delay is scaled by a
+   uniform factor in [1 - retry_jitter, 1 + retry_jitter] to de-synchronise
+   senders; a reliable send is given up after [retry_limit] re-sends (the
+   failure detector and flush timeout own recovery beyond that); a batching
+   round closes [batch_window] after its first buffered item. *)
+let retry_jitter = 0.25
+
+let retry_limit = 8
+
+let batch_window = 0.002
 
 type 'ann view_event = {
   view : View.t;
@@ -120,6 +125,17 @@ type ctl_pending = {
   mutable c_timer : Sim.handle option;
 }
 
+(* A batching round in the making, shared by the data batcher (data
+   messages) and the total-order batcher (request payloads): the items,
+   newest first, their count, the window timer, and what closing the round
+   does (set once in [create]). *)
+type 'x round = {
+  mutable items : 'x list;
+  mutable len : int;
+  mutable timer : Sim.handle option;
+  mutable close : unit -> unit;
+}
+
 type ('a, 'ann) t = {
   sim : Sim.t;
   net : ('a, 'ann) Wire.t Net.t;
@@ -160,19 +176,14 @@ type ('a, 'ann) t = {
      rebuild (and index into) a list on every armed gap *)
   mutable nack_peers : Proc_id.t array;
   (* batched data plane (config.batching): outgoing data buffered per
-     flush round, newest first; sequence numbers were assigned at multicast
-     time so identity is independent of when the batch ships *)
-  mutable batch_rev : 'a Wire.data list;
-  mutable batch_len : int;
-  mutable batch_timer : Sim.handle option;
-  mutable batch_round : int;
-  rounds_inflight : (int * int) Queue.t;
-      (* (round, last seq) of shipped but not-yet-stable rounds; bounded by
+     flush round; sequence numbers were assigned at multicast time so
+     identity is independent of when the batch ships *)
+  batch : 'a Wire.data round;
+  rounds_inflight : int Queue.t;
+      (* last seq of each shipped but not-yet-stable round; bounded by
          config.pipeline_depth when stability gossip is on *)
-  mutable to_batch_rev : 'a list;
-  mutable to_batch_len : int;
-  mutable to_batch_rseq0 : int;
-  mutable to_batch_timer : Sim.handle option;
+  to_batch : 'a round;
+      (* total-order requests awaiting one To_batch envelope *)
   (* stats *)
   mutable s_views : int;
   mutable s_proposals : int;
@@ -247,7 +258,7 @@ let ctl_cancel entry =
   match entry.c_timer with Some h -> Sim.cancel h | None -> ()
 
 let rec ctl_arm t rid entry payload ~is_done =
-  let jitter = Rng.uniform t.rng (-.t.config.retry_jitter) t.config.retry_jitter in
+  let jitter = Rng.uniform t.rng (-.retry_jitter) retry_jitter in
   let delay = entry.c_delay *. (1.0 +. jitter) in
   entry.c_timer <-
     Some
@@ -256,7 +267,7 @@ let rec ctl_arm t rid entry payload ~is_done =
            if t.alive && Hashtbl.mem t.ctl_pending rid then begin
              if is_done () then Hashtbl.remove t.ctl_pending rid
              else if
-               entry.c_attempts >= t.config.retry_limit
+               entry.c_attempts >= retry_limit
                || not (ctl_peer_listed t entry.c_dst)
              then begin
                t.s_ctl_abandoned <- t.s_ctl_abandoned + 1;
@@ -502,13 +513,43 @@ let members_iter t f = List.iter f t.view.View.members
    multicast time, so batching changes only how many wire messages carry
    the stream — never what the stream is.
 
-   Rounds are numbered and *pipelined*: when stability gossip is on and
+   Rounds are *pipelined*: when stability gossip is on and
    [pipeline_depth > 0], at most that many shipped rounds may be awaiting
    stability (everyone has delivered our stream past the round's last
    sequence number) before the next round may ship.  [pipeline_depth = 1]
    is classic stop-and-wait flush; larger depths keep the pipe full;
    [pipeline_depth = 0] (or no stability gossip) means open-loop — the
    window/size thresholds alone pace the sender. *)
+
+let new_round () = { items = []; len = 0; timer = None; close = ignore }
+
+let cancel_round_timer r =
+  (match r.timer with Some h -> Sim.cancel h | None -> ());
+  r.timer <- None
+
+let arm_round t r =
+  if r.timer = None then begin
+    let vid_at_arm = t.view.View.id in
+    r.timer <-
+      Some
+        (Sim.after t.sim batch_window (fun () ->
+             r.timer <- None;
+             if t.alive && View.Id.equal t.view.View.id vid_at_arm then
+               r.close ()))
+  end
+
+let round_add t r x =
+  r.items <- x :: r.items;
+  r.len <- r.len + 1;
+  if r.len >= t.config.batch_max then r.close () else arm_round t r
+
+(* Empty the round, returning its items oldest first. *)
+let take_round r =
+  let items = List.rev r.items in
+  r.items <- [];
+  r.len <- 0;
+  cancel_round_timer r;
+  items
 
 let pipeline_bounded t =
   t.config.pipeline_depth > 0 && t.config.stability_interval <> None
@@ -517,55 +558,27 @@ let pipeline_open t =
   (not (pipeline_bounded t))
   || Queue.length t.rounds_inflight < t.config.pipeline_depth
 
-let cancel_batch_timer t =
-  (match t.batch_timer with Some h -> Sim.cancel h | None -> ());
-  t.batch_timer <- None
-
-let rec arm_batch_timer t =
-  if t.batch_timer = None then begin
-    let vid_at_arm = t.view.View.id in
-    t.batch_timer <-
-      Some
-        (Sim.after t.sim t.config.batch_window (fun () ->
-             t.batch_timer <- None;
-             if t.alive && View.Id.equal t.view.View.id vid_at_arm then
-               batch_try_flush t ~force:false))
-  end
-
 (* Ship the buffered round if allowed.  [force] overrides flow control —
    used at view changes, where everything buffered must reach the wire
    before we block (it is stamped with the old view id and must be in
    flight for the flush protocol to account for it). *)
-and batch_try_flush t ~force =
-  if t.batch_len > 0 then begin
+let batch_try_flush t ~force =
+  let r = t.batch in
+  if r.len > 0 then begin
     if force || pipeline_open t then begin
       let last_seq =
-        match t.batch_rev with
-        | d :: _ -> d.Wire.seq
-        | [] -> assert false
+        match r.items with d :: _ -> d.Wire.seq | [] -> assert false
       in
-      let ds = List.rev t.batch_rev in
-      t.batch_rev <- [];
-      t.batch_len <- 0;
-      cancel_batch_timer t;
+      let msg = Wire.Batch (take_round r) in
       t.s_batches <- t.s_batches + 1;
-      if pipeline_bounded t then
-        Queue.add (t.batch_round, last_seq) t.rounds_inflight;
-      t.batch_round <- t.batch_round + 1;
-      let msg = Wire.Batch ds in
+      if pipeline_bounded t then Queue.add last_seq t.rounds_inflight;
       members_iter t (fun dst -> unicast t dst msg)
     end
     else
       (* Flow control closed: hold the round.  Stability reports retire
          rounds and re-attempt; the timer re-arms as a backstop. *)
-      arm_batch_timer t
+      arm_round t r
   end
-
-let batch_add t d =
-  t.batch_rev <- d :: t.batch_rev;
-  t.batch_len <- t.batch_len + 1;
-  if t.batch_len >= t.config.batch_max then batch_try_flush t ~force:false
-  else arm_batch_timer t
 
 (* Pop every in-flight round whose last message is now below our own
    stream's stability floor — delivered by every member — then see whether
@@ -576,47 +589,29 @@ let retire_rounds t =
     let continue = ref true in
     while !continue do
       match Queue.peek_opt t.rounds_inflight with
-      | Some (_, last_seq) when last_seq < floor ->
+      | Some last_seq when last_seq < floor ->
           ignore (Queue.pop t.rounds_inflight)
       | Some _ | None -> continue := false
     done;
     batch_try_flush t ~force:false
   end
 
-(* Total-order requests batch the same way: contiguous request sequence
-   numbers from [to_batch_rseq0] travel in one reliable {!Wire.To_batch}
-   envelope to the coordinator, which relays element [i] exactly as a
-   {!Wire.To_request} with rseq [rseq0 + i] — one control-plane round trip
-   (and one retry timer) per batch instead of per operation. *)
+(* Total-order requests batch the same way: a round's payloads carry the
+   contiguous request sequence numbers just below [to_seq] and travel in
+   one reliable {!Wire.To_batch} envelope to the coordinator, which relays
+   element [i] exactly as a {!Wire.To_request} with rseq [rseq0 + i] — one
+   control-plane round trip (and one retry timer) per batch instead of per
+   operation. *)
 let to_batch_flush t =
-  if t.to_batch_len > 0 then begin
-    let users = List.rev t.to_batch_rev in
-    let rseq0 = t.to_batch_rseq0 in
-    t.to_batch_rev <- [];
-    t.to_batch_len <- 0;
-    (match t.to_batch_timer with Some h -> Sim.cancel h | None -> ());
-    t.to_batch_timer <- None;
+  let r = t.to_batch in
+  if r.len > 0 then begin
+    let rseq0 = t.to_seq - r.len in
+    let users = take_round r in
     let vid = t.view.View.id in
     let coord = View.coordinator t.view in
     ctl_send t coord
       (Wire.To_batch { vid; rseq0; users })
       ~is_done:(fun () -> not (View.Id.equal t.view.View.id vid))
-  end
-
-let to_batch_add t payload =
-  if t.to_batch_len = 0 then t.to_batch_rseq0 <- t.to_seq;
-  t.to_batch_rev <- payload :: t.to_batch_rev;
-  t.to_batch_len <- t.to_batch_len + 1;
-  t.to_seq <- t.to_seq + 1;
-  if t.to_batch_len >= t.config.batch_max then to_batch_flush t
-  else if t.to_batch_timer = None then begin
-    let vid_at_arm = t.view.View.id in
-    t.to_batch_timer <-
-      Some
-        (Sim.after t.sim t.config.batch_window (fun () ->
-             t.to_batch_timer <- None;
-             if t.alive && View.Id.equal t.view.View.id vid_at_arm then
-               to_batch_flush t))
   end
 
 let send_data t body =
@@ -625,7 +620,7 @@ let send_data t body =
   in
   t.send_seq <- t.send_seq + 1;
   t.s_data_sent <- t.s_data_sent + 1;
-  if t.config.batching then batch_add t d
+  if t.config.batching then round_add t t.batch d
   else members_iter t (fun dst -> unicast t dst (Wire.Data d))
 
 let rec multicast t ?(order = Fifo) payload =
@@ -646,7 +641,10 @@ let rec multicast t ?(order = Fifo) payload =
             in
             send_data t (Wire.Causal { deps; user = payload })
         | Total ->
-            if t.config.batching then to_batch_add t payload
+            if t.config.batching then begin
+              t.to_seq <- t.to_seq + 1;
+              round_add t t.to_batch payload
+            end
             else begin
               let coord = View.coordinator t.view in
               let vid = t.view.View.id in
@@ -660,6 +658,103 @@ and flush_pending t =
   let queued = Queue.create () in
   Queue.transfer t.pending_out queued;
   Queue.iter (fun (order, payload) -> multicast t ~order payload) queued
+
+(* ---------- data path ----------
+
+   Every data message enters through [ingest t first rest], where
+   [first :: rest] are one sender's consecutive messages of one view: a
+   {!Wire.Batch} round, or a lone [Data], retransmitted or stashed message
+   as the one-message case.  The stale/stash decision is made once, every
+   element is ingested into the stream, then the streams drain *once* —
+   the batch's receive-side win, since each drain takes a sorted snapshot
+   of all streams. *)
+
+(* Ingest one message of the current view into its sender's stream [s];
+   [false] for a duplicate.  A new message is logged, then delivered at
+   once if it is next in the stream and causally ready — what [drain_all]
+   would deliver first for this stream — or else buffered for the drain. *)
+let ingest_one t s ~active (d : 'a Wire.data) =
+  if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then false
+    (* duplicate: already delivered or logged *)
+  else begin
+    Hashtbl.replace s.log d.Wire.seq d;
+    if active && d.Wire.seq = s.next && causally_ready t d then begin
+      s.next <- s.next + 1;
+      deliver_user t d
+    end
+    else Hashtbl.replace s.buffer d.Wire.seq d;
+    true
+  end
+
+let rec ingest_rest t s ~active ingested = function
+  | [] -> ingested
+  | d :: rest ->
+      ingest_rest t s ~active (ingest_one t s ~active d || ingested) rest
+
+let ingest t (first : 'a Wire.data) rest =
+  if not (View.Id.equal first.Wire.vid t.view.View.id) then begin
+    match t.phase with
+    | Flushing pvid when View.Id.equal first.Wire.vid pvid ->
+        (* Sent in the view we are about to install; replayed after. *)
+        t.stash <- List.rev_append rest (first :: t.stash)
+    | Flushing _ | Active -> t.s_stale <- t.s_stale + 1 + List.length rest
+  end
+  else begin
+    let s = stream_for t first.Wire.sender in
+    let active = match t.phase with Active -> true | Flushing _ -> false in
+    let ingested = ingest_rest t s ~active (ingest_one t s ~active first) rest in
+    if active && ingested then begin
+      (* Fast-path deliveries may have unblocked buffered messages (this
+         stream's backlog, or causal waiters on other streams).  While
+         flushing, messages are logged only: re-reported if the flush
+         restarts, synchronised by the install otherwise. *)
+      drain_all t;
+      if Hashtbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
+    end
+  end
+
+let handle_to_request t ~orig ~rseq ~user =
+  match t.phase with
+  | Active when Proc_id.equal (View.coordinator t.view) t.me ->
+      (* Relay in per-origin request order: requests race on the wire, so
+         buffer out-of-order arrivals — Total stays FIFO per origin. *)
+      let next, pending =
+        match Hashtbl.find_opt t.to_streams orig with
+        | Some entry -> entry
+        | None ->
+            let entry = (ref 0, Hashtbl.create 4) in
+            Hashtbl.replace t.to_streams orig entry;
+            entry
+      in
+      if rseq >= !next then begin
+        Hashtbl.replace pending rseq user;
+        let contiguous = ref true in
+        while !contiguous do
+          match Hashtbl.find_opt pending !next with
+          | Some u ->
+              Hashtbl.remove pending !next;
+              incr next;
+              send_data t (Wire.Relay { orig; user = u })
+          | None -> contiguous := false
+        done
+      end
+  | Active | Flushing _ -> t.s_to_dropped <- t.s_to_dropped + 1
+
+(* Total-order requests [user :: rest] from [orig] for view [vid], with
+   request sequence numbers [rseq], [rseq + 1], ...: a {!Wire.To_batch},
+   or a lone {!Wire.To_request} as the one-request case.  Requests for the
+   view we are about to install wait until we have, in case we turn out to
+   be its coordinator. *)
+let rec receive_requests t ~orig ~vid ~rseq user rest =
+  (if View.Id.equal vid t.view.View.id then handle_to_request t ~orig ~rseq ~user
+   else
+     match t.phase with
+     | Flushing pvid when View.Id.equal vid pvid ->
+         Queue.add (orig, rseq, user) t.stash_to
+     | Flushing _ | Active -> t.s_to_dropped <- t.s_to_dropped + 1);
+  match rest with
+  | [] -> ()
+  | user :: rest -> receive_requests t ~orig ~vid ~rseq:(rseq + 1) user rest
 
 (* ---------- membership protocol ---------- *)
 
@@ -927,7 +1022,6 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       (* Batch buffers are empty here (forced out at handle_propose;
          multicasts during the flush went to pending_out); the round
          pipeline restarts with the fresh stream. *)
-      t.batch_round <- 0;
       Queue.clear t.rounds_inflight;
       t.s_views <- t.s_views + 1;
       Sim.emit t.sim
@@ -943,67 +1037,13 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       (* Messages of the new view that raced ahead of the Install. *)
       let stashed = t.stash in
       t.stash <- [];
-      List.iter (fun d -> handle_data t d) stashed;
+      List.iter (fun d -> ingest t d []) stashed;
       let stashed_to = Queue.create () in
       Queue.transfer t.stash_to stashed_to;
       Queue.iter
         (fun (orig, rseq, user) -> handle_to_request t ~orig ~rseq ~user)
         stashed_to
   | Flushing _ | Active -> ()
-
-(* ---------- data path ---------- *)
-
-and handle_data t (d : 'a Wire.data) =
-  if not (View.Id.equal d.Wire.vid t.view.View.id) then begin
-    match t.phase with
-    | Flushing pvid when View.Id.equal d.Wire.vid pvid ->
-        (* Sent in the view we are about to install; replayed after. *)
-        t.stash <- d :: t.stash
-    | Flushing _ | Active -> t.s_stale <- t.s_stale + 1
-  end
-  else begin
-    let s = stream_for t d.Wire.sender in
-    if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then ()
-      (* duplicate: already delivered or logged *)
-    else begin
-      Hashtbl.replace s.log d.Wire.seq d;
-      Hashtbl.replace s.buffer d.Wire.seq d;
-      match t.phase with
-      | Active ->
-          drain_all t;
-          if Hashtbl.length s.buffer > 0 then arm_nack t d.Wire.sender s
-      | Flushing _ -> ()
-      (* logged only: it will be re-reported if the flush restarts, and
-         synchronised by the install otherwise *)
-    end
-  end
-
-and handle_to_request t ~orig ~rseq ~user =
-  match t.phase with
-  | Active when Proc_id.equal (View.coordinator t.view) t.me ->
-      (* Relay in per-origin request order: requests race on the wire, so
-         buffer out-of-order arrivals — Total stays FIFO per origin. *)
-      let next, pending =
-        match Hashtbl.find_opt t.to_streams orig with
-        | Some entry -> entry
-        | None ->
-            let entry = (ref 0, Hashtbl.create 4) in
-            Hashtbl.replace t.to_streams orig entry;
-            entry
-      in
-      if rseq >= !next then begin
-        Hashtbl.replace pending rseq user;
-        let contiguous = ref true in
-        while !contiguous do
-          match Hashtbl.find_opt pending !next with
-          | Some u ->
-              Hashtbl.remove pending !next;
-              incr next;
-              send_data t (Wire.Relay { orig; user = u })
-          | None -> contiguous := false
-        done
-      end
-  | Active | Flushing _ -> t.s_to_dropped <- t.s_to_dropped + 1
 
 (* Record a peer's delivered-prefix vector; then drop every log entry
    below the new floor — those messages are delivered everywhere and no
@@ -1098,57 +1138,6 @@ let handle_nack t ~src ~vid ~sender ~missing =
         end
   end
 
-(* A batch is one sender's consecutive data messages of one view: apply the
-   stale/stash decision once, ingest every element into the stream, then
-   drain *once*.  The single drain is the receive-side win — unbatched, every
-   data message pays a full [drain_all] pass (a sorted snapshot of all
-   streams); batched, that cost is amortised over the whole round. *)
-let handle_batch t (ds : 'a Wire.data list) =
-  match ds with
-  | [] -> ()
-  | first :: _ ->
-      if not (View.Id.equal first.Wire.vid t.view.View.id) then begin
-        match t.phase with
-        | Flushing pvid when View.Id.equal first.Wire.vid pvid ->
-            (* Sent in the view we are about to install; replayed after. *)
-            List.iter (fun d -> t.stash <- d :: t.stash) ds
-        | Flushing _ | Active -> t.s_stale <- t.s_stale + List.length ds
-      end
-      else begin
-        let s = stream_for t first.Wire.sender in
-        let active = match t.phase with Active -> true | Flushing _ -> false in
-        let ingested = ref false in
-        List.iter
-          (fun (d : 'a Wire.data) ->
-            if active && d.Wire.seq = s.next && causally_ready t d then begin
-              (* In-order fast path — the common case for a batch, since a
-                 round is one sender's consecutive sequences: log and
-                 deliver directly, skipping the buffer round-trip.  [seq =
-                 next] cannot be a duplicate (delivery bumps [next] past
-                 it), and delivering here is exactly what [drain_all] would
-                 do first for this stream, so the order is unchanged. *)
-              Hashtbl.replace s.log d.Wire.seq d;
-              s.next <- s.next + 1;
-              deliver_user t d;
-              ingested := true
-            end
-            else if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then ()
-              (* duplicate: already delivered or logged *)
-            else begin
-              Hashtbl.replace s.log d.Wire.seq d;
-              Hashtbl.replace s.buffer d.Wire.seq d;
-              ingested := true
-            end)
-          ds;
-        if active && !ingested then begin
-          (* One residual drain per batch: fast-path deliveries may have
-             unblocked buffered messages (this stream's backlog, or causal
-             waiters on other streams). *)
-          drain_all t;
-          if Hashtbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
-        end
-      end
-
 (* ---------- wiring ---------- *)
 
 let rec handle_payload t ~src payload =
@@ -1165,37 +1154,17 @@ let rec handle_payload t ~src payload =
       | None -> ())
   | Wire.Leave_announce -> (
       match t.fd with Some fd -> Fd.forget fd src | None -> ())
-  | Wire.Data d -> handle_data t d
-  | Wire.Batch ds -> handle_batch t ds
-  | Wire.To_request { vid; rseq; user } -> (
-      if View.Id.equal vid t.view.View.id then
-        handle_to_request t ~orig:src ~rseq ~user
-      else
-        match t.phase with
-        | Flushing pvid when View.Id.equal vid pvid ->
-            (* For the view we are about to install: relay it once we
-               have, if we turn out to be its coordinator. *)
-            Queue.add (src, rseq, user) t.stash_to
-        | Flushing _ | Active -> t.s_to_dropped <- t.s_to_dropped + 1)
-  | Wire.To_batch { vid; rseq0; users } -> (
-      (* Element [i] is exactly a To_request with rseq [rseq0 + i]; the
-         coordinator's per-origin relay sequencing does the rest. *)
-      if View.Id.equal vid t.view.View.id then
-        List.iteri
-          (fun i user -> handle_to_request t ~orig:src ~rseq:(rseq0 + i) ~user)
-          users
-      else
-        match t.phase with
-        | Flushing pvid when View.Id.equal vid pvid ->
-            List.iteri
-              (fun i user -> Queue.add (src, rseq0 + i, user) t.stash_to)
-              users
-        | Flushing _ | Active ->
-            t.s_to_dropped <- t.s_to_dropped + List.length users)
+  | Wire.Data d -> ingest t d []
+  | Wire.Batch (first :: rest) -> ingest t first rest
+  | Wire.To_request { vid; rseq; user } ->
+      receive_requests t ~orig:src ~vid ~rseq user []
+  | Wire.To_batch { vid; rseq0; users = user :: rest } ->
+      receive_requests t ~orig:src ~vid ~rseq:rseq0 user rest
+  | Wire.Batch [] | Wire.To_batch { users = []; _ } -> ()
   | Wire.Nack { vid; sender; missing } -> handle_nack t ~src ~vid ~sender ~missing
   | Wire.Stable_report { vid; vector } ->
       handle_stable_report t ~src ~vid ~vector
-  | Wire.Retransmit ds -> List.iter (handle_data t) ds
+  | Wire.Retransmit ds -> List.iter (fun d -> ingest t d []) ds
   | Wire.Propose { pvid; members } -> handle_propose t ~pvid ~members
   | Wire.Propose_reject { pvid; max_vid } ->
       handle_propose_reject t ~pvid ~max_vid
@@ -1236,15 +1205,9 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       alive = true;
       stable_vectors = Hashtbl.create 8;
       nack_peers = [||]; (* singleton initial view: no peers *)
-      batch_rev = [];
-      batch_len = 0;
-      batch_timer = None;
-      batch_round = 0;
+      batch = new_round ();
       rounds_inflight = Queue.create ();
-      to_batch_rev = [];
-      to_batch_len = 0;
-      to_batch_rseq0 = 0;
-      to_batch_timer = None;
+      to_batch = new_round ();
       s_views = 0;
       s_proposals = 0;
       s_data_sent = 0;
@@ -1261,6 +1224,8 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       s_batches = 0;
     }
   in
+  t.batch.close <- (fun () -> batch_try_flush t ~force:false);
+  t.to_batch.close <- (fun () -> to_batch_flush t);
   Net.register net me_ (fun env -> handle_envelope t env);
   let est =
     Estimator.create sim ~stability:config.stability
@@ -1299,9 +1264,8 @@ let stop_stack t =
   t.alive <- false;
   (match t.fd with Some fd -> Fd.stop fd | None -> ());
   (match t.est with Some est -> Estimator.stop est | None -> ());
-  cancel_batch_timer t;
-  (match t.to_batch_timer with Some h -> Sim.cancel h | None -> ());
-  t.to_batch_timer <- None;
+  cancel_round_timer t.batch;
+  cancel_round_timer t.to_batch;
   ctl_reset t;
   abandon_proposal t
 

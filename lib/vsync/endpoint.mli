@@ -49,22 +49,18 @@ type config = {
           stability tracking (the E10 ablation). *)
   retry_backoff : float;
       (** initial re-send delay for unacked control-plane messages
-          (Propose, Flush_ack, Install, To_request) *)
+          (Propose, Flush_ack, Install, To_request).  Each delay is scaled
+          by a uniform factor in [0.75, 1.25] to de-synchronise senders, and
+          a send is given up after 8 re-sends (the failure detector and
+          flush timeout own recovery beyond that). *)
   retry_backoff_max : float;  (** backoff doubles per attempt up to this *)
-  retry_jitter : float;
-      (** each retry delay is scaled by a uniform factor in
-          [1 - retry_jitter, 1 + retry_jitter] to de-synchronise senders *)
-  retry_limit : int;
-      (** re-sends per message before giving up (the failure detector and
-          flush timeout own recovery beyond that) *)
   batching : bool;
       (** ship outgoing data as one {!Wire.Batch} per member per flush
           round instead of one wire message per multicast, and total-order
-          requests as {!Wire.To_batch} envelopes.  Off by default: the
-          unbatched wire format (and the byte-identical traces of existing
-          seeded repros) is preserved exactly. *)
-  batch_window : float;
-      (** a flush round closes this long after its first buffered message *)
+          requests as {!Wire.To_batch} envelopes.  A round closes 2 ms
+          after its first buffered message.  Off by default: the unbatched
+          wire format (and the byte-identical traces of existing seeded
+          repros) is preserved exactly. *)
   batch_max : int;  (** ... or as soon as it holds this many messages *)
   pipeline_depth : int;
       (** maximum shipped-but-not-yet-stable flush rounds before the next
@@ -176,7 +172,8 @@ type stats = {
   ctl_retries : int;
       (** control-plane re-sends by the reliable-delivery layer *)
   ctl_abandoned : int;
-      (** reliable sends given up on (peer dead or [retry_limit] hit) *)
+      (** reliable sends given up on (peer dead, or 8 re-sends without an
+          ack) *)
   batches_sent : int;
       (** {!Wire.Batch} rounds shipped (0 unless [config.batching]) *)
 }

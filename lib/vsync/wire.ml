@@ -41,8 +41,6 @@ type ('a, 'ann) t =
       priors : (Proc_id.t * View.Id.t) list;
     }
 
-let data_key d = (d.sender, d.seq)
-
 let compare_data a b =
   match Proc_id.compare a.sender b.sender with
   | 0 -> Int.compare a.seq b.seq
@@ -108,31 +106,18 @@ let body_user = function
   | Relay { user = u; _ } -> u
   | Causal { user = u; _ } -> u
 
-(* The single application message a wire message carries, if any — used to
-   thread the (origin, seq) correlation identity into observability events.
-   [Retransmit] batches carry many, so they report none (the typed
-   [Event.Retransmit] covers them); control traffic carries none. *)
-let rec ident ~user = function
-  | Data d -> user (body_user d.body)
-  | To_request { user = u; _ } -> user u
-  | Reliable { payload; _ } -> ident ~user payload
-  | Heartbeat | Leave_announce | Batch _ | To_batch _ | Nack _
-  | Stable_report _ | Retransmit _ | Ctl_ack _ | Propose _ | Propose_reject _
-  | Flush_ack _ | Install _ ->
-      None
-
-(* Every application message a wire message carries: the per-payload version
-   of [ident], for batch-aware lineage accounting.  [Batch]/[To_batch] report
-   one identity per carried payload so Full-level Send/Recv/Drop/Dup events
-   stay per-payload and conservation holds; [Retransmit] still reports none
-   (the typed [Event.Retransmit] covers re-sends, and counting them as fresh
-   copies would double-book the originals). *)
+(* Every application message a wire message carries, for per-payload
+   lineage accounting: one identity for [Data]/[To_request] (through
+   [Reliable] re-wraps, relays and causal wraps), one per carried payload
+   for [Batch]/[To_batch], none for control traffic.  [Retransmit] reports
+   none too: the typed [Event.Retransmit] covers re-sends, and counting
+   them as fresh copies would double-book the originals. *)
 let rec idents ~user = function
+  | Data d -> Option.to_list (user (body_user d.body))
+  | To_request { user = u; _ } -> Option.to_list (user u)
   | Batch ds -> List.filter_map (fun d -> user (body_user d.body)) ds
   | To_batch { users; _ } -> List.filter_map user users
   | Reliable { payload; _ } -> idents ~user payload
-  | (Data _ | To_request _) as w -> (
-      match ident ~user w with Some x -> [ x ] | None -> [])
   | Heartbeat | Leave_announce | Nack _ | Stable_report _ | Retransmit _
   | Ctl_ack _ | Propose _ | Propose_reject _ | Flush_ack _ | Install _ ->
       []

@@ -89,9 +89,6 @@ type ('a, 'ann) t =
       priors : (Vs_net.Proc_id.t * Vs_gms.View.Id.t) list;
     }
 
-val data_key : 'a data -> Vs_net.Proc_id.t * int
-(** Identity of a data message within its view. *)
-
 val compare_data : 'a data -> 'a data -> int
 (** Order by (sender, seq) — the canonical synchronisation-delivery order. *)
 
@@ -102,18 +99,12 @@ val kind : ('a, 'ann) t -> string
 (** Stable message-kind name for observability ([Reliable] reports its inner
     payload's kind — the wrapper is transport, not protocol). *)
 
-val ident : user:('a -> 'b option) -> ('a, 'ann) t -> 'b option
-(** The identity of the single application message this wire message
-    carries, as extracted from its payload by [user]: [Data] (through
-    [Relay]/[Causal] bodies), [To_request], and [Reliable] recursively;
-    [None] for control traffic, [Batch]/[To_batch] (which carry many — see
-    {!idents}) and [Retransmit] batches.  Used to thread the (origin, seq)
-    correlation identity into Full-level observability events. *)
-
 val idents : user:('a -> 'b option) -> ('a, 'ann) t -> 'b list
-(** Every application-message identity this wire message carries: singleton
-    (or empty) wherever {!ident} applies, one entry per payload for
-    [Batch]/[To_batch], and [] for [Retransmit] (re-sends are covered by the
-    typed [Event.Retransmit], not counted as fresh copies).  The batch-aware
-    generalisation the network layer uses to emit per-payload Full-level
-    events, keeping lineage conservation per-payload. *)
+(** Every application-message identity this wire message carries, as
+    extracted from each payload by [user]: one for [Data] (through
+    [Relay]/[Causal] bodies) and [To_request], one per payload for
+    [Batch]/[To_batch], [Reliable] recursively, and [] for control traffic
+    and [Retransmit] (re-sends are covered by the typed [Event.Retransmit],
+    not counted as fresh copies).  The network layer's identity hook: it
+    emits one Full-level event per identity, keeping lineage conservation
+    per-payload. *)

@@ -6,6 +6,7 @@
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Oracle = Vs_harness.Oracle
+module Explain = Vs_obs.Explain
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 module Summary = Vs_stats.Summary
@@ -17,6 +18,23 @@ let vid e = View.Id.make ~epoch:e ~proposer:(p 0)
 let mid sender index = { Oracle.origin = p sender; mseq = index }
 
 (* ---------- oracle detects violations ---------- *)
+
+(* Verdicts compare by what they name — property, message, processes,
+   views — not by their one-line rendering. *)
+let verdicts =
+  let pp ppf (v : Explain.violation) =
+    Format.fprintf ppf "%s [%s] [%s]"
+      (match v.msg with Some m -> Oracle.msg_id_to_string m | None -> "-")
+      (String.concat "," (List.map Proc_id.to_string v.procs))
+      (String.concat "," (List.map View.Id.to_string v.vids))
+  in
+  Alcotest.list
+    (Alcotest.testable pp (fun (a : Explain.violation) b ->
+         a.property = b.property && a.msg = b.msg && a.procs = b.procs
+         && a.vids = b.vids))
+
+let verdict property ?msg procs vids =
+  { Explain.property; msg; procs; vids; detail = "" }
 
 let test_oracle_clean_run () =
   let o = Oracle.create () in
@@ -51,16 +69,18 @@ let test_oracle_detects_agreement_violation () =
       Oracle.record_install o ~proc:(p q) ~view:(View.make v2 [ p 0; p 1 ])
         ~prior:v1 ~time:0.3)
     [ 0; 1 ];
-  check Alcotest.bool "agreement violation detected" true
-    (Oracle.check_agreement o <> [])
+  check verdicts "agreement violation detected"
+    [ verdict Explain.Agreement ~msg:(mid 0 0) [ p 0; p 1 ] [ v1; v2 ] ]
+    (Oracle.agreement_violations o)
 
 let test_oracle_detects_uniqueness_violation () =
   let o = Oracle.create () in
   Oracle.record_send o (mid 0 0);
   Oracle.record_delivery o ~proc:(p 0) ~vid:(vid 1) (mid 0 0) ~time:0.1;
   Oracle.record_delivery o ~proc:(p 1) ~vid:(vid 2) (mid 0 0) ~time:0.2;
-  check Alcotest.bool "uniqueness violation detected" true
-    (Oracle.check_uniqueness o <> [])
+  check verdicts "uniqueness violation detected"
+    [ verdict Explain.Uniqueness ~msg:(mid 0 0) [ p 0; p 1 ] [ vid 2; vid 1 ] ]
+    (Oracle.uniqueness_violations o)
 
 let test_oracle_detects_integrity_violations () =
   let o = Oracle.create () in
@@ -70,10 +90,12 @@ let test_oracle_detects_integrity_violations () =
   Oracle.record_delivery o ~proc:(p 0) ~vid:(vid 1) (mid 0 0) ~time:0.2;
   (* Phantom: never sent. *)
   Oracle.record_delivery o ~proc:(p 0) ~vid:(vid 1) (mid 9 3) ~time:0.3;
-  let errs = Oracle.check_integrity o in
-  check Alcotest.bool "duplicate detected" true
-    (List.exists (fun e -> String.length e > 0 && String.sub e 0 9 = "integrity") errs);
-  check Alcotest.int "two violations" 2 (List.length errs)
+  check verdicts "duplicate, then phantom"
+    [
+      verdict Explain.Integrity ~msg:(mid 0 0) [ p 0 ] [ vid 1 ];
+      verdict Explain.Integrity ~msg:(mid 9 3) [ p 0 ] [ vid 1 ];
+    ]
+    (Oracle.integrity_violations o)
 
 let test_oracle_detects_fifo_violation () =
   let o = Oracle.create () in
@@ -81,7 +103,9 @@ let test_oracle_detects_fifo_violation () =
   Oracle.record_send o (mid 0 1);
   Oracle.record_delivery o ~proc:(p 1) ~vid:(vid 1) (mid 0 1) ~time:0.1;
   Oracle.record_delivery o ~proc:(p 1) ~vid:(vid 1) (mid 0 0) ~time:0.2;
-  check Alcotest.bool "fifo inversion detected" true (Oracle.check_fifo o <> [])
+  check verdicts "fifo inversion detected"
+    [ verdict Explain.Fifo ~msg:(mid 0 0) [ p 1 ] [ vid 1 ] ]
+    (Oracle.fifo_violations o)
 
 let test_oracle_fifo_exempts_total_order () =
   let o = Oracle.create () in
@@ -90,8 +114,7 @@ let test_oracle_fifo_exempts_total_order () =
   (* The totally-ordered message may arrive after a later FIFO one. *)
   Oracle.record_delivery o ~proc:(p 1) ~vid:(vid 1) (mid 0 1) ~time:0.1;
   Oracle.record_delivery o ~proc:(p 1) ~vid:(vid 1) (mid 0 0) ~time:0.2;
-  check (Alcotest.list Alcotest.string) "no false positive" []
-    (Oracle.check_fifo o)
+  check verdicts "no false positive" [] (Oracle.fifo_violations o)
 
 let test_oracle_detects_total_order_violation () =
   let o = Oracle.create () in
@@ -103,8 +126,9 @@ let test_oracle_detects_total_order_violation () =
   Oracle.record_delivery o ~proc:(p 2) ~vid:(vid 1) (mid 1 0) ~time:0.2;
   Oracle.record_delivery o ~proc:(p 3) ~vid:(vid 1) (mid 1 0) ~time:0.1;
   Oracle.record_delivery o ~proc:(p 3) ~vid:(vid 1) (mid 0 0) ~time:0.2;
-  check Alcotest.bool "total-order violation detected" true
-    (Oracle.check_total_order_messages o <> [])
+  check verdicts "total-order violation detected"
+    [ verdict Explain.Total_order ~msg:(mid 0 0) [ p 2; p 3 ] [ vid 1 ] ]
+    (Oracle.total_order_violations o)
 
 (* ---------- fault scripts ---------- *)
 

@@ -4,6 +4,8 @@
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
+module Recorder = Vs_obs.Recorder
+module Event = Vs_obs.Event
 
 let check = Alcotest.check
 
@@ -188,6 +190,63 @@ let test_send_node_finds_new_incarnation () =
   ignore (Sim.run sim);
   check Alcotest.int "new incarnation got it" 1 (List.length !inbox')
 
+(* ---------- node-addressed sends at Full level ---------- *)
+
+(* [send_node] emits through the same per-identity emitters as [send]: one
+   Send, Dup and Drop per carried identity, addressed to the n<node>
+   pseudo-destination, with the bytes on the first Send only, and Recv
+   events naming the incarnation the message reached. *)
+let test_send_node_full_events () =
+  let recorder = Recorder.create ~level:Recorder.Full () in
+  let sim = Sim.create ~seed:5L ~obs:recorder () in
+  let ids = [ { Event.origin = p0; mseq = 1 }; { Event.origin = p0; mseq = 2 } ] in
+  let net =
+    Net.create ~size_of:String.length ~idents:(fun _ -> ids) sim
+      { Net.default_config with Net.dup_prob = 1.0 }
+  in
+  Net.register net p0 (fun _ -> ());
+  Net.register net p1 (fun _ -> ());
+  Net.crash net p1;
+  let p1' = Net.fresh_incarnation net 1 in
+  Net.register net p1' (fun _ -> ());
+  Net.send_node net ~src:p0 ~dst_node:1 "batch";
+  ignore (Sim.run sim);
+  Net.set_partition net [ [ 0 ]; [ 1 ] ];
+  Net.send_node net ~src:p0 ~dst_node:1 "batch";
+  ignore (Sim.run sim);
+  let row kind dst (msg : Event.msg option) bytes =
+    Printf.sprintf "%s %s %s %d" kind (Event.proc_to_string dst)
+      (match msg with Some m -> Event.msg_to_string m | None -> "-")
+      bytes
+  in
+  let traffic =
+    List.filter_map
+      (fun { Recorder.event; _ } ->
+        match event with
+        | Event.Send { dst; msg; bytes; _ } -> Some (row "send" dst msg bytes)
+        | Event.Dup { dst; msg; _ } -> Some (row "dup" dst msg 0)
+        | Event.Recv { dst; msg; _ } -> Some (row "recv" dst msg 0)
+        | Event.Drop { dst; msg; reason; _ } -> Some (row reason dst msg 0)
+        | _ -> None)
+      (Recorder.entries recorder)
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "per-identity events"
+    [
+      "send n1 p0#1 5";
+      "send n1 p0#2 0";
+      "dup n1 p0#1 0";
+      "dup n1 p0#2 0";
+      "recv p1.1 p0#1 0";
+      "recv p1.1 p0#2 0";
+      "recv p1.1 p0#1 0";
+      "recv p1.1 p0#2 0";
+      "partition n1 p0#1 0";
+      "partition n1 p0#2 0";
+    ]
+    traffic
+
 (* ---------- accounting ---------- *)
 
 let test_stats_and_bytes () =
@@ -239,6 +298,11 @@ let () =
           Alcotest.test_case "crash and incarnations" `Quick test_crash_and_incarnations;
           Alcotest.test_case "register rules" `Quick test_register_rules;
           Alcotest.test_case "node addressing" `Quick test_send_node_finds_new_incarnation;
+        ] );
+      ( "observability",
+        [
+          Alcotest.test_case "node sends at full level" `Quick
+            test_send_node_full_events;
         ] );
       ( "accounting",
         [

@@ -77,18 +77,6 @@ let test_tail () =
   check Alcotest.int "tail larger than stream" 10
     (List.length (Recorder.tail ~limit:50 r))
 
-let test_level_parse () =
-  check Alcotest.bool "case-insensitive" true
-    (Recorder.level_of_string "FULL" = Some Recorder.Full
-    && Recorder.level_of_string "Protocol" = Some Recorder.Protocol
-    && Recorder.level_of_string "off" = Some Recorder.Off);
-  check Alcotest.bool "garbage rejected" true
-    (Recorder.level_of_string "fullest" = None);
-  check
-    (Alcotest.list Alcotest.string)
-    "valid set for CLI errors" [ "off"; "protocol"; "full" ]
-    Recorder.all_level_names
-
 (* ---------- exporters ---------- *)
 
 let full_run seed =
@@ -495,7 +483,6 @@ let () =
           Alcotest.test_case "protocol-skips-traffic" `Quick
             test_protocol_skips_traffic;
           Alcotest.test_case "tail" `Quick test_tail;
-          Alcotest.test_case "level-parse" `Quick test_level_parse;
         ] );
       ( "exporters",
         [
