@@ -215,11 +215,11 @@ let words_per_send_batch ~level =
    off-path send allocation must still match the pre-corruption baseline to
    the word. *)
 let exercise_corruption_hooks () =
-  let module Cluster = Vs_harness.Vsync_cluster in
+  let module Cluster = Vs_harness.Cluster in
   let module Endpoint = Vs_vsync.Endpoint in
-  let c = Cluster.create ~seed:17L ~n:3 () in
+  let c = Cluster.vsync ~seed:17L ~n:3 () in
   Cluster.run c ~until:2.0;
-  (match Cluster.endpoint_on c 0 with
+  (match Cluster.on_node c 0 with
   | Some ep ->
       ignore (Endpoint.corrupt ep (Endpoint.Seq_skew 3) : string);
       ignore (Endpoint.corrupt ep (Endpoint.Stability_smear (1, 4)) : string)

@@ -69,11 +69,6 @@ let classify_of_event t (ev : 'ann Evs.eview_event) =
     ~would_serve_all:(would_serve_all t)
     ~settled ()
 
-let classify_now t =
-  Classify.enriched ~eview:(eview t)
-    ~would_serve_all:(would_serve_all t)
-    ()
-
 let record_mode_step t (step : Mode.Machine.step) =
   match step.Mode.Machine.cause with
   | Some cause ->
@@ -208,9 +203,7 @@ let begin_joint_settling t =
     | Some c -> Proc_id.equal c (me t)
     | None -> false
   in
-  let svset_ids =
-    List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets
-  in
+  let svset_ids = E_view.svset_ids ev in
   if im_coordinator && List.length svset_ids >= 2 then
     Evs.svset_merge (get_evs t) svset_ids
 

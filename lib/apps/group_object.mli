@@ -89,9 +89,6 @@ val set_annotation : ('a, 'ann) t -> 'ann option -> unit
 val would_serve_all : ('a, 'ann) t -> Proc_id.t list -> bool
 (** The spec's Normal condition as a predicate (what the classifier uses). *)
 
-val classify_now : ('a, 'ann) t -> Classify.problem
-(** Classify the current enriched view with the object's predicates. *)
-
 val begin_joint_settling : ('a, 'ann) t -> unit
 (** If this process is the view coordinator, request an SV-SetMerge of all
     the view's sv-sets, marking the joint reconstruction. *)

@@ -26,12 +26,9 @@ val to_string : Campaign.spec -> string
 
 val of_string : string -> (Campaign.spec, string) result
 
-val filename : Campaign.spec -> string
-(** Canonical artifact name: [<protocol>-seed<seed>-n<nodes>.sexp]. *)
-
 val save : dir:string -> Campaign.spec -> string
-(** Write the artifact as [dir/]{!filename} (creating [dir] if needed) and
-    return its path. *)
+(** Write the artifact as [dir/<protocol>-seed<seed>-n<nodes>.sexp]
+    (creating [dir] if needed) and return its path. *)
 
 val load : string -> (Campaign.spec, string) result
 (** Read one artifact back. *)

@@ -168,6 +168,10 @@ type snapshot_report = { sr_snapshot : t option; sr_prior : View.Id.t option }
 
 let members t = t.view.View.members
 
+let svset_ids t = List.map (fun ss -> ss.ss_id) t.structure.svsets
+
+let subview_ids t = List.map (fun sv -> sv.sv_id) t.structure.subviews
+
 let find_subview sv_id t =
   List.find_opt (fun sv -> Subview_id.equal sv.sv_id sv_id) t.structure.subviews
 
@@ -297,7 +301,7 @@ let validate t =
   let all_ss_subviews =
     List.concat_map (fun ss -> ss.ss_subviews) t.structure.svsets
   in
-  let sv_ids = List.map (fun sv -> sv.sv_id) t.structure.subviews in
+  let sv_ids = subview_ids t in
   let* () =
     if
       Listx.equal_set ~cmp:Subview_id.compare

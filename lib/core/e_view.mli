@@ -106,14 +106,19 @@ val apply_subview_merge :
 
 val members : t -> Proc_id.t list
 
+val svset_ids : t -> Svset_id.t list
+(** Every sv-set's identifier, in structure order — what an application
+    passes to an SV-SetMerge of everything. *)
+
+val subview_ids : t -> Subview_id.t list
+(** Every subview's identifier, in structure order. *)
+
 val subview_of : Proc_id.t -> t -> subview option
 
 val svset_of_subview : Subview_id.t -> t -> svset option
 
 val svset_members : svset -> t -> Proc_id.t list
 (** Union of the member sets of the sv-set's subviews. *)
-
-val find_subview : Subview_id.t -> t -> subview option
 
 val is_degenerate : t -> bool
 (** One sv-set containing one subview containing every member — the case

@@ -84,8 +84,6 @@ val eview : ('a, 'ann) t -> E_view.t
 
 val view : ('a, 'ann) t -> View.t
 
-val my_subview : ('a, 'ann) t -> E_view.subview
-
 val my_svset : ('a, 'ann) t -> E_view.svset
 
 val multicast : ('a, 'ann) t -> ?order:Endpoint.order -> 'a -> unit

@@ -27,8 +27,6 @@ let transition_to_string = function
   | Reconfigure -> "Reconfigure"
   | Reconcile -> "Reconcile"
 
-let pp_transition ppf tr = Format.pp_print_string ppf (transition_to_string tr)
-
 let edge ~from ~into =
   match (from, into) with
   | Normal, Reduced -> Some Failure

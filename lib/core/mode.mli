@@ -26,10 +26,6 @@ type transition = Failure | Repair | Reconfigure | Reconcile
 
 val equal_transition : transition -> transition -> bool
 
-val compare_transition : transition -> transition -> int
-
-val pp_transition : Format.formatter -> transition -> unit
-
 val to_string : t -> string
 
 val transition_to_string : transition -> string

@@ -23,11 +23,10 @@ let create sim net ~nodes ~spawn ~kill ~is_alive ~me ~history =
     app
   in
   (* Corruptions target Endpoint internals, which the abstract apps do not
-     expose, so Corrupt is a no-op here.  The apps multicast through their
-     own objects, so the fleet's oracle stays empty. *)
+     expose, so Corrupt is a no-op here. *)
   let fleet =
-    Fleet.create sim net ~oracle:(Vs_harness.Oracle.create ()) ~nodes
-      { Fleet.spawn; me; is_alive; kill; corrupt = (fun _ _ -> None) }
+    Fleet.create sim net ~nodes
+      { Fleet.spawn; me; is_alive; kill; corrupt = (fun _ _ -> ()) }
   in
   { fleet; nodes; me; history; rev_all }
 

@@ -14,33 +14,27 @@ module Sim = Vs_sim.Sim
 module Proc_id = Vs_net.Proc_id
 module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
-module Cluster = Vs_harness.Evs_cluster
+module Cluster = Vs_harness.Cluster
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 
-let all_svset_ids ev =
-  List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets
-
-let all_subview_ids ev =
-  List.map (fun sv -> sv.E_view.sv_id) ev.E_view.structure.E_view.subviews
-
 let structure_at c node =
-  match Cluster.evs_on c node with
+  match Cluster.on_node c node with
   | Some e -> E_view.to_string (Evs.eview e)
   | None -> "(down)"
 
 let coordinator_merge_all c =
-  match Cluster.evs_on c 0 with
+  match Cluster.on_node c 0 with
   | Some e ->
       let ev = Evs.eview e in
-      if List.length (all_svset_ids ev) >= 2 then
-        Evs.svset_merge e (all_svset_ids ev);
+      if List.length (E_view.svset_ids ev) >= 2 then
+        Evs.svset_merge e (E_view.svset_ids ev);
       ignore (Sim.run ~until:(Sim.now (Cluster.sim c) +. 0.3) (Cluster.sim c));
-      (match Cluster.evs_on c 0 with
+      (match Cluster.on_node c 0 with
       | Some e ->
           let ev = Evs.eview e in
-          if List.length (all_subview_ids ev) >= 2 then
-            Evs.subview_merge e (all_subview_ids ev)
+          if List.length (E_view.subview_ids ev) >= 2 then
+            Evs.subview_merge e (E_view.subview_ids ev)
       | None -> ());
       ignore (Sim.run ~until:(Sim.now (Cluster.sim c) +. 0.3) (Cluster.sim c))
   | None -> ()
@@ -53,7 +47,7 @@ let run_figure2 () =
          ({sv-set}, [subview])"
       ~columns:[ "stage"; "structure at p0"; "structure at p2" ]
   in
-  let c = Cluster.create ~seed:202L ~n:4 () in
+  let c = Cluster.evs ~seed:202L ~n:4 () in
   Cluster.run c ~until:1.0;
   Table.add_row table
     [ "v1: all joined (singletons)"; structure_at c 0; structure_at c 2 ];
@@ -87,13 +81,13 @@ let run_figure3 () =
          SubviewMerge)"
       ~columns:[ "eseq"; "cause"; "structure (identical at all members)" ]
   in
-  let c = Cluster.create ~seed:203L ~n:3 () in
+  let c = Cluster.evs ~seed:203L ~n:3 () in
   Cluster.run c ~until:1.0;
   let snapshot cause =
     let s0 = structure_at c 0 and s1 = structure_at c 1 and s2 = structure_at c 2 in
     let agreed = String.equal s0 s1 && String.equal s1 s2 in
     let eseq =
-      match Cluster.evs_on c 0 with
+      match Cluster.on_node c 0 with
       | Some e -> (Evs.eview e).E_view.eseq
       | None -> -1
     in
@@ -105,14 +99,14 @@ let run_figure3 () =
       ]
   in
   snapshot "view installed";
-  (match Cluster.evs_on c 0 with
-  | Some e -> Evs.svset_merge e (all_svset_ids (Evs.eview e))
+  (match Cluster.on_node c 0 with
+  | Some e -> Evs.svset_merge e (E_view.svset_ids (Evs.eview e))
   | None -> ());
   Cluster.run c ~until:(Sim.now (Cluster.sim c) +. 0.3);
   snapshot "SV-SetMerge(3 sv-sets)";
-  (match Cluster.evs_on c 0 with
+  (match Cluster.on_node c 0 with
   | Some e -> (
-      match all_subview_ids (Evs.eview e) with
+      match E_view.subview_ids (Evs.eview e) with
       | a :: b :: _ -> Evs.subview_merge e [ a; b ]
       | _ -> ())
   | None -> ());

@@ -9,7 +9,7 @@
 
 module Sim = Vs_sim.Sim
 module Endpoint = Vs_vsync.Endpoint
-module Cluster = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
@@ -23,7 +23,7 @@ type sample = {
 let run_once ~one_at_a_time ~k =
   let n = 2 * k in
   let config = { Endpoint.default_config with Endpoint.one_at_a_time } in
-  let c = Cluster.create ~seed:(Int64.of_int (400 + k)) ~config ~n () in
+  let c = Cluster.vsync ~seed:(Int64.of_int (400 + k)) ~config ~n () in
   let nodes = List.init n (fun i -> i) in
   let left = Vs_util.Listx.take k nodes and right = Vs_util.Listx.drop k nodes in
   Cluster.apply_action c (Faults.Partition [ left; right ]);

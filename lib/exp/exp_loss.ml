@@ -14,7 +14,7 @@
 
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
-module Cluster = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
@@ -36,7 +36,7 @@ let run_once ~n ~drop ~dup ~seed =
   let net_config =
     { Net.default_config with Net.drop_prob = drop; Net.dup_prob = dup }
   in
-  let c = Cluster.create ~seed ~net_config ~n () in
+  let c = Cluster.vsync ~seed ~net_config ~n () in
   let formed_at = Cluster.await_stable_view c ~step:0.05 ~deadline:10.0 in
   if formed_at < infinity then begin
     (* Exercise the data path and a flush on the lossy links: traffic

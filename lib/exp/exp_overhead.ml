@@ -18,8 +18,7 @@ module Proc_id = Vs_net.Proc_id
 module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
 module Endpoint = Vs_vsync.Endpoint
-module Vc = Vs_harness.Vsync_cluster
-module Ec = Vs_harness.Evs_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
@@ -32,66 +31,54 @@ let e9_script seed nodes duration =
   let rng = Vs_util.Rng.create seed in
   Faults.random_script rng ~nodes ~start:1.0 ~duration ~mean_gap:0.7 ()
 
-let run_plain ~seed ~duration =
-  let c = Vc.create ~seed ~n:5 () in
-  Vc.run_script c (e9_script (Int64.add seed 1L) [ 0; 1; 2; 3; 4 ] duration);
-  Vc.pump_traffic c ~start:0.5 ~until:duration ~mean_gap:0.05;
-  Vc.run c ~until:(duration +. 3.0);
-  let s = Vc.net_stats c in
+(* One E9 arm: the campaign's faults and traffic, plus [tick] every 0.25 s
+   from 0.7 s when given. *)
+let e9_run c ~seed ~duration ~tick =
+  Cluster.run_script c
+    (e9_script (Int64.add seed 1L) [ 0; 1; 2; 3; 4 ] duration);
+  Cluster.pump_traffic c ~start:0.5 ~until:duration ~mean_gap:0.05;
+  Option.iter
+    (fun tick ->
+      let rec arm t0 =
+        if t0 < duration then begin
+          ignore (Sim.at (Cluster.sim c) t0 tick);
+          arm (t0 +. 0.25)
+        end
+      in
+      arm 0.7)
+    tick;
+  Cluster.run c ~until:(duration +. 3.0);
+  let s = Cluster.net_stats c in
   {
     msgs = s.Net.sent;
     bytes = s.Net.bytes_sent;
-    installs = Oracle.total_installs (Vc.oracle c);
-    echanges = 0;
+    installs = Oracle.total_installs (Cluster.oracle c);
+    echanges = Cluster.eview_changes_total c;
   }
 
-let run_evs ~seed ~duration =
-  let c = Ec.create ~seed ~n:5 () in
-  Ec.run_script c (e9_script (Int64.add seed 1L) [ 0; 1; 2; 3; 4 ] duration);
-  Ec.pump_traffic c ~start:0.5 ~until:duration ~mean_gap:0.05;
-  (* Worst-case structure maintenance: the coordinator merges after every
-     change. *)
-  let sim = Ec.sim c in
-  let merge_tick () =
-    List.iter
-      (fun e ->
-        let ev = Evs.eview e in
-        match Proc_id.min_member (E_view.members ev) with
-        | Some m when Proc_id.equal m (Evs.me e) ->
-            let sss =
-              List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets
-            in
-            if List.length sss >= 2 then Evs.svset_merge e sss
-            else begin
-              let svs =
-                List.map (fun sv -> sv.E_view.sv_id)
-                  ev.E_view.structure.E_view.subviews
-              in
-              if List.length svs >= 2 then Evs.subview_merge e svs
-            end
-        | Some _ | None -> ())
-      (Ec.live c)
-  in
-  let rec arm t0 =
-    if t0 < duration then begin
-      ignore (Sim.at sim t0 merge_tick);
-      arm (t0 +. 0.25)
-    end
-  in
-  arm 0.7;
-  Ec.run c ~until:(duration +. 3.0);
-  let s = Ec.net_stats c in
-  {
-    msgs = s.Net.sent;
-    bytes = s.Net.bytes_sent;
-    installs = Oracle.total_installs (Ec.oracle c);
-    echanges = Ec.eview_changes_total c;
-  }
+(* Worst-case structure maintenance: the coordinator merges after every
+   change. *)
+let merge_all e =
+  let ev = Evs.eview e in
+  match Proc_id.min_member (E_view.members ev) with
+  | Some m when Proc_id.equal m (Evs.me e) ->
+      let sss = E_view.svset_ids ev in
+      if List.length sss >= 2 then Evs.svset_merge e sss
+      else begin
+        let svs = E_view.subview_ids ev in
+        if List.length svs >= 2 then Evs.subview_merge e svs
+      end
+  | Some _ | None -> ()
 
 let run_e9 ?(quick = false) () =
   let duration = if quick then 4.0 else 12.0 in
-  let plain = run_plain ~seed:901L ~duration in
-  let evs = run_evs ~seed:901L ~duration in
+  let seed = 901L in
+  let plain = e9_run (Cluster.vsync ~seed ~n:5 ()) ~seed ~duration ~tick:None in
+  let evs =
+    let c = Cluster.evs ~seed ~n:5 () in
+    e9_run c ~seed ~duration
+      ~tick:(Some (fun () -> List.iter merge_all (Cluster.live c)))
+  in
   let table =
     Table.create
       ~title:
@@ -130,7 +117,7 @@ let run_merge ?(stability = true) ~n ~backlog () =
     }
   in
   let c =
-    Vc.create
+    Cluster.vsync
       ~seed:(Int64.of_int (1000 + n + if backlog then 1 else 0))
       ~config ~n ()
   in
@@ -138,8 +125,8 @@ let run_merge ?(stability = true) ~n ~backlog () =
   let half = n / 2 in
   let left = Vs_util.Listx.take half nodes
   and right = Vs_util.Listx.drop half nodes in
-  Vc.apply_action c (Faults.Partition [ left; right ]);
-  Vc.run c ~until:2.0;
+  Cluster.apply_action c (Faults.Partition [ left; right ]);
+  Cluster.run c ~until:2.0;
   if backlog then begin
     (* Traffic before the merge: the flush must synchronise whatever has
        not become stable.  A short delivery pause lets stability gossip
@@ -147,17 +134,17 @@ let run_merge ?(stability = true) ~n ~backlog () =
     List.iter
       (fun node ->
         for _ = 1 to 10 do
-          Vc.multicast_from c ~node ()
+          Cluster.multicast_from c ~node ()
         done)
       nodes;
-    Vc.run c ~until:2.3
+    Cluster.run c ~until:2.3
   end;
-  let stats_before = Vc.net_stats c in
-  let heal_time = Sim.now (Vc.sim c) in
-  Vc.apply_action c Faults.Heal;
+  let stats_before = Cluster.net_stats c in
+  let heal_time = Sim.now (Cluster.sim c) in
+  Cluster.apply_action c Faults.Heal;
   let deadline = heal_time +. 5.0 in
-  let stable_at = Vc.await_stable_view c ~step:0.02 ~deadline in
-  let stats_after = Vc.net_stats c in
+  let stable_at = Cluster.await_stable_view c ~step:0.02 ~deadline in
+  let stats_after = Cluster.net_stats c in
   ( stable_at -. heal_time,
     stats_after.Net.sent - stats_before.Net.sent,
     stats_after.Net.bytes_sent - stats_before.Net.bytes_sent )

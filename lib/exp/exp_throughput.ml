@@ -43,7 +43,7 @@ module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
 module Critpath = Vs_obs.Critpath
 module Obs_event = Vs_obs.Event
-module Cluster = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 module Wire = Vs_vsync.Wire
@@ -702,7 +702,7 @@ type merge_result = {
 let merge_at_scale ~k =
   let n = 2 * k in
   let c =
-    Cluster.create
+    Cluster.vsync
       ~seed:(Int64.of_int (7000 + k))
       ~config:scale_config ~n ()
   in

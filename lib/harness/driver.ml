@@ -71,18 +71,18 @@ let finish_stabilization sim (st : Oracle.stabilization) ~extra =
 let evs_structural_violations ~since ~n c =
   let quorum ms = 2 * List.length ms > n in
   List.concat_map
-    (fun (r : Evs_cluster.eview_record) ->
+    (fun (r : Cluster.eview_record) ->
       let where =
         Printf.sprintf "%s at t=%.3f"
-          (Proc_id.to_string r.Evs_cluster.er_proc)
-          r.Evs_cluster.er_time
+          (Proc_id.to_string r.Cluster.er_proc)
+          r.Cluster.er_time
       in
-      let ev = r.Evs_cluster.er_eview in
+      let ev = r.Cluster.er_eview in
       let mk detail =
         {
           Vs_obs.Explain.property = Vs_obs.Explain.Evs_invariant;
           msg = None;
-          procs = [ r.Evs_cluster.er_proc ];
+          procs = [ r.Cluster.er_proc ];
           vids = [ ev.E_view.view.View.id ];
           detail;
         }
@@ -104,53 +104,26 @@ let evs_structural_violations ~since ~n c =
       in
       structural @ classify)
     (List.filter
-       (fun (r : Evs_cluster.eview_record) -> r.Evs_cluster.er_time >= since)
-       (Evs_cluster.eview_records c))
+       (fun (r : Cluster.eview_record) -> r.Cluster.er_time >= since)
+       (Cluster.eview_records c))
 
-(* Every Section 6 verdict over the e-view records at or after [since]. *)
+(* Every Section 6 verdict over the e-view records at or after [since];
+   none on a plain cluster, which records no e-views. *)
 let section6_verdicts ~n c ~since =
   List.map
     (wrap_verdict Vs_obs.Explain.Evs_total_order)
-    (Evs_cluster.check_total_order ~since c)
+    (Cluster.check_total_order ~since c)
   @ List.map
       (wrap_verdict Vs_obs.Explain.Evs_structure)
-      (Evs_cluster.check_structure ~since c)
+      (Cluster.check_structure ~since c)
   @ evs_structural_violations ~since ~n c
 
-let run_schedule ?traffic ?obs setup ~script ~until =
-  let drive ~run_script ~pump_traffic ~run c =
-    run_script c script;
-    (match traffic with
-    | Some tr when tr.tr_gap > 0. ->
-        pump_traffic c ~start:tr.tr_start ~until:tr.tr_until ~mean_gap:tr.tr_gap
-    | Some _ | None -> ());
-    run c ~until
-  in
-  (* The protocol-specific part of a run: VS contributes no Section 6
-     verdicts and no e-view changes. *)
-  let sim, oracle, stable, section6, eview_changes =
-    match setup.protocol with
-    | Vsync ->
-        let module C = Vsync_cluster in
-        let c =
-          C.create ~seed:setup.seed ?obs ~net_config:setup.net_config
-            ~n:setup.n ()
-        in
-        drive ~run_script:C.run_script ~pump_traffic:C.pump_traffic ~run:C.run c;
-        (C.sim c, C.oracle c, C.stable_view_reached c, (fun ~since:_ -> []), 0)
-    | Evs ->
-        let module C = Evs_cluster in
-        let c =
-          C.create ~seed:setup.seed ?obs ~net_config:setup.net_config
-            ~n:setup.n ()
-        in
-        drive ~run_script:C.run_script ~pump_traffic:C.pump_traffic ~run:C.run c;
-        ( C.sim c,
-          C.oracle c,
-          C.stable_view_reached c,
-          section6_verdicts ~n:setup.n c,
-          C.eview_changes_total c )
-  in
+(* Judge a finished run: the oracle's Section 2 verdicts plus Section 6's,
+   both filtered through the stabilization oracle when the script injected
+   transient faults. *)
+let outcome ~n c =
+  let sim = Cluster.sim c and oracle = Cluster.oracle c in
+  let section6 = section6_verdicts ~n c in
   let raw = Oracle.all_violations oracle in
   let verdicts, quarantine =
     match Oracle.stabilization oracle raw with
@@ -174,8 +147,22 @@ let run_schedule ?traffic ?obs setup ~script ~until =
     deliveries = Oracle.total_deliveries oracle;
     installs = Oracle.total_installs oracle;
     distinct_views = Oracle.distinct_views oracle;
-    eview_changes;
+    eview_changes = Cluster.eview_changes_total c;
     events = Sim.events_processed sim;
-    stable;
+    stable = Cluster.stable_view_reached c;
     quarantine;
   }
+
+let run_schedule ~traffic ?obs setup ~script ~until =
+  let drive c =
+    Cluster.run_script c script;
+    if traffic.tr_gap > 0. then
+      Cluster.pump_traffic c ~start:traffic.tr_start ~until:traffic.tr_until
+        ~mean_gap:traffic.tr_gap;
+    Cluster.run c ~until;
+    outcome ~n:setup.n c
+  in
+  let { seed; n; net_config; protocol } = setup in
+  match protocol with
+  | Vsync -> drive (Cluster.vsync ~seed ?obs ~net_config ~n ())
+  | Evs -> drive (Cluster.evs ~seed ?obs ~net_config ~n ())

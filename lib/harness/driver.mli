@@ -1,11 +1,11 @@
-(** Uniform run-one-schedule entry point over both cluster harnesses.
+(** Uniform run-one-schedule entry point over a {!Cluster}.
 
     The schedule explorer (lib/check), the CLI and the tests all need the
     same shape of run: boot a cluster on a configured network, schedule a
     fault script and background traffic, run to a horizon, then collect
     every checkable property violation plus the run's head-line counters.
     This module provides that shape once, for plain view synchrony
-    ({!Vsync_cluster}) and enriched view synchrony ({!Evs_cluster}) alike,
+    ({!Cluster.vsync}) and enriched view synchrony ({!Cluster.evs}) alike,
     so callers never branch on the protocol.
 
     EVS runs are checked against strictly more properties: on top of the
@@ -57,8 +57,7 @@ type outcome = {
   events : int;         (** simulator events processed *)
   stable : bool;
       (** all live members converged on one final view covering the live
-          nodes (the {!Vsync_cluster.stable_view_reached} condition; the
-          analogous check over live EVS handles for enriched runs) *)
+          nodes ({!Cluster.stable_view_reached}) *)
   quarantine : quarantine option;
       (** [Some _] iff the script injected transient corruptions: verdicts
           were filtered through {!Oracle.stabilization} (recovery-window
@@ -67,7 +66,7 @@ type outcome = {
 }
 
 val run_schedule :
-  ?traffic:traffic ->
+  traffic:traffic ->
   ?obs:Vs_obs.Recorder.t ->
   setup ->
   script:Faults.script ->

@@ -32,7 +32,7 @@ let d1 =
       "thread the simulation's seeded Rng.t (Sim.fork_rng) and Sim.now instead \
        of Random.*, Sys.time, or Unix.gettimeofday";
     explain =
-      "Seed-replay (vscli check --replay, the shrink corpus, the campaign \
+      "Seed-replay (vscli explain --replay, the shrink corpus, the campaign \
        explorer) requires that every source of randomness and every clock \
        read is derived from the campaign seed and the simulated clock.  A \
        single Random.float or Sys.time call makes two identically-seeded \

@@ -68,8 +68,6 @@ val crash : 'm t -> Proc_id.t -> unit
 
 val is_live : 'm t -> Proc_id.t -> bool
 
-val live_on_node : 'm t -> int -> Proc_id.t option
-
 val fresh_incarnation : 'm t -> int -> Proc_id.t
 (** Next unused incarnation identifier for a node (does not register it). *)
 

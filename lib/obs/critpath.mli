@@ -41,11 +41,6 @@ type segment = {
       (** [Some dst] when the segment is a wire hop [s_proc -> dst] *)
 }
 
-val seg_duration : segment -> float
-
-val seg_owner : segment -> string
-(** ["p2"] or ["p0->p2"]. *)
-
 type install_path = {
   ip_attr : Stall.attr;
       (** the stall attribution the path was cut from: installer, view,

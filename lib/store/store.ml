@@ -12,6 +12,3 @@ let keys t ~node =
   (* vslint: allow D2 — key projection; the result is sorted by String.compare below *)
   Hashtbl.fold (fun (n, k) _ acc -> if n = node then k :: acc else acc) t []
   |> List.sort_uniq String.compare
-
-let wipe_node t ~node =
-  List.iter (fun key -> delete t ~node ~key) (keys t ~node)

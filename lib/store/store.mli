@@ -19,6 +19,3 @@ val delete : t -> node:int -> key:string -> unit
 
 val keys : t -> node:int -> string list
 (** Sorted keys present on a node. *)
-
-val wipe_node : t -> node:int -> unit
-(** Simulate disk loss on a node. *)

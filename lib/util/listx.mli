@@ -4,9 +4,6 @@
     process identifiers; the sorted-set operations here keep that invariant
     explicit. *)
 
-val dedup_sorted : cmp:('a -> 'a -> int) -> 'a list -> 'a list
-(** Remove adjacent duplicates of an already-sorted list. *)
-
 val sorted_set : cmp:('a -> 'a -> int) -> 'a list -> 'a list
 (** Sort and remove duplicates. *)
 

@@ -21,7 +21,7 @@ module View = Vs_gms.View
 module Faults = Vs_harness.Faults
 module Oracle = Vs_harness.Oracle
 module Driver = Vs_harness.Driver
-module Vc = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 module Campaign = Vs_check.Campaign
 module Explorer = Vs_check.Explorer
 module Shrink = Vs_check.Shrink
@@ -203,18 +203,18 @@ let assert_mentions text parts =
    then lose node 2 so a successor view exists (agreement compares the
    survivors' delivery sets across that view change). *)
 let drive_clean_run () =
-  let c = Vc.create ~seed:11L ~n:3 () in
-  let sim = Vc.sim c in
-  Vc.run c ~until:1.0;
+  let c = Cluster.vsync ~seed:11L ~n:3 () in
+  let sim = Cluster.sim c in
+  Cluster.run c ~until:1.0;
   for i = 0 to 8 do
     ignore
       (Sim.at sim
          (1.0 +. (0.05 *. float_of_int i))
-         (fun () -> Vc.multicast_from c ~node:(i mod 3) ()))
+         (fun () -> Cluster.multicast_from c ~node:(i mod 3) ()))
   done;
-  Vc.run_script c [ (2.0, Faults.Crash 2) ];
-  Vc.run c ~until:4.0;
-  let o = Vc.oracle c in
+  Cluster.run_script c [ (2.0, Faults.Crash 2) ];
+  Cluster.run c ~until:4.0;
+  let o = Cluster.oracle c in
   check (Alcotest.list Alcotest.string) "the genuine run is clean" []
     (Oracle.check_all o);
   check Alcotest.bool "it delivered traffic" true
@@ -260,7 +260,7 @@ let procs_of o = List.map fst (Oracle.install_counts o)
 
 let test_mutation_dropped_delivery_breaks_agreement () =
   let c = drive_clean_run () in
-  let o = Vc.oracle c in
+  let o = Cluster.oracle c in
   let procs = procs_of o in
   (* Faithful rebuild stays clean: the harness introspection is lossless
      enough for the checkers. *)
@@ -304,7 +304,7 @@ let test_mutation_dropped_delivery_breaks_agreement () =
 
 let test_mutation_cross_view_duplicate_breaks_uniqueness () =
   let c = drive_clean_run () in
-  let o = Vc.oracle c in
+  let o = Cluster.oracle c in
   (* Re-deliver a genuinely delivered message in a different view. *)
   let proc = p 0 in
   let vid, mid =
@@ -328,7 +328,7 @@ let test_mutation_cross_view_duplicate_breaks_uniqueness () =
 
 let test_mutation_spurious_message_breaks_integrity () =
   let c = drive_clean_run () in
-  let o = Vc.oracle c in
+  let o = Cluster.oracle c in
   (* Deliver a message nobody ever multicast. *)
   let phantom = { Oracle.origin = p 9; mseq = 42 } in
   let vid = View.Id.make ~epoch:1 ~proposer:(p 0) in
@@ -346,7 +346,7 @@ let test_mutation_spurious_message_breaks_integrity () =
 
 let test_mutation_inverted_delivery_breaks_fifo () =
   let c = drive_clean_run () in
-  let o = Vc.oracle c in
+  let o = Cluster.oracle c in
   (* Append an inversion: a fresh sender's messages delivered out of
      multicast order at one process. *)
   let m0 = { Oracle.origin = p 7; mseq = 0 } in
@@ -373,9 +373,9 @@ module Endpoint = Vs_vsync.Endpoint
    comparison is over message identities, which the cluster assigns
    independently of the wire. *)
 let equivalence_run ~config =
-  let c = Vc.create ~seed:4242L ~config ~n:4 () in
-  let sim = Vc.sim c in
-  Vc.run c ~until:1.0;
+  let c = Cluster.vsync ~seed:4242L ~config ~n:4 () in
+  let sim = Cluster.sim c in
+  Cluster.run c ~until:1.0;
   for i = 0 to 29 do
     ignore
       (Sim.at sim
@@ -385,10 +385,10 @@ let equivalence_run ~config =
            let order =
              if i mod 3 = 0 then Endpoint.Total else Endpoint.Fifo
            in
-           Vc.multicast_from c ~node ~order ()))
+           Cluster.multicast_from c ~node ~order ()))
   done;
-  Vc.run_script c [ (2.0, Faults.Crash 3) ];
-  Vc.run c ~until:5.0;
+  Cluster.run_script c [ (2.0, Faults.Crash 3) ];
+  Cluster.run c ~until:5.0;
   c
 
 let test_batching_equivalence () =
@@ -402,7 +402,7 @@ let test_batching_equivalence () =
   in
   let c_off = equivalence_run ~config:base in
   let c_on = equivalence_run ~config:{ base with Endpoint.batching = true } in
-  let o_off = Vc.oracle c_off and o_on = Vc.oracle c_on in
+  let o_off = Cluster.oracle c_off and o_on = Cluster.oracle c_on in
   check (Alcotest.list Alcotest.string) "identical oracle verdicts"
     (Oracle.check_all o_off) (Oracle.check_all o_on);
   check (Alcotest.list Alcotest.string) "and both clean" []
@@ -421,9 +421,9 @@ let test_batching_equivalence () =
         (seq o_off) (seq o_on))
     [ 0; 1; 2; 3 ];
   check Alcotest.bool "unbatched arm sent no batches" true
-    ((Vc.stats_total c_off).Endpoint.batches_sent = 0);
+    ((Cluster.stats_total c_off).Endpoint.batches_sent = 0);
   check Alcotest.bool "batched arm sent batches" true
-    ((Vc.stats_total c_on).Endpoint.batches_sent > 0)
+    ((Cluster.stats_total c_on).Endpoint.batches_sent > 0)
 
 
 (* ---------- stabilization oracle under injected corruption ---------- *)
@@ -448,22 +448,22 @@ let kind_field kind = Endpoint.corruption_field kind
    views are installed after the last fault and the quarantine window can
    close. *)
 let stabilizing_run kind =
-  let c = Vc.create ~seed:21L ~n:3 () in
-  let sim = Vc.sim c in
-  Vc.run c ~until:1.0;
+  let c = Cluster.vsync ~seed:21L ~n:3 () in
+  let sim = Cluster.sim c in
+  Cluster.run c ~until:1.0;
   for i = 0 to 23 do
     ignore
       (Sim.at sim
          (1.0 +. (0.08 *. float_of_int i))
-         (fun () -> Vc.multicast_from c ~node:(i mod 3) ()))
+         (fun () -> Cluster.multicast_from c ~node:(i mod 3) ()))
   done;
-  Vc.run_script c
+  Cluster.run_script c
     [
       (2.0, Faults.Corrupt (0, kind));
       (2.3, Faults.Crash 1);
       (2.6, Faults.Recover 1);
     ];
-  Vc.run c ~until:7.0;
+  Cluster.run c ~until:7.0;
   c
 
 let test_stabilization_passes_stabilizing_runs () =
@@ -471,7 +471,7 @@ let test_stabilization_passes_stabilizing_runs () =
     (fun kind ->
       let label = Faults.corruption_to_string kind in
       let c = stabilizing_run kind in
-      let o = Vc.oracle c in
+      let o = Cluster.oracle c in
       (match Oracle.corruptions o with
       | [ (_, field, time) ] ->
           check Alcotest.string
@@ -502,7 +502,7 @@ let test_stabilization_trips_on_never_reconverging_runs () =
     (fun kind ->
       let label = Faults.corruption_to_string kind in
       let c = stabilizing_run kind in
-      let o = Vc.oracle c in
+      let o = Cluster.oracle c in
       (* Mutate the recording into a never-reconverging run: a second
          corruption after every install the run ever made, then a phantom
          delivery (an integrity violation) inside the open window. *)
@@ -542,7 +542,7 @@ let test_stabilization_relabels_persistent_violations () =
      failure: relabeled Stabilization, detail naming the corrupted field. *)
   let kind = Faults.Seq_skew 3 in
   let c = stabilizing_run kind in
-  let o = Vc.oracle c in
+  let o = Cluster.oracle c in
   let last_view =
     match List.rev (Oracle.installs_of o ~proc:(p 0)) with
     | (view, _) :: _ -> view
@@ -666,9 +666,9 @@ let test_outcome_independent_of_recording_level () =
 (* ---------- transient x batching ---------- *)
 
 let transient_equivalence_run ~config =
-  let c = Vc.create ~seed:4242L ~config ~n:4 () in
-  let sim = Vc.sim c in
-  Vc.run c ~until:1.0;
+  let c = Cluster.vsync ~seed:4242L ~config ~n:4 () in
+  let sim = Cluster.sim c in
+  Cluster.run c ~until:1.0;
   for i = 0 to 29 do
     ignore
       (Sim.at sim
@@ -678,15 +678,15 @@ let transient_equivalence_run ~config =
            let order =
              if i mod 3 = 0 then Endpoint.Total else Endpoint.Fifo
            in
-           Vc.multicast_from c ~node ~order ()))
+           Cluster.multicast_from c ~node ~order ()))
   done;
-  Vc.run_script c
+  Cluster.run_script c
     [
       (1.3, Faults.Corrupt (0, Faults.Seq_skew 2));
       (2.0, Faults.Crash 3);
       (2.4, Faults.Recover 3);
     ];
-  Vc.run c ~until:5.0;
+  Cluster.run c ~until:5.0;
   c
 
 let test_transient_batching_equivalence () =
@@ -703,7 +703,7 @@ let test_transient_batching_equivalence () =
   in
   let verdict config =
     let c = transient_equivalence_run ~config in
-    let o = Vc.oracle c in
+    let o = Cluster.oracle c in
     match Oracle.stabilization o (Oracle.all_violations o) with
     | None -> Alcotest.fail "stabilization oracle did not arm"
     | Some st ->

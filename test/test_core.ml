@@ -113,7 +113,7 @@ let test_svset_merge () =
     build_eview (vid 2 0) [ p 0; p 1; p 2 ]
       [ (p 0, 0, 0, prior); (p 1, 1, 1, prior); (p 2, 2, 2, prior) ]
   in
-  let ids = List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets in
+  let ids = E_view.svset_ids ev in
   match E_view.apply_svset_merge ev ids with
   | Error `No_effect -> Alcotest.fail "merge should apply"
   | Ok (ev', new_id) ->

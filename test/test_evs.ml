@@ -10,7 +10,7 @@ module View = Vs_gms.View
 module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
 module Endpoint = Vs_vsync.Endpoint
-module Cluster = Vs_harness.Evs_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 
@@ -22,7 +22,7 @@ let no_errors what errs =
       (List.hd errs)
 
 let eview_of c node =
-  match Cluster.evs_on c node with
+  match Cluster.on_node c node with
   | Some e -> Evs.eview e
   | None -> Alcotest.failf "node %d down" node
 
@@ -31,16 +31,10 @@ let structure_string c node = E_view.to_string (eview_of c node)
 let count_subviews ev = List.length ev.E_view.structure.E_view.subviews
 let count_svsets ev = List.length ev.E_view.structure.E_view.svsets
 
-let all_svset_ids ev =
-  List.map (fun ss -> ss.E_view.ss_id) ev.E_view.structure.E_view.svsets
-
-let all_subview_ids ev =
-  List.map (fun sv -> sv.E_view.sv_id) ev.E_view.structure.E_view.subviews
-
 (* ---------- joins ---------- *)
 
 let test_join_creates_singletons () =
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.evs ~n:4 () in
   Cluster.run c ~until:1.0;
   let ev = eview_of c 0 in
   check Alcotest.int "four members" 4 (List.length (E_view.members ev));
@@ -55,18 +49,18 @@ let test_join_creates_singletons () =
 (* ---------- Figure 3: two e-view changes within one view ---------- *)
 
 let test_figure3_merges () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.evs ~n:3 () in
   Cluster.run c ~until:1.0;
-  let e0 = Option.get (Cluster.evs_on c 0) in
+  let e0 = Option.get (Cluster.on_node c 0) in
   (* First e-view change: SV-SetMerge of the three singleton sv-sets. *)
-  Evs.svset_merge e0 (all_svset_ids (Evs.eview e0));
+  Evs.svset_merge e0 (E_view.svset_ids (Evs.eview e0));
   Cluster.run c ~until:1.3;
   let ev = eview_of c 1 in
   check Alcotest.int "one sv-set after SV-SetMerge" 1 (count_svsets ev);
   check Alcotest.int "subviews untouched" 3 (count_subviews ev);
   check Alcotest.int "eseq 1" 1 ev.E_view.eseq;
   (* Second e-view change: SubviewMerge of two of the subviews. *)
-  (match all_subview_ids ev with
+  (match E_view.subview_ids ev with
   | a :: b :: _ -> Evs.subview_merge e0 [ a; b ]
   | _ -> Alcotest.fail "expected three subviews");
   Cluster.run c ~until:1.6;
@@ -81,12 +75,12 @@ let test_figure3_merges () =
   no_errors "figure 3 total order" (Cluster.check_total_order c)
 
 let test_full_merge_degenerates_to_flat_view () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.evs ~n:3 () in
   Cluster.run c ~until:1.0;
-  let e0 = Option.get (Cluster.evs_on c 0) in
-  Evs.svset_merge e0 (all_svset_ids (Evs.eview e0));
+  let e0 = Option.get (Cluster.on_node c 0) in
+  Evs.svset_merge e0 (E_view.svset_ids (Evs.eview e0));
   Cluster.run c ~until:1.3;
-  Evs.subview_merge e0 (all_subview_ids (Evs.eview e0));
+  Evs.subview_merge e0 (E_view.subview_ids (Evs.eview e0));
   Cluster.run c ~until:1.6;
   (* "The case where there is a single sv-set containing a single subview
      containing all of the processes degenerates to the traditional view
@@ -94,12 +88,12 @@ let test_full_merge_degenerates_to_flat_view () =
   check Alcotest.bool "degenerate" true (E_view.is_degenerate (eview_of c 1))
 
 let test_cross_svset_subview_merge_refused () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.evs ~n:3 () in
   Cluster.run c ~until:1.0;
-  let e0 = Option.get (Cluster.evs_on c 0) in
+  let e0 = Option.get (Cluster.on_node c 0) in
   let before = Evs.stats e0 in
   (* Subviews still live in distinct sv-sets: the merge has no effect. *)
-  Evs.subview_merge e0 (all_subview_ids (Evs.eview e0));
+  Evs.subview_merge e0 (E_view.subview_ids (Evs.eview e0));
   Cluster.run c ~until:1.3;
   check Alcotest.int "structure unchanged" 3 (count_subviews (eview_of c 0));
   let after = Evs.stats e0 in
@@ -109,13 +103,13 @@ let test_cross_svset_subview_merge_refused () =
 (* ---------- Figure 2: preservation across view changes ---------- *)
 
 let run_figure2 () =
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.evs ~n:4 () in
   Cluster.run c ~until:1.0;
   (* Merge everyone into one subview. *)
-  let e0 = Option.get (Cluster.evs_on c 0) in
-  Evs.svset_merge e0 (all_svset_ids (Evs.eview e0));
+  let e0 = Option.get (Cluster.on_node c 0) in
+  Evs.svset_merge e0 (E_view.svset_ids (Evs.eview e0));
   Cluster.run c ~until:1.3;
-  Evs.subview_merge e0 (all_subview_ids (Evs.eview e0));
+  Evs.subview_merge e0 (E_view.subview_ids (Evs.eview e0));
   Cluster.run c ~until:1.6;
   c
 
@@ -175,11 +169,11 @@ let test_rejoin_after_crash_is_fresh_singleton () =
 (* ---------- merge requests racing view changes ---------- *)
 
 let test_merge_racing_view_change_is_harmless () =
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.evs ~n:4 () in
   Cluster.run c ~until:1.0;
-  let e0 = Option.get (Cluster.evs_on c 0) in
+  let e0 = Option.get (Cluster.on_node c 0) in
   (* Issue the merge and kill a member in the same instant. *)
-  Evs.svset_merge e0 (all_svset_ids (Evs.eview e0));
+  Evs.svset_merge e0 (E_view.svset_ids (Evs.eview e0));
   Cluster.apply_action c (Faults.Crash 3);
   Cluster.run c ~until:3.0;
   (* Whatever happened — merge applied with the dead member's sv-set
@@ -193,7 +187,7 @@ let test_merge_racing_view_change_is_harmless () =
 (* ---------- messaging through EVS ---------- *)
 
 let test_messages_flow_through_evs () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.evs ~n:3 () in
   Cluster.run c ~until:1.0;
   for _ = 1 to 5 do
     Cluster.multicast_from c ~node:0 ();
@@ -300,7 +294,7 @@ let evs_campaign_property =
     ~count:8
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let c = Cluster.create ~seed:(Int64.of_int (seed + 50_000)) ~n:5 () in
+      let c = Cluster.evs ~seed:(Int64.of_int (seed + 50_000)) ~n:5 () in
       let rng = Vs_util.Rng.create (Int64.of_int (seed + 77)) in
       let script =
         Faults.random_script rng ~nodes:[ 0; 1; 2; 3; 4 ] ~start:1.0
@@ -317,9 +311,9 @@ let evs_campaign_property =
             let ev = Evs.eview e in
             match Proc_id.min_member (E_view.members ev) with
             | Some m when Proc_id.equal m (Evs.me e) ->
-                if count_svsets ev >= 2 then Evs.svset_merge e (all_svset_ids ev)
+                if count_svsets ev >= 2 then Evs.svset_merge e (E_view.svset_ids ev)
                 else if count_subviews ev >= 2 then
-                  Evs.subview_merge e (all_subview_ids ev)
+                  Evs.subview_merge e (E_view.subview_ids ev)
             | Some _ | None -> ())
           (Cluster.live c)
       in

@@ -12,7 +12,7 @@ module Sim = Vs_sim.Sim
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
 module Faults = Vs_harness.Faults
-module Vc = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 
 let check = Alcotest.check
 
@@ -103,20 +103,20 @@ let test_unparseable_source () =
 
 let rendered_trace seed =
   let nodes = [ 0; 1; 2; 3 ] in
-  let c = Vc.create ~seed ~n:(List.length nodes) () in
+  let c = Cluster.vsync ~seed ~n:(List.length nodes) () in
   let rng = Vs_util.Rng.create (Int64.add seed 999L) in
   let script =
     Faults.random_script rng ~nodes ~start:1.0 ~duration:3.0 ~mean_gap:0.5 ()
   in
-  Vc.run_script c script;
-  Vc.pump_traffic c ~start:0.5 ~until:3.5 ~mean_gap:0.05;
-  Vc.run c ~until:6.0;
+  Cluster.run_script c script;
+  Cluster.pump_traffic c ~start:0.5 ~until:3.5 ~mean_gap:0.05;
+  Cluster.run c ~until:6.0;
   String.concat "\n"
     (List.map
        (fun (e : Recorder.entry) ->
          Printf.sprintf "[%10.4f] %-8s %s" e.time (Event.component e.event)
            (Event.render e.event))
-       (Recorder.entries (Sim.obs (Vc.sim c))))
+       (Recorder.entries (Sim.obs (Cluster.sim c))))
 
 let test_identical_seed_identical_trace () =
   let a = rendered_trace 11L and b = rendered_trace 11L in

@@ -380,7 +380,7 @@ let test_lineage_conservation () =
    identity-carrying event per payload copy, so the per-message ledger must
    balance exactly as in the unbatched run. *)
 let test_lineage_conservation_batched () =
-  let module Vc = Vs_harness.Vsync_cluster in
+  let module Cluster = Vs_harness.Cluster in
   let module Endpoint = Vs_vsync.Endpoint in
   let recorder = Recorder.create ~level:Recorder.Full () in
   let config =
@@ -399,15 +399,15 @@ let test_lineage_conservation_batched () =
       dup_prob = 0.05;
     }
   in
-  let c = Vc.create ~seed:909L ~obs:recorder ~net_config ~config ~n:4 () in
-  Vc.run c ~until:1.5;
+  let c = Cluster.vsync ~seed:909L ~obs:recorder ~net_config ~config ~n:4 () in
+  Cluster.run c ~until:1.5;
   for _ = 1 to 30 do
-    Vc.multicast_from c ~node:0 ();
-    Vc.multicast_from c ~node:1 ~order:Endpoint.Total ()
+    Cluster.multicast_from c ~node:0 ();
+    Cluster.multicast_from c ~node:1 ~order:Endpoint.Total ()
   done;
-  Vc.run c ~until:6.0;
+  Cluster.run c ~until:6.0;
   check Alcotest.bool "the batched wire was exercised" true
-    ((Vc.stats_total c).Endpoint.batches_sent > 0);
+    ((Cluster.stats_total c).Endpoint.batches_sent > 0);
   assert_conservation (Recorder.entries recorder)
 
 (* Causal and Lineage share one drop classification: the five reasons Net

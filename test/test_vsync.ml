@@ -7,7 +7,7 @@ module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Endpoint = Vs_vsync.Endpoint
-module Cluster = Vs_harness.Vsync_cluster
+module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 
@@ -19,14 +19,14 @@ let no_errors what errs =
       (List.hd errs)
 
 let view_of_node c node =
-  match Cluster.endpoint_on c node with
+  match Cluster.on_node c node with
   | Some ep -> Endpoint.view ep
   | None -> Alcotest.failf "node %d is down" node
 
 (* ---------- formation ---------- *)
 
 let test_initial_singleton_views () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   (* Before any communication, each process has delivered its singleton
      view: the first event of its history (Section 3). *)
   Cluster.run c ~until:0.0001;
@@ -40,13 +40,13 @@ let test_initial_singleton_views () =
     [ 0; 1; 2 ]
 
 let test_group_forms () =
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.vsync ~n:4 () in
   Cluster.run c ~until:2.0;
   check Alcotest.bool "stable common view" true (Cluster.stable_view_reached c);
   check Alcotest.int "all four members" 4 (View.size (view_of_node c 0))
 
 let test_messaging_all_delivered () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   Cluster.run c ~until:1.0;
   for _ = 1 to 5 do
     Cluster.multicast_from c ~node:0 ();
@@ -59,7 +59,7 @@ let test_messaging_all_delivered () =
   no_errors "stable messaging" (Oracle.check_all (Cluster.oracle c))
 
 let test_crash_shrinks_view () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   Cluster.run c ~until:1.0;
   Cluster.apply_action c (Faults.Crash 2);
   Cluster.run c ~until:2.5;
@@ -68,9 +68,9 @@ let test_crash_shrinks_view () =
   no_errors "crash run" (Oracle.check_all (Cluster.oracle c))
 
 let test_leave_shrinks_view () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   Cluster.run c ~until:1.0;
-  (match Cluster.endpoint_on c 2 with
+  (match Cluster.on_node c 2 with
   | Some ep -> Endpoint.leave ep
   | None -> Alcotest.fail "node 2 down");
   Cluster.run c ~until:2.5;
@@ -78,7 +78,7 @@ let test_leave_shrinks_view () =
   no_errors "leave run" (Oracle.check_all (Cluster.oracle c))
 
 let test_recovery_rejoins_as_new_process () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   Cluster.run c ~until:1.0;
   Cluster.apply_action c (Faults.Crash 1);
   Cluster.run c ~until:2.5;
@@ -94,7 +94,7 @@ let test_recovery_rejoins_as_new_process () =
 (* ---------- partitions ---------- *)
 
 let test_concurrent_partitions () =
-  let c = Cluster.create ~n:5 () in
+  let c = Cluster.vsync ~n:5 () in
   Cluster.run c ~until:1.0;
   Cluster.apply_action c (Faults.Partition [ [ 0; 1 ]; [ 2; 3; 4 ] ]);
   Cluster.run c ~until:2.5;
@@ -109,7 +109,7 @@ let test_concurrent_partitions () =
   no_errors "partitioned run" (Oracle.check_all (Cluster.oracle c))
 
 let test_merge_carries_priors () =
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.vsync ~n:4 () in
   Cluster.run c ~until:1.0;
   Cluster.apply_action c (Faults.Partition [ [ 0; 1 ]; [ 2; 3 ] ]);
   Cluster.run c ~until:2.5;
@@ -126,7 +126,7 @@ let test_merge_carries_priors () =
 let test_agreement_across_partition_boundary () =
   (* Messages multicast close to the partition moment must still satisfy
      agreement: survivors into the same next view deliver the same sets. *)
-  let c = Cluster.create ~n:4 () in
+  let c = Cluster.vsync ~n:4 () in
   Cluster.run c ~until:1.0;
   for _ = 1 to 10 do
     Cluster.multicast_from c ~node:0 ();
@@ -145,7 +145,7 @@ let test_agreement_across_partition_boundary () =
 (* ---------- blocking and queuing ---------- *)
 
 let test_multicast_queued_during_flush () =
-  let c = Cluster.create ~n:3 () in
+  let c = Cluster.vsync ~n:3 () in
   Cluster.run c ~until:1.0;
   (* Force a view change and multicast immediately, while flushing. *)
   Cluster.apply_action c (Faults.Crash 2);
@@ -166,7 +166,7 @@ let test_multicast_queued_during_flush () =
 
 let test_lossy_network_recovers () =
   let net_config = { Net.default_config with Net.drop_prob = 0.15 } in
-  let c = Cluster.create ~seed:77L ~net_config ~n:3 () in
+  let c = Cluster.vsync ~seed:77L ~net_config ~n:3 () in
   Cluster.run c ~until:1.5;
   for _ = 1 to 30 do
     Cluster.multicast_from c ~node:0 ();
@@ -178,13 +178,13 @@ let test_lossy_network_recovers () =
   let any_retransmit =
     List.exists
       (fun ep -> (Endpoint.stats ep).Endpoint.nacks_sent > 0)
-      (Cluster.live_endpoints c)
+      (Cluster.live c)
   in
   check Alcotest.bool "nacks used" true any_retransmit
 
 let test_duplicating_network () =
   let net_config = { Net.default_config with Net.dup_prob = 0.3 } in
-  let c = Cluster.create ~seed:78L ~net_config ~n:3 () in
+  let c = Cluster.vsync ~seed:78L ~net_config ~n:3 () in
   Cluster.run c ~until:1.5;
   for _ = 1 to 20 do
     Cluster.multicast_from c ~node:0 ()
@@ -194,7 +194,7 @@ let test_duplicating_network () =
   no_errors "duplicating run" (Oracle.check_all (Cluster.oracle c))
 
 let test_stability_trims_logs () =
-  let c = Cluster.create ~seed:79L ~n:3 () in
+  let c = Cluster.vsync ~seed:79L ~n:3 () in
   Cluster.run c ~until:1.0;
   for _ = 1 to 20 do
     Cluster.multicast_from c ~node:0 ();
@@ -205,7 +205,7 @@ let test_stability_trims_logs () =
   let trimmed =
     List.fold_left
       (fun acc ep -> acc + (Endpoint.stats ep).Endpoint.stabilized)
-      0 (Cluster.live_endpoints c)
+      0 (Cluster.live c)
   in
   check Alcotest.bool "stable messages trimmed from logs" true (trimmed > 0);
   (* Correctness is untouched: force a view change after trimming. *)
@@ -217,7 +217,7 @@ let test_stability_disabled_is_correct () =
   let config =
     { Endpoint.default_config with Endpoint.stability_interval = None }
   in
-  let c = Cluster.create ~seed:80L ~config ~n:3 () in
+  let c = Cluster.vsync ~seed:80L ~config ~n:3 () in
   Cluster.run c ~until:1.0;
   for _ = 1 to 10 do
     Cluster.multicast_from c ~node:0 ()
@@ -226,7 +226,7 @@ let test_stability_disabled_is_correct () =
   let trimmed =
     List.fold_left
       (fun acc ep -> acc + (Endpoint.stats ep).Endpoint.stabilized)
-      0 (Cluster.live_endpoints c)
+      0 (Cluster.live c)
   in
   check Alcotest.int "nothing trimmed when disabled" 0 trimmed;
   Cluster.apply_action c (Faults.Crash 2);
@@ -339,7 +339,7 @@ let causal_property =
 
 let test_one_at_a_time_throttle () =
   let config = { Endpoint.default_config with Endpoint.one_at_a_time = true } in
-  let c = Cluster.create ~config ~n:4 () in
+  let c = Cluster.vsync ~config ~n:4 () in
   Cluster.run c ~until:4.0;
   check Alcotest.bool "eventually complete" true (Cluster.stable_view_reached c);
   (* Growing from singletons to 4 members one at a time costs the
@@ -351,7 +351,7 @@ let test_one_at_a_time_throttle () =
 
 let test_one_at_a_time_views_grow_by_one () =
   let config = { Endpoint.default_config with Endpoint.one_at_a_time = true } in
-  let c = Cluster.create ~config ~n:5 () in
+  let c = Cluster.vsync ~config ~n:5 () in
   Cluster.run c ~until:6.0;
   (* Per installed view, reconstruct each member's prior view from the
      oracle: the Isis restriction means a view is the survivors of one
@@ -427,7 +427,7 @@ let test_annotations_collected () =
 (* ---------- randomized campaigns ---------- *)
 
 let campaign seed =
-  let c = Cluster.create ~seed ~n:6 () in
+  let c = Cluster.vsync ~seed ~n:6 () in
   let rng = Vs_util.Rng.create (Int64.add seed 4242L) in
   let script =
     Faults.random_script rng ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~start:1.0
@@ -452,7 +452,7 @@ let loss_sweep_run ~drop ~dup ~seed =
   let net_config =
     { Net.default_config with Net.drop_prob = drop; Net.dup_prob = dup }
   in
-  let c = Cluster.create ~seed ~net_config ~n:4 () in
+  let c = Cluster.vsync ~seed ~net_config ~n:4 () in
   Cluster.run c ~until:4.0;
   for _ = 1 to 5 do
     Cluster.multicast_from c ~node:0 ();
@@ -498,7 +498,7 @@ let test_peer_served_retransmit () =
   List.iter
     (fun seed ->
       let net_config = { Net.default_config with Net.drop_prob = 0.25 } in
-      let c = Cluster.create ~seed ~net_config ~n:3 () in
+      let c = Cluster.vsync ~seed ~net_config ~n:3 () in
       Cluster.run c ~until:3.0;
       for _ = 1 to 20 do
         Cluster.multicast_from c ~node:2 ()
@@ -515,7 +515,7 @@ let test_peer_served_retransmit () =
 
 let test_lossy_campaign () =
   let net_config = { Net.default_config with Net.drop_prob = 0.05 } in
-  let c = Cluster.create ~seed:911L ~net_config ~n:5 () in
+  let c = Cluster.vsync ~seed:911L ~net_config ~n:5 () in
   let rng = Vs_util.Rng.create 1911L in
   let script =
     Faults.random_script rng ~nodes:[ 0; 1; 2; 3; 4 ] ~start:1.0 ~duration:4.0
@@ -534,7 +534,7 @@ let test_lossy_campaign () =
    and is now a queue; what must not change is that the burst survives the
    install complete and in per-origin order. *)
 let test_stash_order_during_flush () =
-  let c = Cluster.create ~seed:515L ~n:3 () in
+  let c = Cluster.vsync ~seed:515L ~n:3 () in
   Cluster.run c ~until:1.0;
   Cluster.apply_action c (Faults.Crash 2);
   let sim = Cluster.sim c in
@@ -656,7 +656,7 @@ let test_batched_lossy_run () =
   let net_config =
     { Net.default_config with Net.drop_prob = 0.1; Net.dup_prob = 0.05 }
   in
-  let c = Cluster.create ~seed:808L ~net_config ~config:batched_config ~n:4 () in
+  let c = Cluster.vsync ~seed:808L ~net_config ~config:batched_config ~n:4 () in
   Cluster.run c ~until:1.5;
   for _ = 1 to 40 do
     Cluster.multicast_from c ~node:0 ();
