@@ -7,10 +7,21 @@ type proc = { node : int; inc : int }
 
 type vid = { epoch : int; proposer : proc }
 
-let proc_to_string p =
-  if p.inc < 0 then Printf.sprintf "n%d" p.node
-  else if p.inc = 0 then Printf.sprintf "p%d" p.node
-  else Printf.sprintf "p%d.%d" p.node p.inc
+(* vslint: alloc-free *)
+let add_proc buf p =
+  Buffer.add_char buf (if p.inc < 0 then 'n' else 'p');
+  Json.add_int buf p.node;
+  if p.inc > 0 then begin
+    Buffer.add_char buf '.';
+    Json.add_int buf p.inc
+  end
+
+let render_with add v =
+  let buf = Buffer.create 16 in
+  add buf v;
+  Buffer.contents buf
+
+let proc_to_string p = render_with add_proc p
 
 let proc_of_string s =
   let len = String.length s in
@@ -31,8 +42,14 @@ let proc_of_string s =
             | _ -> None))
     | _ -> None
 
-let vid_to_string v =
-  Printf.sprintf "v%d@%s" v.epoch (proc_to_string v.proposer)
+(* vslint: alloc-free *)
+let add_vid buf v =
+  Buffer.add_char buf 'v';
+  Json.add_int buf v.epoch;
+  Buffer.add_char buf '@';
+  add_proc buf v.proposer
+
+let vid_to_string v = render_with add_vid v
 
 let vid_of_string s =
   let len = String.length s in
@@ -49,7 +66,13 @@ let vid_of_string s =
 
 type msg = { origin : proc; mseq : int }
 
-let msg_to_string m = Printf.sprintf "%s#%d" (proc_to_string m.origin) m.mseq
+(* vslint: alloc-free *)
+let add_msg buf m =
+  add_proc buf m.origin;
+  Buffer.add_char buf '#';
+  Json.add_int buf m.mseq
+
+let msg_to_string m = render_with add_msg m
 
 let msg_of_string s =
   match String.index_opt s '#' with

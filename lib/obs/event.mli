@@ -19,10 +19,16 @@ type vid = { epoch : int; proposer : proc }
 val proc_to_string : proc -> string
 (** ["p3"], ["p3.1"], or ["n3"] for a node-addressed destination. *)
 
+val add_proc : Buffer.t -> proc -> unit
+(** Appends [proc_to_string p] without allocating it; {!add_vid} and
+    {!add_msg} likewise. *)
+
 val proc_of_string : string -> proc option
 
 val vid_to_string : vid -> string
 (** ["v4@p2.1"]. *)
+
+val add_vid : Buffer.t -> vid -> unit
 
 val vid_of_string : string -> vid option
 
@@ -35,6 +41,8 @@ type msg = { origin : proc; mseq : int }
 
 val msg_to_string : msg -> string
 (** ["p0#3"]. *)
+
+val add_msg : Buffer.t -> msg -> unit
 
 val msg_of_string : string -> msg option
 

@@ -216,11 +216,11 @@ let to_json (e : explanation) =
       ( "slice",
         Json.Arr
           (List.map
-             (fun (en : Recorder.entry) ->
-               Json.Obj
-                 (("t", Json.Float en.time)
-                 :: ("c", Json.Str (Event.component en.event))
-                 :: ("ev", Json.Str (Event.type_name en.event))
-                 :: Export.fields_of_event en.event))
+             (fun en ->
+               let line = Export.jsonl_of_entries [ en ] in
+               match Json.of_string line with
+               | Ok v -> v
+               | Error err ->
+                   invalid_arg ("Explain.to_json: " ^ err ^ ": " ^ line))
              e.slice) );
     ]

@@ -44,4 +44,5 @@ val to_text : explanation -> string
 (** Multi-line indented block, newline-terminated. *)
 
 val to_json : explanation -> Json.t
-(** Canonical object: [violation], [notes], [slice] (schema-format events). *)
+(** Canonical object: [violation], [notes], [slice] (each entry's
+    {!Export.jsonl_of_entries} line, parsed back). *)

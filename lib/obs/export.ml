@@ -1,132 +1,99 @@
 (* Exporters over a recorded event stream: deterministic JSONL (one object per
-   line, fixed key order) and Chrome trace_event JSON for Perfetto.  Both are
-   write-only; nothing in the repository parses a stream back. *)
-
-let proc_json p = Json.Str (Event.proc_to_string p)
-
-let vid_json v = Json.Str (Event.vid_to_string v)
-
-let members_json ms = Json.Arr (List.map proc_json ms)
-
-(* The optional correlation identity always renders last, and only when
-   present, so pre-identity streams stay byte-identical. *)
-let with_msg fields = function
-  | None -> fields
-  | Some m -> fields @ [ ("msg", Json.Str (Event.msg_to_string m)) ]
-
-(* Payload fields, in the fixed order the schema guarantees. *)
-let fields_of_event (ev : Event.t) : (string * Json.t) list =
-  match ev with
-  | Send { src; dst; kind; bytes; msg } ->
-      with_msg
-        [
-          ("src", proc_json src); ("dst", proc_json dst);
-          ("kind", Json.Str kind); ("bytes", Json.Int bytes);
-        ]
-        msg
-  | Recv { src; dst; kind; msg } ->
-      with_msg
-        [ ("src", proc_json src); ("dst", proc_json dst); ("kind", Json.Str kind) ]
-        msg
-  | Drop { src; dst; kind; reason; msg } ->
-      with_msg
-        [
-          ("src", proc_json src); ("dst", proc_json dst);
-          ("kind", Json.Str kind); ("reason", Json.Str reason);
-        ]
-        msg
-  | Dup { src; dst; kind; msg } ->
-      with_msg
-        [ ("src", proc_json src); ("dst", proc_json dst); ("kind", Json.Str kind) ]
-        msg
-  | Retransmit { proc; origin; count; peer } ->
-      [
-        ("proc", proc_json proc); ("origin", proc_json origin);
-        ("count", Json.Int count); ("peer", Json.Bool peer);
-      ]
-  | Backoff { proc; dst; attempt; delay } ->
-      [
-        ("proc", proc_json proc); ("dst", proc_json dst);
-        ("attempt", Json.Int attempt); ("delay", Json.Float delay);
-      ]
-  | Suspect { proc; peer } ->
-      [ ("proc", proc_json proc); ("peer", proc_json peer) ]
-  | Unsuspect { proc; peer } ->
-      [ ("proc", proc_json proc); ("peer", proc_json peer) ]
-  | Propose { proc; vid; members } ->
-      [
-        ("proc", proc_json proc); ("vid", vid_json vid);
-        ("members", members_json members);
-      ]
-  | Flush { proc; vid; seen } ->
-      [ ("proc", proc_json proc); ("vid", vid_json vid); ("seen", Json.Int seen) ]
-  | Install { proc; vid; members; sync } ->
-      [
-        ("proc", proc_json proc); ("vid", vid_json vid);
-        ("members", members_json members); ("sync", Json.Int sync);
-      ]
-  | Eview { proc; vid; eseq; cause; subviews; svsets } ->
-      [
-        ("proc", proc_json proc); ("vid", vid_json vid);
-        ("eseq", Json.Int eseq); ("cause", Json.Str cause);
-        ("subviews", Json.Int subviews); ("svsets", Json.Int svsets);
-      ]
-  | Mode_change { proc; from_mode; into_mode; cause } ->
-      [
-        ("proc", proc_json proc); ("from", Json.Str from_mode);
-        ("to", Json.Str into_mode); ("cause", Json.Str cause);
-      ]
-  | Settle { proc; vid; transfer; creation; merging; clusters } ->
-      [
-        ("proc", proc_json proc); ("vid", vid_json vid);
-        ("transfer", Json.Bool transfer); ("creation", Json.Str creation);
-        ("merging", Json.Bool merging); ("clusters", Json.Int clusters);
-      ]
-  | Task_start { proc; task; vid } ->
-      [ ("proc", proc_json proc); ("task", Json.Str task); ("vid", vid_json vid) ]
-  | Task_done { proc; task; vid } ->
-      [ ("proc", proc_json proc); ("task", Json.Str task); ("vid", vid_json vid) ]
-  | Crash { proc } -> [ ("proc", proc_json proc) ]
-  | Partition { components } ->
-      [
-        ( "components",
-          Json.Arr
-            (List.map
-               (fun nodes -> Json.Arr (List.map (fun n -> Json.Int n) nodes))
-               components) );
-      ]
-  | Heal -> []
-  | Corrupt { proc; field; detail } ->
-      [
-        ("proc", proc_json proc); ("field", Json.Str field);
-        ("detail", Json.Str detail);
-      ]
-  | Quarantine { bound; opened; cut; views; quarantined } ->
-      [
-        ("bound", Json.Int bound); ("opened", Json.Float opened);
-        ("cut", Json.Float cut); ("views", Json.Int views);
-        ("quarantined", Json.Int quarantined);
-      ]
-  | Note { message; _ } -> [ ("msg", Json.Str message) ]
+   line, fixed key order) and Chrome trace_event JSON for Perfetto.  Explain
+   embeds a slice entry by parsing its JSONL line back. *)
 
 (* --- JSONL --------------------------------------------------------------- *)
 
-let jsonl_of_entry (e : Recorder.entry) =
-  Json.to_string
-    (Json.Obj
-       (("t", Json.Float e.time)
-       :: ("c", Json.Str (Event.component e.event))
-       :: ("ev", Json.Str (Event.type_name e.event))
-       :: fields_of_event e.event))
-
+(* The one statement of the per-event field schema.  Each entry is appended
+   straight into one buffer: the [t]/[c]/[ev] envelope, then the payload
+   keys in a fixed order.  The optional correlation identity renders last,
+   and only when present, so pre-identity streams stay byte-identical.  A
+   run of entries at one time formats that time once. *)
 let jsonl_of_entries entries =
-  let buf = Buffer.create 4096 in
+  let b = Buffer.create 4096 in
+  let key k =
+    Buffer.add_string b ",\"";
+    Buffer.add_string b k;
+    Buffer.add_string b "\":"
+  in
+  let str k s = key k; Json.escape_string b s in
+  let int k i = key k; Json.add_int b i in
+  let bool k v = key k; Buffer.add_string b (if v then "true" else "false") in
+  let float k f = key k; Buffer.add_string b (Json.float_repr f) in
+  let quote add v = Buffer.add_char b '"'; add b v; Buffer.add_char b '"' in
+  let proc k p = key k; quote Event.add_proc p in
+  let vid k v = key k; quote Event.add_vid v in
+  let msg = Option.iter (fun m -> key "msg"; quote Event.add_msg m) in
+  let array add items =
+    Buffer.add_char b '[';
+    List.iteri (fun i x -> if i > 0 then Buffer.add_char b ','; add x) items;
+    Buffer.add_char b ']'
+  in
+  let members k ms = key k; array (quote Event.add_proc) ms in
+  (* The last time's bits (0L is 0.0) and text; compared bit for bit, so
+     -0.0 never reuses the text of 0.0. *)
+  let bits = ref 0L and time = ref "0.0" in
   List.iter
-    (fun e ->
-      Buffer.add_string buf (jsonl_of_entry e);
-      Buffer.add_char buf '\n')
+    (fun (e : Recorder.entry) ->
+      let t = Int64.bits_of_float e.time in
+      if not (Int64.equal t !bits) then begin
+        bits := t;
+        time := Json.float_repr e.time
+      end;
+      Buffer.add_string b "{\"t\":";
+      Buffer.add_string b !time;
+      str "c" (Event.component e.event);
+      str "ev" (Event.type_name e.event);
+      (match e.event with
+      | Send { src; dst; kind; bytes; msg = m } ->
+          proc "src" src; proc "dst" dst; str "kind" kind; int "bytes" bytes;
+          msg m
+      | Recv { src; dst; kind; msg = m } | Dup { src; dst; kind; msg = m } ->
+          proc "src" src; proc "dst" dst; str "kind" kind; msg m
+      | Drop { src; dst; kind; reason; msg = m } ->
+          proc "src" src; proc "dst" dst; str "kind" kind; str "reason" reason;
+          msg m
+      | Retransmit { proc = p; origin; count; peer } ->
+          proc "proc" p; proc "origin" origin; int "count" count;
+          bool "peer" peer
+      | Backoff { proc = p; dst; attempt; delay } ->
+          proc "proc" p; proc "dst" dst; int "attempt" attempt;
+          float "delay" delay
+      | Suspect { proc = p; peer } | Unsuspect { proc = p; peer } ->
+          proc "proc" p; proc "peer" peer
+      | Propose { proc = p; vid = v; members = ms } ->
+          proc "proc" p; vid "vid" v; members "members" ms
+      | Flush { proc = p; vid = v; seen } ->
+          proc "proc" p; vid "vid" v; int "seen" seen
+      | Install { proc = p; vid = v; members = ms; sync } ->
+          proc "proc" p; vid "vid" v; members "members" ms; int "sync" sync
+      | Eview { proc = p; vid = v; eseq; cause; subviews; svsets } ->
+          proc "proc" p; vid "vid" v; int "eseq" eseq; str "cause" cause;
+          int "subviews" subviews; int "svsets" svsets
+      | Mode_change { proc = p; from_mode; into_mode; cause } ->
+          proc "proc" p; str "from" from_mode; str "to" into_mode;
+          str "cause" cause
+      | Settle { proc = p; vid = v; transfer; creation; merging; clusters } ->
+          proc "proc" p; vid "vid" v; bool "transfer" transfer;
+          str "creation" creation; bool "merging" merging;
+          int "clusters" clusters
+      | Task_start { proc = p; task; vid = v }
+      | Task_done { proc = p; task; vid = v } ->
+          proc "proc" p; str "task" task; vid "vid" v
+      | Crash { proc = p } -> proc "proc" p
+      | Partition { components } ->
+          key "components";
+          array (array (Json.add_int b)) components
+      | Heal -> ()
+      | Corrupt { proc = p; field; detail } ->
+          proc "proc" p; str "field" field; str "detail" detail
+      | Quarantine { bound; opened; cut; views; quarantined } ->
+          int "bound" bound; float "opened" opened; float "cut" cut;
+          int "views" views; int "quarantined" quarantined
+      | Note { message; _ } -> str "msg" message);
+      Buffer.add_string b "}\n")
     entries;
-  Buffer.contents buf
+  Buffer.contents b
 
 (* --- Chrome trace_event -------------------------------------------------- *)
 

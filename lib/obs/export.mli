@@ -2,18 +2,16 @@
 
     Formats:
     - JSONL: one canonical JSON object per line with fixed key order
-      [{"t":…,"c":…,"ev":…,…payload}] — deterministic and write-only.  The
-      committed schema sample is pinned byte for byte by its dune diff rule;
-      test_obs checks its envelope keys and that it covers every event
-      type.
+      [{"t":…,"c":…,"ev":…,…payload}] — deterministic, and the only
+      statement of the per-event field schema: {!Explain} embeds a slice
+      entry by parsing its line back with {!Json.of_string}.  The committed
+      schema sample is pinned byte for byte by its dune diff rule; test_obs
+      checks its envelope keys and that it covers every event type, and
+      pins the bytes of a real run.
     - Chrome [trace_event] JSON: one pid for the cluster, one tid lane per
       node; installs/e-views/modes/faults as instants, state-transfer tasks
       and flush->install windows as complete spans.  Loads in Perfetto or
       chrome://tracing. *)
-
-val fields_of_event : Event.t -> (string * Json.t) list
-(** The payload fields of one event, in the fixed schema order (no
-    [t]/[c]/[ev] envelope) — reused by {!Explain} to embed slices. *)
 
 val jsonl_of_entries : Recorder.entry list -> string
 (** One line per entry, each newline-terminated. *)

@@ -1,6 +1,7 @@
-(* A minimal deterministic JSON value type, printer, and parser.  Used by the
-   JSONL / Chrome exporters and the trace-schema round-trip test.  Kept
-   dependency-free on purpose: the container has no JSON library baked in. *)
+(* A minimal deterministic JSON value type, printer, and parser, plus the
+   printer's primitives ([add_int], [escape_string], [float_repr]) that the
+   streaming JSONL writer calls directly.  Kept dependency-free on purpose:
+   the container has no JSON library baked in. *)
 
 type t =
   | Null
@@ -11,36 +12,59 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(* Shortest float representation that survives a parse round-trip, so that
-   re-emitting a parsed stream is byte-identical to the original. *)
+(* C's printf conversion, which [Printf]'s [%g]/[%f] end in; calling it
+   directly skips the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* An integral value of magnitude below 1e15 prints as "%.1f"; any other
+   value as 12 significant digits when they parse back to the same float,
+   else 17 (which always do).  Not the shortest round-trippable text:
+   1.0000000000001 prints as 1.0000000000000999.  Re-emitting a parsed
+   stream is byte-identical to the original. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
   else
-    let s = Printf.sprintf "%.12g" f in
+    let s = format_float "%.12g" f in
     match float_of_string_opt s with
     | Some f' when Float.equal f' f -> s
-    | Some _ | None -> Printf.sprintf "%.17g" f
+    | Some _ | None -> format_float "%.17g" f
+
+(* Decimal digits of [-n] for [n <= 0], so [min_int] needs no case. *)
+(* vslint: alloc-free *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.chr (48 - (n mod 10)))
+
+(* [string_of_int n] appended without building the string. *)
+(* vslint: alloc-free *)
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_neg_digits buf (if n > 0 then -n else n)
+
+let needs_escape c = Char.equal c '"' || Char.equal c '\\' || Char.code c < 0x20
 
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_repr f)
   | Str s -> escape_string buf s
   | Arr items ->
@@ -181,17 +205,16 @@ let parse_number c =
   let has_float_syntax =
     String.exists (fun ch -> Char.equal ch '.' || Char.equal ch 'e' || Char.equal ch 'E') token
   in
-  if has_float_syntax then
+  (* A finite double or nothing: 5e460 would read as infinity, which the
+     printer cannot write back as JSON. *)
+  let float () =
     match float_of_string_opt token with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> fail c "number overflows a double"
     | None -> fail c "bad number"
-  else
-    match int_of_string_opt token with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt token with
-        | Some f -> Float f
-        | None -> fail c "bad number")
+  in
+  if has_float_syntax then float ()
+  else match int_of_string_opt token with Some i -> Int i | None -> float ()
 
 let rec parse_value c =
   skip_ws c;

@@ -1,11 +1,11 @@
 (** Minimal deterministic JSON: value type, canonical printer, parser.
 
     The printer is canonical — fixed field order (whatever the caller
-    builds), no whitespace, shortest round-trippable float repr — so
+    builds), no whitespace, the {!float_repr} rule for floats — so
     identical event streams serialize byte-identically, and parsing then
     re-printing a canonical document reproduces it exactly.  The parser
-    reads [BENCH_*.json] baselines for [Bench_diff] and the committed
-    samples the structural tests check. *)
+    reads [BENCH_*.json] baselines for [Bench_diff], the committed samples
+    the structural tests check, and JSONL lines back for {!Explain}. *)
 
 type t =
   | Null
@@ -17,10 +17,23 @@ type t =
   | Obj of (string * t) list
 
 val float_repr : float -> string
+(** ["%.1f"] for an integral value of magnitude below 1e15; otherwise 12
+    significant digits ([%.12g]) when they parse back to the same float,
+    else 17 ([%.17g]).  Round-trippable, not shortest: [1.0000000000001]
+    prints as ["1.0000000000000999"], and an integral [2. ** 53.] as the
+    bare digits ["9007199254740992"], which parse back as an [Int]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without allocating it. *)
+
+val escape_string : Buffer.t -> string -> unit
+(** Appends the quoted, escaped JSON string. *)
 
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
+(** A number that does not fit a finite double (["5e460"]) is an
+    [Error]. *)
 
 (** {2 Accessors} *)
 

@@ -2,8 +2,8 @@
 
    The output is canonical the same way [Json] is: metric families sorted
    by name (inherited from the registry's sorted enumeration), label order
-   fixed ([le] is the only generated label), floats in the shortest
-   round-trippable repr ([Json.float_repr]), LF line endings, and a final
+   fixed ([le] is the only generated label), floats in the round-trippable
+   12-or-17-digit repr ([Json.float_repr]), LF line endings, and a final
    [# EOF] terminator per the OpenMetrics spec.  Two identically-seeded
    runs therefore expose byte-identical text — the property the
    committed test/openmetrics_sample.txt golden pins.
@@ -28,8 +28,8 @@ let sanitize name =
 
 let float_repr = Json.float_repr
 
-(* OpenMetrics spells infinities and NaN differently from JSON-adjacent
-   shortest-repr: +Inf / -Inf / NaN. *)
+(* OpenMetrics spells infinities and NaN its own way, not as
+   [Json.float_repr] does: +Inf / -Inf / NaN. *)
 let sample_value v =
   if Float.is_nan v then "NaN"
   else if v = infinity then "+Inf"

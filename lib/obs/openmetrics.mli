@@ -2,7 +2,7 @@
     {!Metrics} registry.
 
     Canonical like {!Json}: families sorted by metric name, fixed label
-    order ([le] only), floats in shortest round-trippable repr, LF line
+    order ([le] only), floats in {!Json.float_repr}'s repr, LF line
     endings, trailing [# EOF].  Identically-seeded runs expose
     byte-identical text — pinned by a committed golden sample. *)
 
@@ -16,5 +16,5 @@ val sanitize : string -> string
 (** Replace every character outside [[a-zA-Z0-9_:]] with ['_']. *)
 
 val sample_value : float -> string
-(** OpenMetrics float spelling: shortest round-trippable repr, with
+(** OpenMetrics float spelling: {!Json.float_repr}'s repr, with
     [+Inf] / [-Inf] / [NaN] for the non-finite values. *)

@@ -9,6 +9,7 @@ module Export = Vs_obs.Export
 module Metrics = Vs_obs.Metrics
 module Summary = Vs_stats.Summary
 module Lineage = Vs_obs.Lineage
+module Explain = Vs_obs.Explain
 module Query = Vs_obs.Query
 module Campaign = Vs_check.Campaign
 
@@ -94,6 +95,36 @@ let test_jsonl_deterministic () =
   check Alcotest.string "and byte-identical metrics summaries"
     (Metrics.to_text (Metrics.of_entries (Recorder.entries a)))
     (Metrics.to_text (Metrics.of_entries (Recorder.entries b)))
+
+(* A real run's bytes, pinned.  Its times take the 17-digit branch of the
+   float rule, which the hand-timed schema sample never reaches. *)
+let test_jsonl_real_run () =
+  let jsonl = Export.jsonl_of_entries (Recorder.entries (full_run 5)) in
+  check Alcotest.int "lines" 10529
+    (List.length (String.split_on_char '\n' jsonl) - 1);
+  check Alcotest.string "digest" "411788312d23170b91c77c15eec59fd7"
+    (Digest.to_hex (Digest.string jsonl))
+
+(* Explain embeds each slice entry as its JSONL line parsed back, so the
+   JSON slice prints exactly as the stream does. *)
+let test_explain_slice_is_jsonl () =
+  let entries = Recorder.entries (full_run 5) in
+  let msg = List.find_map (fun e -> Event.msg_of e.Recorder.event) entries in
+  let violation =
+    { Explain.property = Explain.Agreement; msg; procs = []; vids = [];
+      detail = "probe" }
+  in
+  let ex =
+    Explain.explain ~lineage:(Lineage.of_entries entries) ~entries violation
+  in
+  check Alcotest.bool "non-empty slice" true (ex.Explain.slice <> []);
+  let lines = Export.jsonl_of_entries ex.Explain.slice in
+  match Json.member "slice" (Explain.to_json ex) with
+  | Some (Json.Arr items) ->
+      check (Alcotest.list Alcotest.string) "each element prints as its line"
+        (List.filter (fun l -> l <> "") (String.split_on_char '\n' lines))
+        (List.map Json.to_string items)
+  | Some _ | None -> Alcotest.fail "no slice array"
 
 (* The [ev] value of a schema-sample line: the line must parse as a JSON
    object whose first three keys are the [t]/[c]/[ev] envelope. *)
@@ -466,7 +497,127 @@ let test_json_canonical () =
       ("[]", "[]");
     ];
   check Alcotest.string "integer float" "3.0" (Json.float_repr 3.);
-  check Alcotest.string "fraction" "0.0012" (Json.float_repr 0.0012)
+  check Alcotest.string "fraction" "0.0012" (Json.float_repr 0.0012);
+  List.iter
+    (fun txt ->
+      check Alcotest.bool (txt ^ " overflows a double") true
+        (Result.is_error (Json.of_string txt)))
+    [ "5e460"; "-1E999"; "[0,1e309]"; String.make 400 '9' ]
+
+(* The float rule as first written, through Printf: [Json.float_repr] must
+   print exactly this. *)
+let printf_float_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    match float_of_string_opt s with
+    | Some f' when Float.equal f' f -> s
+    | Some _ | None -> Printf.sprintf "%.17g" f
+
+let test_float_repr_edges () =
+  check Alcotest.string "negative zero" "-0.0" (Json.float_repr (-0.0));
+  check Alcotest.string "not the shortest" "1.0000000000000999"
+    (Json.float_repr 1.0000000000001);
+  let largest_subnormal = Float.pred Float.min_float in
+  List.iter
+    (fun f ->
+      check Alcotest.string (Printf.sprintf "%h" f) (printf_float_repr f)
+        (Json.float_repr f))
+    [
+      -0.0; 0.0; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 2. ** 53.;
+      Float.min_float; largest_subnormal; -.largest_subnormal; 5e-324;
+      -5e-324; 1e-310; Float.max_float; Float.infinity; Float.neg_infinity;
+      Float.nan; 0.1; 59.999999999999;
+    ]
+
+(* Any bit pattern, subnormals on their own (a shortcut through the 17-digit
+   text once diverged on one), and sim-like times in [0, 60). *)
+let float_repr_property =
+  let subnormal bits = Int64.logand bits 0x800F_FFFF_FFFF_FFFFL in
+  QCheck.Test.make ~name:"float_repr is the Printf rule" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         oneof
+           [
+             map Int64.float_of_bits int64;
+             map (fun b -> Int64.float_of_bits (subnormal b)) int64;
+             float_range 0. 60.;
+           ]))
+    (fun f -> String.equal (Json.float_repr f) (printf_float_repr f))
+
+(* Random text over the JSON alphabet: documents built from numbers (some
+   with three-digit exponents, so some overflow a double), escaped strings
+   and literals, then as often as not one character inserted, deleted or
+   replaced, so the error paths run too. *)
+let json_text =
+  let open QCheck.Gen in
+  let alphabet = "{}[],:\"\\ .-+eE0123456789aflnrstu" in
+  let digits = string_size ~gen:(char_range '0' '9') (int_range 1 3) in
+  let number =
+    map4
+      (fun sign int frac exp -> sign ^ int ^ frac ^ exp)
+      (oneofl [ ""; "-" ]) digits
+      (oneof [ return ""; map (( ^ ) ".") digits ])
+      (oneof
+         [
+           return "";
+           map3
+             (fun e sign d -> e ^ sign ^ d)
+             (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) digits;
+         ])
+  in
+  let str =
+    map
+      (fun parts -> "\"" ^ String.concat "" parts ^ "\"")
+      (list_size (int_range 0 4)
+         (oneofl
+            [ "a"; " "; "\\n"; "\\\""; "\\\\"; "\\/"; "\\u00e9"; "\\u0001";
+              "\x01"; "\xc3\xa9" ]))
+  in
+  let value =
+    fix
+      (fun self depth ->
+        let leaf = oneof [ number; str; oneofl [ "true"; "false"; "null" ] ] in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 1,
+                map
+                  (fun vs -> "[" ^ String.concat "," vs ^ "]")
+                  (list_size (int_range 0 3) (self (depth - 1))) );
+              ( 1,
+                map
+                  (fun kvs ->
+                    "{"
+                    ^ String.concat ","
+                        (List.map (fun (k, v) -> k ^ ":" ^ v) kvs)
+                    ^ "}")
+                  (list_size (int_range 0 3) (pair str (self (depth - 1)))) );
+            ])
+      3
+  in
+  let mutate text =
+    let n = String.length text in
+    let* pos = int_bound n in
+    let* c = oneofl (List.of_seq (String.to_seq alphabet)) in
+    let before = String.sub text 0 pos and c = String.make 1 c in
+    let rest = String.sub text pos (n - pos) in
+    let after = if pos < n then String.sub rest 1 (n - pos - 1) else "" in
+    oneofl [ text; text; before ^ after; before ^ c ^ rest; before ^ c ^ after ]
+  in
+  value >>= mutate
+
+let json_round_trip_property =
+  QCheck.Test.make ~name:"parse/print round-trip" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text)
+    (fun text ->
+      match Json.of_string text with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok v -> Json.of_string (Json.to_string v) = Ok v)
 
 let () =
   Alcotest.run "obs"
@@ -487,6 +638,10 @@ let () =
       ( "exporters",
         [
           Alcotest.test_case "jsonl-deterministic" `Quick test_jsonl_deterministic;
+          Alcotest.test_case "jsonl bytes of a real run" `Quick
+            test_jsonl_real_run;
+          Alcotest.test_case "explain slice is the line" `Quick
+            test_explain_slice_is_jsonl;
           Alcotest.test_case "chrome" `Quick test_chrome_export;
           Alcotest.test_case "chrome task spans" `Quick test_chrome_task_spans;
           Alcotest.test_case "schema sample" `Quick test_trace_schema_sample;
@@ -501,5 +656,12 @@ let () =
           Alcotest.test_case "drop classification" `Quick
             test_drop_classification;
         ] );
-      ( "json", [ Alcotest.test_case "canonical" `Quick test_json_canonical ] );
+      ( "json",
+        [
+          Alcotest.test_case "canonical" `Quick test_json_canonical;
+          Alcotest.test_case "float_repr edge values" `Quick
+            test_float_repr_edges;
+          QCheck_alcotest.to_alcotest float_repr_property;
+          QCheck_alcotest.to_alcotest json_round_trip_property;
+        ] );
     ]

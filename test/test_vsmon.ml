@@ -451,9 +451,13 @@ let test_bench_diff_load () =
   Out_channel.with_open_bin path (fun oc ->
       output_string oc {|{"gate_10x":true}|});
   let loaded = Bench_diff.load path in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc {|{"ops_per_s":5e460}|});
+  let overflowing = Bench_diff.load path in
   Sys.remove path;
   Alcotest.(check bool) "a BENCH document" true
-    (loaded = Ok (obj [ ("gate_10x", Json.Bool true) ]))
+    (loaded = Ok (obj [ ("gate_10x", Json.Bool true) ]));
+  Alcotest.(check bool) "a number beyond a double" true (is_error overflowing)
 
 let () =
   Alcotest.run "vsmon"
