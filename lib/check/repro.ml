@@ -158,11 +158,13 @@ let as_int = function
       | None -> fail "expected an integer, got %S" a)
   | List _ -> fail "expected an integer atom"
 
+(* Non-finite values cannot replay: a nan horizon is never reached, and a
+   nan spec is not even equal to itself. *)
 let as_float = function
   | Atom a -> (
       match float_of_string_opt a with
-      | Some v -> v
-      | None -> fail "expected a float, got %S" a)
+      | Some v when Float.is_finite v -> v
+      | Some _ | None -> fail "expected a finite float, got %S" a)
   | List _ -> fail "expected a float atom"
 
 let action_of_sexp = function
@@ -225,11 +227,20 @@ let spec_of_sexp sexp =
     | List entries ->
         List.map
           (function
-            | List [ time; action ] -> (as_float time, action_of_sexp action)
+            | List [ time; action ] ->
+                let at = as_float time in
+                if at < 0. then fail "script time %s is negative" (float_atom at);
+                (at, action_of_sexp action)
             | s -> fail "bad script entry %S" (sexp_to_string s))
           entries
     | Atom _ -> fail "script must be a list"
   in
+  let delay_min = as_float (get "delay-min") in
+  let delay_max = as_float (get "delay-max") in
+  (* The bounds Net.create accepts. *)
+  if delay_min < 0. || delay_max < delay_min then
+    fail "bad delay bounds: delay-min %s, delay-max %s" (float_atom delay_min)
+      (float_atom delay_max);
   {
     Campaign.seed;
     protocol;
@@ -238,8 +249,8 @@ let spec_of_sexp sexp =
       {
         Campaign.loss_prob = as_float (get "loss");
         dup_prob = as_float (get "dup");
-        delay_min = as_float (get "delay-min");
-        delay_max = as_float (get "delay-max");
+        delay_min;
+        delay_max;
       };
     script;
     traffic_gap = as_float (get "traffic-gap");

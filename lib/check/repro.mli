@@ -20,7 +20,9 @@
     [deps-truncate m k].
 
     Floats are printed with round-trip precision, so
-    [of_string (to_string spec) = Ok spec] exactly. *)
+    [of_string (to_string spec) = Ok spec] exactly.  [of_string] refuses a
+    spec that cannot replay: a non-finite float, a negative script time, or
+    delay bounds {!Vs_net.Net.create} rejects. *)
 
 val to_string : Campaign.spec -> string
 

@@ -49,13 +49,27 @@ let refresh t =
     end
   end
 
+(* Every refresh leaves [current] = [me] plus exactly the fresh entries, and
+   an entry only turns fresh in [heartbeat_received].  So while every member
+   of [current] is still fresh, [compute_reachable] would return [current]
+   and the rebuild can be skipped. *)
+let rec all_fresh t now = function
+  | [] -> true
+  | p :: rest ->
+      (Proc_id.equal p t.me
+      ||
+      match Hashtbl.find_opt t.last_heard p with
+      | Some heard -> now -. heard < t.config.timeout
+      | None -> false)
+      && all_fresh t now rest
+
 let rec tick t () =
   if not t.stopped then begin
     List.iter
       (fun node ->
         if node <> t.me.Proc_id.node then t.send_heartbeat ~dst_node:node)
       t.universe;
-    refresh t;
+    if not (all_fresh t (Sim.now t.sim) t.current) then refresh t;
     ignore (Sim.after t.sim t.config.period (tick t))
   end
 
@@ -82,8 +96,11 @@ let create sim ~me ~universe ~config ~send_heartbeat ~on_change =
 
 let heartbeat_received t ~from =
   if (not t.stopped) && not (Proc_id.equal from t.me) then begin
-    Hashtbl.replace t.last_heard from (Sim.now t.sim);
-    refresh t
+    let now = Sim.now t.sim in
+    Hashtbl.replace t.last_heard from now;
+    (* [from] is fresh now, so the set only stays put if it already held it. *)
+    if not (List.exists (Proc_id.equal from) t.current
+            && all_fresh t now t.current) then refresh t
   end
 
 let forget t p =

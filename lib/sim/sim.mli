@@ -45,10 +45,10 @@ val record : t -> component:string -> string -> unit
     current virtual time; prefer [emit] with a typed event. *)
 
 val after : t -> float -> (unit -> unit) -> handle
-(** [after t d f] schedules [f] at [now t +. d]. [d] must be >= 0. *)
+(** [after t d f] schedules [f] at [now t +. d]. [d] must be >= 0, not nan. *)
 
 val at : t -> float -> (unit -> unit) -> handle
-(** Schedule at an absolute time, which must not lie in the past. *)
+(** Schedule at an absolute time, which must not be nan or lie in the past. *)
 
 val cancel : handle -> unit
 (** Prevent a pending event from firing; no-op if already fired/cancelled. *)
@@ -65,8 +65,8 @@ type stop_reason =
   | Event_budget   (** processed [max_events] events *)
 
 val run : ?until:float -> ?max_events:int -> t -> stop_reason
-(** Process events in timestamp order. With [until], stops (without advancing
-    the clock past [until]) once the next event is later than [until]. *)
+(** Process events in timestamp order. With [until] (not nan), stops (without
+    advancing the clock past [until]) once the next event is later than it. *)
 
 val step : t -> bool
 (** Process a single event; [false] if none pending. *)

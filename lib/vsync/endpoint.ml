@@ -171,6 +171,11 @@ type ('a, 'ann) t = {
   (* stability tracking: each member's latest delivered-prefix vector,
      keyed by sender for O(1) lookup inside the floor fold *)
   stable_vectors : (Proc_id.t, (Proc_id.t, int) Hashtbl.t) Hashtbl.t;
+  mutable trim_due : bool;
+      (* since the last trim pass, a table of [stable_vectors] changed (by
+         a report or a corruption), a stream was created or a view was
+         installed.  While false, every stream's [trimmed] is at or above
+         its floor, so the pass would change nothing *)
   (* NACK retransmission targets: the current view's members minus me, in
      member order, cached per view so round-robin target selection does not
      rebuild (and index into) a list on every armed gap *)
@@ -340,6 +345,7 @@ let stream_for t sender =
         }
       in
       Hashtbl.add t.streams sender s;
+      t.trim_due <- true;
       s
 
 (* The view's stability floor for a sender: the minimum delivered prefix
@@ -1017,6 +1023,7 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       Hashtbl.reset t.streams;
       Hashtbl.reset t.to_streams;
       Hashtbl.reset t.stable_vectors;
+      t.trim_due <- true;
       t.nack_peers <-
         live_peers_array ~me:t.me ~members:new_view.View.members;
       (* Batch buffers are empty here (forced out at handle_propose;
@@ -1045,24 +1052,41 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
         stashed_to
   | Flushing _ | Active -> ()
 
+(* Does every entry of [vector] match [table]?  A vector names each sender
+   once (it is the reporter's stream table in sender order), so with equal
+   sizes this means equal bindings. *)
+let rec same_entries table = function
+  | [] -> true
+  | (sender, n) :: rest -> (
+      match Hashtbl.find_opt table sender with
+      | Some m -> m = n && same_entries table rest
+      | None -> false)
+
 (* Record a peer's delivered-prefix vector; then drop every log entry
    below the new floor — those messages are delivered everywhere and no
    flush will ever need them again. *)
 let handle_stable_report t ~src ~vid ~vector =
   if View.Id.equal vid t.view.View.id then begin
     (* Index the reporter's vector once; the floor fold then looks senders
-       up in O(1) instead of scanning an assoc list per (member, sender). *)
+       up in O(1) instead of scanning an assoc list per (member, sender).
+       Most reports repeat the member's previous vector. *)
     let table =
       match Hashtbl.find_opt t.stable_vectors src with
-      | Some table ->
-          Hashtbl.reset table;
-          table
+      | Some table -> table
       | None ->
           let table = Hashtbl.create (List.length vector) in
           Hashtbl.replace t.stable_vectors src table;
           table
     in
-    List.iter (fun (sender, n) -> Hashtbl.replace table sender n) vector;
+    if
+      not
+        (Hashtbl.length table = List.length vector
+        && same_entries table vector)
+    then begin
+      Hashtbl.reset table;
+      List.iter (fun (sender, n) -> Hashtbl.replace table sender n) vector;
+      t.trim_due <- true
+    end;
     (* Trim each stream's log up to its new stability floor.  The [trimmed]
        watermark makes this incremental: the old code snapshotted and sorted
        every log on every gossip report — O(streams × log size) of pure
@@ -1070,21 +1094,25 @@ let handle_stable_report t ~src ~vid ~vector =
        the data plane under sustained load.  Sequences below the floor are
        delivered everywhere, so they can never re-enter the log; walking
        [trimmed, floor) visits each stable entry exactly once over the
-       stream's lifetime. *)
-    (* vslint: allow D2 — removal-only sweep over independent streams; trimming commutes *)
-    Hashtbl.iter
-      (fun sender s ->
-        let floor = stability_floor t sender in
-        if floor > s.trimmed then begin
-          for seq = s.trimmed to floor - 1 do
-            if Hashtbl.mem s.log seq then begin
-              Hashtbl.remove s.log seq;
-              t.s_stabilized <- t.s_stabilized + 1
-            end
-          done;
-          s.trimmed <- floor
-        end)
-      t.streams;
+       stream's lifetime.  Floors and streams only change where [trim_due]
+       is set, so without it the pass is skipped. *)
+    if t.trim_due then begin
+      t.trim_due <- false;
+      (* vslint: allow D2 — removal-only sweep over independent streams; trimming commutes *)
+      Hashtbl.iter
+        (fun sender s ->
+          let floor = stability_floor t sender in
+          if floor > s.trimmed then begin
+            for seq = s.trimmed to floor - 1 do
+              if Hashtbl.mem s.log seq then begin
+                Hashtbl.remove s.log seq;
+                t.s_stabilized <- t.s_stabilized + 1
+              end
+            done;
+            s.trimmed <- floor
+          end)
+        t.streams
+    end;
     retire_rounds t
   end
 
@@ -1204,6 +1232,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       est = None;
       alive = true;
       stable_vectors = Hashtbl.create 8;
+      trim_due = false;
       nack_peers = [||]; (* singleton initial view: no peers *)
       batch = new_round ();
       rounds_inflight = Queue.create ();
@@ -1349,6 +1378,7 @@ let corrupt t (c : corruption) =
           in
           let after = max 0 (before + amount) in
           Hashtbl.replace table t.me after;
+          t.trim_due <- true;
           Printf.sprintf "[%s][%s] %d -> %d"
             (Proc_id.to_string member) (Proc_id.to_string t.me) before after
       | View_skew k ->

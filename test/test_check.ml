@@ -119,7 +119,101 @@ let test_repro_errors () =
     (bad
        "((seed 1) (protocol vsync) (nodes 2) (loss 0) (dup 0) (delay-min \
         0.001) (delay-max 0.01) (traffic-gap 0) (traffic-until 1) (horizon 2) \
-        (script ((1 (explode 3)))))")
+        (script ((1 (explode 3)))))");
+  (* Specs that parse but cannot replay: a nan horizon is never reached, a
+     nan script time runs the engine on a nan clock, and a negative time or
+     inverted delay bounds raise inside Campaign.run. *)
+  let spec ?(delay_min = "0.001") ?(delay_max = "0.01") ?(horizon = "2")
+      ?(time = "1") () =
+    Printf.sprintf
+      "((seed 1) (protocol vsync) (nodes 2) (loss 0) (dup 0) (delay-min %s) \
+       (delay-max %s) (traffic-gap 0) (traffic-until 1) (horizon %s) (script \
+       ((%s (crash 1)))))"
+      delay_min delay_max horizon time
+  in
+  check Alcotest.bool "the well-formed spec parses" false (bad (spec ()));
+  check Alcotest.bool "nan horizon rejected" true (bad (spec ~horizon:"nan" ()));
+  check Alcotest.bool "infinite horizon rejected" true
+    (bad (spec ~horizon:"inf" ()));
+  check Alcotest.bool "nan script time rejected" true
+    (bad (spec ~time:"nan" ()));
+  check Alcotest.bool "negative script time rejected" true
+    (bad (spec ~time:"-1" ()));
+  check Alcotest.bool "delay-min above delay-max rejected" true
+    (bad (spec ~delay_min:"0.02" ()));
+  check Alcotest.bool "negative delay-min rejected" true
+    (bad (spec ~delay_min:"-0.001" ~delay_max:"0" ()))
+
+(* Random edits of a generated artifact.  Whatever the text, [of_string]
+   returns, and an [Ok] spec re-prints to text that parses back to an equal
+   spec.  An edit either replaces a whole atom or splices a token in at an
+   offset; the tokens are the ones most likely to break a replay. *)
+let edit_tokens =
+  [| "nan"; "-nan"; "inf"; "-inf"; "-1"; "-0"; "0"; "7"; "0.25"; "1e-3";
+     "1e309"; "0x1p-2"; "("; ")"; " "; ";"; "-"; "." |]
+
+let atom_spans text =
+  let n = String.length text in
+  let is_atom i =
+    match text.[i] with
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' -> false
+    | _ -> true
+  in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else if not (is_atom i) then scan (i + 1) acc
+    else
+      let j = ref i in
+      while !j < n && is_atom !j do
+        incr j
+      done;
+      scan !j ((i, !j - i) :: acc)
+  in
+  scan 0 []
+
+let apply_edit text (whole_atom, at, token) =
+  let splice pos len =
+    String.sub text 0 pos ^ token
+    ^ String.sub text (pos + len) (String.length text - pos - len)
+  in
+  match atom_spans text with
+  | spans when whole_atom && spans <> [] ->
+      let pos, len = List.nth spans (at mod List.length spans) in
+      splice pos len
+  | _ -> splice (at mod (String.length text + 1)) 0
+
+let repro_edit_property =
+  QCheck.Test.make ~name:"edited artifacts parse or fail, and re-print"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (seed, edits) ->
+          Printf.sprintf "seed %d, edits %s" seed
+            (String.concat "; "
+               (List.map
+                  (fun (w, at, tok) ->
+                    Printf.sprintf "%s %d %S" (if w then "atom" else "at") at
+                      tok)
+                  edits)))
+        Gen.(
+          pair (int_bound 10_000)
+            (list_size (int_range 1 3)
+               (triple bool (int_bound 10_000) (oneofa edit_tokens)))))
+    (fun (seed, edits) ->
+      let spec =
+        Campaign.generate ~transient:(seed mod 2 = 0) ~seed ~nodes:4
+          ~quick:true ()
+      in
+      let text = List.fold_left apply_edit (Repro.to_string spec) edits in
+      match Repro.of_string text with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e)
+            text
+      | Error _ -> true
+      | Ok spec -> (
+          match Repro.of_string (Repro.to_string spec) with
+          | Ok again -> Campaign.equal_spec spec again
+          | Error _ -> false))
 
 (* ---------- shrinker ---------- *)
 
@@ -801,6 +895,7 @@ let () =
           qt roundtrip_property;
           Alcotest.test_case "parse errors are reported" `Quick
             test_repro_errors;
+          qt repro_edit_property;
         ] );
       ( "shrink",
         [

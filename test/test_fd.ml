@@ -1,10 +1,14 @@
 (* Tests for the heartbeat failure detector: detection, false suspicion
-   under partition, recovery with new incarnations, graceful forget. *)
+   under partition, recovery with new incarnations, graceful forget, and
+   the skipped rebuild against the rebuild itself. *)
 
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module Fd = Vs_fd.Fd
+module Hashtblx = Vs_util.Hashtblx
+module Recorder = Vs_obs.Recorder
+module Event = Vs_obs.Event
 
 let check = Alcotest.check
 
@@ -161,6 +165,127 @@ let test_stop () =
   check (Alcotest.list Alcotest.int) "stopped detector frozen" [ 0 ]
     (reachable_nodes n0)
 
+(* ---------- fast paths vs the rebuild ---------- *)
+
+(* The reference: the rebuild every refresh performed before the detector
+   learned to skip it, kept verbatim over a mirror of [last_heard]. *)
+type reference = {
+  sim : Sim.t;
+  me : Proc_id.t;
+  config : Fd.config;
+  last_heard : (Proc_id.t, float) Hashtbl.t;
+}
+
+let compute_reachable t =
+  let now = Sim.now t.sim in
+  let fresh =
+    Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.last_heard
+    |> List.filter_map (fun (p, heard) ->
+           if now -. heard < t.config.Fd.timeout then Some p else None)
+  in
+  Proc_id.sort (t.me :: fresh)
+
+type fd_op =
+  | Beat of int * int  (* heartbeat from (node, incarnation); node 0 is me *)
+  | Forget of int * int
+  | Advance of int  (* run the engine this many ms: ticks fire in between *)
+
+let show_fd_op = function
+  | Beat (n, i) -> Printf.sprintf "beat p%d.%d" n i
+  | Forget (n, i) -> Printf.sprintf "forget p%d.%d" n i
+  | Advance ms -> Printf.sprintf "+%dms" ms
+
+let fd_ops =
+  let open QCheck.Gen in
+  let peer = pair (int_bound 3) (frequency [ (4, return 0); (1, int_bound 2) ]) in
+  list_size (int_bound 200)
+    (frequency
+       [
+         (6, map (fun (n, i) -> Beat (n, i)) peer);
+         (1, map (fun (n, i) -> Forget (n, i)) peer);
+         (4, map (fun ms -> Advance ms) (int_range 1 60));
+       ])
+
+type change = Suspected of Proc_id.t | Unsuspected of Proc_id.t
+
+(* Random schedules of heartbeats, forgets and ticks: after every step the
+   detector's set, its [on_change] calls and its Suspect/Unsuspect events
+   equal what the reference gives when it rebuilds on every heartbeat,
+   forget and tick. *)
+let fd_fast_path_property =
+  QCheck.Test.make ~name:"reachable set and events equal the rebuild"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_fd_op ops))
+       fd_ops)
+    (fun ops ->
+      let obs = Recorder.create ~level:Recorder.Protocol () in
+      let sim = Sim.create ~obs () in
+      let me = Proc_id.initial 0 in
+      let r =
+        { sim; me; config = Fd.default_config; last_heard = Hashtbl.create 8 }
+      in
+      let expected = ref [ me ] in
+      let expected_sets = ref [] and expected_events = ref [] in
+      let rebuild () =
+        let next = compute_reachable r in
+        let prev = !expected in
+        let missing a b =
+          List.filter (fun p -> not (List.exists (Proc_id.equal p) b)) a
+        in
+        if not (List.equal Proc_id.equal next prev) then begin
+          expected := next;
+          expected_sets := next :: !expected_sets;
+          expected_events :=
+            List.rev_append
+              (List.map (fun p -> Suspected p) (missing prev next)
+              @ List.filter_map
+                  (fun p ->
+                    if Proc_id.equal p me then None else Some (Unsuspected p))
+                  (missing next prev))
+              !expected_events
+        end
+      in
+      let sets = ref [] in
+      let fd =
+        Fd.create sim ~me ~universe:[ 0; 1; 2; 3 ] ~config:r.config
+          ~send_heartbeat:(fun ~dst_node -> if dst_node = 1 then rebuild ())
+          ~on_change:(fun set -> sets := set :: !sets)
+      in
+      let events () =
+        List.filter_map
+          (fun (e : Recorder.entry) ->
+            match e.Recorder.event with
+            | Event.Suspect { peer; _ } -> Some (Suspected peer)
+            | Event.Unsuspect { peer; _ } -> Some (Unsuspected peer)
+            | _ -> None)
+          (Recorder.entries obs)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Beat (node, inc) ->
+              let from = Proc_id.make ~node ~inc in
+              Fd.heartbeat_received fd ~from;
+              if not (Proc_id.equal from me) then begin
+                Hashtbl.replace r.last_heard from (Sim.now sim);
+                rebuild ()
+              end
+          | Forget (node, inc) ->
+              let p = Proc_id.make ~node ~inc in
+              Fd.forget fd p;
+              if Hashtbl.mem r.last_heard p then begin
+                Hashtbl.remove r.last_heard p;
+                rebuild ()
+              end
+          | Advance ms ->
+              ignore
+                (Sim.run ~until:(Sim.now sim +. (0.001 *. float_of_int ms)) sim));
+          List.equal Proc_id.equal (Fd.reachable fd) !expected
+          && !sets = !expected_sets
+          && events () = List.rev !expected_events)
+        ops)
+
 let () =
   Alcotest.run "vs_fd"
     [
@@ -177,5 +302,6 @@ let () =
             test_change_notifications;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "stop" `Quick test_stop;
+          QCheck_alcotest.to_alcotest fd_fast_path_property;
         ] );
     ]

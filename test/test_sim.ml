@@ -1,5 +1,6 @@
 (* Tests for the discrete-event engine: ordering, tie-breaking,
-   cancellation, horizons and determinism. *)
+   cancellation, horizons, determinism, and the event queue against a
+   sorted-list model. *)
 
 module Sim = Vs_sim.Sim
 module Recorder = Vs_obs.Recorder
@@ -90,16 +91,22 @@ let test_past_rejected () =
   let sim = Sim.create () in
   ignore (Sim.after sim 1.0 (fun () -> ()));
   ignore (Sim.run sim);
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
   check Alcotest.bool "at past raises" true
-    (try
-       ignore (Sim.at sim 0.5 (fun () -> ()));
-       false
-     with Invalid_argument _ -> true);
+    (raises (fun () -> Sim.at sim 0.5 (fun () -> ())));
   check Alcotest.bool "negative delay raises" true
-    (try
-       ignore (Sim.after sim (-0.1) (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
+    (raises (fun () -> Sim.after sim (-0.1) (fun () -> ())));
+  (* A NaN time would sort first and leave the clock at nan; a NaN horizon
+     would never be reached. *)
+  check Alcotest.bool "at nan raises" true
+    (raises (fun () -> Sim.at sim Float.nan (fun () -> ())));
+  check Alcotest.bool "nan delay raises" true
+    (raises (fun () -> Sim.after sim Float.nan (fun () -> ())));
+  check Alcotest.bool "run until nan raises" true
+    (raises (fun () -> Sim.run ~until:Float.nan sim));
+  check Alcotest.int "nothing was scheduled" 0 (Sim.pending sim)
 
 let test_pending_count () =
   let sim = Sim.create () in
@@ -129,6 +136,16 @@ let test_pending_cancel_then_pop () =
   ignore (Sim.run sim);
   check Alcotest.int "drained" 0 (Sim.pending sim);
   check Alcotest.int "only live events processed" 2 (Sim.events_processed sim)
+
+(* A handle stays valid after its event fires; cancelling it then must not
+   touch the live count. *)
+let test_cancel_after_fire () =
+  let sim = Sim.create () in
+  let h = Sim.after sim 0.1 (fun () -> ()) in
+  ignore (Sim.after sim 0.2 (fun () -> ()));
+  check Alcotest.bool "step fires" true (Sim.step sim);
+  Sim.cancel h;
+  check Alcotest.int "still one pending" 1 (Sim.pending sim)
 
 let test_step () =
   let sim = Sim.create () in
@@ -195,6 +212,92 @@ let sim_order_property =
       in
       nondecreasing fired && List.length fired = List.length delays)
 
+(* The event queue against a sorted-list model.  Under random interleavings
+   of [at], [after], [cancel] and [step], events fire in (time, scheduling
+   order), [now] reads the fired event's time and [pending] counts the live
+   events.  Delays are multiples of 0.25, so equal times (and the seq
+   tie-break) are common.  Every case opens with 40 [after]s, past the
+   queue's initial 16 slots, so growth is always exercised. *)
+type queue_op = At of int | After of int | Cancel of int | Step
+
+let show_queue_op = function
+  | At k -> Printf.sprintf "at+%d" k
+  | After k -> Printf.sprintf "after%d" k
+  | Cancel i -> Printf.sprintf "cancel%d" i
+  | Step -> "step"
+
+let queue_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> At k) (int_bound 8));
+        (3, map (fun k -> After k) (int_bound 8));
+        (2, map (fun i -> Cancel i) (int_bound 10_000));
+        (3, return Step);
+      ]
+  in
+  map2 ( @ ) (list_repeat 40 (map (fun k -> After k) (int_bound 8)))
+    (list_size (int_bound 300) op)
+
+let by_time_then_schedule (ta, ia) (tb, ib) =
+  match Float.compare ta tb with 0 -> Int.compare ia ib | c -> c
+
+let queue_model_property =
+  QCheck.Test.make ~name:"queue fires in (time, schedule) order" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_queue_op ops))
+       queue_ops)
+    (fun ops ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      let handles = Hashtbl.create 64 in
+      (* live events as (time, schedule index) *)
+      let model = ref [] in
+      let scheduled = ref 0 in
+      let ok = ref true in
+      let expect b = ok := !ok && b in
+      List.iter
+        (fun op ->
+          (match op with
+          | At k | After k ->
+              let id = !scheduled in
+              incr scheduled;
+              let delay = 0.25 *. float_of_int k in
+              let time = Sim.now sim +. delay in
+              let thunk () = fired := id :: !fired in
+              let h =
+                match op with
+                | At _ -> Sim.at sim time thunk
+                | _ -> Sim.after sim delay thunk
+              in
+              Hashtbl.replace handles id h;
+              model := (time, id) :: !model
+          | Cancel i ->
+              if !scheduled > 0 then begin
+                let id = i mod !scheduled in
+                Sim.cancel (Hashtbl.find handles id);
+                model := List.filter (fun (_, j) -> j <> id) !model
+              end
+          | Step -> (
+              match List.sort by_time_then_schedule !model with
+              | [] -> expect (not (Sim.step sim))
+              | (time, id) :: rest ->
+                  expect (Sim.step sim);
+                  expect (match !fired with j :: _ -> j = id | [] -> false);
+                  expect (Float.equal (Sim.now sim) time);
+                  model := rest));
+          expect (Sim.pending sim = List.length !model))
+        ops;
+      let before_drain = List.length !fired in
+      ignore (Sim.run sim);
+      let drained =
+        List.rev !fired |> List.filteri (fun i _ -> i >= before_drain)
+      in
+      !ok
+      && drained = List.map snd (List.sort by_time_then_schedule !model)
+      && Sim.pending sim = 0)
+
 let () =
   Alcotest.run "vs_sim"
     [
@@ -212,9 +315,11 @@ let () =
           Alcotest.test_case "pending count" `Quick test_pending_count;
           Alcotest.test_case "pending: cancel then pop" `Quick
             test_pending_cancel_then_pop;
+          Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
           Alcotest.test_case "single step" `Quick test_step;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "determinism" `Quick test_determinism;
           QCheck_alcotest.to_alcotest sim_order_property;
+          QCheck_alcotest.to_alcotest queue_model_property;
         ] );
     ]

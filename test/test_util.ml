@@ -1,8 +1,7 @@
-(* Unit and property tests for vs_util: PRNG, heap, sorted-set list
+(* Unit and property tests for vs_util: PRNG, sorted-set list
    operations and vector clocks. *)
 
 module Rng = Vs_util.Rng
-module Heap = Vs_util.Heap
 module Listx = Vs_util.Listx
 
 let check = Alcotest.check
@@ -80,78 +79,6 @@ let test_rng_pick_and_shuffle () =
   check (Alcotest.list Alcotest.int) "permutation" xs (List.sort compare shuffled);
   Alcotest.check_raises "pick of empty" (Invalid_argument "Rng.pick: empty list")
     (fun () -> ignore (Rng.pick r []))
-
-(* ---------- Heap ---------- *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  check Alcotest.int "length" 5 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek min" (Some 1) (Heap.peek h);
-  let drained = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
-  check (Alcotest.option Alcotest.int) "pop empty" None (Heap.pop h)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 2; 1 ];
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h);
-  Heap.push h 9;
-  check (Alcotest.option Alcotest.int) "usable after clear" (Some 9) (Heap.pop h)
-
-let test_heap_grows () =
-  let h = Heap.create ~cmp:compare in
-  for i = 1000 downto 1 do
-    Heap.push h i
-  done;
-  check Alcotest.int "all pushed" 1000 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "min of many" (Some 1) (Heap.pop h)
-
-let heap_sort_property =
-  QCheck.Test.make ~name:"heap drain equals list sort" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let heap_interleaved_property =
-  QCheck.Test.make ~name:"heap peek is minimum under interleaving" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Heap.push h x;
-            model := x :: !model;
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | None, _ :: _ -> false
-            | Some _, [] -> false
-            | Some v, m ->
-                let min_m = List.fold_left min (List.hd m) m in
-                let removed = ref false in
-                model :=
-                  List.filter
-                    (fun y ->
-                      if y = min_m && not !removed then begin
-                        removed := true;
-                        false
-                      end
-                      else true)
-                    m;
-                v = min_m)
-        ops)
 
 (* ---------- Listx ---------- *)
 
@@ -258,14 +185,6 @@ let () =
           Alcotest.test_case "bool bias" `Quick test_rng_bool_bias;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "pick and shuffle" `Quick test_rng_pick_and_shuffle;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "growth" `Quick test_heap_grows;
-          qt heap_sort_property;
-          qt heap_interleaved_property;
         ] );
       ( "listx",
         [

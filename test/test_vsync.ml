@@ -612,6 +612,48 @@ let test_stability_floor_matches_reference () =
       members
   done
 
+(* After a stability report the trim pass only runs when something its
+   floors read has changed: a table, a stream, the view, or a smear.  Pin
+   the per-member [stabilized] counts of a run where a missed mark shows.
+   Node 2 crashes, so its last report holds node 0's floor down.  The smear
+   on node 0 lifts that floor while every other report repeats, and the
+   install that drops node 2 discards whatever was not trimmed by then.
+   Node 1's Deps_truncate and the second view's traffic follow.  The
+   expected counts come from the code that refilled the table and trimmed
+   on every report; without the smear mark node 0 reads 11, and without
+   the table-change mark 9. *)
+let test_stability_counts_pinned () =
+  let c = Cluster.vsync ~seed:91L ~n:3 () in
+  let sim = Cluster.sim c in
+  let send_at time node =
+    ignore (Sim.at sim time (fun () -> Cluster.multicast_from c ~node ()))
+  in
+  for i = 0 to 5 do
+    send_at (0.9 +. (0.01 *. float_of_int i)) (i mod 3)
+  done;
+  for i = 0 to 3 do
+    send_at (1.01 +. (0.01 *. float_of_int i)) 0
+  done;
+  for i = 0 to 7 do
+    send_at (1.5 +. (0.02 *. float_of_int i)) (i mod 2)
+  done;
+  Cluster.run_script c
+    [
+      (1.0, Faults.Crash 2);
+      (1.12, Faults.Corrupt (0, Faults.Stability_smear (2, 10)));
+      (1.6, Faults.Corrupt (1, Faults.Deps_truncate (0, 2)));
+    ];
+  Cluster.run c ~until:2.5;
+  check
+    Alcotest.(list (pair int int))
+    "(node, stabilized) per live member"
+    [ (0, 15); (1, 11) ]
+    (List.map
+       (fun ep ->
+         ( (Endpoint.me ep).Proc_id.node,
+           (Endpoint.stats ep).Endpoint.stabilized ))
+       (Cluster.live c))
+
 (* The NACK retransmission rotation used to pick each round's target with
    List.nth over a freshly filtered peer list; it now indexes a cached
    array.  The rotation must be byte-identical to the old selection. *)
@@ -722,6 +764,8 @@ let () =
             test_stash_order_during_flush;
           Alcotest.test_case "stability floor vs reference" `Quick
             test_stability_floor_matches_reference;
+          Alcotest.test_case "stability counts pinned" `Quick
+            test_stability_counts_pinned;
           Alcotest.test_case "nack rotation vs reference" `Quick
             test_nack_targets_match_reference;
           Alcotest.test_case "batched lossy run" `Quick test_batched_lossy_run;
