@@ -1,6 +1,5 @@
 module Sim = Vs_sim.Sim
 module Proc_id = Vs_net.Proc_id
-module Hashtblx = Vs_util.Hashtblx
 
 type config = { period : float; timeout : float }
 
@@ -13,7 +12,7 @@ type t = {
   config : config;
   send_heartbeat : dst_node:int -> unit;
   on_change : Proc_id.t list -> unit;
-  last_heard : (Proc_id.t, float) Hashtbl.t;
+  last_heard : float Proc_id.Tbl.t;
   mutable current : Proc_id.t list;
   mutable stopped : bool;
 }
@@ -21,7 +20,7 @@ type t = {
 let compute_reachable t =
   let now = Sim.now t.sim in
   let fresh =
-    Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.last_heard
+    Proc_id.Tbl.sorted_bindings t.last_heard
     |> List.filter_map (fun (p, heard) ->
            if now -. heard < t.config.timeout then Some p else None)
   in
@@ -58,7 +57,7 @@ let rec all_fresh t now = function
   | p :: rest ->
       (Proc_id.equal p t.me
       ||
-      match Hashtbl.find_opt t.last_heard p with
+      match Proc_id.Tbl.find_opt t.last_heard p with
       | Some heard -> now -. heard < t.config.timeout
       | None -> false)
       && all_fresh t now rest
@@ -84,7 +83,7 @@ let create sim ~me ~universe ~config ~send_heartbeat ~on_change =
       config;
       send_heartbeat;
       on_change;
-      last_heard = Hashtbl.create 16;
+      last_heard = Proc_id.Tbl.create 16;
       current = [ me ];
       stopped = false;
     }
@@ -97,15 +96,15 @@ let create sim ~me ~universe ~config ~send_heartbeat ~on_change =
 let heartbeat_received t ~from =
   if (not t.stopped) && not (Proc_id.equal from t.me) then begin
     let now = Sim.now t.sim in
-    Hashtbl.replace t.last_heard from now;
+    Proc_id.Tbl.replace t.last_heard from now;
     (* [from] is fresh now, so the set only stays put if it already held it. *)
     if not (List.exists (Proc_id.equal from) t.current
             && all_fresh t now t.current) then refresh t
   end
 
 let forget t p =
-  if Hashtbl.mem t.last_heard p then begin
-    Hashtbl.remove t.last_heard p;
+  if Proc_id.Tbl.mem t.last_heard p then begin
+    Proc_id.Tbl.remove t.last_heard p;
     refresh t
   end
 

@@ -1,13 +1,23 @@
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Listx = Vs_util.Listx
-module Hashtblx = Vs_util.Hashtblx
+module Ptbl = Proc_id.Tbl
 
 type msg_id = Vs_obs.Event.msg = { origin : Proc_id.t; mseq : int }
 
 let msg_id_to_string = Vs_obs.Event.msg_to_string
 
 let compare_msg_id = Vs_obs.Event.compare_msg
+
+module Msg_tbl = Vs_util.Hashtblx.Make (struct
+  type t = msg_id
+
+  let equal a b = Int.equal a.mseq b.mseq && Proc_id.equal a.origin b.origin
+
+  let hash m = (Proc_id.hash m.origin * 65599) + m.mseq
+
+  let compare = compare_msg_id
+end)
 
 (* Structured verdicts: the property that broke plus the protocol ids the
    verdict names.  [detail] is the one-line string [check_all] reports. *)
@@ -22,9 +32,9 @@ type violation = Vs_obs.Explain.violation = {
 let details vs = List.map (fun v -> v.detail) vs
 
 type t = {
-  sends : (msg_id, [ `Fifo | `Total ]) Hashtbl.t;
-  deliveries : (Proc_id.t, (View.Id.t * msg_id * float) list ref) Hashtbl.t;
-  installs : (Proc_id.t, (View.t * View.Id.t * float) list ref) Hashtbl.t;
+  sends : [ `Fifo | `Total ] Msg_tbl.t;
+  deliveries : (View.Id.t * msg_id * float) list ref Ptbl.t;
+  installs : (View.t * View.Id.t * float) list ref Ptbl.t;
   mutable n_deliveries : int;
   mutable n_installs : int;
   mutable corruptions : (Proc_id.t * string * float) list;  (* newest first *)
@@ -32,23 +42,23 @@ type t = {
 
 let create () =
   {
-    sends = Hashtbl.create 256;
-    deliveries = Hashtbl.create 64;
-    installs = Hashtbl.create 64;
+    sends = Msg_tbl.create 256;
+    deliveries = Ptbl.create 64;
+    installs = Ptbl.create 64;
     n_deliveries = 0;
     n_installs = 0;
     corruptions = [];
   }
 
 let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
+  match Ptbl.find_opt tbl key with
   | Some r -> r
   | None ->
       let r = ref [] in
-      Hashtbl.add tbl key r;
+      Ptbl.add tbl key r;
       r
 
-let record_send t ?(order = `Fifo) msg_id = Hashtbl.replace t.sends msg_id order
+let record_send t ?(order = `Fifo) msg_id = Msg_tbl.replace t.sends msg_id order
 
 let record_delivery t ~proc ~vid msg_id ~time =
   let b = bucket t.deliveries proc in
@@ -67,18 +77,17 @@ let corruptions t = List.rev t.corruptions
 
 let procs t =
   let all =
-    Hashtblx.sorted_keys ~cmp:Proc_id.compare t.deliveries
-    @ Hashtblx.sorted_keys ~cmp:Proc_id.compare t.installs
+    Ptbl.sorted_keys t.deliveries @ Ptbl.sorted_keys t.installs
   in
   Proc_id.sort all
 
 let deliveries_of t ~proc =
-  match Hashtbl.find_opt t.deliveries proc with
+  match Ptbl.find_opt t.deliveries proc with
   | Some r -> List.rev_map (fun (vid, m, _) -> (vid, m)) !r
   | None -> []
 
 let installs_of t ~proc =
-  match Hashtbl.find_opt t.installs proc with
+  match Ptbl.find_opt t.installs proc with
   | Some r -> List.rev_map (fun (v, prior, _) -> (v, prior)) !r
   | None -> []
 
@@ -87,11 +96,11 @@ let total_deliveries t = t.n_deliveries
 let total_installs t = t.n_installs
 
 let install_counts t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs
+  Ptbl.sorted_bindings t.installs
   |> List.map (fun (p, r) -> (p, List.length !r))
 
 let distinct_views t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs
+  Ptbl.sorted_bindings t.installs
   |> List.concat_map (fun (_, r) -> List.map (fun (v, _, _) -> v.View.id) !r)
   |> Listx.sorted_set ~cmp:View.Id.compare
   |> List.length
@@ -153,19 +162,19 @@ let agreement_violations t =
 
 (* Property 2.2: each message delivered in at most one view, globally. *)
 let uniqueness_violations t =
-  let table = Hashtbl.create 256 in
+  let table = Msg_tbl.create 256 in
   List.iter
     (fun p ->
       List.iter
         (fun (vid, m) ->
           let vids =
-            match Hashtbl.find_opt table m with Some v -> v | None -> []
+            match Msg_tbl.find_opt table m with Some v -> v | None -> []
           in
           if not (List.exists (View.Id.equal vid) vids) then
-            Hashtbl.replace table m (vid :: vids))
+            Msg_tbl.replace table m (vid :: vids))
         (deliveries_of t ~proc:p))
     (procs t);
-  Hashtblx.sorted_bindings ~cmp:compare_msg_id table
+  Msg_tbl.sorted_bindings table
   |> List.filter_map (fun (m, vids) ->
          if List.length vids > 1 then
            let deliverers =
@@ -194,7 +203,7 @@ let uniqueness_violations t =
 let integrity_violations t =
   List.concat_map
     (fun p ->
-      let seen = Hashtbl.create 64 in
+      let seen = Msg_tbl.create 64 in
       List.concat_map
         (fun (vid, m) ->
           let mk detail =
@@ -207,7 +216,7 @@ let integrity_violations t =
             }
           in
           let dup =
-            if Hashtbl.mem seen m then
+            if Msg_tbl.mem seen m then
               [
                 mk
                   (Printf.sprintf "integrity: %s delivered %s more than once"
@@ -215,9 +224,9 @@ let integrity_violations t =
               ]
             else []
           in
-          Hashtbl.replace seen m ();
+          Msg_tbl.replace seen m ();
           let phantom =
-            if Hashtbl.mem t.sends m then []
+            if Msg_tbl.mem t.sends m then []
             else
               [
                 mk
@@ -235,21 +244,21 @@ let integrity_violations t =
    coordinator's stream and are exempt. *)
 let fifo_violations t =
   let is_fifo m =
-    match Hashtbl.find_opt t.sends m with
+    match Msg_tbl.find_opt t.sends m with
     | Some `Fifo | None -> true
     | Some `Total -> false
   in
   List.concat_map
     (fun p ->
-      let last = Hashtbl.create 16 in
+      let last = Ptbl.create 16 in
       List.concat_map
         (fun (vid, m) ->
           if not (is_fifo m) then []
           else begin
             let prev =
-              Option.value ~default:(-1) (Hashtbl.find_opt last m.origin)
+              Option.value ~default:(-1) (Ptbl.find_opt last m.origin)
             in
-            Hashtbl.replace last m.origin m.mseq;
+            Ptbl.replace last m.origin m.mseq;
             if m.mseq <= prev then
               [
                 {
@@ -272,7 +281,7 @@ let fifo_violations t =
    the common subsequences agree. *)
 let total_order_violations t =
   let is_total m =
-    match Hashtbl.find_opt t.sends m with Some `Total -> true | _ -> false
+    match Msg_tbl.find_opt t.sends m with Some `Total -> true | _ -> false
   in
   let sequences =
     List.map
@@ -305,17 +314,14 @@ let total_order_violations t =
         | (p, sp) :: rest ->
             List.concat_map
               (fun (q, sq) ->
-                (* positions of common messages must be order-consistent *)
-                let pos seq =
-                  List.mapi (fun i m -> (m, i)) seq
-                in
-                let posp = pos sp and posq = pos sq in
-                let common =
-                  List.filter (fun (m, _) -> List.mem_assoc m posq) posp
-                in
-                let projected_q =
-                  List.map (fun (m, _) -> List.assoc m posq) common
-                in
+                (* positions of common messages must be order-consistent:
+                   each of [sp]'s messages that [q] also delivered, at its
+                   first position in [sq] *)
+                let posq = Msg_tbl.create 64 in
+                List.iteri
+                  (fun i m -> if not (Msg_tbl.mem posq m) then Msg_tbl.add posq m i)
+                  sq;
+                let projected_q = List.filter_map (Msg_tbl.find_opt posq) sp in
                 let rec increasing = function
                   | a :: b :: rest -> a < b && increasing (b :: rest)
                   | _ -> true
@@ -325,7 +331,7 @@ let total_order_violations t =
                   [
                     {
                       property = Vs_obs.Explain.Total_order;
-                      msg = (match common with (m, _) :: _ -> Some m | [] -> None);
+                      msg = List.find_opt (Msg_tbl.mem posq) sp;
                       procs = [ p; q ];
                       vids = [ vid ];
                       detail =
@@ -393,20 +399,19 @@ let stabilization t ?(bound = 2) violations =
       let fault_times = List.map (fun (_, _, time) -> time) corruptions in
       let first_fault = List.fold_left Float.min infinity fault_times in
       let last_fault = List.fold_left Float.max neg_infinity fault_times in
-      (* First-install time of every distinct view in the run. *)
-      let first_install = Hashtbl.create 64 in
-      List.iter
-        (fun (_, r) ->
-          List.iter
-            (fun ((v : View.t), _, time) ->
-              match Hashtbl.find_opt first_install v.View.id with
-              | Some prev when prev <= time -> ()
-              | _ -> Hashtbl.replace first_install v.View.id time)
-            !r)
-        (Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs);
+      (* First-install time of every distinct view in the run, by view id. *)
+      let first_install =
+        Ptbl.sorted_bindings t.installs
+        |> List.concat_map (fun (_, r) ->
+               List.map (fun ((v : View.t), _, time) -> (v.View.id, time)) !r)
+        |> Listx.group_by ~key:fst ~cmp_key:View.Id.compare
+        |> List.map (fun (vid, installs) ->
+               (vid, List.fold_left (fun acc (_, time) -> Float.min acc time)
+                       infinity installs))
+      in
       (* Views born strictly after the last fault, in install order. *)
       let fresh =
-        Hashtblx.sorted_bindings ~cmp:View.Id.compare first_install
+        first_install
         |> List.filter (fun (_, time) -> time > last_fault)
         |> List.sort (fun (v1, t1) (v2, t2) ->
                match Float.compare t1 t2 with
@@ -435,7 +440,7 @@ let stabilization t ?(bound = 2) violations =
         let t0 =
           List.fold_left
             (fun acc p ->
-              match Hashtbl.find_opt t.deliveries p with
+              match Ptbl.find_opt t.deliveries p with
               | None -> acc
               | Some r ->
                   List.fold_left
@@ -456,8 +461,8 @@ let stabilization t ?(bound = 2) violations =
           else
             List.fold_left
               (fun acc vid ->
-                match Hashtbl.find_opt first_install vid with
-                | Some time -> Float.max acc time
+                match List.find_opt (fun (v, _) -> View.Id.equal v vid) first_install with
+                | Some (_, time) -> Float.max acc time
                 | None -> acc)
               neg_infinity v.vids
         in

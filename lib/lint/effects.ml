@@ -6,7 +6,7 @@
      Ambient_time   wall-clock reads (Sys.time, Unix.gettimeofday, ...)
      Ambient_rand   global randomness (the Random module)
      Unix_io        any other Unix.* entry point
-     Hash_order     unordered Hashtbl enumeration
+     Hash_order     unordered hash-table enumeration (D2's sites)
      Mutation       assignment to mutable state (informational)
 
    Propagation is [effects f = intrinsic f U (union over callees g of
@@ -79,9 +79,7 @@ let leaf_effect (c : Callgraph.call) =
   | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
       Some Ambient_time
   | "Unix" :: _ -> Some Unix_io
-  | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ]
-    ->
-      Some Hash_order
+  | path when Lint.hash_enumeration path -> Some Hash_order
   | _ -> None
 
 type t = {

@@ -169,6 +169,22 @@ let path_of_lident lid =
   | parts -> parts
   | exception _ -> []
 
+(* [M.fn] with [fn] among [fns] and [M] a hash-table module: any module
+   whose name ends in "tbl", case-insensitively — Stdlib's Hashtbl, a
+   functor instance such as Proc_id.Tbl or Int_tbl, or an alias of one. *)
+let hash_table_call parts fns =
+  match List.rev parts with
+  | fn :: m :: _ ->
+      List.exists (String.equal fn) fns
+      && String.ends_with ~suffix:"tbl" (String.lowercase_ascii m)
+  | _ -> false
+
+(* An enumeration in bucket order: what D2 flags and what seeds the effect
+   analysis's Hash_order. *)
+let hash_enumeration parts =
+  hash_table_call parts
+    [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+
 let collect_ident_findings ~path ast =
   let compare_bound_at = compare_binding_lines ast in
   let acc = ref [] in
@@ -203,12 +219,11 @@ let collect_ident_findings ~path ast =
         if not (d1_exempt path) then
           add Rules.d1 loc
             (Printf.sprintf "%s reads the wall clock; use Sim.now" ident)
-    | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ]
-      ->
+    | _ when hash_enumeration parts ->
         add Rules.d2 loc
           (Printf.sprintf "%s enumerates a hash table in unspecified order"
              ident)
-    | [ "Hashtbl"; "find" ] ->
+    | _ when hash_table_call parts [ "find" ] ->
         add Rules.d3 loc
           (Printf.sprintf
              "bare %s raises a contextless Not_found; match on find_opt" ident)

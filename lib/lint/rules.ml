@@ -46,24 +46,28 @@ let d2 =
   {
     id = "D2";
     severity = Warning;
-    title = "Hashtbl.iter/fold/to_seq enumerates in unspecified hash order";
+    title = "hash-table iter/fold/to_seq enumerates in unspecified hash order";
     hint =
       "sort the result by a total order (Proc_id.compare, Int.compare, ...) \
-       before it feeds a decision — e.g. Vs_util.Hashtblx.sorted_bindings — \
-       or annotate with " ^ allow_example "D2" "commutative fold"
+       before it feeds a decision — e.g. Vs_util.Hashtblx.sorted_bindings, \
+       or a typed table's own sorted_bindings — or annotate with "
+      ^ allow_example "D2" "commutative fold"
       ^ " when the accumulation is order-insensitive";
     explain =
-      "Hashtbl enumeration order depends on the hash function and the \
+      "Hash-table enumeration order depends on the hash function and the \
        insertion history, not on any order the protocol reasons about.  \
-       When the enumerated elements feed an ordered decision (a delivery, a \
-       wire message, a coordinator choice, an oracle verdict), the run is \
-       hostage to hash-bucket layout: refactoring a record or changing a \
-       table's initial size reorders deliveries and breaks byte-identical \
-       seed replay.  Either sort the fold's result by an explicit total \
-       order before anyone sees it (Vs_util.Hashtblx.sorted_bindings / \
-       sorted_keys do this in one step), or — when the fold is genuinely \
-       commutative (max, sum, or) — silence the site with a justified \
-       suppression comment.";
+       The rule covers every module whose name ends in \"tbl\": Stdlib's \
+       Hashtbl, typed tables such as Proc_id.Tbl and Int_tbl, and any alias \
+       of one.  When the enumerated elements feed an ordered decision (a \
+       delivery, a wire message, a coordinator choice, an oracle verdict), \
+       the run is hostage to hash-bucket layout: refactoring a record or \
+       changing a table's initial size reorders deliveries and breaks \
+       byte-identical seed replay.  Either sort the fold's result by an \
+       explicit total order before anyone sees it \
+       (Vs_util.Hashtblx.sorted_bindings / sorted_keys do this in one step, \
+       and a typed table's sorted_bindings / sorted_keys sort by its key's \
+       compare), or — when the fold is genuinely commutative (max, sum, or) \
+       — silence the site with a justified suppression comment.";
   }
 
 let d3 =

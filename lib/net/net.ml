@@ -1,6 +1,7 @@
 module Sim = Vs_sim.Sim
 module Rng = Vs_util.Rng
 module Event = Vs_obs.Event
+module Int_tbl = Vs_util.Hashtblx.Int_tbl
 
 type 'm envelope = {
   src : Proc_id.t;
@@ -41,9 +42,9 @@ type 'm t = {
   size_of : 'm -> int;
   describe : 'm -> string;
   idents : 'm -> Event.msg list;
-  handlers : (Proc_id.t, 'm envelope -> unit) Hashtbl.t;
-  node_live : (int, Proc_id.t) Hashtbl.t; (* node -> live incarnation *)
-  node_next_inc : (int, int) Hashtbl.t;   (* node -> next unused incarnation *)
+  handlers : ('m envelope -> unit) Proc_id.Tbl.t;
+  node_live : Proc_id.t Int_tbl.t;   (* node -> live incarnation *)
+  node_next_inc : int Int_tbl.t;     (* node -> next unused incarnation *)
   mutable component : int -> int;         (* node -> component id *)
   mutable sent : int;
   mutable delivered : int;
@@ -63,9 +64,9 @@ let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
     size_of;
     describe;
     idents;
-    handlers = Hashtbl.create 64;
-    node_live = Hashtbl.create 64;
-    node_next_inc = Hashtbl.create 64;
+    handlers = Proc_id.Tbl.create 64;
+    node_live = Int_tbl.create 64;
+    node_next_inc = Int_tbl.create 64;
     component = (fun _ -> 0);
     sent = 0;
     delivered = 0;
@@ -75,12 +76,12 @@ let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
   }
 
 (* vslint: alloc-free *)
-let is_live t p = Hashtbl.mem t.handlers p
+let is_live t p = Proc_id.Tbl.mem t.handlers p
 
-let live_on_node t node = Hashtbl.find_opt t.node_live node
+let live_on_node t node = Int_tbl.find_opt t.node_live node
 
 let fresh_incarnation t node =
-  let inc = Option.value ~default:0 (Hashtbl.find_opt t.node_next_inc node) in
+  let inc = Option.value ~default:0 (Int_tbl.find_opt t.node_next_inc node) in
   Proc_id.make ~node ~inc
 
 let register t p handler =
@@ -90,33 +91,33 @@ let register t p handler =
         (Printf.sprintf "Net.register: node %d already hosts live %s"
            p.Proc_id.node (Proc_id.to_string q))
   | None -> ());
-  let next = Option.value ~default:0 (Hashtbl.find_opt t.node_next_inc p.Proc_id.node) in
+  let next = Option.value ~default:0 (Int_tbl.find_opt t.node_next_inc p.Proc_id.node) in
   if p.Proc_id.inc < next then
     invalid_arg
       (Printf.sprintf "Net.register: stale incarnation %s (next is %d)"
          (Proc_id.to_string p) next);
-  Hashtbl.replace t.node_next_inc p.Proc_id.node (p.Proc_id.inc + 1);
-  Hashtbl.replace t.handlers p handler;
-  Hashtbl.replace t.node_live p.Proc_id.node p
+  Int_tbl.replace t.node_next_inc p.Proc_id.node (p.Proc_id.inc + 1);
+  Proc_id.Tbl.replace t.handlers p handler;
+  Int_tbl.replace t.node_live p.Proc_id.node p
 
 let crash t p =
   if is_live t p then begin
-    Hashtbl.remove t.handlers p;
+    Proc_id.Tbl.remove t.handlers p;
     (match live_on_node t p.Proc_id.node with
-    | Some q when Proc_id.equal q p -> Hashtbl.remove t.node_live p.Proc_id.node
+    | Some q when Proc_id.equal q p -> Int_tbl.remove t.node_live p.Proc_id.node
     | Some _ | None -> ());
     Sim.emit t.sim (Event.Crash { proc = p })
   end
 
 let set_partition t components =
-  let table = Hashtbl.create 16 in
+  let table = Int_tbl.create 16 in
   List.iteri
-    (fun comp nodes -> List.iter (fun node -> Hashtbl.replace table node comp) nodes)
+    (fun comp nodes -> List.iter (fun node -> Int_tbl.replace table node comp) nodes)
     components;
   (* Unmentioned nodes get a unique negative component — isolated. *)
   t.component <-
     (fun node ->
-      match Hashtbl.find_opt table node with
+      match Int_tbl.find_opt table node with
       | Some c -> c
       | None -> -(node + 1));
   Sim.emit t.sim (Event.Partition { components })
@@ -197,7 +198,7 @@ let emit_drop t ~src ~dst payload ~reason =
 let deliver_later ?(extra_copy = false) t env =
   let bytes = t.size_of env.payload in
   let deliver () =
-    match Hashtbl.find_opt t.handlers env.dst with
+    match Proc_id.Tbl.find_opt t.handlers env.dst with
     | Some handler when connected t env.src.Proc_id.node env.dst.Proc_id.node ->
         t.delivered <- t.delivered + 1;
         emit_recv t ~src:env.src ~dst:env.dst env.payload;
@@ -271,7 +272,7 @@ let send_node t ~src ~dst_node payload =
     let deliver () =
       match live_on_node t dst_node with
       | Some dst when connected t src.Proc_id.node dst_node -> (
-          match Hashtbl.find_opt t.handlers dst with
+          match Proc_id.Tbl.find_opt t.handlers dst with
           | Some handler ->
               t.delivered <- t.delivered + 1;
               emit_recv t ~src ~dst payload;

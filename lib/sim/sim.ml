@@ -1,22 +1,28 @@
 module Rng = Vs_util.Rng
 
 type handle = {
-  fire_at : float;
-  seq : int;
   thunk : unit -> unit;
   mutable cancelled : bool;  (* also set when it fires: a late cancel is a no-op *)
   owner : t;
 }
 
-(* The event queue is a binary min-heap of handles on (fire_at, seq), held
-   in [heap.(0 .. size-1)].  Slots at and above [size] hold [sentinel], so a
-   fired event's closure is not kept alive by the array. *)
+(* The event queue is a binary min-heap on (fire_at, seq) over positions
+   [0 .. size-1] of three flat arrays: [times], [seqs] and [slots].  Each
+   queued event owns one slot of [handles], written once at push and reset
+   to [sentinel] at pop, so a fired event's closure is not kept alive; the
+   slots no queued event owns are stacked in [free.(0 .. capacity-size-1)].
+   Sifting moves only unboxed floats and ints: it follows no pointer and
+   runs no write barrier. *)
 and t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
   mutable live : int;  (* scheduled and not yet fired or cancelled *)
-  mutable heap : handle array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable handles : handle array;
+  mutable free : int array;
   mutable size : int;
   sentinel : handle;
   root_rng : Rng.t;
@@ -28,13 +34,10 @@ let create ?(seed = 1L) ?obs () =
     match obs with Some r -> r | None -> Vs_obs.Recorder.create ()
   in
   let rec t =
-    { clock = 0.; next_seq = 0; processed = 0; live = 0; heap = [||];
-      size = 0; sentinel; root_rng = Rng.create seed; obs }
-  and sentinel =
-    { fire_at = infinity; seq = max_int; thunk = ignore; cancelled = true;
-      owner = t }
-  in
-  t.heap <- Array.make 16 sentinel;
+    { clock = 0.; next_seq = 0; processed = 0; live = 0; times = [||];
+      seqs = [||]; slots = [||]; handles = [||]; free = [||]; size = 0;
+      sentinel; root_rng = Rng.create seed; obs }
+  and sentinel = { thunk = ignore; cancelled = true; owner = t } in
   t
 
 let now t = t.clock
@@ -57,47 +60,75 @@ let record t ~component message =
 
 (* Times are never NaN (see [at] and [run]), so [<] and [=] give the same
    strict total order as [Float.compare] with [seq] breaking ties. *)
-let[@inline] earlier a b =
-  a.fire_at < b.fire_at || (a.fire_at = b.fire_at && a.seq < b.seq)
+let[@inline] earlier (ta : float) (sa : int) (tb : float) (sb : int) =
+  ta < tb || (ta = tb && sa < sb)
 
-let rec sift_up heap i h =
-  let parent = (i - 1) / 2 in
-  if i > 0 && earlier h heap.(parent) then begin
-    heap.(i) <- heap.(parent);
-    sift_up heap parent h
-  end
-  else heap.(i) <- h
+(* Grow every array (to 16 entries, then by doubling); the new slots form
+   the free stack, whose entries past its top are overwritten before they
+   are read. *)
+let grow t =
+  let cap = Array.length t.times in
+  let more = Int.max 16 cap in
+  let extend a fill = Array.append a (Array.make more fill) in
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.handles <- extend t.handles t.sentinel;
+  t.free <- Array.init (cap + more) (fun i -> cap + more - 1 - i)
 
-let rec sift_down heap size i h =
-  let l = (2 * i) + 1 in
-  if l >= size then heap.(i) <- h
-  else
-    let c = if l + 1 < size && earlier heap.(l + 1) heap.(l) then l + 1 else l in
-    if earlier heap.(c) h then begin
-      heap.(i) <- heap.(c);
-      sift_down heap size c h
-    end
-    else heap.(i) <- h
+let[@inline] set t i time seq slot =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot
 
-let push t h =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) t.sentinel in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.size <- t.size + 1;
-  sift_up t.heap (t.size - 1) h
+let[@inline] move t ~from i = set t i t.times.(from) t.seqs.(from) t.slots.(from)
 
+let push t fire_at seq h =
+  if t.size = Array.length t.times then grow t;
+  let slot = t.free.(Array.length t.times - t.size - 1) in
+  t.handles.(slot) <- h;
+  (* Sift the hole at the end up to where (fire_at, seq) belongs. *)
+  let i = ref t.size in
+  while
+    !i > 0 && earlier fire_at seq t.times.((!i - 1) / 2) t.seqs.((!i - 1) / 2)
+  do
+    move t ~from:((!i - 1) / 2) !i;
+    i := (!i - 1) / 2
+  done;
+  set t !i fire_at seq slot;
+  t.size <- t.size + 1
+
+(* Remove the root and free its slot, then sift the hole at the root down
+   to where the last entry belongs. *)
 let pop_root t =
+  let root_slot = t.slots.(0) in
+  t.handles.(root_slot) <- t.sentinel;
   t.size <- t.size - 1;
-  let last = t.heap.(t.size) in
-  t.heap.(t.size) <- t.sentinel;
-  if t.size > 0 then sift_down t.heap t.size 0 last
+  t.free.(Array.length t.times - t.size - 1) <- root_slot;
+  let n = t.size in
+  let time = t.times.(n) and seq = t.seqs.(n) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < n && earlier t.times.(l + 1) t.seqs.(l + 1) t.times.(l) t.seqs.(l)
+      then l + 1
+      else l
+    in
+    if c < n && earlier t.times.(c) t.seqs.(c) time seq then begin
+      move t ~from:c !i;
+      i := c
+    end
+    else sifting := false
+  done;
+  set t !i time seq t.slots.(n)
+
+let root t = t.handles.(t.slots.(0))
 
 (* Cancelled entries are skipped lazily: drop them off the top so the root,
    if any, is the next event to fire. *)
 let rec skip_cancelled t =
-  if t.size > 0 && t.heap.(0).cancelled then begin
+  if t.size > 0 && (root t).cancelled then begin
     pop_root t;
     skip_cancelled t
   end
@@ -107,10 +138,10 @@ let at t fire_at thunk =
   if fire_at < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is in the past (now %g)" fire_at t.clock);
-  let h = { fire_at; seq = t.next_seq; thunk; cancelled = false; owner = t } in
+  let h = { thunk; cancelled = false; owner = t } in
+  push t fire_at t.next_seq h;
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  push t h;
   h
 
 let after t delay thunk =
@@ -135,10 +166,10 @@ let step t =
   skip_cancelled t;
   if t.size = 0 then false
   else begin
-    let h = t.heap.(0) in
+    let h = root t in
+    t.clock <- t.times.(0);
     pop_root t;
     h.cancelled <- true;
-    t.clock <- h.fire_at;
     t.processed <- t.processed + 1;
     t.live <- t.live - 1;
     h.thunk ();
@@ -154,8 +185,8 @@ let run ?until ?max_events t =
     else begin
       skip_cancelled t;
       if t.size = 0 then Quiescent
-      else if t.heap.(0).fire_at > horizon then begin
-        t.clock <- max t.clock horizon;
+      else if t.times.(0) > horizon then begin
+        t.clock <- Float.max t.clock horizon;
         Reached_until
       end
       else begin

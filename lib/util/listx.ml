@@ -44,18 +44,22 @@ let rec mem ~cmp x = function
       let c = cmp x y in
       if c = 0 then true else if c < 0 then false else mem ~cmp x ys
 
+(* A stable sort by key, then a split into runs of equal keys: each group
+   keeps its elements' original order and takes its first element's key. *)
 let group_by ~key ~cmp_key xs =
-  let tbl = Hashtbl.create 16 in
-  List.iteri (fun i x -> Hashtbl.add tbl (key x) (i, x)) xs;
-  let keys =
-    sorted_set ~cmp:cmp_key (List.map key xs)
+  let rec runs = function
+    | [] -> []
+    | (k, x) :: rest ->
+        let rec split acc = function
+          | (k', x') :: rest when cmp_key k k' = 0 -> split (x' :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let group, rest = split [ x ] rest in
+        (k, group) :: runs rest
   in
-  let group k =
-    Hashtbl.find_all tbl k
-    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-    |> List.map snd
-  in
-  List.map (fun k -> (k, group k)) keys
+  List.map (fun x -> (key x, x)) xs
+  |> List.stable_sort (fun (a, _) (b, _) -> cmp_key a b)
+  |> runs
 
 let init = List.init
 

@@ -25,7 +25,8 @@ val mem : cmp:('a -> 'a -> int) -> 'a -> 'a list -> bool
 
 val group_by : key:('a -> 'k) -> cmp_key:('k -> 'k -> int) -> 'a list -> ('k * 'a list) list
 (** Group elements by key; groups are sorted by key, elements keep their
-    original relative order. *)
+    original relative order.  Elements whose keys [cmp_key] calls equal share
+    one group, keyed by its first element's key. *)
 
 val init : int -> (int -> 'a) -> 'a list
 

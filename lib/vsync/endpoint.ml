@@ -6,7 +6,8 @@ module View = Vs_gms.View
 module Estimator = Vs_gms.Estimator
 module Listx = Vs_util.Listx
 module Rng = Vs_util.Rng
-module Hashtblx = Vs_util.Hashtblx
+module Int_tbl = Vs_util.Hashtblx.Int_tbl
+module Ptbl = Proc_id.Tbl
 
 type order = Fifo | Total | Causal
 
@@ -88,8 +89,8 @@ type stats = {
    instead of snapshotting and sorting the whole log per gossip report. *)
 type 'a stream = {
   mutable next : int;
-  buffer : (int, 'a Wire.data) Hashtbl.t;
-  log : (int, 'a Wire.data) Hashtbl.t;
+  buffer : 'a Wire.data Int_tbl.t;
+  log : 'a Wire.data Int_tbl.t;
   mutable trimmed : int;
   mutable nack_armed : bool;
   mutable nack_round : int;
@@ -109,7 +110,7 @@ type ('a, 'ann) ack = {
 type ('a, 'ann) proposal = {
   p_vid : View.Id.t;
   p_members : Proc_id.t list;
-  p_acks : (Proc_id.t, ('a, 'ann) ack) Hashtbl.t;
+  p_acks : ('a, 'ann) ack Ptbl.t;
   mutable p_timer : Sim.handle option;
 }
 
@@ -150,12 +151,12 @@ type ('a, 'ann) t = {
   mutable send_seq : int;
   mutable to_seq : int;  (* my next total-order request number *)
   (* coordinator side: per-origin relay sequencing *)
-  to_streams : (Proc_id.t, int ref * (int, 'a) Hashtbl.t) Hashtbl.t;
-  streams : (Proc_id.t, 'a stream) Hashtbl.t;
+  to_streams : (int ref * 'a Int_tbl.t) Ptbl.t;
+  streams : 'a stream Ptbl.t;
   pending_out : (order * 'a) Queue.t;  (* queued while flushing *)
   (* reliable control plane: unacked Propose/Flush_ack/Install/To_request *)
   mutable ctl_rid : int;
-  ctl_pending : (int, ctl_pending) Hashtbl.t;
+  ctl_pending : ctl_pending Int_tbl.t;
   mutable stash : 'a Wire.data list;
       (* data for the view being installed that raced ahead of the Install *)
   stash_to : (Proc_id.t * int * 'a) Queue.t;
@@ -170,7 +171,7 @@ type ('a, 'ann) t = {
   mutable alive : bool;
   (* stability tracking: each member's latest delivered-prefix vector,
      keyed by sender for O(1) lookup inside the floor fold *)
-  stable_vectors : (Proc_id.t, (Proc_id.t, int) Hashtbl.t) Hashtbl.t;
+  stable_vectors : int Ptbl.t Ptbl.t;
   mutable trim_due : bool;
       (* since the last trim pass, a table of [stable_vectors] changed (by
          a report or a corruption), a stream was created or a view was
@@ -269,14 +270,14 @@ let rec ctl_arm t rid entry payload ~is_done =
     Some
       (Sim.after t.sim delay (fun () ->
            entry.c_timer <- None;
-           if t.alive && Hashtbl.mem t.ctl_pending rid then begin
-             if is_done () then Hashtbl.remove t.ctl_pending rid
+           if t.alive && Int_tbl.mem t.ctl_pending rid then begin
+             if is_done () then Int_tbl.remove t.ctl_pending rid
              else if
                entry.c_attempts >= retry_limit
                || not (ctl_peer_listed t entry.c_dst)
              then begin
                t.s_ctl_abandoned <- t.s_ctl_abandoned + 1;
-               Hashtbl.remove t.ctl_pending rid
+               Int_tbl.remove t.ctl_pending rid
              end
              else begin
                entry.c_attempts <- entry.c_attempts + 1;
@@ -313,38 +314,38 @@ let ctl_send t dst payload ~is_done =
         c_timer = None;
       }
     in
-    Hashtbl.replace t.ctl_pending rid entry;
+    Int_tbl.replace t.ctl_pending rid entry;
     unicast t dst (Wire.Reliable { rid; payload });
     ctl_arm t rid entry payload ~is_done
   end
 
 let ctl_acked t rid =
-  match Hashtbl.find_opt t.ctl_pending rid with
+  match Int_tbl.find_opt t.ctl_pending rid with
   | Some entry ->
       ctl_cancel entry;
-      Hashtbl.remove t.ctl_pending rid
+      Int_tbl.remove t.ctl_pending rid
   | None -> ()
 
 let ctl_reset t =
   (* vslint: allow D2 — cancel-only sweep; timer cancellation commutes *)
-  Hashtbl.iter (fun _ entry -> ctl_cancel entry) t.ctl_pending;
-  Hashtbl.reset t.ctl_pending
+  Int_tbl.iter (fun _ entry -> ctl_cancel entry) t.ctl_pending;
+  Int_tbl.reset t.ctl_pending
 
 let stream_for t sender =
-  match Hashtbl.find_opt t.streams sender with
+  match Ptbl.find_opt t.streams sender with
   | Some s -> s
   | None ->
       let s =
         {
           next = 0;
-          buffer = Hashtbl.create 8;
-          log = Hashtbl.create 8;
+          buffer = Int_tbl.create 8;
+          log = Int_tbl.create 8;
           trimmed = 0;
           nack_armed = false;
           nack_round = 0;
         }
       in
-      Hashtbl.add t.streams sender s;
+      Ptbl.add t.streams sender s;
       t.trim_due <- true;
       s
 
@@ -359,12 +360,12 @@ let floor_from_tables tables members sender =
   List.fold_left
     (fun floor member ->
       let reported =
-        match Hashtbl.find_opt tables member with
-        | Some (table : (Proc_id.t, int) Hashtbl.t) -> (
-            match Hashtbl.find_opt table sender with Some n -> n | None -> 0)
+        match Ptbl.find_opt tables member with
+        | Some table -> (
+            match Ptbl.find_opt table sender with Some n -> n | None -> 0)
         | None -> 0
       in
-      min floor reported)
+      Int.min floor reported)
     max_int members
 
 let stability_floor t sender =
@@ -374,12 +375,12 @@ let stability_floor t sender =
    through the same table-based fold the endpoint uses — lets tests pin the
    rewrite against an independent reference without building an endpoint. *)
 let stability_floor_of ~vectors ~members ~sender =
-  let tables = Hashtbl.create (List.length vectors) in
+  let tables = Ptbl.create (List.length vectors) in
   List.iter
     (fun (member, vector) ->
-      let table = Hashtbl.create (List.length vector) in
-      List.iter (fun (s, n) -> Hashtbl.replace table s n) vector;
-      Hashtbl.replace tables member table)
+      let table = Ptbl.create (List.length vector) in
+      List.iter (fun (s, n) -> Ptbl.replace table s n) vector;
+      Ptbl.replace tables member table)
     vectors;
   floor_from_tables tables members sender
 
@@ -387,14 +388,14 @@ let stability_floor_of ~vectors ~members ~sender =
    view above the stability floor, in canonical (sender, seq) order — the
    flush report. *)
 let all_seen t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+  Ptbl.sorted_bindings t.streams
   |> List.concat_map (fun (sender, s) ->
          let floor =
            match t.config.stability_interval with
            | Some _ -> stability_floor t sender
            | None -> 0
          in
-         Hashtblx.sorted_bindings ~cmp:Int.compare s.log
+         Int_tbl.sorted_bindings s.log
          |> List.filter_map (fun (seq, d) ->
                 if seq >= floor then Some d else None))
   |> List.sort Wire.compare_data
@@ -416,7 +417,7 @@ let causally_ready t (d : 'a Wire.data) =
         (fun (q, n) ->
           Proc_id.equal q d.Wire.sender
           ||
-          match Hashtbl.find_opt t.streams q with
+          match Ptbl.find_opt t.streams q with
           | Some s -> s.next >= n
           | None -> n <= 0)
         deps
@@ -436,15 +437,15 @@ let drain_all t =
       (fun (_, s) ->
         let continue_stream = ref true in
         while !continue_stream do
-          match Hashtbl.find_opt s.buffer s.next with
+          match Int_tbl.find_opt s.buffer s.next with
           | Some d when causally_ready t d ->
-              Hashtbl.remove s.buffer s.next;
+              Int_tbl.remove s.buffer s.next;
               s.next <- s.next + 1;
               deliver_user t d;
               progress := true
           | Some _ | None -> continue_stream := false
         done)
-      (Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams)
+      (Ptbl.sorted_bindings t.streams)
   done
 
 (* Where to send the [round]-th NACK for a gap in [sender]'s stream: the
@@ -476,7 +477,7 @@ let nack_targets_of ~me ~members ~sender ~rounds =
   List.init rounds (fun round -> nack_target_in ~peers ~sender round)
 
 let rec arm_nack t sender s =
-  if (not s.nack_armed) && Hashtbl.length s.buffer > 0 then begin
+  if (not s.nack_armed) && Int_tbl.length s.buffer > 0 then begin
     s.nack_armed <- true;
     let vid_at_arm = t.view.View.id in
     ignore
@@ -485,15 +486,15 @@ let rec arm_nack t sender s =
            if
              t.alive
              && View.Id.equal t.view.View.id vid_at_arm
-             && Hashtbl.length s.buffer > 0
+             && Int_tbl.length s.buffer > 0
            then begin
              let max_buffered =
                (* vslint: allow D2 — commutative fold (max) *)
-               Hashtbl.fold (fun seq _ acc -> max seq acc) s.buffer (-1)
+               Int_tbl.fold (fun seq _ acc -> Int.max seq acc) s.buffer (-1)
              in
              let missing = ref [] in
              for seq = max_buffered - 1 downto s.next do
-               if not (Hashtbl.mem s.log seq) then missing := seq :: !missing
+               if not (Int_tbl.mem s.log seq) then missing := seq :: !missing
              done;
              if !missing <> [] then begin
                t.s_nacks <- t.s_nacks + 1;
@@ -504,7 +505,7 @@ let rec arm_nack t sender s =
              end;
              arm_nack t sender s
            end
-           else if Hashtbl.length s.buffer = 0 then s.nack_round <- 0))
+           else if Int_tbl.length s.buffer = 0 then s.nack_round <- 0))
   end
 
 let members_iter t f = List.iter f t.view.View.members
@@ -641,7 +642,7 @@ let rec multicast t ?(order = Fifo) payload =
                order-insensitive (List.for_all), but the wire image feeds
                traces and byte-identical replay. *)
             let deps =
-              Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+              Ptbl.sorted_bindings t.streams
               |> List.filter_map (fun (sender, s) ->
                      if s.next > 0 then Some (sender, s.next) else None)
             in
@@ -680,15 +681,15 @@ and flush_pending t =
    once if it is next in the stream and causally ready — what [drain_all]
    would deliver first for this stream — or else buffered for the drain. *)
 let ingest_one t s ~active (d : 'a Wire.data) =
-  if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then false
+  if d.Wire.seq < s.next || Int_tbl.mem s.log d.Wire.seq then false
     (* duplicate: already delivered or logged *)
   else begin
-    Hashtbl.replace s.log d.Wire.seq d;
+    Int_tbl.replace s.log d.Wire.seq d;
     if active && d.Wire.seq = s.next && causally_ready t d then begin
       s.next <- s.next + 1;
       deliver_user t d
     end
-    else Hashtbl.replace s.buffer d.Wire.seq d;
+    else Int_tbl.replace s.buffer d.Wire.seq d;
     true
   end
 
@@ -715,7 +716,7 @@ let ingest t (first : 'a Wire.data) rest =
          flushing, messages are logged only: re-reported if the flush
          restarts, synchronised by the install otherwise. *)
       drain_all t;
-      if Hashtbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
+      if Int_tbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
     end
   end
 
@@ -725,20 +726,20 @@ let handle_to_request t ~orig ~rseq ~user =
       (* Relay in per-origin request order: requests race on the wire, so
          buffer out-of-order arrivals — Total stays FIFO per origin. *)
       let next, pending =
-        match Hashtbl.find_opt t.to_streams orig with
+        match Ptbl.find_opt t.to_streams orig with
         | Some entry -> entry
         | None ->
-            let entry = (ref 0, Hashtbl.create 4) in
-            Hashtbl.replace t.to_streams orig entry;
+            let entry = (ref 0, Int_tbl.create 4) in
+            Ptbl.replace t.to_streams orig entry;
             entry
       in
       if rseq >= !next then begin
-        Hashtbl.replace pending rseq user;
+        Int_tbl.replace pending rseq user;
         let contiguous = ref true in
         while !contiguous do
-          match Hashtbl.find_opt pending !next with
+          match Int_tbl.find_opt pending !next with
           | Some u ->
-              Hashtbl.remove pending !next;
+              Int_tbl.remove pending !next;
               incr next;
               send_data t (Wire.Relay { orig; user = u })
           | None -> contiguous := false
@@ -828,7 +829,7 @@ and start_proposal t members =
   abandon_proposal t;
   t.max_epoch <- t.max_epoch + 1;
   let pvid = View.Id.make ~epoch:t.max_epoch ~proposer:t.me in
-  let p = { p_vid = pvid; p_members = members; p_acks = Hashtbl.create 8; p_timer = None } in
+  let p = { p_vid = pvid; p_members = members; p_acks = Ptbl.create 8; p_timer = None } in
   t.proposal <- Some p;
   t.s_proposals <- t.s_proposals + 1;
   Sim.emit t.sim
@@ -859,7 +860,7 @@ and start_proposal t members =
       ctl_send t dst (Wire.Propose { pvid; members })
         ~is_done:(fun () ->
           match t.proposal with
-          | Some p when View.Id.equal p.p_vid pvid -> Hashtbl.mem p.p_acks dst
+          | Some p when View.Id.equal p.p_vid pvid -> Ptbl.mem p.p_acks dst
           | Some _ | None -> true))
     members
 
@@ -879,7 +880,7 @@ and handle_propose t ~pvid ~members =
     && List.exists (Proc_id.equal t.me) members
     && View.Id.compare pvid t.acked > 0
   then begin
-    t.max_epoch <- max t.max_epoch pvid.View.Id.epoch;
+    t.max_epoch <- Int.max t.max_epoch pvid.View.Id.epoch;
     (* Buffered batches belong to the old view: force them onto the wire
        before blocking, so they are in flight (stamped with the old vid)
        and the flush protocol accounts for them like any other send. *)
@@ -902,16 +903,16 @@ and handle_propose_reject t ~pvid ~max_vid =
   match t.proposal with
   | Some p
     when View.Id.equal p.p_vid pvid && View.Id.compare max_vid p.p_vid > 0 ->
-      t.max_epoch <- max t.max_epoch max_vid.View.Id.epoch;
+      t.max_epoch <- Int.max t.max_epoch max_vid.View.Id.epoch;
       let members = p.p_members in
       start_proposal t members
-  | Some _ | None -> t.max_epoch <- max t.max_epoch max_vid.View.Id.epoch
+  | Some _ | None -> t.max_epoch <- Int.max t.max_epoch max_vid.View.Id.epoch
 
 and handle_flush_ack t ~src ~pvid ~from_view ~seen ~ann =
   match t.proposal with
-  | Some p when View.Id.equal p.p_vid pvid && not (Hashtbl.mem p.p_acks src) ->
-      Hashtbl.replace p.p_acks src { a_from = from_view; a_ann = ann; a_seen = seen };
-      if List.for_all (fun m -> Hashtbl.mem p.p_acks m) p.p_members then
+  | Some p when View.Id.equal p.p_vid pvid && not (Ptbl.mem p.p_acks src) ->
+      Ptbl.replace p.p_acks src { a_from = from_view; a_ann = ann; a_seen = seen };
+      if List.for_all (fun m -> Ptbl.mem p.p_acks m) p.p_members then
         finalize_proposal t p
   | Some _ | None -> ()
 
@@ -921,7 +922,7 @@ and finalize_proposal t p =
   let acks =
     List.map
       (fun m ->
-        match Hashtbl.find_opt p.p_acks m with
+        match Ptbl.find_opt p.p_acks m with
         | Some a -> (m, a)
         | None ->
             invalid_arg
@@ -974,8 +975,8 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       let delivered_now = ref 0 in
       let deliver_sync (d : 'a Wire.data) =
         let s = stream_for t d.Wire.sender in
-        Hashtbl.replace s.log d.Wire.seq d;
-        Hashtbl.remove s.buffer d.Wire.seq;
+        Int_tbl.replace s.log d.Wire.seq d;
+        Int_tbl.remove s.buffer d.Wire.seq;
         s.next <- d.Wire.seq + 1;
         incr delivered_now;
         t.s_sync_delivered <- t.s_sync_delivered + 1;
@@ -995,18 +996,18 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       let progress = ref true in
       while !progress && !remaining <> [] do
         progress := false;
-        let blocked = Hashtbl.create 4 in
+        let blocked = Ptbl.create 4 in
         remaining :=
           List.filter
             (fun (d : 'a Wire.data) ->
-              if Hashtbl.mem blocked d.Wire.sender then true
+              if Ptbl.mem blocked d.Wire.sender then true
               else if causally_ready t d then begin
                 deliver_sync d;
                 progress := true;
                 false
               end
               else begin
-                Hashtbl.replace blocked d.Wire.sender ();
+                Ptbl.replace blocked d.Wire.sender ();
                 true
               end)
             !remaining
@@ -1017,12 +1018,12 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       t.view <- new_view;
       t.phase <- Active;
       t.acked <- new_view.View.id;
-      t.max_epoch <- max t.max_epoch new_view.View.id.View.Id.epoch;
+      t.max_epoch <- Int.max t.max_epoch new_view.View.id.View.Id.epoch;
       t.send_seq <- 0;
       t.to_seq <- 0;
-      Hashtbl.reset t.streams;
-      Hashtbl.reset t.to_streams;
-      Hashtbl.reset t.stable_vectors;
+      Ptbl.reset t.streams;
+      Ptbl.reset t.to_streams;
+      Ptbl.reset t.stable_vectors;
       t.trim_due <- true;
       t.nack_peers <-
         live_peers_array ~me:t.me ~members:new_view.View.members;
@@ -1058,7 +1059,7 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
 let rec same_entries table = function
   | [] -> true
   | (sender, n) :: rest -> (
-      match Hashtbl.find_opt table sender with
+      match Ptbl.find_opt table sender with
       | Some m -> m = n && same_entries table rest
       | None -> false)
 
@@ -1071,20 +1072,20 @@ let handle_stable_report t ~src ~vid ~vector =
        up in O(1) instead of scanning an assoc list per (member, sender).
        Most reports repeat the member's previous vector. *)
     let table =
-      match Hashtbl.find_opt t.stable_vectors src with
+      match Ptbl.find_opt t.stable_vectors src with
       | Some table -> table
       | None ->
-          let table = Hashtbl.create (List.length vector) in
-          Hashtbl.replace t.stable_vectors src table;
+          let table = Ptbl.create (List.length vector) in
+          Ptbl.replace t.stable_vectors src table;
           table
     in
     if
       not
-        (Hashtbl.length table = List.length vector
+        (Ptbl.length table = List.length vector
         && same_entries table vector)
     then begin
-      Hashtbl.reset table;
-      List.iter (fun (sender, n) -> Hashtbl.replace table sender n) vector;
+      Ptbl.reset table;
+      List.iter (fun (sender, n) -> Ptbl.replace table sender n) vector;
       t.trim_due <- true
     end;
     (* Trim each stream's log up to its new stability floor.  The [trimmed]
@@ -1099,13 +1100,13 @@ let handle_stable_report t ~src ~vid ~vector =
     if t.trim_due then begin
       t.trim_due <- false;
       (* vslint: allow D2 — removal-only sweep over independent streams; trimming commutes *)
-      Hashtbl.iter
+      Ptbl.iter
         (fun sender s ->
           let floor = stability_floor t sender in
           if floor > s.trimmed then begin
             for seq = s.trimmed to floor - 1 do
-              if Hashtbl.mem s.log seq then begin
-                Hashtbl.remove s.log seq;
+              if Int_tbl.mem s.log seq then begin
+                Int_tbl.remove s.log seq;
                 t.s_stabilized <- t.s_stabilized + 1
               end
             done;
@@ -1124,7 +1125,7 @@ let rec stability_tick t interval () =
            Proc_id order so identically-seeded runs produce byte-identical
            messages and traces. *)
         let vector =
-          Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+          Ptbl.sorted_bindings t.streams
           |> List.map (fun (sender, s) -> (sender, s.next))
         in
         let report =
@@ -1143,11 +1144,11 @@ let rec stability_tick t interval () =
    tail recoverable before the next flush. *)
 let handle_nack t ~src ~vid ~sender ~missing =
   if View.Id.equal vid t.view.View.id then begin
-    match Hashtbl.find_opt t.streams sender with
+    match Ptbl.find_opt t.streams sender with
     | None -> ()
     | Some s ->
         let found =
-          List.filter_map (fun seq -> Hashtbl.find_opt s.log seq) missing
+          List.filter_map (fun seq -> Int_tbl.find_opt s.log seq) missing
         in
         if found <> [] then begin
           let n = List.length found in
@@ -1219,11 +1220,11 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       max_epoch = 0;
       send_seq = 0;
       to_seq = 0;
-      to_streams = Hashtbl.create 8;
-      streams = Hashtbl.create 16;
+      to_streams = Ptbl.create 8;
+      streams = Ptbl.create 16;
       pending_out = Queue.create ();
       ctl_rid = 0;
-      ctl_pending = Hashtbl.create 16;
+      ctl_pending = Int_tbl.create 16;
       stash = [];
       stash_to = Queue.create ();
       ann = None;
@@ -1231,7 +1232,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       fd = None;
       est = None;
       alive = true;
-      stable_vectors = Hashtbl.create 8;
+      stable_vectors = Ptbl.create 8;
       trim_due = false;
       nack_peers = [||]; (* singleton initial view: no peers *)
       batch = new_round ();
@@ -1361,29 +1362,29 @@ let corrupt t (c : corruption) =
       match c with
       | Seq_skew k ->
           let before = t.send_seq in
-          t.send_seq <- max 0 (t.send_seq + k);
+          t.send_seq <- Int.max 0 (t.send_seq + k);
           Printf.sprintf "%d -> %d" before t.send_seq
       | Stability_smear (node, amount) ->
           let member = member_for_node t node in
           let table =
-            match Hashtbl.find_opt t.stable_vectors member with
+            match Ptbl.find_opt t.stable_vectors member with
             | Some table -> table
             | None ->
-                let table = Hashtbl.create 8 in
-                Hashtbl.replace t.stable_vectors member table;
+                let table = Ptbl.create 8 in
+                Ptbl.replace t.stable_vectors member table;
                 table
           in
           let before =
-            match Hashtbl.find_opt table t.me with Some n -> n | None -> 0
+            match Ptbl.find_opt table t.me with Some n -> n | None -> 0
           in
-          let after = max 0 (before + amount) in
-          Hashtbl.replace table t.me after;
+          let after = Int.max 0 (before + amount) in
+          Ptbl.replace table t.me after;
           t.trim_due <- true;
           Printf.sprintf "[%s][%s] %d -> %d"
             (Proc_id.to_string member) (Proc_id.to_string t.me) before after
       | View_skew k ->
           let before = t.acked in
-          let epoch = max 0 (before.View.Id.epoch + k) in
+          let epoch = Int.max 0 (before.View.Id.epoch + k) in
           t.acked <- View.Id.make ~epoch ~proposer:before.View.Id.proposer;
           Printf.sprintf "%s -> %s"
             (View.Id.to_string before)
@@ -1392,7 +1393,7 @@ let corrupt t (c : corruption) =
           let sender = member_for_node t node in
           let s = stream_for t sender in
           let before = s.next in
-          s.next <- max 0 (s.next - k);
+          s.next <- Int.max 0 (s.next - k);
           Printf.sprintf "[%s] %d -> %d" (Proc_id.to_string sender) before
             s.next
     in

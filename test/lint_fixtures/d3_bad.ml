@@ -3,3 +3,4 @@ let first xs = List.hd xs
 let rest xs = List.tl xs
 let forced o = Option.get o
 let lookup tbl k = Hashtbl.find tbl k
+let lookup_typed tbl k = Tbl.find tbl k

@@ -419,11 +419,12 @@ let () =
           Alcotest.test_case "d1_bad" `Quick
             (test_bad ~file:"d1_bad.ml" ~rules:[ "D1"; "D1" ] ~lines:[ 2; 3 ]);
           Alcotest.test_case "d2_bad" `Quick
-            (test_bad ~file:"d2_bad.ml" ~rules:[ "D2"; "D2" ] ~lines:[ 2; 3 ]);
+            (test_bad ~file:"d2_bad.ml" ~rules:[ "D2"; "D2"; "D2"; "D2" ]
+               ~lines:[ 2; 3; 5; 6 ]);
           Alcotest.test_case "d3_bad" `Quick
             (test_bad ~file:"d3_bad.ml"
-               ~rules:[ "D3"; "D3"; "D3"; "D3" ]
-               ~lines:[ 2; 3; 4; 5 ]);
+               ~rules:[ "D3"; "D3"; "D3"; "D3"; "D3" ]
+               ~lines:[ 2; 3; 4; 5; 6 ]);
           Alcotest.test_case "d4_bad" `Quick
             (test_bad ~file:"d4_bad.ml" ~rules:[ "D4"; "D4" ] ~lines:[ 2; 3 ]);
           Alcotest.test_case "d5_bad" `Quick

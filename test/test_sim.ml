@@ -147,6 +147,40 @@ let test_cancel_after_fire () =
   Sim.cancel h;
   check Alcotest.int "still one pending" 1 (Sim.pending sim)
 
+(* Every event the queue pops, fired or cancelled, lets go of its closure.
+   Each thunk captures a fresh block that only a weak array also holds;
+   fired thunks schedule a child capturing another, so slots freed by pops
+   are reused while the queue grows past its initial 16. *)
+let test_popped_closures_released () =
+  let sim = Sim.create () in
+  let n = 100 in
+  let blocks = Weak.create (2 * n) in
+  let fired = ref 0 in
+  let capture i =
+    let block = Bytes.make 8 'x' in
+    Weak.set blocks i (Some block);
+    fun () -> fired := !fired + Bytes.length block
+  in
+  for i = 0 to n - 1 do
+    let own = capture i and child = capture (n + i) in
+    let h =
+      Sim.after sim
+        (float_of_int (i mod 7))
+        (fun () ->
+          own ();
+          ignore (Sim.after sim 0.5 child))
+    in
+    if i mod 3 = 0 then Sim.cancel h
+  done;
+  check Alcotest.bool "quiescent" true (Sim.run sim = Sim.Quiescent);
+  check Alcotest.int "every uncancelled thunk and its child fired"
+    (2 * 8 * (n - 34)) !fired;
+  Gc.full_major ();
+  let kept = List.filter (Weak.check blocks) (List.init (2 * n) Fun.id) in
+  check (Alcotest.list Alcotest.int) "no popped closure is kept alive" [] kept;
+  (* The engine itself is still live across the collection. *)
+  check Alcotest.int "nothing pending" 0 (Sim.pending sim)
+
 let test_step () =
   let sim = Sim.create () in
   let n = ref 0 in
@@ -316,6 +350,8 @@ let () =
           Alcotest.test_case "pending: cancel then pop" `Quick
             test_pending_cancel_then_pop;
           Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
+          Alcotest.test_case "popped closures released" `Quick
+            test_popped_closures_released;
           Alcotest.test_case "single step" `Quick test_step;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "determinism" `Quick test_determinism;

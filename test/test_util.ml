@@ -1,5 +1,5 @@
 (* Unit and property tests for vs_util: PRNG, sorted-set list
-   operations and vector clocks. *)
+   operations, typed hash tables and vector clocks. *)
 
 module Rng = Vs_util.Rng
 module Listx = Vs_util.Listx
@@ -125,13 +125,126 @@ let test_listx_group_by () =
     (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.list Alcotest.int)))
     "grouped by residue, order kept"
     [ (0, [ 3; 6 ]); (1, [ 1; 4; 7 ]); (2, [ 2; 5 ]) ]
-    groups
+    groups;
+  (* A comparator coarser than structural equality: 1 and -1 share a group
+     keyed by the first of them, and neither is lost. *)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.list Alcotest.int)))
+    "coarse comparator keeps every element"
+    [ (1, [ 1; -1 ]); (2, [ 2 ]) ]
+    (Listx.group_by ~key:Fun.id
+       ~cmp_key:(fun a b -> Int.compare (abs a) (abs b))
+       [ 1; -1; 2 ])
 
 let test_listx_take_drop () =
   check (Alcotest.list Alcotest.int) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ]);
   check (Alcotest.list Alcotest.int) "take beyond" [ 1 ] (Listx.take 5 [ 1 ]);
   check (Alcotest.list Alcotest.int) "drop" [ 3 ] (Listx.drop 2 [ 1; 2; 3 ]);
   check (Alcotest.list Alcotest.int) "drop beyond" [] (Listx.drop 5 [ 1 ])
+
+(* ---------- Hashtblx ---------- *)
+
+(* Typed tables against Stdlib's polymorphic Hashtbl: random operations on
+   keys drawn (by index) from a small pool, so most operations hit a bound
+   key and shadowing [add]s pile up past the 32 bindings at which a fresh
+   (16-bucket) table first resizes.  Each pool holds keys that collide
+   under the typed hash. *)
+type table_op =
+  | Add of int * int
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Mem of int
+  | Length
+  | Reset
+
+let show_table_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Length -> "length"
+  | Reset -> "reset"
+
+let table_ops =
+  let open QCheck.Gen in
+  let k = int_bound 31 and v = int_bound 9 in
+  list_size (int_bound 300)
+    (frequency
+       [
+         (30, map2 (fun k v -> Add (k, v)) k v);
+         (15, map2 (fun k v -> Replace (k, v)) k v);
+         (10, map (fun k -> Remove k) k);
+         (15, map (fun k -> Find k) k);
+         (10, map (fun k -> Mem k) k);
+         (5, return Length);
+         (1, return Reset);
+       ])
+
+let matches_model (type k) (module T : Vs_util.Hashtblx.S with type key = k)
+    ~(cmp : k -> k -> int) (pool : k array) ops =
+  let tbl = T.create 4 and model = Hashtbl.create 4 in
+  let key i = pool.(i mod Array.length pool) in
+  List.for_all
+    (function
+      | Add (i, v) ->
+          T.add tbl (key i) v;
+          Hashtbl.add model (key i) v;
+          true
+      | Replace (i, v) ->
+          T.replace tbl (key i) v;
+          Hashtbl.replace model (key i) v;
+          true
+      | Remove i ->
+          T.remove tbl (key i);
+          Hashtbl.remove model (key i);
+          true
+      | Find i -> T.find_opt tbl (key i) = Hashtbl.find_opt model (key i)
+      | Mem i -> T.mem tbl (key i) = Hashtbl.mem model (key i)
+      | Length -> T.length tbl = Hashtbl.length model
+      | Reset ->
+          T.reset tbl;
+          Hashtbl.reset model;
+          true)
+    ops
+  && T.sorted_bindings tbl = Vs_util.Hashtblx.sorted_bindings ~cmp model
+  && T.sorted_keys tbl = Vs_util.Hashtblx.sorted_keys ~cmp model
+
+let table_property ~name table =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+       table_ops)
+    table
+
+(* x and x lxor min_int differ only in the sign bit, which [land max_int]
+   clears: every int collides with its partner. *)
+let int_pool =
+  let base = [ 0; 1; 2; 3; 16; 17; 1 lsl 40; max_int ] in
+  Array.of_list (base @ List.map (fun x -> x lxor min_int) base)
+
+(* Several incarnations per node, and (n, 65599 + i) collides with
+   (n + 1, i) under [node * 65599 + inc]. *)
+let proc_pool =
+  let module P = Vs_net.Proc_id in
+  Array.of_list
+    (List.concat_map
+       (fun node -> List.map (fun inc -> P.make ~node ~inc) [ 0; 1; 2 ])
+       [ 0; 1; 2; 3 ]
+    @ List.map
+        (fun (node, inc) -> P.make ~node ~inc)
+        [ (0, 65599); (0, 65600); (1, 65599); (2, 65601) ])
+
+let int_tbl_property =
+  table_property ~name:"Int_tbl agrees with Hashtbl"
+    (matches_model (module Vs_util.Hashtblx.Int_tbl) ~cmp:Int.compare int_pool)
+
+let proc_tbl_property =
+  table_property ~name:"Proc_id.Tbl agrees with Hashtbl"
+    (matches_model
+       (module Vs_net.Proc_id.Tbl)
+       ~cmp:Vs_net.Proc_id.compare proc_pool)
 
 (* ---------- Vclock ---------- *)
 
@@ -195,6 +308,7 @@ let () =
           qt listx_diff_property;
           qt listx_subset_property;
         ] );
+      ("hashtblx", [ qt int_tbl_property; qt proc_tbl_property ]);
       ( "vclock",
         [
           Alcotest.test_case "basics" `Quick test_vclock_basics;
