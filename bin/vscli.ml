@@ -68,6 +68,27 @@ let spec_of ~seed ~nodes ~evs ~replay =
       in
       Campaign.generate ~protocol ~seed ~nodes ~quick:false ()
 
+(* Full recording: lineage, causal slices, the exporters and the metrics
+   all want the per-message traffic (net.sends and friends are Full-only
+   events).  The level only widens what gets recorded — it draws nothing
+   from the RNG, so seeded runs stay aligned across subcommands. *)
+let record spec =
+  let obs = Recorder.create ~level:Recorder.Full () in
+  let outcome = Campaign.run ~obs spec in
+  (outcome, Recorder.entries obs)
+
+(* The classic annotated text form, at most [limit] entries. *)
+let print_entries ~limit entries =
+  List.iteri
+    (fun i (e : Recorder.entry) ->
+      if i < limit then
+        Printf.printf "[%10.4f] %-8s %s\n" e.Recorder.time
+          (Event.component e.Recorder.event)
+          (Event.render e.Recorder.event))
+    entries;
+  let n = List.length entries in
+  if n > limit then Printf.printf "... (%d more entries)\n" (n - limit)
+
 let replay_arg =
   Arg.(
     value
@@ -171,11 +192,9 @@ let check_cmd =
             (* Replay the shrunk spec with full recording so the failure is
                self-explaining, not just reproducible, and attach the
                explanation next to the saved artifact. *)
-            let obs = Recorder.create ~level:Recorder.Full () in
-            let outcome = Campaign.run ~obs f.Explorer.f_shrunk in
+            let outcome, entries = record f.Explorer.f_shrunk in
             let explain_report =
-              Explain_run.build ~spec:f.Explorer.f_shrunk ~outcome
-                ~entries:(Recorder.entries obs)
+              Explain_run.build ~spec:f.Explorer.f_shrunk ~outcome ~entries
             in
             let text = Explain_run.to_text explain_report in
             print_indented ~indent:"  " text;
@@ -219,12 +238,8 @@ let explain_cmd =
   in
   let run seed nodes evs replay json graph =
     let spec = spec_of ~seed ~nodes ~evs ~replay in
-    (* Full level: lineage and causal slices need the per-message traffic. *)
-    let obs = Recorder.create ~level:Recorder.Full () in
-    let outcome = Campaign.run ~obs spec in
-    let report =
-      Explain_run.build ~spec ~outcome ~entries:(Recorder.entries obs)
-    in
+    let outcome, entries = record spec in
+    let report = Explain_run.build ~spec ~outcome ~entries in
     if json then print_endline (Json.to_string (Explain_run.to_json report))
     else print_string (Explain_run.to_text report);
     (match graph with
@@ -315,10 +330,7 @@ let query_cmd =
   in
   let run seed nodes evs replay procs nodes_f vids msgs types comps t0 t1
       count_only limit =
-    let spec = spec_of ~seed ~nodes ~evs ~replay in
-    let obs = Recorder.create ~level:Recorder.Full () in
-    ignore (Campaign.run ~obs spec);
-    let entries = Recorder.entries obs in
+    let _, entries = record (spec_of ~seed ~nodes ~evs ~replay) in
     let disj of_q = function [] -> [] | xs -> [ Query.any (List.map of_q xs) ] in
     let conjuncts =
       List.concat
@@ -342,17 +354,7 @@ let query_cmd =
     let q = List.fold_left Query.( &&& ) Query.all conjuncts in
     let hits = Query.run q entries in
     if count_only then Printf.printf "%d\n" (List.length hits)
-    else begin
-      List.iteri
-        (fun i (e : Recorder.entry) ->
-          if i < limit then
-            Printf.printf "[%10.4f] %-8s %s\n" e.Recorder.time
-              (Event.component e.Recorder.event)
-              (Event.render e.Recorder.event))
-        hits;
-      if List.length hits > limit then
-        Printf.printf "... (%d more entries)\n" (List.length hits - limit)
-    end
+    else print_entries ~limit hits
   in
   Cmd.v
     (Cmd.info "query"
@@ -401,11 +403,8 @@ let trace_cmd =
   in
   let run seed nodes format replay components limit evs =
     let spec = spec_of ~seed ~nodes ~evs ~replay in
-    (* Full level: the exporters want the per-message traffic too. *)
-    let obs = Recorder.create ~level:Recorder.Full () in
-    let outcome = Campaign.run ~obs spec in
-    let entries = Recorder.entries obs in
-    (match format with
+    let outcome, entries = record spec in
+    match format with
     | `Jsonl -> print_string (Export.jsonl_of_entries entries)
     | `Chrome -> print_endline (Export.chrome_of_entries entries)
     | `Summary ->
@@ -422,16 +421,7 @@ let trace_cmd =
           | [] -> true
           | cs -> List.mem (Event.component e.Recorder.event) cs
         in
-        let shown = List.filter wanted entries in
-        List.iteri
-          (fun i (e : Recorder.entry) ->
-            if i < limit then
-              Printf.printf "[%10.4f] %-8s %s\n" e.Recorder.time
-                (Event.component e.Recorder.event)
-                (Event.render e.Recorder.event))
-          shown;
-        if List.length shown > limit then
-          Printf.printf "... (%d more entries)\n" (List.length shown - limit))
+        print_entries ~limit (List.filter wanted entries)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -456,15 +446,6 @@ let interval_arg =
     & opt float Series.default_interval
     & info [ "interval" ] ~docv:"SECONDS"
         ~doc:"Scrape window length in simulated seconds.")
-
-(* Full recording, so the causal DAG and the series see data-path traffic
-   too (net.sends and friends are Full-only events); the level only widens
-   what gets recorded — it draws nothing from the RNG, so seeded runs stay
-   aligned with every other subcommand. *)
-let record_run spec =
-  let obs = Recorder.create ~level:Recorder.Full () in
-  let (_ : Campaign.outcome) = Campaign.run ~obs spec in
-  Recorder.entries obs
 
 (* Run a seed campaign or corpus repro with a vsmon series tapping a Full
    recorder, and close the final window at the last recorded timestamp. *)
@@ -532,7 +513,7 @@ let metrics_cmd =
   in
   let run seed nodes evs replay format =
     let spec = spec_of ~seed ~nodes ~evs ~replay in
-    let m = Metrics.of_entries (record_run spec) in
+    let m = Metrics.of_entries (snd (record spec)) in
     match format with
     | `Openmetrics -> print_string (Openmetrics.of_metrics m)
     | `Json -> print_endline (Json.to_string (Metrics.to_json m))
@@ -574,8 +555,7 @@ let path_cmd =
   in
   let run seed nodes evs replay json flame =
     let spec = spec_of ~seed ~nodes ~evs ~replay in
-    let entries = record_run spec in
-    let dag = Causal.of_entries entries in
+    let dag = Causal.of_entries (snd (record spec)) in
     (match Causal.validate dag with
     | Ok () -> ()
     | Error msg ->
@@ -671,8 +651,7 @@ let diff_runs_cmd =
   in
   let run a b nodes evs json =
     let spec_a = side_spec ~nodes ~evs a and spec_b = side_spec ~nodes ~evs b in
-    let ra = record_run spec_a and rb = record_run spec_b in
-    let d = Rundiff.diff ~a:ra ~b:rb in
+    let d = Rundiff.diff ~a:(snd (record spec_a)) ~b:(snd (record spec_b)) in
     if json then print_endline (Json.to_string (Rundiff.to_json d))
     else begin
       Printf.printf "A: %s\nB: %s\n\n" (Campaign.describe spec_a)

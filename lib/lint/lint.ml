@@ -297,8 +297,24 @@ let partition_by_suppressions suppressions findings =
   in
   List.partition suppressed_by findings
 
-let lint_source ~path source =
-  let suppressions = scan_suppressions source in
+(* The compiler's parse of one file, or the P1 finding that it has none. *)
+let parse ~path source =
+  match
+    let lexbuf = Lexing.from_string source in
+    Location.init lexbuf path;
+    Parse.implementation lexbuf
+  with
+  | ast -> Ok ast
+  | exception exn ->
+      let line, msg =
+        match exn with
+        | Syntaxerr.Error _ -> (1, "syntax error")
+        | exn -> (1, Printexc.to_string exn)
+      in
+      Error { rule = parse_rule; file = path; line; col = 0; message = msg }
+
+(* The per-file rules over a file already parsed and scanned for allows. *)
+let lint_parsed ~path ~suppressions parsed =
   let malformed =
     List.filter_map
       (fun s ->
@@ -319,25 +335,19 @@ let lint_source ~path source =
       suppressions
   in
   let raw =
-    match
-      let lexbuf = Lexing.from_string source in
-      Location.init lexbuf path;
-      Parse.implementation lexbuf
-    with
-    | ast -> collect_ident_findings ~path ast
-    | exception exn ->
-        let line, msg =
-          match exn with
-          | Syntaxerr.Error _ -> (1, "syntax error")
-          | exn -> (1, Printexc.to_string exn)
-        in
-        [ { rule = parse_rule; file = path; line; col = 0; message = msg } ]
+    match parsed with
+    | Ok ast -> collect_ident_findings ~path ast
+    | Error unparsed -> [ unparsed ]
   in
   let suppressed, findings = partition_by_suppressions suppressions raw in
   {
     findings = List.sort compare_finding (malformed @ findings);
     suppressed = List.sort compare_finding suppressed;
   }
+
+let lint_source ~path source =
+  lint_parsed ~path ~suppressions:(scan_suppressions source)
+    (parse ~path source)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -45,15 +45,6 @@ type report = {
 
 (* ---------- helpers ---------- *)
 
-let parse_structure ~path source =
-  match
-    let lexbuf = Lexing.from_string source in
-    Location.init lexbuf path;
-    Parse.implementation lexbuf
-  with
-  | ast -> Some ast
-  | exception _ -> None
-
 let finding rule ~file ~line ~col message =
   { Lint.rule; file; line; col; message }
 
@@ -118,21 +109,20 @@ let contract_matches (d : Callgraph.def) entry =
 (* ---------- the analysis ---------- *)
 
 let analyze ~files () =
+  (* Each file is parsed and scanned once; both passes read the result. *)
   let per_file =
     List.map
       (fun (path, source) ->
-        let r = Lint.lint_source ~path source in
-        let suppressions = Lint.scan_suppressions source in
-        let annotations = Lint.scan_annotations source in
-        (path, source, r, suppressions, annotations))
+        let parsed = Lint.parse ~path source
+        and suppressions = Lint.scan_suppressions source in
+        let r = Lint.lint_parsed ~path ~suppressions parsed in
+        (path, parsed, r, suppressions, Lint.scan_annotations source))
       files
   in
   let parsed =
     List.filter_map
-      (fun (path, source, _, _, _) ->
-        match parse_structure ~path source with
-        | Some ast -> Some (path, ast)
-        | None -> None)
+      (fun (path, parsed, _, _, _) ->
+        Option.map (fun ast -> (path, ast)) (Result.to_option parsed))
       per_file
   in
   let graph = Callgraph.build parsed in

@@ -124,96 +124,43 @@ let judge cls old_v new_v =
         | Json.Bool false, Json.Bool true -> (Improved, "false -> true")
         | _ -> (Regressed, "exact key changed"))
     | Lower threshold | Higher threshold -> (
+        (* [gain x] is the change [x] signed so that better is positive *)
+        let gain x = match cls with Lower _ -> -.x | _ -> x in
         match (num old_v, num new_v) with
         | Some o, Some n when o <> 0. ->
             let delta = (n -. o) /. Float.abs o in
-            let worse =
-              match cls with
-              | Lower _ -> delta > threshold
-              | _ -> delta < -.threshold
-            in
-            let better =
-              match cls with
-              | Lower _ -> delta < -.threshold
-              | _ -> delta > threshold
-            in
-            if worse then (Regressed, pct delta)
-            else if better then (Improved, pct delta)
+            if gain delta < -.threshold then (Regressed, pct delta)
+            else if gain delta > threshold then (Improved, pct delta)
             else (Ok, pct delta)
         | Some o, Some n ->
             (* old = 0: any nonzero new is a change; direction decides *)
-            let worse =
-              match cls with Lower _ -> n > o | _ -> n < o
-            in
-            if worse then (Regressed, "from 0") else (Improved, "from 0")
+            ((if gain (n -. o) < 0. then Regressed else Improved), "from 0")
         | _ -> (Changed, "non-numeric"))
 
 let diff ?threshold ~old_doc ~new_doc () =
-  let olds = flatten old_doc and news = flatten new_doc in
+  let row key r_old r_new =
+    let r_class = classify ?threshold key in
+    let r_verdict, r_note =
+      match (r_old, r_new) with
+      | Some o, Some n -> judge r_class o n
+      | Some _, None -> (Removed, "removed")
+      | None, _ -> (Added, "added")
+    in
+    { key; r_class; r_old; r_new; r_verdict; r_note }
+  in
   let rec merge olds news acc =
+    let emit key o n olds news = merge olds news (row key o n :: acc) in
     match (olds, news) with
     | [], [] -> List.rev acc
-    | (k, v) :: rest, [] ->
-        merge rest []
-          ({
-             key = k;
-             r_class = classify ?threshold k;
-             r_old = Some v;
-             r_new = None;
-             r_verdict = Removed;
-             r_note = "removed";
-           }
-          :: acc)
-    | [], (k, v) :: rest ->
-        merge [] rest
-          ({
-             key = k;
-             r_class = classify ?threshold k;
-             r_old = None;
-             r_new = Some v;
-             r_verdict = Added;
-             r_note = "added";
-           }
-          :: acc)
+    | (k, v) :: rest, [] -> emit k (Some v) None rest []
+    | [], (k, v) :: rest -> emit k None (Some v) [] rest
     | (ko, vo) :: ro, (kn, vn) :: rn ->
         let c = String.compare ko kn in
-        if c < 0 then
-          merge ro news
-            ({
-               key = ko;
-               r_class = classify ?threshold ko;
-               r_old = Some vo;
-               r_new = None;
-               r_verdict = Removed;
-               r_note = "removed";
-             }
-            :: acc)
-        else if c > 0 then
-          merge olds rn
-            ({
-               key = kn;
-               r_class = classify ?threshold kn;
-               r_old = None;
-               r_new = Some vn;
-               r_verdict = Added;
-               r_note = "added";
-             }
-            :: acc)
-        else
-          let cls = classify ?threshold ko in
-          let verdict, note = judge cls vo vn in
-          merge ro rn
-            ({
-               key = ko;
-               r_class = cls;
-               r_old = Some vo;
-               r_new = Some vn;
-               r_verdict = verdict;
-               r_note = note;
-             }
-            :: acc)
+        if c < 0 then emit ko (Some vo) None ro news
+        else if c > 0 then emit kn None (Some vn) olds rn
+        else emit ko (Some vo) (Some vn) ro rn
   in
-  merge olds news []
+  merge (flatten old_doc) (flatten new_doc) []
 
 let regressions rows =
   List.filter (fun r -> match r.r_verdict with Regressed -> true | _ -> false) rows

@@ -12,7 +12,8 @@
    - barriers: the first [Propose] node and every [Flush] node per view id.
 
    All edges link an already-seen node to the current one, so the DAG is
-   acyclic by construction; [validate] re-checks. *)
+   acyclic by construction; [validate] re-checks that every edge points
+   backwards. *)
 
 type edge_kind = Program | Message | Barrier
 
@@ -43,14 +44,14 @@ let orphans t = t.g_orphans
    (partitions, healing, oracle verdicts, notes) belong to no program; an
    in-flight drop is nobody's action either — its causality is the message
    edge from the send that put the copy on the wire. *)
-let actors (ev : Event.t) =
+let actor (ev : Event.t) =
   match ev with
-  | Event.Send { src; _ } | Event.Dup { src; _ } -> [ src ]
-  | Event.Recv { dst; _ } -> [ dst ]
+  | Event.Send { src; _ } | Event.Dup { src; _ } -> Some src
+  | Event.Recv { dst; _ } -> Some dst
   | Event.Drop { src; reason; _ } ->
       (* Send-time drops are decided by (and charged to) the sender;
          arrival-time reasons have no acting process. *)
-      if Event.send_time_drop reason then [ src ] else []
+      if Event.send_time_drop reason then Some src else None
   | Event.Retransmit { proc; _ }
   | Event.Backoff { proc; _ }
   | Event.Suspect { proc; _ }
@@ -65,10 +66,8 @@ let actors (ev : Event.t) =
   | Event.Task_done { proc; _ }
   | Event.Crash { proc }
   | Event.Corrupt { proc; _ } ->
-      [ proc ]
-  | Event.Partition _ | Event.Heal | Event.Quarantine _ | Event.Note _ -> []
-
-let actor ev = match actors ev with p :: _ -> Some p | [] -> None
+      Some proc
+  | Event.Partition _ | Event.Heal | Event.Quarantine _ | Event.Note _ -> None
 
 (* Wire-copy matching key.  [dst] by node (see header). *)
 type copy_key = string * Event.proc * int * Event.msg option
@@ -111,14 +110,14 @@ let of_entries (entries : Recorder.entry list) =
   in
   Array.iteri
     (fun i (nd : Recorder.entry) ->
-      (* program-order edge per acting process *)
-      List.iter
-        (fun p ->
+      (* program-order edge from the acting process's previous node *)
+      (match actor nd.event with
+      | Some p ->
           (match Hashtbl.find_opt last_of p with
           | Some j -> add_edge Program j i
           | None -> ());
-          Hashtbl.replace last_of p i)
-        (actors nd.event);
+          Hashtbl.replace last_of p i
+      | None -> ());
       match nd.event with
       | Event.Send { src; dst; kind; msg; _ } | Event.Dup { src; dst; kind; msg }
         ->
@@ -171,7 +170,6 @@ let of_entries (entries : Recorder.entry list) =
   }
 
 let validate t =
-  let n = Array.length t.g_nodes in
   let bad = ref None in
   Array.iteri
     (fun i ps ->
@@ -180,22 +178,13 @@ let validate t =
           if (j < 0 || j >= i) && !bad = None then bad := Some (j, i))
         ps)
     t.g_preds;
+  (* With every predecessor earlier in the stream, stream order is a
+     topological order, so the graph is acyclic. *)
   match !bad with
   | Some (j, i) ->
       Error
         (Printf.sprintf "edge %d -> %d violates stream topological order" j i)
-  | None ->
-      (* Forward edges imply acyclicity, but re-verify with an explicit
-         topological pass so the property holds even if construction ever
-         changes: process ids in order, demanding every predecessor was
-         already finished. *)
-      let done_ = Array.make n false in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        List.iter (fun (j, _) -> if not done_.(j) then ok := false) t.g_preds.(i);
-        done_.(i) <- true
-      done;
-      if !ok then Ok () else Error "topological pass found an unfinished pred"
+  | None -> Ok ()
 
 (* --- live collector ------------------------------------------------------- *)
 

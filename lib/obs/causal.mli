@@ -56,8 +56,8 @@ val actor : Event.t -> Event.proc option
     notes) and in-flight drops. *)
 
 val validate : t -> (unit, string) result
-(** [Ok ()] iff every edge goes forward in stream order (which implies
-    acyclicity, re-verified with a topological pass). *)
+(** [Ok ()] iff every edge goes forward in stream order, which makes the
+    stream order a topological order and the graph acyclic. *)
 
 (** {2 Live collector}
 

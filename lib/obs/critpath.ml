@@ -199,11 +199,15 @@ let top_charge tbl =
     None
     (Hashtblx.sorted_bindings ~cmp:Event.compare_proc tbl)
 
-let kind_sums segs =
-  let a = Array.make n_kinds 0. in
+(* Seconds per kind, each segment added into [a] in list order. *)
+let add_segments a segs =
   List.iter
     (fun s -> a.(kind_index s.s_kind) <- a.(kind_index s.s_kind) +. seg_duration s)
-    segs;
+    segs
+
+let kind_sums segs =
+  let a = Array.make n_kinds 0. in
+  add_segments a segs;
   a
 
 let kind_list a = List.map (fun k -> (k, a.(kind_index k))) all_seg_kinds
@@ -240,16 +244,8 @@ let add_into acc sums = Array.iteri (fun k v -> acc.(k) <- acc.(k) +. v) sums
 (* Per-view rows, sorted by view id; each view's installs are folded in
    install order. *)
 let view_rows installs =
-  let by_vid : (Event.vid, install_path list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ip ->
-      let vid = ip.ip_attr.Stall.a_vid in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_vid vid) in
-      Hashtbl.replace by_vid vid (ip :: prev))
-    installs;
   List.map
-    (fun (vid, rev_ips) ->
-      let ips = List.rev rev_ips in
+    (fun (vid, ips) ->
       let kinds = Array.make n_kinds 0. in
       let charges = Hashtbl.create 8 in
       List.iter
@@ -264,7 +260,9 @@ let view_rows installs =
         vr_kind_seconds = kind_list kinds;
         vr_straggler = top_charge charges;
       })
-    (Hashtblx.sorted_bindings ~cmp:Event.compare_vid by_vid)
+    (Vs_util.Listx.group_by
+       ~key:(fun ip -> ip.ip_attr.Stall.a_vid)
+       ~cmp_key:Event.compare_vid installs)
 
 let of_dag dag =
   let anchors = Stall.tracker () in
@@ -356,27 +354,22 @@ let close ~tol a b =
   Float.abs (a -. b)
   <= tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
 
-let kind_seconds t =
+(* Every install's segments added into one array in stream order — not
+   per-install partial sums, which would round differently. *)
+let kind_array t =
   let a = Array.make n_kinds 0. in
-  List.iter
-    (fun ip ->
-      List.iter
-        (fun s ->
-          a.(kind_index s.s_kind) <- a.(kind_index s.s_kind) +. seg_duration s)
-        ip.ip_segments)
-    t.installs;
-  kind_list a
+  List.iter (fun ip -> add_segments a ip.ip_segments) t.installs;
+  a
+
+let kind_seconds t = kind_list (kind_array t)
 
 let consistent_with_stall t attrs =
   let tol = default_tol in
   let sums_ok =
     List.for_all (fun ip -> close ~tol (path_sum ip) (latency ip)) t.installs
   in
-  let kind k =
-    List.fold_left
-      (fun acc (k', v) -> if k' = k then acc +. v else acc)
-      0. (kind_seconds t)
-  in
+  let kinds = kind_array t in
+  let kind k = kinds.(kind_index k) in
   let flush_attr, stab_attr =
     List.fold_left
       (fun (f, s) (a : Stall.attr) ->
@@ -388,6 +381,17 @@ let consistent_with_stall t attrs =
   && close ~tol (kind Stability_wait) stab_attr
 
 (* --- rendering ------------------------------------------------------------ *)
+
+(* The ["straggler"] / ["straggler_s"] pair of a view row and the whole run. *)
+let straggler_fields s =
+  [
+    ( "straggler",
+      match s with
+      | Some (p, _) -> Json.Str (Event.proc_to_string p)
+      | None -> Json.Null );
+    ( "straggler_s",
+      match s with Some (_, c) -> Json.Float c | None -> Json.Null );
+  ]
 
 let straggler_repr = function
   | None -> "-"
@@ -457,16 +461,7 @@ let view_json vr =
        ("latency_s", Json.Float vr.vr_latency);
      ]
     @ kind_fields vr.vr_kind_seconds
-    @ [
-        ( "straggler",
-          match vr.vr_straggler with
-          | Some (p, _) -> Json.Str (Event.proc_to_string p)
-          | None -> Json.Null );
-        ( "straggler_s",
-          match vr.vr_straggler with
-          | Some (_, c) -> Json.Float c
-          | None -> Json.Null );
-      ])
+    @ straggler_fields vr.vr_straggler)
 
 let ops_json o =
   Json.Obj
@@ -484,19 +479,12 @@ let ops_json o =
 
 let to_json t =
   Json.Obj
-    [
-      ("views", Json.Arr (List.map view_json t.views));
-      ("installs", Json.Arr (List.map install_json t.installs));
-      ("ops", ops_json t.ops);
-      ( "straggler",
-        match t.straggler with
-        | Some (p, _) -> Json.Str (Event.proc_to_string p)
-        | None -> Json.Null );
-      ( "straggler_s",
-        match t.straggler with
-        | Some (_, c) -> Json.Float c
-        | None -> Json.Null );
-    ]
+    ([
+       ("views", Json.Arr (List.map view_json t.views));
+       ("installs", Json.Arr (List.map install_json t.installs));
+       ("ops", ops_json t.ops);
+     ]
+    @ straggler_fields t.straggler)
 
 (* One folded stack per (view, segment kind, owner); the stack line itself
    is the key, so sorting the keys sorts the output. *)

@@ -8,17 +8,7 @@ module Listx = Vs_util.Listx
 
 (* ---------- per-message lifecycles ---------- *)
 
-type what = Sent | Received | Dropped of string | Duplicated
-
-type hop = {
-  h_time : float;
-  h_src : Event.proc;
-  h_dst : Event.proc;
-  h_kind : string;
-  h_what : what;
-}
-
-type delivery = { d_proc : Event.proc; d_time : float; d_vid : Event.vid option }
+type delivery = { d_proc : Event.proc; d_vid : Event.vid option }
 
 (* Send-time drops (Event.send_time_drop) kill an attempt before it reaches
    the wire — no Send event is emitted for them.  Arrival drops ("dst-dead",
@@ -29,7 +19,6 @@ type delivery = { d_proc : Event.proc; d_time : float; d_vid : Event.vid option 
 
 type lifecycle = {
   l_msg : Event.msg;
-  l_hops : hop list;  (* chronological *)
   l_copies : int;  (* envelopes put on the wire: sends + dups *)
   l_received : int;
   l_dups : int;
@@ -41,12 +30,7 @@ type lifecycle = {
 
 (* ---------- per-process timelines ---------- *)
 
-type view_span = {
-  vs_vid : Event.vid;
-  vs_from : float;
-  vs_until : float option;  (* next install or crash; None while open *)
-  vs_members : Event.proc list;
-}
+type view_span = { vs_vid : Event.vid; vs_from : float }
 
 type timeline = {
   tl_proc : Event.proc;
@@ -85,32 +69,18 @@ type vedge = {
 
 type graph = { vnodes : vnode list; vedges : vedge list }
 
-let successors g vid =
-  List.filter_map
-    (fun e ->
-      if Event.compare_vid e.e_from vid = 0 then Some e.e_to else None)
-    g.vedges
+(* Views at one end of more than one edge, with the other ends in edge
+   order.  Edges are sorted by (from, to), so both lists come out sorted. *)
+let fanout ~at ~other g =
+  Listx.group_by ~key:at ~cmp_key:Event.compare_vid g.vedges
+  |> List.filter_map (fun (vid, es) ->
+         match es with
+         | [] | [ _ ] -> None
+         | es -> Some (vid, List.map other es))
 
-let predecessors g vid =
-  List.filter_map
-    (fun e -> if Event.compare_vid e.e_to vid = 0 then Some e.e_from else None)
-    g.vedges
+let splits = fanout ~at:(fun e -> e.e_from) ~other:(fun e -> e.e_to)
 
-let splits g =
-  List.filter_map
-    (fun n ->
-      match successors g n.n_vid with
-      | [] | [ _ ] -> None
-      | vs -> Some (n.n_vid, vs))
-    g.vnodes
-
-let merges g =
-  List.filter_map
-    (fun n ->
-      match predecessors g n.n_vid with
-      | [] | [ _ ] -> None
-      | vs -> Some (n.n_vid, vs))
-    g.vnodes
+let merges = fanout ~at:(fun e -> e.e_to) ~other:(fun e -> e.e_from)
 
 (* ---------- the fold ---------- *)
 
@@ -118,7 +88,6 @@ type t = {
   lifecycles : lifecycle list;  (* sorted by message identity *)
   timelines : timeline list;  (* sorted by process *)
   graph : graph;
-  events : int;
 }
 
 let lifecycle t m =
@@ -126,6 +95,17 @@ let lifecycle t m =
 
 let timeline t p =
   List.find_opt (fun tl -> Event.compare_proc tl.tl_proc p = 0) t.timelines
+
+(* Mutable per-message tally while folding; arrivals are resolved to the
+   receiver's view once every install is known. *)
+type tally = {
+  mutable copies : int;
+  mutable received : int;
+  mutable dups : int;
+  mutable predrops : (string * int) list;
+  mutable inflight : (string * int) list;
+  mutable rev_arrivals : (Event.proc * float) list;
+}
 
 (* Mutable per-view aggregate while folding. *)
 type view_agg = {
@@ -140,21 +120,33 @@ type view_agg = {
   mutable a_subviews : int;
 }
 
+(* A timeline mark: what happened to a process at a time. *)
+type mark = Installed of Event.vid | Crashed
+
+let bump assoc reason =
+  let n = match List.assoc_opt reason assoc with Some n -> n | None -> 0 in
+  (reason, n + 1) :: List.remove_assoc reason assoc
+
 let of_entries entries =
-  let hops : (Event.msg, hop list ref) Hashtbl.t = Hashtbl.create 256 in
-  let installs : (Event.proc, (float * Event.vid * Event.proc list) list ref)
-      Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let crashes : (Event.proc, float) Hashtbl.t = Hashtbl.create 16 in
+  let tallies : (Event.msg, tally) Hashtbl.t = Hashtbl.create 256 in
   let views : (Event.vid, view_agg) Hashtbl.t = Hashtbl.create 32 in
-  let bucket tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
+  let rev_marks = ref [] in
+  let tally m =
+    match Hashtbl.find_opt tallies m with
+    | Some t -> t
     | None ->
-        let r = ref [] in
-        Hashtbl.add tbl key r;
-        r
+        let t =
+          {
+            copies = 0;
+            received = 0;
+            dups = 0;
+            predrops = [];
+            inflight = [];
+            rev_arrivals = [];
+          }
+        in
+        Hashtbl.add tallies m t;
+        t
   in
   let view_agg vid time =
     match Hashtbl.find_opt views vid with
@@ -176,35 +168,33 @@ let of_entries entries =
         Hashtbl.add views vid a;
         a
   in
-  let hop time src dst kind what = function
-    | None -> ()
-    | Some m ->
-        let r = bucket hops m in
-        r := { h_time = time; h_src = src; h_dst = dst; h_kind = kind; h_what = what } :: !r
-  in
   List.iter
     (fun (e : Recorder.entry) ->
       let time = e.time in
       match e.event with
-      | Event.Send { src; dst; kind; msg; _ } -> hop time src dst kind Sent msg
-      | Event.Recv { src; dst; kind; msg } -> hop time src dst kind Received msg
-      | Event.Drop { src; dst; kind; reason; msg } ->
-          hop time src dst kind (Dropped reason) msg
-      | Event.Dup { src; dst; kind; msg } -> hop time src dst kind Duplicated msg
+      | Event.Send { msg = Some m; _ } ->
+          let t = tally m in
+          t.copies <- t.copies + 1
+      | Event.Dup { msg = Some m; _ } ->
+          let t = tally m in
+          t.copies <- t.copies + 1;
+          t.dups <- t.dups + 1
+      | Event.Recv { dst; msg = Some m; _ } ->
+          let t = tally m in
+          t.received <- t.received + 1;
+          t.rev_arrivals <- (dst, time) :: t.rev_arrivals
+      | Event.Drop { reason; msg = Some m; _ } ->
+          let t = tally m in
+          if Event.send_time_drop reason then
+            t.predrops <- bump t.predrops reason
+          else t.inflight <- bump t.inflight reason
       | Event.Install { proc; vid; members; _ } ->
-          let r = bucket installs proc in
-          r := (time, vid, members) :: !r;
+          rev_marks := (proc, time, Installed vid) :: !rev_marks;
           let a = view_agg vid time in
           if a.a_members = [] then a.a_members <- members;
-          if
-            not
-              (List.exists
-                 (fun p -> Event.compare_proc p proc = 0)
-                 a.a_installers)
-          then a.a_installers <- proc :: a.a_installers;
+          a.a_installers <- proc :: a.a_installers;
           if time < a.a_first then a.a_first <- time
-      | Event.Crash { proc } ->
-          if not (Hashtbl.mem crashes proc) then Hashtbl.replace crashes proc time
+      | Event.Crash { proc } -> rev_marks := (proc, time, Crashed) :: !rev_marks
       | Event.Settle { vid; transfer; creation; merging; clusters; _ } ->
           let a = view_agg vid time in
           a.a_transfer <- a.a_transfer || transfer;
@@ -215,6 +205,10 @@ let of_entries entries =
           let a = view_agg vid time in
           a.a_eviews <- a.a_eviews + 1;
           if subviews > a.a_subviews then a.a_subviews <- subviews
+      | Event.Send { msg = None; _ }
+      | Event.Dup { msg = None; _ }
+      | Event.Recv { msg = None; _ }
+      | Event.Drop { msg = None; _ }
       | Event.Retransmit _ | Event.Backoff _ | Event.Suspect _
       | Event.Unsuspect _ | Event.Propose _ | Event.Flush _
       | Event.Mode_change _ | Event.Task_start _ | Event.Task_done _
@@ -222,114 +216,73 @@ let of_entries entries =
       | Event.Note _ ->
           ())
     entries;
-  (* Timelines first: lifecycles need view_at for delivery views. *)
+  (* One timeline per process that installed or crashed, its installs in
+     stream order and its first crash. *)
   let timelines =
-    Hashtblx.sorted_bindings ~cmp:Event.compare_proc installs
-    |> List.map (fun (proc, r) -> (proc, List.rev !r))
-    |> List.map (fun (proc, inst) ->
-           let crashed_at = Hashtbl.find_opt crashes proc in
-           let rec spans = function
-             | [] -> []
-             | (t0, vid, members) :: rest ->
-                 let until =
-                   match rest with
-                   | (t1, _, _) :: _ -> Some t1
-                   | [] -> crashed_at
-                 in
-                 { vs_vid = vid; vs_from = t0; vs_until = until;
-                   vs_members = members }
-                 :: spans rest
-           in
-           { tl_proc = proc; tl_views = spans inst; tl_crashed_at = crashed_at })
+    Listx.group_by
+      ~key:(fun (p, _, _) -> p)
+      ~cmp_key:Event.compare_proc (List.rev !rev_marks)
+    |> List.map (fun (proc, marks) ->
+           {
+             tl_proc = proc;
+             tl_views =
+               List.filter_map
+                 (function
+                   | _, vs_from, Installed vs_vid -> Some { vs_vid; vs_from }
+                   | _, _, Crashed -> None)
+                 marks;
+             tl_crashed_at =
+               List.find_map
+                 (function _, t, Crashed -> Some t | _, _, Installed _ -> None)
+                 marks;
+           })
   in
-  (* Processes that only ever crashed (no installs recorded) still deserve a
-     timeline so explain can say when they died. *)
-  let timelines =
-    let covered p =
-      List.exists (fun tl -> Event.compare_proc tl.tl_proc p = 0) timelines
-    in
-    timelines
-    @ (Hashtblx.sorted_bindings ~cmp:Event.compare_proc crashes
-      |> List.filter_map (fun (p, time) ->
-             if covered p then None
-             else
-               Some { tl_proc = p; tl_views = []; tl_crashed_at = Some time }))
-    |> List.sort (fun a b -> Event.compare_proc a.tl_proc b.tl_proc)
+  let view_of p time =
+    Option.bind
+      (List.find_opt (fun tl -> Event.compare_proc tl.tl_proc p = 0) timelines)
+      (fun tl -> view_at tl time)
   in
-  let timeline_of p =
-    List.find_opt (fun tl -> Event.compare_proc tl.tl_proc p = 0) timelines
-  in
-  let bump assoc reason =
-    let n = match List.assoc_opt reason assoc with Some n -> n | None -> 0 in
-    (reason, n + 1) :: List.remove_assoc reason assoc
-  in
+  let sort_counts l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
   let lifecycles =
-    Hashtblx.sorted_bindings ~cmp:Event.compare_msg hops
-    |> List.map (fun (m, r) ->
-           let hs = List.rev !r in
-           let copies, received, dups, predrops, inflight, deliveries =
-             List.fold_left
-               (fun (c, rc, d, pre, infl, dels) h ->
-                 match h.h_what with
-                 | Sent -> (c + 1, rc, d, pre, infl, dels)
-                 | Duplicated -> (c + 1, rc, d + 1, pre, infl, dels)
-                 | Received ->
-                     let vid =
-                       match timeline_of h.h_dst with
-                       | Some tl -> view_at tl h.h_time
-                       | None -> None
-                     in
-                     ( c, rc + 1, d, pre, infl,
-                       { d_proc = h.h_dst; d_time = h.h_time; d_vid = vid }
-                       :: dels )
-                 | Dropped reason ->
-                     if Event.send_time_drop reason then
-                       (c, rc, d, bump pre reason, infl, dels)
-                     else (c, rc, d, pre, bump infl reason, dels))
-               (0, 0, 0, [], [], []) hs
-           in
-           let sort_counts l =
-             List.sort (fun (a, _) (b, _) -> String.compare a b) l
-           in
+    Hashtblx.sorted_bindings ~cmp:Event.compare_msg tallies
+    |> List.map (fun (m, t) ->
            {
              l_msg = m;
-             l_hops = hs;
-             l_copies = copies;
-             l_received = received;
-             l_dups = dups;
-             l_predrops = sort_counts predrops;
-             l_inflight_drops = sort_counts inflight;
+             l_copies = t.copies;
+             l_received = t.received;
+             l_dups = t.dups;
+             l_predrops = sort_counts t.predrops;
+             l_inflight_drops = sort_counts t.inflight;
              l_in_flight =
-               copies - received
-               - List.fold_left (fun a (_, n) -> a + n) 0 inflight;
-             l_deliveries = List.rev deliveries;
+               t.copies - t.received
+               - List.fold_left (fun a (_, n) -> a + n) 0 t.inflight;
+             l_deliveries =
+               List.rev_map
+                 (fun (d_proc, time) -> { d_proc; d_vid = view_of d_proc time })
+                 t.rev_arrivals;
            })
   in
   (* Edges: consecutive installs per process, survivors unioned per edge. *)
-  let edge_tbl : (Event.vid * Event.vid, Event.proc list ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun tl ->
-      let rec go = function
-        | a :: (b :: _ as rest) ->
-            let r = bucket edge_tbl (a.vs_vid, b.vs_vid) in
-            r := tl.tl_proc :: !r;
-            go rest
-        | [ _ ] | [] -> ()
-      in
-      go tl.tl_views)
-    timelines;
   let compare_edge (f1, t1) (f2, t2) =
     match Event.compare_vid f1 f2 with 0 -> Event.compare_vid t1 t2 | c -> c
   in
   let vedges =
-    Hashtblx.sorted_bindings ~cmp:compare_edge edge_tbl
-    |> List.map (fun ((f, t_), procs) ->
+    List.concat_map
+      (fun tl ->
+        let rec steps = function
+          | a :: (b :: _ as rest) ->
+              ((a.vs_vid, b.vs_vid), tl.tl_proc) :: steps rest
+          | [ _ ] | [] -> []
+        in
+        steps tl.tl_views)
+      timelines
+    |> Listx.group_by ~key:fst ~cmp_key:compare_edge
+    |> List.map (fun ((e_from, e_to), steps) ->
            {
-             e_from = f;
-             e_to = t_;
-             e_procs = Listx.sorted_set ~cmp:Event.compare_proc !procs;
+             e_from;
+             e_to;
+             e_procs =
+               Listx.sorted_set ~cmp:Event.compare_proc (List.map snd steps);
            })
   in
   let vnodes =
@@ -349,12 +302,7 @@ let of_entries entries =
              n_max_subviews = a.a_subviews;
            })
   in
-  {
-    lifecycles;
-    timelines;
-    graph = { vnodes; vedges };
-    events = List.length entries;
-  }
+  { lifecycles; timelines; graph = { vnodes; vedges } }
 
 (* ---------- rendering ---------- *)
 

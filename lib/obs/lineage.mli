@@ -5,34 +5,23 @@
     the typed events, and every output list is sorted by the typed
     comparators of {!Event}, so identical streams produce identical
     lineages (the property the corpus's .explain.txt artifacts pin down).
-    Hops are grouped per message identity; no send is matched to a receive
-    here (that is {!Causal}'s job).
+    Each message's sends, duplicates, receipts and drops are counted in
+    place as the stream passes; no hop is stored, and no send is matched to
+    a receive here (that is {!Causal}'s job).
 
     Requires a [Full]-level stream for message lifecycles; view timelines
     and the view graph also work on [Protocol]-level streams. *)
 
 (** {2 Per-message lifecycles} *)
 
-type what = Sent | Received | Dropped of string | Duplicated
-
-type hop = {
-  h_time : float;
-  h_src : Event.proc;
-  h_dst : Event.proc;
-  h_kind : string;  (** wire kind: ["data"], ["relay"], ["to-request"], … *)
-  h_what : what;
-}
-
 type delivery = {
   d_proc : Event.proc;
-  d_time : float;
   d_vid : Event.vid option;
       (** the view the receiver had installed at arrival time, when known *)
 }
 
 type lifecycle = {
   l_msg : Event.msg;
-  l_hops : hop list;  (** chronological *)
   l_copies : int;  (** envelopes put on the wire: sends + dups *)
   l_received : int;
   l_dups : int;
@@ -49,12 +38,7 @@ type lifecycle = {
 
 (** {2 Per-process timelines} *)
 
-type view_span = {
-  vs_vid : Event.vid;
-  vs_from : float;
-  vs_until : float option;  (** next install or crash; [None] while open *)
-  vs_members : Event.proc list;
-}
+type view_span = { vs_vid : Event.vid; vs_from : float  (** install time *) }
 
 type timeline = {
   tl_proc : Event.proc;
@@ -97,7 +81,6 @@ type t = {
   lifecycles : lifecycle list;  (** sorted by message identity *)
   timelines : timeline list;  (** sorted by process *)
   graph : graph;
-  events : int;  (** stream length folded *)
 }
 
 val of_entries : Recorder.entry list -> t

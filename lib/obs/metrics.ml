@@ -144,76 +144,93 @@ let of_entries (entries : Recorder.entry list) =
   List.iter (fun (e : Recorder.entry) -> step d ~time:e.time e.event) entries;
   d.metrics
 
+(* --- the scrape ---------------------------------------------------------- *)
+
+(* One immutable reading of the registry: the sorted enumerations, with each
+   histogram cut to the summary every renderer prints.  [to_json],
+   [to_tables] and the series snapshots all render from it. *)
+type summary = {
+  h_n : int;
+  h_p50 : float;
+  h_p95 : float;
+  h_p99 : float;
+  h_max : float;
+  h_mean : float;
+}
+
+type scrape = {
+  s_counters : (string * int) list;
+  s_gauges : (string * float) list;
+  s_hists : (string * summary) list;
+}
+
+let summary h =
+  {
+    h_n = Hdr.count h;
+    h_p50 = Hdr.percentile h 0.5;
+    h_p95 = Hdr.percentile h 0.95;
+    h_p99 = Hdr.percentile h 0.99;
+    h_max = Hdr.max_value h;
+    h_mean = Hdr.mean h;
+  }
+
+let scrape t =
+  {
+    s_counters = counters t;
+    s_gauges = gauges t;
+    s_hists = List.map (fun (k, h) -> (k, summary h)) (hists t);
+  }
+
 (* --- rendering ----------------------------------------------------------- *)
 
 let to_tables t =
-  let acc = ref [] in
-  let cs = counters t in
-  if cs <> [] then begin
-    let tbl =
-      Vs_stats.Table.create ~title:"metrics: counters"
-        ~columns:[ "metric"; "count" ]
-    in
-    List.iter
-      (fun (k, v) -> Vs_stats.Table.add_row tbl [ k; Vs_stats.Table.fint v ])
-      cs;
-    acc := tbl :: !acc
-  end;
-  let gs = gauges t in
-  if gs <> [] then begin
-    let tbl =
-      Vs_stats.Table.create ~title:"metrics: gauges"
-        ~columns:[ "metric"; "value" ]
-    in
-    List.iter
-      (fun (k, v) ->
-        Vs_stats.Table.add_row tbl [ k; Vs_stats.Table.ffloat ~decimals:4 v ])
-      gs;
-    acc := tbl :: !acc
-  end;
-  let hs = hists t in
-  if hs <> [] then begin
-    let tbl =
-      Vs_stats.Table.create ~title:"metrics: histograms (simulated time)"
-        ~columns:[ "metric"; "n"; "p50"; "p95"; "p99"; "max" ]
-    in
-    List.iter
-      (fun (k, h) ->
-        Vs_stats.Table.add_row tbl
+  let s = scrape t in
+  let table title columns row = function
+    | [] -> None
+    | rows ->
+        let tbl = Vs_stats.Table.create ~title ~columns in
+        List.iter (fun r -> Vs_stats.Table.add_row tbl (row r)) rows;
+        Some tbl
+  in
+  let f4 = Vs_stats.Table.ffloat ~decimals:4 in
+  List.filter_map Fun.id
+    [
+      table "metrics: counters" [ "metric"; "count" ]
+        (fun (k, v) -> [ k; Vs_stats.Table.fint v ])
+        s.s_counters;
+      table "metrics: gauges" [ "metric"; "value" ]
+        (fun (k, v) -> [ k; f4 v ])
+        s.s_gauges;
+      table "metrics: histograms (simulated time)"
+        [ "metric"; "n"; "p50"; "p95"; "p99"; "max" ]
+        (fun (k, h) ->
           [
-            k;
-            Vs_stats.Table.fint (Hdr.count h);
-            Vs_stats.Table.ffloat ~decimals:4 (Hdr.percentile h 0.5);
-            Vs_stats.Table.ffloat ~decimals:4 (Hdr.percentile h 0.95);
-            Vs_stats.Table.ffloat ~decimals:4 (Hdr.percentile h 0.99);
-            Vs_stats.Table.ffloat ~decimals:4 (Hdr.max_value h);
+            k; Vs_stats.Table.fint h.h_n; f4 h.h_p50; f4 h.h_p95; f4 h.h_p99;
+            f4 h.h_max;
           ])
-      hs;
-    acc := tbl :: !acc
-  end;
-  List.rev !acc
+        s.s_hists;
+    ]
 
 let to_text t =
   String.concat "\n" (List.map Vs_stats.Table.to_string (to_tables t))
 
-let to_json t =
-  let hist_json h =
+let scrape_fields s =
+  let obj f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let summary_json h =
     Json.Obj
       [
-        ("n", Json.Int (Hdr.count h));
-        ("p50", Json.Float (Hdr.percentile h 0.5));
-        ("p95", Json.Float (Hdr.percentile h 0.95));
-        ("p99", Json.Float (Hdr.percentile h 0.99));
-        ("max", Json.Float (Hdr.max_value h));
-        ("mean", Json.Float (Hdr.mean h));
+        ("n", Json.Int h.h_n);
+        ("p50", Json.Float h.h_p50);
+        ("p95", Json.Float h.h_p95);
+        ("p99", Json.Float h.h_p99);
+        ("max", Json.Float h.h_max);
+        ("mean", Json.Float h.h_mean);
       ]
   in
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ( "gauges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (gauges t)) );
-      ( "histograms",
-        Json.Obj (List.map (fun (k, h) -> (k, hist_json h)) (hists t)) );
-    ]
+  [
+    ("counters", obj (fun v -> Json.Int v) s.s_counters);
+    ("gauges", obj (fun v -> Json.Float v) s.s_gauges);
+    ("histograms", obj summary_json s.s_hists);
+  ]
+
+let to_json t = Json.Obj (scrape_fields (scrape t))

@@ -52,10 +52,35 @@ val step : deriv -> time:float -> Event.t -> unit
 val of_entries : Recorder.entry list -> t
 (** [deriv_create] + [step] over a completed recording. *)
 
+(** {2 The scrape} *)
+
+type summary = {
+  h_n : int;
+  h_p50 : float;
+  h_p95 : float;
+  h_p99 : float;
+  h_max : float;
+  h_mean : float;
+}
+(** A histogram cut to the figures every renderer prints. *)
+
+type scrape = {
+  s_counters : (string * int) list;  (** sorted by name *)
+  s_gauges : (string * float) list;
+  s_hists : (string * summary) list;
+}
+(** One immutable reading of a registry.  {!to_json}, {!to_text} and the
+    {!Series} snapshots all render from it. *)
+
+val scrape : t -> scrape
+
+val scrape_fields : scrape -> (string * Json.t) list
+(** The sorted [counters] / [gauges] / [histograms] objects, histograms
+    summarized as [n]/[p50]/[p95]/[p99]/[max]/[mean]. *)
+
 (** {2 Rendering} *)
 
 val to_text : t -> string
 
 val to_json : t -> Json.t
-(** Canonical JSON: sorted [counters] / [gauges] / [histograms] objects,
-    histograms summarized as [n]/[p50]/[p95]/[p99]/[max]/[mean]. *)
+(** [Json.Obj (scrape_fields (scrape t))]. *)

@@ -43,48 +43,33 @@ let corrupt_field (ev : Event.t) =
 
 (* First stream position where the causal signatures differ; [None] when one
    stream is a prefix of the other only if it is a *proper* prefix (equal
-   streams yield no divergence). *)
+   streams yield no divergence).  A corrupted field is taken from B's side
+   first. *)
 let first_divergence (a : Recorder.entry list) (b : Recorder.entry list) =
+  let time = Option.map (fun (e : Recorder.entry) -> e.time)
+  and sign = Option.map (fun (e : Recorder.entry) -> signature e.event)
+  and field e =
+    Option.bind e (fun (e : Recorder.entry) -> corrupt_field e.event)
+  in
   let rec go i a b =
     match (a, b) with
     | [], [] -> None
-    | ea :: _, [] ->
+    | ea :: ra, eb :: rb
+      when String.equal (signature ea.Recorder.event)
+             (signature eb.Recorder.event) ->
+        go (i + 1) ra rb
+    | _ ->
+        let ea = List.nth_opt a 0 and eb = List.nth_opt b 0 in
         Some
           {
             dv_index = i;
-            dv_time_a = Some ea.Recorder.time;
-            dv_time_b = None;
-            dv_a = Some (signature ea.Recorder.event);
-            dv_b = None;
-            dv_field = corrupt_field ea.Recorder.event;
+            dv_time_a = time ea;
+            dv_time_b = time eb;
+            dv_a = sign ea;
+            dv_b = sign eb;
+            dv_field =
+              (match field eb with None -> field ea | f -> f);
           }
-    | [], eb :: _ ->
-        Some
-          {
-            dv_index = i;
-            dv_time_a = None;
-            dv_time_b = Some eb.Recorder.time;
-            dv_a = None;
-            dv_b = Some (signature eb.Recorder.event);
-            dv_field = corrupt_field eb.Recorder.event;
-          }
-    | ea :: ra, eb :: rb ->
-        let sa = signature ea.Recorder.event
-        and sb = signature eb.Recorder.event in
-        if String.equal sa sb then go (i + 1) ra rb
-        else
-          Some
-            {
-              dv_index = i;
-              dv_time_a = Some ea.Recorder.time;
-              dv_time_b = Some eb.Recorder.time;
-              dv_a = Some sa;
-              dv_b = Some sb;
-              dv_field =
-                (match corrupt_field eb.Recorder.event with
-                | Some f -> Some f
-                | None -> corrupt_field ea.Recorder.event);
-            }
   in
   go 0 a b
 
@@ -129,38 +114,16 @@ let op_idents entries =
     (List.filter_map (fun (e : Recorder.entry) -> Event.msg_of e.event) entries)
 
 let op_alignment a b =
-  let rec go only_a only_b first a b =
-    match (a, b) with
-    | [], [] -> (only_a, only_b, first)
-    | x :: ra, [] ->
-        go (only_a + 1) only_b
-          (match first with
-          | Some _ -> first
-          | None -> Some (Event.msg_to_string x))
-          ra []
-    | [], y :: rb ->
-        go only_a (only_b + 1)
-          (match first with
-          | Some _ -> first
-          | None -> Some (Event.msg_to_string y))
-          [] rb
-    | x :: ra, y :: rb ->
-        let c = Event.compare_msg x y in
-        if c = 0 then go only_a only_b first ra rb
-        else if c < 0 then
-          go (only_a + 1) only_b
-            (match first with
-            | Some _ -> first
-            | None -> Some (Event.msg_to_string x))
-            ra b
-        else
-          go only_a (only_b + 1)
-            (match first with
-            | Some _ -> first
-            | None -> Some (Event.msg_to_string y))
-            a rb
+  let only_a = Vs_util.Listx.diff ~cmp:Event.compare_msg a b
+  and only_b = Vs_util.Listx.diff ~cmp:Event.compare_msg b a in
+  (* the first identity of the merged order that one side lacks *)
+  let first =
+    match (only_a, only_b) with
+    | x :: _, y :: _ -> Some (if Event.compare_msg x y < 0 then x else y)
+    | x :: _, [] | [], x :: _ -> Some x
+    | [], [] -> None
   in
-  go 0 0 None a b
+  (List.length only_a, List.length only_b, Option.map Event.msg_to_string first)
 
 (* Per-phase decomposition: the three stall phases, then the six
    critical-path segment kinds, then the total install latency. *)

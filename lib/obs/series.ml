@@ -22,22 +22,11 @@
    Snapshots live in a fixed ring of 1024 windows: long runs keep the newest
    windows, and [count] exceeding [capacity] signals truncation. *)
 
-type hist_scrape = {
-  h_n : int;
-  h_p50 : float;
-  h_p95 : float;
-  h_p99 : float;
-  h_max : float;
-  h_mean : float;
-}
-
 type snapshot = {
   window : int;  (* index k: the span [kΔ, (k+1)Δ) *)
   t_start : float;
   t_end : float;
-  counters : (string * int) list;  (* cumulative at window close, sorted *)
-  gauges : (string * float) list;
-  hists : (string * hist_scrape) list;
+  scrape : Metrics.scrape;  (* cumulative at window close *)
 }
 
 type t = {
@@ -75,25 +64,12 @@ let count t = t.count
 
 let metrics t = Metrics.deriv_metrics t.deriv
 
-let scrape_hist h =
-  {
-    h_n = Hdr.count h;
-    h_p50 = Hdr.percentile h 0.5;
-    h_p95 = Hdr.percentile h 0.95;
-    h_p99 = Hdr.percentile h 0.99;
-    h_max = Hdr.max_value h;
-    h_mean = Hdr.mean h;
-  }
-
 let scrape t ~window =
-  let m = metrics t in
   {
     window;
     t_start = float_of_int window *. t.interval;
     t_end = float_of_int (window + 1) *. t.interval;
-    counters = Metrics.counters m;
-    gauges = Metrics.gauges m;
-    hists = List.map (fun (k, h) -> (k, scrape_hist h)) (Metrics.hists m);
+    scrape = Metrics.scrape (metrics t);
   }
 
 let push t snap =
@@ -141,35 +117,20 @@ let snapshots t =
    the cumulative value is the delta). *)
 let delta_counter ~prev snap name =
   let get s =
-    match List.assoc_opt name s.counters with Some v -> v | None -> 0
+    match List.assoc_opt name s.scrape.Metrics.s_counters with
+    | Some v -> v
+    | None -> 0
   in
   get snap - match prev with Some p -> get p | None -> 0
 
 (* --- rendering ----------------------------------------------------------- *)
 
 let snapshot_to_json (s : snapshot) =
-  let hist_json h =
-    Json.Obj
-      [
-        ("n", Json.Int h.h_n);
-        ("p50", Json.Float h.h_p50);
-        ("p95", Json.Float h.h_p95);
-        ("p99", Json.Float h.h_p99);
-        ("max", Json.Float h.h_max);
-        ("mean", Json.Float h.h_mean);
-      ]
-  in
   Json.Obj
-    [
-      ("window", Json.Int s.window);
-      ("t_start", Json.Float s.t_start);
-      ("t_end", Json.Float s.t_end);
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.counters) );
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) s.gauges));
-      ( "histograms",
-        Json.Obj (List.map (fun (k, h) -> (k, hist_json h)) s.hists) );
-    ]
+    (("window", Json.Int s.window)
+    :: ("t_start", Json.Float s.t_start)
+    :: ("t_end", Json.Float s.t_end)
+    :: Metrics.scrape_fields s.scrape)
 
 let to_json t =
   Json.Obj
@@ -197,8 +158,9 @@ let to_table t =
         @ [ "install p99"; "stall p99" ])
   in
   let pct name s =
-    match List.assoc_opt name s.hists with
-    | Some h when h.h_n > 0 -> Vs_stats.Table.ffloat ~decimals:4 h.h_p99
+    match List.assoc_opt name s.scrape.Metrics.s_hists with
+    | Some h when h.Metrics.h_n > 0 ->
+        Vs_stats.Table.ffloat ~decimals:4 h.Metrics.h_p99
     | Some _ | None -> "-"
   in
   let rec rows prev = function

@@ -10,23 +10,11 @@
     to the run schedule with scraping off, and the snapshot sequence is
     byte-deterministic across identically-seeded runs. *)
 
-type hist_scrape = {
-  h_n : int;
-  h_p50 : float;
-  h_p95 : float;
-  h_p99 : float;
-  h_max : float;
-  h_mean : float;
-}
-
 type snapshot = {
   window : int;  (** index [k]: the simulated-time span [kΔ, (k+1)Δ) *)
   t_start : float;
   t_end : float;
-  counters : (string * int) list;
-      (** cumulative values at window close, sorted by name *)
-  gauges : (string * float) list;
-  hists : (string * hist_scrape) list;
+  scrape : Metrics.scrape;  (** the registry at window close, cumulative *)
 }
 
 type t

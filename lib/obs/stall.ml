@@ -147,39 +147,20 @@ type window_row = {
 
 let windows ~interval attrs =
   if not (interval > 0.) then invalid_arg "Stall.windows: interval must be > 0";
-  (* Attrs arrive in install-time order, so consecutive grouping suffices —
-     no hashtable enumeration, deterministic output order. *)
-  let close acc = function
-    | None -> acc
-    | Some row -> row :: acc
-  in
-  let step (acc, current) a =
-    let idx = int_of_float (floor (a.a_time /. interval)) in
-    let acc, row =
-      match current with
-      | Some r when r.w_index = idx -> (acc, r)
-      | (Some _ | None) as prev ->
-          ( close acc prev,
-            {
-              w_index = idx;
-              w_installs = 0;
-              w_propose = 0.;
-              w_flush = 0.;
-              w_stability = 0.;
-            } )
-    in
-    ( acc,
-      Some
-        {
-          row with
-          w_installs = row.w_installs + 1;
-          w_propose = row.w_propose +. a.a_propose_wait;
-          w_flush = row.w_flush +. a.a_flush_wait;
-          w_stability = row.w_stability +. a.a_stability_wait;
-        } )
-  in
-  let acc, current = List.fold_left step ([], None) attrs in
-  List.rev (close acc current)
+  (* Attrs arrive in install-time order, so each window's segments are summed
+     in that order. *)
+  Vs_util.Listx.group_by
+    ~key:(fun a -> int_of_float (floor (a.a_time /. interval)))
+    ~cmp_key:Int.compare attrs
+  |> List.map (fun (w_index, group) ->
+         let sum seg = List.fold_left (fun acc a -> acc +. seg a) 0. group in
+         {
+           w_index;
+           w_installs = List.length group;
+           w_propose = sum (fun a -> a.a_propose_wait);
+           w_flush = sum (fun a -> a.a_flush_wait);
+           w_stability = sum (fun a -> a.a_stability_wait);
+         })
 
 let window_total r = r.w_propose +. r.w_flush +. r.w_stability
 

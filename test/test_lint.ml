@@ -17,10 +17,21 @@ module Cluster = Vs_harness.Cluster
 let check = Alcotest.check
 
 (* dune runtest runs in _build/default/test; dune exec from the root. *)
-let fixture name =
-  let local = Filename.concat "lint_fixtures" name in
-  if Sys.file_exists local then local
-  else Filename.concat "test" local
+let test_file name =
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+let fixture name = test_file (Filename.concat "lint_fixtures" name)
+
+(* The source tree from either place: [..] under dune runtest, [.] from the
+   root.  Not finding it is a failure, not a pass. *)
+let source_root () =
+  match
+    List.find_opt
+      (fun root -> Sys.file_exists (Filename.concat root "lib/net/net.ml"))
+      [ ".."; "." ]
+  with
+  | Some root -> root
+  | None -> Alcotest.fail "source tree not found from the working directory"
 
 let finding_rules (r : Lint.report) =
   List.map (fun (f : Lint.finding) -> f.Lint.rule.Rules.id) r.Lint.findings
@@ -308,27 +319,20 @@ let test_whole_determinism () =
 (* The acceptance bar for the tree itself: the whole-program pass reports
    nothing on the real sources, and the bench's zero-alloc contract is
    present and exported.  dune copies the sources next to the test dir, so
-   this runs against ../lib et al; @lint enforces the same from the rule
-   side, so skipping when the sources are not visible loses nothing. *)
+   under dune runtest this runs against ../lib et al. *)
 let test_real_tree_certified () =
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ] in
-  if roots <> [] then begin
-    let r = Whole.analyze_paths roots in
-    check (Alcotest.list Alcotest.string) "real tree certifies clean" []
-      (rendered r.Whole.findings);
-    let net = "../lib/net/net.ml" in
-    if Sys.file_exists net then begin
-      let src = Lint.read_file net in
-      check Alcotest.bool "net.ml publishes the contract" true
-        (contains ~sub:"zero_alloc_contract" src);
-      check Alcotest.bool "contract covers the send meters" true
-        (contains ~sub:":meter_send" src)
-    end;
-    let bench = "../bench/main.ml" in
-    if Sys.file_exists bench then
-      check Alcotest.bool "bench exports the contract it measures" true
-        (contains ~sub:"zero_alloc_contract" (Lint.read_file bench))
-  end
+  let in_tree = Filename.concat (source_root ()) in
+  let r = Whole.analyze_paths (List.map in_tree [ "lib"; "bin"; "bench" ]) in
+  check (Alcotest.list Alcotest.string) "real tree certifies clean" []
+    (rendered r.Whole.findings);
+  let src = Lint.read_file (in_tree "lib/net/net.ml") in
+  check Alcotest.bool "net.ml publishes the contract" true
+    (contains ~sub:"zero_alloc_contract" src);
+  check Alcotest.bool "contract covers the send meters" true
+    (contains ~sub:":meter_send" src);
+  check Alcotest.bool "bench exports the contract it measures" true
+    (contains ~sub:"zero_alloc_contract"
+       (Lint.read_file (in_tree "bench/main.ml")))
 
 (* ---------- the committed SARIF sample (golden.exe sarif) ---------- *)
 
@@ -404,7 +408,7 @@ let replace_first ~sub ~by s =
   go 0
 
 let test_sarif_sample () =
-  let sample = Lint.read_file "sarif_sample.sarif" in
+  let sample = Lint.read_file (test_file "sarif_sample.sarif") in
   check (Alcotest.list Alcotest.string) "committed sample" []
     (sarif_problems sample);
   let mutated = replace_first ~sub:{|"2.1.0"|} ~by:{|"2.0.0"|} sample in

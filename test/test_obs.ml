@@ -324,25 +324,20 @@ let assert_conservation entries =
   let total_drops = ref 0 and total_received = ref 0 in
   List.iter
     (fun (l : Lineage.lifecycle) ->
-      let count w =
-        List.length
-          (List.filter
-             (fun (h : Lineage.hop) -> h.Lineage.h_what = w)
-             l.Lineage.l_hops)
-      in
-      let sends = count Lineage.Sent
-      and dups = count Lineage.Duplicated
-      and recvs = count Lineage.Received in
+      (* recount this message's wire history from the raw stream *)
+      let mine = Query.run (Query.about_msg l.Lineage.l_msg) entries in
+      let count ty = Query.count (Query.of_type ty) mine in
+      let sends = count "send" and dups = count "dup"
+      and recvs = count "recv" in
       let pre, infl =
         List.fold_left
-          (fun (pre, infl) (h : Lineage.hop) ->
-            match h.Lineage.h_what with
-            | Lineage.Dropped r ->
-                if Event.send_time_drop r then (pre + 1, infl)
+          (fun (pre, infl) (e : Recorder.entry) ->
+            match e.Recorder.event with
+            | Event.Drop { reason; _ } ->
+                if Event.send_time_drop reason then (pre + 1, infl)
                 else (pre, infl + 1)
-            | Lineage.Sent | Lineage.Received | Lineage.Duplicated ->
-                (pre, infl))
-          (0, 0) l.Lineage.l_hops
+            | _ -> (pre, infl))
+          (0, 0) mine
       in
       let name = Event.msg_to_string l.Lineage.l_msg in
       check Alcotest.int (name ^ ": copies = sends + dups") (sends + dups)

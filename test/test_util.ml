@@ -1,5 +1,5 @@
 (* Unit and property tests for vs_util: PRNG, sorted-set list
-   operations, typed hash tables and vector clocks. *)
+   operations and typed hash tables. *)
 
 module Rng = Vs_util.Rng
 module Listx = Vs_util.Listx
@@ -246,43 +246,6 @@ let proc_tbl_property =
        (module Vs_net.Proc_id.Tbl)
        ~cmp:Vs_net.Proc_id.compare proc_pool)
 
-(* ---------- Vclock ---------- *)
-
-module VC = Vs_util.Vclock.Make (Int)
-
-let test_vclock_basics () =
-  let a = VC.tick 1 VC.empty in
-  let b = VC.tick 2 VC.empty in
-  check Alcotest.int "tick sets 1" 1 (VC.get 1 a);
-  check Alcotest.int "absent is 0" 0 (VC.get 2 a);
-  check Alcotest.bool "a not leq b" false (VC.leq a b);
-  check Alcotest.bool "empty leq all" true (VC.leq VC.empty a);
-  let m = VC.merge a b in
-  check Alcotest.bool "merge dominates a" true (VC.leq a m);
-  check Alcotest.bool "merge dominates b" true (VC.leq b m)
-
-let test_vclock_causality () =
-  let base = VC.tick 1 VC.empty in
-  let later = VC.tick 2 base in
-  let other = VC.tick 3 VC.empty in
-  check Alcotest.bool "before" true (VC.compare_causal base later = Vs_util.Vclock.Before);
-  check Alcotest.bool "after" true (VC.compare_causal later base = Vs_util.Vclock.After);
-  check Alcotest.bool "equal" true (VC.compare_causal base base = Vs_util.Vclock.Equal);
-  check Alcotest.bool "concurrent" true
-    (VC.compare_causal later other = Vs_util.Vclock.Concurrent)
-
-let vclock_merge_lub_property =
-  QCheck.Test.make ~name:"merge is least upper bound" ~count:200
-    QCheck.(pair (small_list (int_bound 5)) (small_list (int_bound 5)))
-    (fun (ticks_a, ticks_b) ->
-      let clock ticks = List.fold_left (fun c k -> VC.tick k c) VC.empty ticks in
-      let a = clock ticks_a and b = clock ticks_b in
-      let m = VC.merge a b in
-      VC.leq a m && VC.leq b m
-      && List.for_all
-           (fun (k, v) -> v = max (VC.get k a) (VC.get k b))
-           (VC.to_list m))
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "vs_util"
@@ -309,10 +272,4 @@ let () =
           qt listx_subset_property;
         ] );
       ("hashtblx", [ qt int_tbl_property; qt proc_tbl_property ]);
-      ( "vclock",
-        [
-          Alcotest.test_case "basics" `Quick test_vclock_basics;
-          Alcotest.test_case "causality" `Quick test_vclock_causality;
-          qt vclock_merge_lub_property;
-        ] );
     ]

@@ -99,17 +99,25 @@ let run_campaign ~seed ~series () =
 let test_series_deterministic () =
   let one () =
     let s = Series.create () in
-    let (_ : Recorder.t) = run_campaign ~seed:7 ~series:(Some s) () in
-    s
+    let recorder = run_campaign ~seed:7 ~series:(Some s) () in
+    (s, recorder)
   in
-  let a = one () and b = one () in
+  let a, recorder = one () and b, _ = one () in
   Alcotest.(check string) "series JSON byte-identical"
     (Json.to_string (Series.to_json a))
     (Json.to_string (Series.to_json b));
   Alcotest.(check string) "openmetrics byte-identical"
     (Openmetrics.of_metrics (Series.metrics a))
     (Openmetrics.of_metrics (Series.metrics b));
-  Alcotest.(check bool) "windows were scraped" true (Series.count a > 0)
+  Alcotest.(check bool) "windows were scraped" true (Series.count a > 0);
+  (* the live fold and the fold of the recording end in the same registry *)
+  match List.rev (Series.snapshots a) with
+  | last :: _ ->
+      Alcotest.(check string) "last window scrapes the end-of-run registry"
+        (Json.to_string
+           (Metrics.to_json (Metrics.of_entries (Recorder.entries recorder))))
+        (Json.to_string (Json.Obj (Metrics.scrape_fields last.Series.scrape)))
+  | [] -> Alcotest.fail "no snapshot retained"
 
 (* Attaching a series must not perturb the run: the recorded stream with
    scraping on is byte-identical to the stream with scraping off. *)
