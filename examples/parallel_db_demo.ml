@@ -14,6 +14,7 @@ module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module Mode = Evs_core.Mode
+module Go = Vs_apps.Group_object
 module Pdb = Vs_apps.Parallel_db
 module Endpoint = Vs_vsync.Endpoint
 
@@ -23,15 +24,16 @@ let show_ranges sim dbs heading =
   Printf.printf "\n-- %s (t = %.2fs)\n" heading (Sim.now sim);
   List.iter
     (fun db ->
-      if Pdb.is_alive db then
+      let o = Pdb.obj db in
+      if Go.is_alive o then
         let range =
           match Pdb.my_range db with
           | Some (lo, hi) -> Printf.sprintf "[%3d, %3d)" lo hi
           | None -> "(no table)"
         in
         Printf.printf "   %s  mode=%s  range=%s\n"
-          (Proc_id.to_string (Pdb.me db))
-          (Mode.to_string (Pdb.mode db))
+          (Proc_id.to_string (Go.me o))
+          (Mode.to_string (Go.mode o))
           range)
     dbs
 
@@ -73,7 +75,7 @@ let () =
 
   print_endline "\n   >>> p3 crashes: the table is invalidated, everyone settles,";
   print_endline "   >>> the coordinator redistributes the key space";
-  Pdb.kill (List.nth dbs 3);
+  Go.kill (Pdb.obj (List.nth dbs 3));
   ignore (Sim.run ~until:3.0 sim);
   show_ranges sim dbs "three survivors cover the whole key space again";
 

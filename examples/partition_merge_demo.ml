@@ -22,18 +22,19 @@ let show_structure sim kvs heading =
   Printf.printf "\n-- %s (t = %.2fs)\n" heading (Sim.now sim);
   List.iter
     (fun kv ->
-      if Kv.is_alive kv then
-        Printf.printf "   %s sees %s\n"
-          (Proc_id.to_string (Kv.me kv))
-          (E_view.to_string (Go.eview (Kv.obj kv))))
+      let o = Kv.obj kv in
+      if Go.is_alive o then
+        Printf.printf "   %s sees %s\n" (Proc_id.to_string (Go.me o))
+          (E_view.to_string (Go.eview o)))
     kvs
 
 let show_key kvs key =
   List.iter
     (fun kv ->
-      if Kv.is_alive kv then
+      let o = Kv.obj kv in
+      if Go.is_alive o then
         Printf.printf "   %s: %s = %s\n"
-          (Proc_id.to_string (Kv.me kv))
+          (Proc_id.to_string (Go.me o))
           key
           (match Kv.get kv ~key with Some (v, _) -> v | None -> "(absent)"))
     kvs

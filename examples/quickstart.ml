@@ -9,6 +9,7 @@ module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module Mode = Evs_core.Mode
+module Go = Vs_apps.Group_object
 module Counter = Vs_apps.Counter
 module Endpoint = Vs_vsync.Endpoint
 
@@ -16,10 +17,11 @@ let show sim counters heading =
   Printf.printf "\n-- %s (t = %.2fs)\n" heading (Sim.now sim);
   List.iter
     (fun c ->
-      if Counter.is_alive c then
+      let o = Counter.obj c in
+      if Go.is_alive o then
         Printf.printf "   %s  mode=%s  value=%d\n"
-          (Proc_id.to_string (Counter.me c))
-          (Mode.to_string (Counter.mode c))
+          (Proc_id.to_string (Go.me o))
+          (Mode.to_string (Go.mode o))
           (Counter.value c))
     counters
 

@@ -13,6 +13,7 @@ module Net = Vs_net.Net
 module Proc_id = Vs_net.Proc_id
 module Mode = Evs_core.Mode
 module Store = Vs_store.Store
+module Go = Vs_apps.Group_object
 module Rf = Vs_apps.Replicated_file
 module Endpoint = Vs_vsync.Endpoint
 
@@ -20,26 +21,24 @@ let show sim files heading =
   Printf.printf "\n-- %s (t = %.2fs)\n" heading (Sim.now sim);
   List.iter
     (fun f ->
-      if Rf.is_alive f then
+      let o = Rf.obj f in
+      if Go.is_alive o then
         let state =
           match Rf.read f with
           | Ok (content, version) -> Printf.sprintf "%S v%d" content version
           | Error `Not_serving -> "(settling)"
         in
         Printf.printf "   %s  mode=%s  %s\n"
-          (Proc_id.to_string (Rf.me f))
-          (Mode.to_string (Rf.mode f))
+          (Proc_id.to_string (Go.me o))
+          (Mode.to_string (Go.mode o))
           state)
     files
 
 let attempt_write f content =
+  let me = Proc_id.to_string (Go.me (Rf.obj f)) in
   match Rf.write f content with
-  | Ok () ->
-      Printf.printf "   %s.write %S -> accepted\n" (Proc_id.to_string (Rf.me f)) content
-  | Error `Not_serving ->
-      Printf.printf "   %s.write %S -> refused (no quorum)\n"
-        (Proc_id.to_string (Rf.me f))
-        content
+  | Ok () -> Printf.printf "   %s.write %S -> accepted\n" me content
+  | Error `Not_serving -> Printf.printf "   %s.write %S -> refused (no quorum)\n" me content
 
 let () =
   let sim = Sim.create ~seed:1996L () in
@@ -84,7 +83,7 @@ let () =
   (* Total failure: every process crashes; recovery is a state-creation
      problem solved from the persisted replicas. *)
   print_endline "\n   >>> total failure: all five replicas crash";
-  List.iter Rf.kill files;
+  List.iter (fun f -> Go.kill (Rf.obj f)) files;
   ignore (Sim.run ~until:5.0 sim);
   print_endline "   >>> all five nodes recover with fresh process identities";
   let recovered = List.map (fun node -> mk node 1) universe in

@@ -8,7 +8,6 @@
     is restored) and merging (partitions converge to the highest count). *)
 
 module Proc_id = Vs_net.Proc_id
-module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 
 type payload
@@ -28,26 +27,16 @@ val create :
   net ->
   me:Proc_id.t ->
   universe:int list ->
-  ?observer:(Group_object.observation -> unit) ->
   config:Endpoint.config ->
   unit ->
   t
 
-val me : t -> Proc_id.t
-
 val value : t -> int
 (** Local replica value (readable in any mode). *)
-
-val mode : t -> Mode.t
 
 val increment : t -> by:int -> (unit, [ `Not_serving ]) result
 (** External operation: allowed only in Normal mode. *)
 
 val obj : t -> (payload, ann) Group_object.t
-(** The underlying group-object runtime (for tests and the harness). *)
-
-val is_alive : t -> bool
-
-val leave : t -> unit
-
-val kill : t -> unit
+(** The object's group-object runtime: its identity, mode, history and
+    lifecycle. *)

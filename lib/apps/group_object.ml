@@ -19,20 +19,15 @@ type ('a, 'ann) callbacks = {
   on_mode : Mode.Machine.step -> unit;
   on_settle : Classify.problem -> 'ann Evs.eview_event -> unit;
   on_message : sender:Proc_id.t -> 'a -> unit;
-  on_eview : 'ann Evs.eview_event -> unit;
 }
-
-type observation =
-  | Obs_mode of Mode.Machine.step
-  | Obs_settle of { problem : Classify.problem; eview : E_view.t }
 
 type ('a, 'ann) t = {
   sim : Sim.t;
   spec : 'ann spec;
   callbacks : ('a, 'ann) callbacks;
-  observer : observation -> unit;
   machine : Mode.Machine.t;
   history : History.t;
+  mutable settles : (Classify.problem * E_view.t) list;  (* newest first *)
   mutable evs : ('a, 'ann) Evs.t option;
   mutable prior_members : Proc_id.t list;
   mutable delivery_count : int;
@@ -51,6 +46,8 @@ let mode t = Mode.Machine.mode t.machine
 let machine t = t.machine
 
 let history t = t.history
+
+let settles t = List.rev t.settles
 
 let multicast t ?order payload = Evs.multicast (get_evs t) ?order payload
 
@@ -83,7 +80,6 @@ let record_mode_step t (step : Mode.Machine.step) =
              into_mode = Mode.to_string step.Mode.Machine.into_mode;
              cause = Mode.transition_to_string cause;
            });
-      t.observer (Obs_mode step);
       t.callbacks.on_mode step
   | None -> ()
 
@@ -106,8 +102,18 @@ let merge_own_subviews t =
       if im_smallest && List.length ss.E_view.ss_subviews >= 2 then
         Evs.subview_merge e ss.E_view.ss_subviews
 
+(* The view coordinator merges the view's sv-sets, marking the processes
+   engaged in the joint reconstruction. *)
+let begin_joint_settling t =
+  let ev = eview t in
+  let svset_ids = E_view.svset_ids ev in
+  match Proc_id.min_member (E_view.members ev) with
+  | Some c when Proc_id.equal c (me t) && List.length svset_ids >= 2 ->
+      Evs.svset_merge (get_evs t) svset_ids
+  | Some _ | None -> ()
+
 let handle_eview t (ev : 'ann Evs.eview_event) =
-  (match ev.Evs.cause with
+  match ev.Evs.cause with
   | Evs.View_change ->
       let new_members = E_view.members ev.Evs.eview in
       History.record t.history ~time:(Sim.now t.sim)
@@ -140,7 +146,8 @@ let handle_eview t (ev : 'ann Evs.eview_event) =
                merging = problem.Classify.merging;
                clusters = problem.Classify.clusters;
              });
-        t.observer (Obs_settle { problem; eview = ev.Evs.eview });
+        t.settles <- (problem, ev.Evs.eview) :: t.settles;
+        begin_joint_settling t;
         t.callbacks.on_settle problem ev
       end
   | Evs.Svset_merged _ | Evs.Subview_merged _ ->
@@ -156,8 +163,7 @@ let handle_eview t (ev : 'ann Evs.eview_event) =
       | Evs.Svset_merged _
         when Mode.equal (Mode.Machine.mode t.machine) Mode.Normal ->
           merge_own_subviews t
-      | Evs.Svset_merged _ | Evs.Subview_merged _ | Evs.View_change -> ()));
-  t.callbacks.on_eview ev
+      | Evs.Svset_merged _ | Evs.Subview_merged _ | Evs.View_change -> ())
 
 let handle_message t ~sender payload =
   t.delivery_count <- t.delivery_count + 1;
@@ -170,16 +176,15 @@ let handle_message t ~sender payload =
        });
   t.callbacks.on_message ~sender payload
 
-let create sim net ~me:me_ ~universe ~config ~spec ~callbacks
-    ?(observer = fun _ -> ()) () =
+let create sim net ~me:me_ ~universe ~config ~spec ~callbacks =
   let t =
     {
       sim;
       spec;
       callbacks;
-      observer;
       machine = Mode.Machine.create ();
       history = History.create me_;
+      settles = [];
       evs = None;
       prior_members = [];
       delivery_count = 0;
@@ -195,18 +200,6 @@ let create sim net ~me:me_ ~universe ~config ~spec ~callbacks
   t.evs <- Some e;
   t
 
-let begin_joint_settling t =
-  let ev = eview t in
-  let members = E_view.members ev in
-  let im_coordinator =
-    match Proc_id.min_member members with
-    | Some c -> Proc_id.equal c (me t)
-    | None -> false
-  in
-  let svset_ids = E_view.svset_ids ev in
-  if im_coordinator && List.length svset_ids >= 2 then
-    Evs.svset_merge (get_evs t) svset_ids
-
 let complete_settling t =
   match Mode.Machine.reconcile t.machine with
   | Ok step ->
@@ -219,3 +212,32 @@ let is_alive t = Evs.is_alive (get_evs t)
 let leave t = Evs.leave (get_evs t)
 
 let kill t = Evs.kill (get_evs t)
+
+(* ---------- settle rounds ---------- *)
+
+type 'r round = {
+  r_vid : View.Id.t;
+  r_eview : unit -> E_view.t;  (* the object's current e-view *)
+  mutable r_reports : (Proc_id.t * 'r) list;  (* one per sender *)
+}
+
+let round t =
+  { r_vid = (eview t).E_view.view.View.id; r_eview = (fun () -> eview t); r_reports = [] }
+
+let round_vid r = r.r_vid
+
+let reports r =
+  let ev = r.r_eview () in
+  let of_member m = List.find_opt (fun (p, _) -> Proc_id.equal p m) r.r_reports in
+  let got = List.map of_member (E_view.members ev) in
+  if View.Id.equal r.r_vid ev.E_view.view.View.id && List.for_all Option.is_some got
+  then Some (List.filter_map Fun.id got)
+  else None
+
+let report r ~vid ~sender x =
+  if not (View.Id.equal vid r.r_vid) then None
+  else begin
+    let others = List.filter (fun (p, _) -> not (Proc_id.equal p sender)) r.r_reports in
+    r.r_reports <- (sender, x) :: others;
+    reports r
+  end

@@ -17,7 +17,6 @@
     policy deterministically at every member. *)
 
 module Proc_id = Vs_net.Proc_id
-module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 
 type stamp = { counter : int; origin : int }
@@ -45,7 +44,6 @@ val create :
   net ->
   me:Proc_id.t ->
   universe:int list ->
-  ?observer:(Group_object.observation -> unit) ->
   ?on_apply:(origin:int -> key:string -> value:string -> unit) ->
   config:Endpoint.config ->
   policy:policy ->
@@ -56,10 +54,6 @@ val create :
     deliveries and sample end-to-end write latency without touching the
     store's behaviour. *)
 
-val me : t -> Proc_id.t
-
-val mode : t -> Mode.t
-
 val put : t -> key:string -> value:string -> (unit, [ `Not_serving ]) result
 (** External operation: Normal mode only (briefly refused while settling). *)
 
@@ -69,7 +63,5 @@ val get : t -> key:string -> (string * stamp) option
 val keys : t -> string list
 
 val obj : t -> (payload, ann) Group_object.t
-
-val is_alive : t -> bool
-
-val kill : t -> unit
+(** The store's group-object runtime: its identity, mode, history and
+    lifecycle. *)

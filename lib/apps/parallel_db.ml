@@ -1,4 +1,3 @@
-module Sim = Vs_sim.Sim
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Mode = Evs_core.Mode
@@ -41,7 +40,6 @@ type query_state = {
 }
 
 type t = {
-  sim : Sim.t;
   keyspace : int;
   gate : bool;
   on_scan : scan -> unit;
@@ -55,8 +53,6 @@ type t = {
 let get_obj t = match t.obj with Some o -> o | None -> assert false
 
 let me t = Group_object.me (get_obj t)
-
-let mode t = Group_object.mode (get_obj t)
 
 let obj t = get_obj t
 
@@ -138,7 +134,6 @@ let drain_deferred t =
 
 let handle_settle t _problem _ev =
   let o = get_obj t in
-  Group_object.begin_joint_settling o;
   let ev = Group_object.eview o in
   let vid = ev.E_view.view.View.id in
   if t.gate then begin
@@ -173,7 +168,8 @@ let handle_message t ~sender:_ payload =
       end
 
 let lookup t ~needle =
-  if t.gate && not (Mode.equal (mode t) Mode.Normal) then Error `Not_serving
+  if t.gate && not (Mode.equal (Group_object.mode (get_obj t)) Mode.Normal) then
+    Error `Not_serving
   else begin
     let qid = t.next_qid in
     t.next_qid <- t.next_qid + 1;
@@ -189,11 +185,10 @@ let result_of t qid =
   | Some _ | None -> Error `Pending
 
 let create sim net ~me:me_ ~universe ~config ~keyspace ?(gate_on_settling = true)
-    ?(on_scan = fun _ -> ()) ?observer () =
+    ?(on_scan = fun _ -> ()) () =
   if keyspace <= 0 then invalid_arg "Parallel_db.create: empty keyspace";
   let t =
     {
-      sim;
       keyspace;
       gate = gate_on_settling;
       on_scan;
@@ -219,17 +214,8 @@ let create sim net ~me:me_ ~universe ~config ~keyspace ?(gate_on_settling = true
       Group_object.on_mode = (fun _ -> ());
       on_settle = (fun problem ev -> handle_settle t problem ev);
       on_message = (fun ~sender payload -> handle_message t ~sender payload);
-      on_eview = (fun _ -> ());
     }
   in
-  let o =
-    Group_object.create sim net ~me:me_ ~universe ~config ~spec ~callbacks
-      ?observer ()
-  in
-  t.obj <- Some o;
+  t.obj <- Some (Group_object.create sim net ~me:me_ ~universe ~config ~spec ~callbacks);
   refresh_annotation t;
   t
-
-let is_alive t = Group_object.is_alive (get_obj t)
-
-let kill t = Group_object.kill (get_obj t)

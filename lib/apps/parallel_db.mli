@@ -17,7 +17,6 @@
     counts. *)
 
 module Proc_id = Vs_net.Proc_id
-module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 
 type payload
@@ -47,16 +46,11 @@ val create :
   keyspace:int ->
   ?gate_on_settling:bool ->
   ?on_scan:(scan -> unit) ->
-  ?observer:(Group_object.observation -> unit) ->
   unit ->
   t
 (** [on_scan] lets the harness observe every range scan a member performs —
     the raw material for E8's coverage accounting.  [gate_on_settling]
     defaults to [true] (the correct behaviour). *)
-
-val me : t -> Proc_id.t
-
-val mode : t -> Mode.t
 
 val lookup : t -> needle:int -> (int, [ `Not_serving ]) result
 (** External operation, issued at this member: multicast the query; returns
@@ -71,7 +65,5 @@ val my_range : t -> (int * int) option
 (** This member's currently-assigned [lo, hi) range, if the table is set. *)
 
 val obj : t -> (payload, ann) Group_object.t
-
-val is_alive : t -> bool
-
-val kill : t -> unit
+(** The database's group-object runtime: its identity, mode, history and
+    lifecycle. *)

@@ -23,7 +23,6 @@
     protocol over their persisted replicas. *)
 
 module Proc_id = Vs_net.Proc_id
-module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 
 type payload
@@ -49,17 +48,12 @@ val create :
   net ->
   me:Proc_id.t ->
   universe:int list ->
-  ?observer:(Group_object.observation -> unit) ->
   config:Endpoint.config ->
   file:config ->
   store:Vs_store.Store.t ->
   unit ->
   t
 (** A recovering process re-reads its persisted replica from [store]. *)
-
-val me : t -> Proc_id.t
-
-val mode : t -> Mode.t
 
 val read : t -> (string * int, [ `Not_serving ]) result
 (** External operation: (content, version).  Served in Normal and Reduced
@@ -73,9 +67,5 @@ val write : t -> string -> (unit, [ `Not_serving ]) result
 val version : t -> int
 
 val obj : t -> (payload, ann) Group_object.t
-
-val is_alive : t -> bool
-
-val leave : t -> unit
-
-val kill : t -> unit
+(** The file's group-object runtime: its identity, mode, history and
+    lifecycle. *)

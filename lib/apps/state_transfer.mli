@@ -20,7 +20,6 @@
     size. *)
 
 module Proc_id = Vs_net.Proc_id
-module Mode = Evs_core.Mode
 module Endpoint = Vs_vsync.Endpoint
 
 type strategy =
@@ -42,7 +41,6 @@ val create :
   net ->
   me:Proc_id.t ->
   universe:int list ->
-  ?observer:(Group_object.observation -> unit) ->
   ?bootstrap:bool ->
   config:Endpoint.config ->
   strategy:strategy ->
@@ -56,10 +54,6 @@ val create :
     boot-time singleton view is indistinguishable from a total failure, so
     the distinction must come from the outside. *)
 
-val me : t -> Proc_id.t
-
-val mode : t -> Mode.t
-
 val holds_full_state : t -> bool
 (** Whether the whole blob (sync piece and bulk) has arrived. *)
 
@@ -70,7 +64,8 @@ val full_state_at : t -> float option
 (** Virtual time the full blob last became available locally. *)
 
 val obj : t -> (payload, ann) Group_object.t
-
-val is_alive : t -> bool
+(** The object's group-object runtime: its identity, mode, history and
+    lifecycle. *)
 
 val kill : t -> unit
+(** Stop any bulk stream this process is donating, then crash it. *)

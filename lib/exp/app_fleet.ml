@@ -3,6 +3,7 @@ module View = Vs_gms.View
 module Mode = Evs_core.Mode
 module Classify = Evs_core.Classify
 module History = Evs_core.History
+module Go = Vs_apps.Group_object
 module Fleet = Vs_harness.Fleet
 module Sim = Vs_sim.Sim
 module Rng = Vs_util.Rng
@@ -15,20 +16,27 @@ type 'app t = {
   rev_all : 'app list ref;  (* every instance ever spawned, newest first *)
 }
 
-let create sim net ~nodes ~spawn ~kill ~is_alive ~me ~history =
+let create sim net ~nodes ~spawn ~obj =
   let rev_all = ref [] in
   let spawn proc =
     let app = spawn proc in
     rev_all := app :: !rev_all;
     app
   in
+  let me app = Go.me (obj app) in
   (* Corruptions target Endpoint internals, which the abstract apps do not
      expose, so Corrupt is a no-op here. *)
   let fleet =
     Fleet.create sim net ~nodes
-      { Fleet.spawn; me; is_alive; kill; corrupt = (fun _ _ -> ()) }
+      {
+        Fleet.spawn;
+        me;
+        is_alive = (fun app -> Go.is_alive (obj app));
+        kill = (fun app -> Go.kill (obj app));
+        corrupt = (fun _ _ -> ());
+      }
   in
-  { fleet; nodes; me; history; rev_all }
+  { fleet; nodes; me; history = (fun app -> Go.history (obj app)); rev_all }
 
 let live t = Fleet.live t.fleet
 

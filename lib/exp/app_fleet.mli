@@ -15,14 +15,12 @@ val create :
   'm Vs_net.Net.t ->
   nodes:int list ->
   spawn:(Proc_id.t -> 'app) ->
-  kill:('app -> unit) ->
-  is_alive:('app -> bool) ->
-  me:('app -> Proc_id.t) ->
-  history:('app -> History.t) ->
+  obj:('app -> ('a, 'ann) Vs_apps.Group_object.t) ->
   'app t
 (** [spawn] boots an instance as the given incarnation (it must register
     itself on the fleet's network); initial incarnations are created
-    immediately, one per node. *)
+    immediately, one per node.  [obj] is an instance's group object, through
+    which the fleet reads its identity and history and kills it. *)
 
 val live : 'app t -> 'app list
 

@@ -18,7 +18,6 @@
 
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
-module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module E_view = Evs_core.E_view
 module Classify = Evs_core.Classify
@@ -30,12 +29,6 @@ module Kv = Vs_apps.Kv_store
 module Rf = Vs_apps.Replicated_file
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
-
-type observation = {
-  o_proc : Proc_id.t;
-  o_eview : E_view.t;
-  o_enriched : Classify.problem;
-}
 
 type scores = {
   mutable settles : int;
@@ -63,29 +56,29 @@ let previous_view_members history ~vid ~me =
 
 let score_observations ?(classifier = Classify.flat) fleet observations scores =
   List.iter
-    (fun o ->
-      let vid = o.o_eview.E_view.view.View.id in
-      let members = E_view.members o.o_eview in
+    (fun (proc, ((enriched : Classify.problem), eview)) ->
+      let vid = eview.E_view.view.View.id in
+      let members = E_view.members eview in
       let truth =
         Classify.exact ~members ~prior:(fun q ->
             App_fleet.prior_state_of fleet q ~vid)
       in
       let truth_shape = Classify.shape truth in
       scores.settles <- scores.settles + 1;
-      if Classify.shape o.o_enriched = truth_shape then
+      if Classify.shape enriched = truth_shape then
         scores.enriched_exact <- scores.enriched_exact + 1;
       (* Flat reasoning, restricted to what a flat view would reveal. *)
-      let my_prior, _ = App_fleet.prior_state_of fleet o.o_proc ~vid in
+      let my_prior, _ = App_fleet.prior_state_of fleet proc ~vid in
       let my_prior_members =
-        match App_fleet.history_of fleet o.o_proc with
-        | Some h -> previous_view_members h ~vid ~me:o.o_proc
-        | None -> [ o.o_proc ]
+        match App_fleet.history_of fleet proc with
+        | Some h -> previous_view_members h ~vid ~me:proc
+        | None -> [ proc ]
       in
       let verdicts =
         classifier
           {
             Classify.fk_members = members;
-            fk_me = o.o_proc;
+            fk_me = proc;
             fk_my_prior = my_prior;
             fk_my_prior_members = my_prior_members;
           }
@@ -100,26 +93,17 @@ let score_observations ?(classifier = Classify.flat) fleet observations scores =
     observations
 
 (* One E5 campaign: five group objects under random churn and a steady
-   trickle of operations, recording every entry into Settling.  [spawn]
-   builds one object on the campaign's simulator and network; [op] issues
-   one operation on a randomly picked live object. *)
-let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap
-    ~op =
+   trickle of operations.  [spawn] builds one object on the campaign's
+   simulator and network, and [obj] is its group object; [op] issues one
+   operation on a randomly picked live object.  Returns the fleet and every
+   object's recorded entries into Settling. *)
+let campaign ~seed ~duration ~make_net ~spawn ~obj ~gap ~op =
   let sim = Sim.create ~seed () in
   let net = make_net sim Net.default_config in
   let universe = [ 0; 1; 2; 3; 4 ] in
-  let observations = ref [] in
-  let observer me = function
-    | Go.Obs_settle { problem; eview } ->
-        observations :=
-          { o_proc = me; o_eview = eview; o_enriched = problem } :: !observations
-    | Go.Obs_mode _ -> ()
-  in
   let fleet =
     App_fleet.create sim net ~nodes:universe
-      ~spawn:(fun me -> spawn sim net ~me ~universe ~observer:(observer me))
-      ~kill ~is_alive ~me
-      ~history:(fun app -> Go.history (obj app))
+      ~spawn:(fun me -> spawn sim net ~me ~universe) ~obj
   in
   let rng = Sim.fork_rng sim in
   App_fleet.run_script fleet
@@ -128,13 +112,14 @@ let campaign ~seed ~duration ~make_net ~spawn ~kill ~is_alive ~me ~obj ~gap
     | [] -> ()
     | apps -> op rng time (Vs_util.Rng.pick rng apps));
   ignore (Sim.run ~until:(duration +. 3.0) sim);
-  (fleet, List.rev !observations)
+  let settles app = List.map (fun s -> (Go.me (obj app), s)) (Go.settles (obj app)) in
+  (fleet, List.concat_map settles (App_fleet.all_ever fleet))
 
 let kv_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
   campaign ~seed ~duration ~make_net:Kv.make_net
-    ~spawn:(fun sim net ~me ~universe ~observer ->
-      Kv.create sim net ~me ~universe ~observer ~config ~policy:Kv.Lww ())
-    ~kill:Kv.kill ~is_alive:Kv.is_alive ~me:Kv.me ~obj:Kv.obj ~gap:0.07
+    ~spawn:(fun sim net ~me ~universe ->
+      Kv.create sim net ~me ~universe ~config ~policy:Kv.Lww ())
+    ~obj:Kv.obj ~gap:0.07
     ~op:(fun rng time kv ->
       ignore
         (Kv.put kv
@@ -144,10 +129,10 @@ let kv_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
 let file_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
   let store = Store.create () in
   campaign ~seed ~duration ~make_net:Rf.make_net
-    ~spawn:(fun sim net ~me ~universe ~observer ->
-      Rf.create sim net ~me ~universe ~observer ~config
+    ~spawn:(fun sim net ~me ~universe ->
+      Rf.create sim net ~me ~universe ~config
         ~file:(Rf.uniform_votes ~universe) ~store ())
-    ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me ~obj:Rf.obj ~gap:0.08
+    ~obj:Rf.obj ~gap:0.08
     ~op:(fun _ _ f -> ignore (Rf.write f "x"))
 
 let run ?(quick = false) () =

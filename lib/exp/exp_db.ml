@@ -58,8 +58,7 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
         Pdb.create sim net ~me ~universe
           ~config:Endpoint.default_config ~keyspace ~gate_on_settling:gate
           ~on_scan ())
-      ~kill:Pdb.kill ~is_alive:Pdb.is_alive ~me:Pdb.me
-      ~history:(fun db -> Go.history (Pdb.obj db))
+      ~obj:Pdb.obj
   in
   let rng = Sim.fork_rng sim in
   App_fleet.run_script fleet
@@ -69,7 +68,7 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
     | apps -> (
         let db = Vs_util.Rng.pick rng apps in
         match Pdb.lookup db ~needle:(Vs_util.Rng.int rng 256) with
-        | Ok qid -> issued := (Pdb.me db, qid) :: !issued
+        | Ok qid -> issued := (Go.me (Pdb.obj db), qid) :: !issued
         | Error `Not_serving -> incr refused));
   ignore (Sim.run ~until:(duration +. 2.5) sim);
   let outcome =

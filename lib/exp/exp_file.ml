@@ -40,8 +40,7 @@ let run_churn ~seed ~mean_gap ~duration =
       ~spawn:(fun me ->
         Rf.create sim net ~me ~universe
           ~config:Endpoint.default_config ~file ~store ())
-      ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me
-      ~history:(fun f -> Go.history (Rf.obj f))
+      ~obj:Rf.obj
   in
   let rng = Sim.fork_rng sim in
   (* Partition-only churn isolates the availability question. *)
@@ -49,8 +48,9 @@ let run_churn ~seed ~mean_gap ~duration =
     (Faults.random_script rng ~nodes:universe ~start:0.5 ~duration ~mean_gap
        ~crash_weight:0.2 ~partition_weight:2.0 ());
   (* Steady trickle of writes so staleness is observable. *)
+  let mode f = Go.mode (Rf.obj f) in
   App_fleet.every fleet ~start:0.4 ~until:duration ~gap:0.1 (fun time live ->
-      match List.filter (fun f -> Mode.equal (Rf.mode f) Mode.Normal) live with
+      match List.filter (fun f -> Mode.equal (mode f) Mode.Normal) live with
       | [] -> ()
       | first_writable :: _ ->
           ignore (Rf.write first_writable (Printf.sprintf "w%f" time)));
@@ -62,7 +62,7 @@ let run_churn ~seed ~mean_gap ~duration =
       List.iter
         (fun f ->
           acc.samples <- acc.samples + 1;
-          match Rf.mode f with
+          match mode f with
           | Mode.Normal ->
               acc.writable <- acc.writable + 1;
               acc.readable <- acc.readable + 1

@@ -17,7 +17,7 @@ module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 
 type outcome = {
-  counts : (Mode.transition * int) list;
+  counts : (Mode.transition * int) list;  (* per machine and edge *)
   steps_total : int;
   illegal : int;
   runs : int;
@@ -34,8 +34,7 @@ let run_campaign ~seed ~n ~duration =
       ~spawn:(fun me ->
         Rf.create sim net ~me ~universe
           ~config:Endpoint.default_config ~file ~store ())
-      ~kill:Rf.kill ~is_alive:Rf.is_alive ~me:Rf.me
-      ~history:(fun f -> Go.history (Rf.obj f))
+      ~obj:Rf.obj
   in
   let rng = Sim.fork_rng sim in
   App_fleet.run_script fleet
@@ -62,15 +61,7 @@ let run_campaign ~seed ~n ~duration =
                 ~into:s.Mode.Machine.into_mode))
          steps)
   in
-  let counts =
-    List.concat_map Mode.Machine.transition_counts machines
-    |> List.fold_left
-         (fun acc (tr, n) ->
-           let existing = try List.assoc tr acc with Not_found -> 0 in
-           (tr, existing + n) :: List.remove_assoc tr acc)
-         []
-  in
-  (counts, List.length steps, illegal)
+  (List.concat_map Mode.Machine.transition_counts machines, List.length steps, illegal)
 
 let run ?(quick = false) () =
   let seeds = if quick then [ 1 ] else [ 1; 2; 3; 4; 5 ] in
@@ -82,12 +73,7 @@ let run ?(quick = false) () =
           run_campaign ~seed:(Int64.of_int (seed * 31)) ~n:5 ~duration
         in
         {
-          counts =
-            List.fold_left
-              (fun cs (tr, n) ->
-                let existing = try List.assoc tr cs with Not_found -> 0 in
-                (tr, existing + n) :: List.remove_assoc tr cs)
-              acc.counts counts;
+          counts = counts @ acc.counts;
           steps_total = acc.steps_total + steps;
           illegal = acc.illegal + illegal;
           runs = acc.runs + 1;
@@ -112,7 +98,11 @@ let run ?(quick = false) () =
   in
   List.iter
     (fun tr ->
-      let n = try List.assoc tr merged.counts with Not_found -> 0 in
+      let n =
+        List.fold_left
+          (fun n (tr', k) -> if Mode.equal_transition tr tr' then n + k else n)
+          0 merged.counts
+      in
       Table.add_row table
         [ Mode.transition_to_string tr; edge_of tr; Table.fint n ])
     [ Mode.Failure; Mode.Repair; Mode.Reconfigure; Mode.Reconcile ];

@@ -32,7 +32,6 @@ module Proc_id = Vs_net.Proc_id
 module Fd = Vs_fd.Fd
 module Endpoint = Vs_vsync.Endpoint
 module Kv = Vs_apps.Kv_store
-module Go = Vs_apps.Group_object
 module Rng = Vs_util.Rng
 module Summary = Vs_stats.Summary
 module Table = Vs_stats.Table
@@ -227,9 +226,7 @@ let run_arm ?clock ~seed ~workload:w arm =
       Kv.create sim net ~me ~universe ~config:arm.a_config ~policy:Kv.Lww ()
   in
   let fleet =
-    App_fleet.create sim net ~nodes:universe ~spawn ~kill:Kv.kill
-      ~is_alive:Kv.is_alive ~me:Kv.me
-      ~history:(fun kv -> Go.history (Kv.obj kv))
+    App_fleet.create sim net ~nodes:universe ~spawn ~obj:Kv.obj
   in
   (* Warm up: the cluster assembles from singletons and settles into Normal
      mode.  Excluded from the measured window and the wall clock. *)
