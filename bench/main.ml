@@ -104,13 +104,26 @@ let measured_alloc f =
   f ();
   Gc.allocated_bytes () -. before
 
-(* Words allocated per [Net.send] at a given recording level.  A long warm-up
-   grows the simulator's event heap past any further doubling, [Gc.minor]
+(* Words allocated per call of [f].  A long warm-up grows any structure [f]
+   feeds (the simulator's event heap) past its last doubling, [Gc.minor]
    empties the nursery, and the measured batch is small enough to fit in it —
-   so [Gc.minor_words] (precise in native code) counts exactly the per-send
+   so [Gc.minor_words] (precise in native code) counts exactly the per-call
    allocations, with no GC-phase noise.  ([Gc.allocated_bytes] deltas are not
    stable here: the heap-array growths land minor-or-major depending on
    nursery phase.) *)
+let words_per f =
+  for _ = 1 to 20_000 do
+    f ()
+  done;
+  Gc.minor ();
+  let reps = 64 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+(* Words allocated per [Net.send] at a given recording level. *)
 let words_per_send ?(with_series = false) ?(with_causal = false) ~level () =
   let module Net = Vs_net.Net in
   let module Sim = Vs_sim.Sim in
@@ -137,16 +150,7 @@ let words_per_send ?(with_series = false) ?(with_causal = false) ~level () =
   let a = Proc_id.initial 0 and b = Proc_id.initial 1 in
   Net.register net a (fun _ -> ());
   Net.register net b (fun _ -> ());
-  for _ = 1 to 20_000 do
-    Net.send net ~src:a ~dst:b 0
-  done;
-  Gc.minor ();
-  let sends = 64 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to sends do
-    Net.send net ~src:a ~dst:b 0
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int sends
+  words_per (fun () -> Net.send net ~src:a ~dst:b 0)
 
 (* Words allocated per [Hdr.record] — the runtime half of the A1 alloc-free
    certificate on the histogram's record path.  The sample values are
@@ -158,17 +162,8 @@ let words_per_hdr_record () =
   let h = Hdr.create () in
   let samples = [ 0.0; 0.0000004; 0.0001; 0.004; 0.2; 3.5; 70.; 2.5e7 ] in
   let record_one = Hdr.record h in
-  let record_all () = List.iter record_one samples in
-  for _ = 1 to 20_000 do
-    record_all ()
-  done;
-  Gc.minor ();
-  let reps = 64 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to reps do
-    record_all ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int (reps * List.length samples)
+  words_per (fun () -> List.iter record_one samples)
+  /. float_of_int (List.length samples)
 
 (* The same off-path discipline, re-asserted for the batched data plane: a
    net instantiated exactly as the protocol stack builds it (Wire sizing,
@@ -198,16 +193,7 @@ let words_per_send_batch ~level =
     Wire.Batch
       (List.init 4 (fun seq -> { Wire.vid; sender = a; seq; body = Wire.User seq }))
   in
-  for _ = 1 to 20_000 do
-    Net.send net ~src:a ~dst:b batch
-  done;
-  Gc.minor ();
-  let sends = 64 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to sends do
-    Net.send net ~src:a ~dst:b batch
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int sends
+  words_per (fun () -> Net.send net ~src:a ~dst:b batch)
 
 (* The stabilization arc compiles corruption hooks (Endpoint.corrupt and its
    obs events) into the protocol library.  They live on endpoint state, not

@@ -60,18 +60,6 @@ type origin =
   | Leaf of string * int  (* external name, line *)
   | Via of string * int  (* callee def_id, call-site line *)
 
-(* Same exemption as vslint's D1: the deterministic substrate itself. *)
-let capability_file path =
-  let path = String.map (fun c -> if c = '\\' then '/' else c) path in
-  let has_sub sub =
-    let np = String.length path and ns = String.length sub in
-    let rec go i =
-      i + ns <= np && (String.sub path i ns = sub || go (i + 1))
-    in
-    go 0
-  in
-  has_sub "lib/sim/" || has_sub "util/rng.ml"
-
 (* Intrinsic effect of one external reference, by expanded dotted path. *)
 let leaf_effect (c : Callgraph.call) =
   match c.Callgraph.c_quals @ [ c.Callgraph.c_name ] with
@@ -153,7 +141,7 @@ let analyze (graph : Callgraph.t) ~seed_allowed =
               (fun (callee : Callgraph.def) ->
                 let cid = Callgraph.def_id callee in
                 if not (String.equal cid id) then begin
-                  let masked = capability_file callee.Callgraph.d_file in
+                  let masked = Lint.d1_exempt callee.Callgraph.d_file in
                   List.iter
                     (fun (eff, _) ->
                       if not (masked && is_ambient eff) then
@@ -181,34 +169,19 @@ let find_def t id =
     (fun d -> String.equal (Callgraph.def_id d) id)
     t.graph.Callgraph.defs
 
-(* The full chain from [d] to the leaf that gave it [eff]:
+(* The full chain from [d] to the leaf of a provenance relation — one
+   effect's ([fun d -> List.assoc_opt eff (effects t d)]) or allocation's
+   ([may_alloc t], A1's provenance):
    "file.ml:f -> file2.ml:g -> Unix.gettimeofday (file2.ml:12)". *)
-let chain t (d : Callgraph.def) eff =
+let chain t origin (d : Callgraph.def) =
   let rec go seen (d : Callgraph.def) =
     let id = Callgraph.def_id d in
     if List.mem id seen then [ id ^ " (cycle)" ]
     else
-      match List.assoc_opt eff (effects t d) with
+      match origin d with
       | None -> [ id ]
       | Some (Leaf (name, line)) ->
           [ id; Printf.sprintf "%s (%s:%d)" name d.Callgraph.d_file line ]
-      | Some (Via (cid, _)) -> (
-          match find_def t cid with
-          | Some callee -> id :: go (id :: seen) callee
-          | None -> [ id; cid ])
-  in
-  String.concat " \xe2\x86\x92 " (go [] d)
-
-(* The same rendering for the allocation relation (A1's provenance). *)
-let alloc_chain t (d : Callgraph.def) =
-  let rec go seen (d : Callgraph.def) =
-    let id = Callgraph.def_id d in
-    if List.mem id seen then [ id ^ " (cycle)" ]
-    else
-      match may_alloc t d with
-      | None -> [ id ]
-      | Some (Leaf (what, line)) ->
-          [ id; Printf.sprintf "%s (%s:%d)" what d.Callgraph.d_file line ]
       | Some (Via (cid, _)) -> (
           match find_def t cid with
           | Some callee -> id :: go (id :: seen) callee

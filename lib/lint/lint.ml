@@ -142,10 +142,13 @@ let scan_annotations source =
 
 (* ---------- the AST pass ---------- *)
 
-let d1_exempt path =
-  let path = String.map (fun c -> if c = '\\' then '/' else c) path in
-  let has_sub sub = find_sub path sub 0 <> None in
-  has_sub "lib/sim/" || has_sub "util/rng.ml"
+(* [path_has path sub]: [sub] occurs in [path], read with '/' separators. *)
+let path_has path sub =
+  find_sub (String.map (fun c -> if c = '\\' then '/' else c) path) sub 0 <> None
+
+(* The deterministic substrate itself: exempt from D1, and the capability
+   boundary at which the effect analysis masks ambient effects. *)
+let d1_exempt path = path_has path "lib/sim/" || path_has path "util/rng.ml"
 
 (* Lines at which a value named [compare] is bound in this file: a bare
    [compare] below such a binding resolves to it, not to Stdlib's, and is

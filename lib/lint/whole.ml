@@ -28,13 +28,7 @@ let protected_dirs =
     "lib/apps/";
   ]
 
-let has_sub path sub =
-  let path = String.map (fun c -> if c = '\\' then '/' else c) path in
-  let np = String.length path and ns = String.length sub in
-  let rec go i = i + ns <= np && (String.sub path i ns = sub || go (i + 1)) in
-  go 0
-
-let protected_file path = List.exists (has_sub path) protected_dirs
+let protected_file path = List.exists (Lint.path_has path) protected_dirs
 
 type report = {
   findings : Lint.finding list;
@@ -176,7 +170,9 @@ let analyze ~files () =
                         "%s reaches %s outside the Sim capability: %s"
                         d.Callgraph.d_name
                         (Effects.eff_to_string e)
-                        (Effects.chain eff d e))))
+                        (Effects.chain eff
+                           (fun f -> List.assoc_opt e (Effects.effects eff f))
+                           d))))
           (Effects.effects eff d))
       effectful_protected
   in
@@ -242,7 +238,7 @@ let analyze ~files () =
                            (Printf.sprintf
                               "%s calls allocating %s under alloc-free: %s"
                               d.Callgraph.d_name c.Callgraph.c_name
-                              (Effects.alloc_chain eff callee)))
+                              (Effects.chain eff (Effects.may_alloc eff) callee)))
                   | None -> (
                       (* Partial application of a resolved function
                          allocates the closure even when the callee is
