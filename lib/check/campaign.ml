@@ -1,6 +1,9 @@
 module Rng = Vs_util.Rng
+module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
 module Faults = Vs_harness.Faults
+module Cluster = Vs_harness.Cluster
+module Oracle = Vs_harness.Oracle
 module Driver = Vs_harness.Driver
 
 type knobs = {
@@ -101,7 +104,7 @@ let generate ?protocol ?(transient = false) ~seed ~nodes ~quick () =
     transient;
   }
 
-type outcome = Driver.outcome = {
+type outcome = {
   violations : string list;
   verdicts : Vs_obs.Explain.violation list;
   deliveries : int;
@@ -113,6 +116,8 @@ type outcome = Driver.outcome = {
   quarantine : Driver.quarantine option;
 }
 
+(* Boot the spec's cluster, schedule its faults and traffic, run to the
+   horizon, then judge the run. *)
 let run ?obs spec =
   let net_config =
     {
@@ -123,21 +128,29 @@ let run ?obs spec =
       Net.delay_max = spec.knobs.delay_max;
     }
   in
-  let setup =
+  let drive c =
+    Cluster.run_script c spec.script;
+    if spec.traffic_gap > 0. then
+      Cluster.pump_traffic c ~start:0.5 ~until:spec.traffic_until
+        ~mean_gap:spec.traffic_gap;
+    Cluster.run c ~until:spec.horizon;
+    let verdicts, quarantine = Driver.judge ~n:spec.nodes c in
+    let oracle = Cluster.oracle c in
     {
-      Driver.seed = spec.seed;
-      n = spec.nodes;
-      protocol = spec.protocol;
-      net_config;
+      violations = List.map (fun v -> v.Vs_obs.Explain.detail) verdicts;
+      verdicts;
+      deliveries = Oracle.total_deliveries oracle;
+      installs = Oracle.total_installs oracle;
+      distinct_views = Oracle.distinct_views oracle;
+      eview_changes = Oracle.eview_changes oracle;
+      events = Sim.events_processed (Cluster.sim c);
+      stable = Cluster.stable_view_reached c;
+      quarantine;
     }
   in
-  let traffic =
-    {
-      Driver.tr_start = 0.5;
-      tr_until = spec.traffic_until;
-      tr_gap = spec.traffic_gap;
-    }
-  in
-  Driver.run_schedule ~traffic ?obs setup ~script:spec.script ~until:spec.horizon
+  let seed = spec.seed and n = spec.nodes in
+  match spec.protocol with
+  | Driver.Vsync -> drive (Cluster.vsync ~seed ?obs ~net_config ~n ())
+  | Driver.Evs -> drive (Cluster.evs ~seed ?obs ~net_config ~n ())
 
 let fails spec = (run spec).violations <> []

@@ -6,8 +6,10 @@
     either derived deterministically from a single integer seed
     ({!generate}) or read back from a shrunk repro artifact ({!Repro}).
 
-    Running a spec ({!run}) drives {!Vs_harness.Driver.run_schedule} and
-    returns the violations plus the run's counters. *)
+    Running a spec ({!run}) boots a {!Vs_harness.Cluster} of the spec's
+    protocol, drives it through the script and traffic to the horizon, and
+    returns the verdicts of {!Vs_harness.Driver.judge} plus the run's
+    counters. *)
 
 module Faults = Vs_harness.Faults
 module Driver = Vs_harness.Driver
@@ -63,22 +65,32 @@ val generate :
     the run is judged by the stabilization oracle.  With [transient] off
     the derivation is byte-identical to the pre-transient generator. *)
 
-type outcome = Driver.outcome = {
+type outcome = {
   violations : string list;
+      (** every failed property check, human-readable; [] = clean run.
+          Always [List.map (fun v -> v.detail) verdicts]. *)
   verdicts : Vs_obs.Explain.violation list;
+      (** the same verdicts, structured: which property, which message,
+          which processes, which views — what {!Vs_obs.Explain} consumes *)
   deliveries : int;
   installs : int;
   distinct_views : int;
-  eview_changes : int;
-  events : int;
+  eview_changes : int;  (** within-view e-view changes; 0 for plain VS *)
+  events : int;  (** simulator events processed *)
   stable : bool;
+      (** all live members converged on one final view covering the live
+          nodes ({!Vs_harness.Cluster.stable_view_reached}) *)
   quarantine : Driver.quarantine option;
+      (** [Some _] iff the script injected transient corruptions *)
 }
 
 val run : ?obs:Vs_obs.Recorder.t -> spec -> outcome
-(** Deterministic: running the same spec twice yields identical outcomes.
-    [?obs] receives the run's event stream (pass a [Full]-level recorder to
-    capture per-message traffic too). *)
+(** Deterministic: running the same spec twice yields identical outcomes,
+    bit for bit.  [?obs] receives the run's event stream (pass a
+    [Full]-level recorder to capture per-message traffic too); the
+    recording level widens that stream only, never the outcome.  Runs with
+    transient faults are judged at {!Vs_harness.Oracle.stabilization}'s
+    default recovery bound. *)
 
 val fails : spec -> bool
 (** [run spec] produced at least one violation — the shrinker's default

@@ -15,6 +15,7 @@ module Proc_id = Vs_net.Proc_id
 module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
 module Cluster = Vs_harness.Cluster
+module Oracle = Vs_harness.Oracle
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 
@@ -66,8 +67,8 @@ let run_figure2 () =
   Table.add_row table
     [ "v3: app re-merged"; structure_at c 0; structure_at c 2 ];
   let violations =
-    List.length (Cluster.check_structure c)
-    + List.length (Cluster.check_total_order c)
+    List.length (Oracle.structure_violations (Cluster.oracle c))
+    + List.length (Oracle.eview_order_violations (Cluster.oracle c))
   in
   Table.add_row table
     [ "property violations"; Table.fint violations; Table.fint violations ];
@@ -112,7 +113,9 @@ let run_figure3 () =
   | None -> ());
   Cluster.run c ~until:(Sim.now (Cluster.sim c) +. 0.3);
   snapshot "SubviewMerge(2 subviews)";
-  let violations = List.length (Cluster.check_total_order c) in
+  let violations =
+    List.length (Oracle.eview_order_violations (Cluster.oracle c))
+  in
   Table.add_row table
     [ "-"; "total-order violations"; Table.fint violations ];
   table

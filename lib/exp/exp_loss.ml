@@ -49,16 +49,20 @@ let run_once ~n ~drop ~dup ~seed =
     Cluster.run c ~until:(now +. 4.5)
   end;
   let st = Cluster.stats_total c in
-  let find what = List.assoc what (Oracle.check_summary (Cluster.oracle c)) in
+  let verdicts = Oracle.all_violations (Cluster.oracle c) in
+  let count property =
+    List.length
+      (List.filter (fun (v : Oracle.violation) -> v.property = property) verdicts)
+  in
   {
     formed_at;
     final_stable = Cluster.stable_view_reached c;
     ctl_retries = st.Vs_vsync.Endpoint.ctl_retries;
     retransmits = st.Vs_vsync.Endpoint.retransmits;
     peer_retransmits = st.Vs_vsync.Endpoint.peer_retransmits;
-    agreement = find "agreement";
-    uniqueness = find "uniqueness";
-    integrity = find "integrity";
+    agreement = count Vs_obs.Explain.Agreement;
+    uniqueness = count Vs_obs.Explain.Uniqueness;
+    integrity = count Vs_obs.Explain.Integrity;
   }
 
 let run_cell ~n ~drop ~dup ~cell =

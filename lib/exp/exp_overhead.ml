@@ -53,7 +53,7 @@ let e9_run c ~seed ~duration ~tick =
     msgs = s.Net.sent;
     bytes = s.Net.bytes_sent;
     installs = Oracle.total_installs (Cluster.oracle c);
-    echanges = Cluster.eview_changes_total c;
+    echanges = Oracle.eview_changes (Cluster.oracle c);
   }
 
 (* Worst-case structure maintenance: the coordinator merges after every

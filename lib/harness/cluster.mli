@@ -2,28 +2,19 @@
     plain view synchrony ({!vsync}) and enriched view synchrony ({!evs})
     alike.
 
-    Payloads are oracle message identities; every multicast, delivery and
-    view installation is recorded, so a run can be driven with arbitrary
-    fault scripts and traffic and then checked against Properties 2.1–2.3
-    — which hold for EVS runs too.  An EVS cluster also records every
-    e-view event at every process, and its checkers judge the Section 6
-    properties:
-
-    - {!check_total_order} (Property 6.1): within a view, all processes see
-      the same sequence of e-view changes — same positions, same causes,
-      same resulting structures;
-    - {!check_structure} (Property 6.3): across a view change, processes
-      that shared a subview (sv-set) and survive together still share it,
-      and processes that did {e not} share one have not been merged silently
-      (composition grows only under application control).
-
-    A plain cluster records no e-views, so those checkers find nothing.
-    This is the workhorse of the randomized protocol tests, of
-    {!Driver.run_schedule} and of experiments E2–E4, E9/E10, E11 and T. *)
+    Payloads are oracle message identities.  Every multicast, delivery and
+    view installation — and, on an EVS cluster, every e-view event at every
+    process — is recorded with the cluster's {!Oracle}, so a run can be
+    driven with arbitrary fault scripts and traffic and then judged there:
+    Properties 2.1–2.3, which hold for EVS runs too, and the Section 6
+    properties, which find nothing on a plain cluster.  The cluster runs
+    the members; the oracle records and judges; {!Driver.judge} applies
+    the stabilization filter.  This is the workhorse of the randomized
+    protocol tests, of {!Vs_check.Campaign.run} and of experiments E2–E4,
+    E9/E10, E11 and T. *)
 
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
-module E_view = Evs_core.E_view
 module Evs = Evs_core.Evs
 module Endpoint = Vs_vsync.Endpoint
 
@@ -95,29 +86,3 @@ val stable_view_reached : 'a t -> bool
 val await_stable_view : 'a t -> step:float -> deadline:float -> float
 (** Run in [step]-second slices until {!stable_view_reached} holds and
     return the time it first did, or [infinity] once [deadline] passes. *)
-
-(** {2 Section 6} *)
-
-type eview_record = {
-  er_proc : Proc_id.t;
-  er_time : float;
-  er_eview : E_view.t;
-  er_cause : string;
-}
-
-val eview_records : 'a t -> eview_record list
-(** Everything every process saw, in recording order; [[]] on a plain
-    cluster. *)
-
-val check_total_order : ?since:float -> 'a t -> string list
-(** [since] (default: the whole run) restricts the check to e-view records
-    at or after that time — the stabilization oracle uses it to quarantine
-    records inside a transient-fault recovery window. *)
-
-val check_structure : ?since:float -> 'a t -> string list
-(** Same [since] semantics as {!check_total_order}; a view transition whose
-    old-view record predates [since] is exempt entirely. *)
-
-val eview_changes_total : 'a t -> int
-(** Count of within-view e-view changes across all processes (E9); 0 on a
-    plain cluster. *)

@@ -1,5 +1,7 @@
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
+module E_view = Evs_core.E_view
+module Classify = Evs_core.Classify
 module Listx = Vs_util.Listx
 module Ptbl = Proc_id.Tbl
 
@@ -31,6 +33,13 @@ type violation = Vs_obs.Explain.violation = {
 
 let details vs = List.map (fun v -> v.detail) vs
 
+type eview_record = {
+  er_proc : Proc_id.t;
+  er_time : float;
+  er_eview : E_view.t;
+  er_cause : string;
+}
+
 type t = {
   sends : [ `Fifo | `Total ] Msg_tbl.t;
   deliveries : (View.Id.t * msg_id * float) list ref Ptbl.t;
@@ -38,6 +47,7 @@ type t = {
   mutable n_deliveries : int;
   mutable n_installs : int;
   mutable corruptions : (Proc_id.t * string * float) list;  (* newest first *)
+  mutable eviews : eview_record list;  (* newest first *)
 }
 
 let create () =
@@ -48,6 +58,7 @@ let create () =
     n_deliveries = 0;
     n_installs = 0;
     corruptions = [];
+    eviews = [];
   }
 
 let bucket tbl key =
@@ -74,6 +85,16 @@ let record_corruption t ~proc ~field ~time =
   t.corruptions <- (proc, field, time) :: t.corruptions
 
 let corruptions t = List.rev t.corruptions
+
+let record_eview t ~proc ~eview ~cause ~time =
+  t.eviews <-
+    { er_proc = proc; er_time = time; er_eview = eview; er_cause = cause }
+    :: t.eviews
+
+let eview_records t = List.rev t.eviews
+
+let eview_changes t =
+  List.length (List.filter (fun r -> r.er_eview.E_view.eseq > 0) t.eviews)
 
 let procs t =
   let all =
@@ -354,14 +375,192 @@ let all_violations t =
 
 let check_all t = details (all_violations t)
 
-let check_summary t =
-  [
-    ("agreement", List.length (agreement_violations t));
-    ("uniqueness", List.length (uniqueness_violations t));
-    ("integrity", List.length (integrity_violations t));
-    ("fifo", List.length (fifo_violations t));
-    ("total-order", List.length (total_order_violations t));
-  ]
+(* ---------- Section 6: e-view changes and structure ---------- *)
+
+let records_since t since =
+  List.filter (fun r -> r.er_time >= since) (eview_records t)
+
+(* Property 6.1: within one view, every process records the same sequence
+   of e-view changes — match records by (view id, eseq) and require equal
+   structures and causes. *)
+let eview_order_violations ?(since = neg_infinity) t =
+  let key r = (r.er_eview.E_view.view.View.id, r.er_eview.E_view.eseq) in
+  let groups =
+    Listx.group_by ~key
+      ~cmp_key:(fun (v1, s1) (v2, s2) ->
+        match View.Id.compare v1 v2 with 0 -> Int.compare s1 s2 | c -> c)
+      (records_since t since)
+  in
+  List.concat_map
+    (fun ((vid, eseq), group) ->
+      match group with
+      | [] | [ _ ] -> []
+      | first :: rest ->
+          let fingerprint r = E_view.to_string r.er_eview in
+          let reference = fingerprint first in
+          List.concat_map
+            (fun r ->
+              let disagree what a b =
+                {
+                  property = Vs_obs.Explain.Evs_total_order;
+                  msg = None;
+                  procs = [ first.er_proc; r.er_proc ];
+                  vids = [ vid ];
+                  detail =
+                    Printf.sprintf
+                      "total-order: %s and %s disagree on %s (%s, %d): %s vs %s"
+                      (Proc_id.to_string first.er_proc)
+                      (Proc_id.to_string r.er_proc)
+                      what (View.Id.to_string vid) eseq a b;
+                }
+              in
+              (if String.equal r.er_cause first.er_cause then []
+               else
+                 [ disagree "the cause of e-view" first.er_cause r.er_cause ])
+              @
+              if String.equal (fingerprint r) reference then []
+              else [ disagree "e-view" reference (fingerprint r) ])
+            rest)
+    groups
+
+let same_subview ev p q =
+  match (E_view.subview_of p ev, E_view.subview_of q ev) with
+  | Some a, Some b -> E_view.Subview_id.equal a.E_view.sv_id b.E_view.sv_id
+  | _ -> false
+
+let same_svset ev p q =
+  let svset_id_of x =
+    match E_view.subview_of x ev with
+    | Some sv -> Option.map (fun ss -> ss.E_view.ss_id) (E_view.svset_of_subview sv.E_view.sv_id ev)
+    | None -> None
+  in
+  match (svset_id_of p, svset_id_of q) with
+  | Some a, Some b -> E_view.Svset_id.equal a b
+  | _ -> false
+
+(* Property 6.3 at each process: compare its last e-view of the old view
+   with the first e-view of the new one.  Both directions apply to pairs
+   that travelled with the observer (both installed the new view straight
+   from the observer's old view): such pairs keep their subview/sv-set
+   relation and are never silently joined by the view change.  Pairs with a
+   member that detoured through views the observer did not share are
+   exempt in both directions — their subview may legitimately have shrunk
+   away from a laggard, or been grown by an application merge the observer
+   could not see.  A verdict names the observer and the pair, and the old
+   and new views. *)
+let structure_violations ?(since = neg_infinity) t =
+  (* did [proc] install [new_vid] straight from [old_vid]? *)
+  let came_from proc ~new_vid ~old_vid =
+    installs_of t ~proc
+    |> List.find_map (fun (v, prior) ->
+           if View.Id.equal v.View.id new_vid then Some prior else None)
+    |> Option.fold ~none:false ~some:(View.Id.equal old_vid)
+  in
+  (* [proc]'s last e-view of the old view against its first of the new one,
+     in pair order. *)
+  let transition proc old_ev new_ev =
+    let old_vid = old_ev.E_view.view.View.id in
+    let new_vid = new_ev.E_view.view.View.id in
+    let old_s = View.Id.to_string old_vid and new_s = View.Id.to_string new_vid in
+    let survivors =
+      Listx.inter ~cmp:Proc_id.compare (E_view.members old_ev)
+        (E_view.members new_ev)
+    in
+    let pair p q =
+      let report cond what =
+        if cond then
+          [
+            {
+              property = Vs_obs.Explain.Evs_structure;
+              msg = None;
+              procs = Proc_id.sort [ proc; p; q ];
+              vids = [ old_vid; new_vid ];
+              detail =
+                Printf.sprintf "structure@%s: %s,%s %s"
+                  (Proc_id.to_string proc) (Proc_id.to_string p)
+                  (Proc_id.to_string q) what;
+            };
+          ]
+        else []
+      in
+      let before = same_subview old_ev p q and after = same_subview new_ev p q in
+      report (before && not after)
+        (Printf.sprintf "shared a subview in %s but not in %s" old_s new_s)
+      @ report ((not before) && after)
+          (Printf.sprintf
+             "were joined into one subview by a view change (%s -> %s)" old_s
+             new_s)
+      @ report
+          (same_svset old_ev p q && not (same_svset new_ev p q))
+          (Printf.sprintf "shared an sv-set in %s but not in %s" old_s new_s)
+    in
+    List.concat_map
+      (fun p ->
+        List.concat_map
+          (fun q ->
+            if
+              Proc_id.compare p q < 0
+              && came_from p ~new_vid ~old_vid
+              && came_from q ~new_vid ~old_vid
+            then pair p q
+            else [])
+          survivors)
+      survivors
+  in
+  Listx.group_by ~key:(fun r -> r.er_proc) ~cmp_key:Proc_id.compare
+    (records_since t since)
+  |> List.concat_map (fun (proc, records) ->
+         (* records are in order: [prev] is the last of its view *)
+         let rec walk = function
+           | prev :: (next :: _ as rest)
+             when not
+                    (View.Id.equal prev.er_eview.E_view.view.View.id
+                       next.er_eview.E_view.view.View.id) ->
+               transition proc prev.er_eview next.er_eview @ walk rest
+           | _ :: rest -> walk rest
+           | [] -> []
+         in
+         (* newest first, as the checker has always reported them *)
+         List.rev (walk records))
+
+(* The structural invariants of every e-view recorded at or after [since]:
+   E_view.validate (subviews partition the membership, sv-sets partition
+   the subviews) and well-formedness of the classification verdict a
+   majority-quorum application of [n] nodes would derive from it. *)
+let eview_invariant_violations t ~since ~n =
+  let quorum ms = 2 * List.length ms > n in
+  List.concat_map
+    (fun r ->
+      let where =
+        Printf.sprintf "%s at t=%.3f" (Proc_id.to_string r.er_proc) r.er_time
+      in
+      let ev = r.er_eview in
+      let mk detail =
+        {
+          property = Vs_obs.Explain.Evs_invariant;
+          msg = None;
+          procs = [ r.er_proc ];
+          vids = [ ev.E_view.view.View.id ];
+          detail;
+        }
+      in
+      let structural =
+        match E_view.validate ev with
+        | Ok () -> []
+        | Error e ->
+            [ mk (Printf.sprintf "e-view invariant (%s): %s in %s" where e
+                    (E_view.to_string ev)) ]
+      in
+      let verdict = Classify.enriched ~eview:ev ~would_serve_all:quorum () in
+      let classify =
+        if Classify.well_formed verdict then []
+        else
+          [ mk (Printf.sprintf "classify not well-formed (%s): %s on %s" where
+                  (Classify.problem_to_string verdict)
+                  (E_view.to_string ev)) ]
+      in
+      structural @ classify)
+    (records_since t since)
 
 (* ---------- stabilization (bounded recovery from transient faults) ----
 

@@ -1,6 +1,8 @@
-(** Global run oracle: records what every process multicast, delivered and
-    installed, then checks the view-synchrony specification of Section 2
-    against the whole run.
+(** Global run oracle: records what every process multicast, delivered,
+    installed and (under enriched view synchrony) saw as its e-view, then
+    judges the whole run — the view-synchrony specification of Section 2
+    and the enriched-view properties of Section 6 — as structured
+    verdicts that name the processes and views they concern.
 
     Message identity is (original sender, per-sender sequence number) —
     assigned by the cluster at multicast time, independent of the wire
@@ -9,6 +11,7 @@
 
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
+module E_view = Evs_core.E_view
 
 type msg_id = Vs_obs.Event.msg = { origin : Proc_id.t; mseq : int }
 (** The observability schema's message identity itself — what the clusters
@@ -48,6 +51,24 @@ val record_corruption :
 val corruptions : t -> (Proc_id.t * string * float) list
 (** Recorded corruptions in injection order. *)
 
+type eview_record = {
+  er_proc : Proc_id.t;
+  er_time : float;
+  er_eview : E_view.t;
+  er_cause : string;  (** {!Evs_core.Evs.cause_label} of the event *)
+}
+
+val record_eview :
+  t -> proc:Proc_id.t -> eview:E_view.t -> cause:string -> time:float -> unit
+(** [proc] saw [eview] at [time]; a view change also calls
+    {!record_install}. *)
+
+val eview_records : t -> eview_record list
+(** In recording order; [[]] for plain view synchrony. *)
+
+val eview_changes : t -> int
+(** Within-view e-view changes: the records with [eseq > 0]. *)
+
 (** {2 Checks — each returns the violations found, empty when the
     property holds} *)
 
@@ -80,10 +101,30 @@ val all_violations : t -> violation list
 val check_all : t -> string list
 (** The [detail] of each of {!all_violations}. *)
 
-val check_summary : t -> (string * int) list
-(** Violation counts per property, in the order agreement, uniqueness,
-    integrity, fifo, total-order — the row format of the loss-tolerance
-    experiment (E11). *)
+(** {2 Section 6 checks — none fire on a plain run, which records no
+    e-views}
+
+    [since] (default: the whole run) restricts a check to the e-view records
+    at or after that time; the stabilization judge uses it to quarantine a
+    transient-fault recovery window. *)
+
+val eview_order_violations : ?since:float -> t -> violation list
+(** Property 6.1: within a view, all processes see the same sequence of
+    e-view changes (positions, causes and resulting structures).  A verdict
+    names the two processes that disagree and the view. *)
+
+val structure_violations : ?since:float -> t -> violation list
+(** Property 6.3: across a view change, survivors that shared a subview
+    (sv-set) still share it, and survivors that did not were not joined
+    silently.  A transition whose old-view record predates [since] is
+    exempt.  A verdict names the observer and the pair (sorted, without
+    repeats) and the old and new views. *)
+
+val eview_invariant_violations : t -> since:float -> n:int -> violation list
+(** Every e-view recorded at or after [since] passes {!E_view.validate},
+    and the {!Evs_core.Classify.enriched} verdict a majority-quorum
+    application of [n] nodes derives from it is well-formed.  A verdict
+    names the process and its view. *)
 
 (** {2 Stabilization — bounded recovery from transient faults} *)
 

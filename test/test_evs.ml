@@ -16,10 +16,15 @@ module Faults = Vs_harness.Faults
 
 let check = Alcotest.check
 
-let no_errors what errs =
-  if errs <> [] then
-    Alcotest.failf "%s: %d violations, first: %s" what (List.length errs)
-      (List.hd errs)
+let no_errors what = function
+  | [] -> ()
+  | (first : Oracle.violation) :: _ as errs ->
+      Alcotest.failf "%s: %d violations, first: %s" what (List.length errs)
+        first.detail
+
+(* The oracle's Section 6 verdicts on a cluster's run. *)
+let order_violations c = Oracle.eview_order_violations (Cluster.oracle c)
+let structure_violations c = Oracle.structure_violations (Cluster.oracle c)
 
 let eview_of c node =
   match Cluster.on_node c node with
@@ -72,7 +77,7 @@ let test_figure3_merges () =
     (structure_string c 1);
   check Alcotest.string "identical structures" (structure_string c 1)
     (structure_string c 2);
-  no_errors "figure 3 total order" (Cluster.check_total_order c)
+  no_errors "figure 3 total order" (order_violations c)
 
 let test_full_merge_degenerates_to_flat_view () =
   let c = Cluster.evs ~n:3 () in
@@ -136,8 +141,8 @@ let test_figure2_partition_preserves_fragments () =
     (E_view.Subview_id.equal (sv_of (Proc_id.initial 0)) (sv_of (Proc_id.initial 1)));
   check Alcotest.bool "p0,p2 apart" false
     (E_view.Subview_id.equal (sv_of (Proc_id.initial 0)) (sv_of (Proc_id.initial 2)));
-  no_errors "figure 2 structure" (Cluster.check_structure c);
-  no_errors "figure 2 total order" (Cluster.check_total_order c)
+  no_errors "figure 2 structure" (structure_violations c);
+  no_errors "figure 2 total order" (order_violations c)
 
 let test_crash_shrinks_subview () =
   let c = run_figure2 () in
@@ -179,8 +184,8 @@ let test_merge_racing_view_change_is_harmless () =
   (* Whatever happened — merge applied with the dead member's sv-set
      filtered out, or dropped with the view change — the structures remain
      consistent everywhere. *)
-  no_errors "race total order" (Cluster.check_total_order c);
-  no_errors "race structure" (Cluster.check_structure c);
+  no_errors "race total order" (order_violations c);
+  no_errors "race structure" (structure_violations c);
   check Alcotest.string "survivors agree" (structure_string c 0)
     (structure_string c 1)
 
@@ -195,7 +200,7 @@ let test_messages_flow_through_evs () =
   done;
   Cluster.run c ~until:2.0;
   check Alcotest.int "30 deliveries" 30 (Oracle.total_deliveries (Cluster.oracle c));
-  no_errors "evs messaging" (Oracle.check_all (Cluster.oracle c))
+  no_errors "evs messaging" (Oracle.all_violations (Cluster.oracle c))
 
 (* ---------- app annotations ride along ---------- *)
 
@@ -325,9 +330,9 @@ let evs_campaign_property =
       in
       arm 0.8;
       Cluster.run c ~until:9.0;
-      Cluster.check_total_order c = []
-      && Cluster.check_structure c = []
-      && Oracle.check_all (Cluster.oracle c) = [])
+      order_violations c = []
+      && structure_violations c = []
+      && Oracle.all_violations (Cluster.oracle c) = [])
 
 let () =
   Alcotest.run "evs"

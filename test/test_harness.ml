@@ -11,6 +11,10 @@ module Faults = Vs_harness.Faults
 module Cluster = Vs_harness.Cluster
 module Endpoint = Vs_vsync.Endpoint
 module Evs = Evs_core.Evs
+module E_view = Evs_core.E_view
+module Event = Vs_obs.Event
+module Recorder = Vs_obs.Recorder
+module Lineage = Vs_obs.Lineage
 module Table = Vs_stats.Table
 module Summary = Vs_stats.Summary
 
@@ -132,6 +136,90 @@ let test_oracle_detects_total_order_violation () =
   check verdicts "total-order violation detected"
     [ verdict Explain.Total_order ~msg:(mid 0 0) [ p 2; p 3 ] [ vid 1 ] ]
     (Oracle.total_order_violations o)
+
+(* Section 6 verdicts name what Explain slices by: a 6.1 verdict the two
+   processes and the view, a 6.3 verdict the observer, the pair and both
+   views.  The details are the checkers' one-line renderings. *)
+let test_oracle_section6_verdicts_attributable () =
+  let v1 = View.make (vid 1) [ p 0; p 1; p 2 ] in
+  let v2 = View.make (vid 2) [ p 0; p 1; p 2 ] in
+  let ok = function
+    | Ok (ev, _) -> ev
+    | Error `No_effect -> Alcotest.fail "merge had no effect"
+  in
+  let svset_merge ev qs =
+    ok
+      (E_view.apply_svset_merge ev
+         (List.map (fun q -> E_view.Svset_id.Fresh (p q)) qs))
+  in
+  let fresh = E_view.rebuild v1 [] in
+  (* every member's Install of v1 and of v2 *)
+  let installs =
+    List.concat_map
+      (fun (time, (view : View.t)) ->
+        List.map
+          (fun proc ->
+            {
+              Recorder.time;
+              event =
+                Event.Install
+                  { proc; vid = view.id; members = view.members; sync = 0 };
+            })
+          view.members)
+      [ (0.1, v1); (0.5, v2) ]
+  in
+  let lineage = Lineage.of_entries installs in
+  let attributable what expected details vs =
+    check verdicts what expected vs;
+    check
+      Alcotest.(list string)
+      (what ^ " details") details
+      (List.map (fun (v : Explain.violation) -> v.detail) vs);
+    List.iter
+      (fun v ->
+        check Alcotest.bool (what ^ " slices") true
+          ((Explain.explain ~lineage ~entries:installs v).Explain.slice <> []))
+      vs
+  in
+  (* 6.1: p0 and p1 apply different merges at the same position of v1. *)
+  let o = Oracle.create () in
+  let record q eview cause time =
+    Oracle.record_eview o ~proc:(p q) ~eview ~cause ~time
+  in
+  record 0 fresh "view" 0.1;
+  record 1 fresh "view" 0.1;
+  record 0 (svset_merge fresh [ 0; 1 ]) "svset-merge" 0.2;
+  record 1 (svset_merge fresh [ 1; 2 ]) "svset-merge" 0.2;
+  attributable "6.1"
+    [ verdict Explain.Evs_total_order [ p 0; p 1 ] [ vid 1 ] ]
+    [
+      "total-order: p0 and p1 disagree on e-view (v1@p0, 1): v1@p0:1 \
+       {[p2]}{[p0][p1]} vs v1@p0:1 {[p0]}{[p1][p2]}";
+    ]
+    (Oracle.eview_order_violations o);
+  (* 6.3: at p0, p1 and p2 shared a subview in v1 and came straight to v2
+     together, where they no longer share one. *)
+  let o = Oracle.create () in
+  let joined =
+    ok
+      (E_view.apply_subview_merge (svset_merge fresh [ 1; 2 ])
+         [ E_view.Subview_id.Fresh (p 1); E_view.Subview_id.Fresh (p 2) ])
+  in
+  Oracle.record_eview o ~proc:(p 0) ~eview:joined ~cause:"subview-merge"
+    ~time:0.3;
+  Oracle.record_eview o ~proc:(p 0) ~eview:(E_view.rebuild v2 []) ~cause:"view"
+    ~time:0.5;
+  List.iter
+    (fun q ->
+      Oracle.record_install o ~proc:(p q) ~view:v2 ~prior:(vid 1) ~time:0.5)
+    [ 1; 2 ];
+  let named = verdict Explain.Evs_structure [ p 0; p 1; p 2 ] [ vid 1; vid 2 ] in
+  attributable "6.3" [ named; named ]
+    [
+      "structure@p0: p1,p2 shared an sv-set in v1@p0 but not in v2@p0";
+      "structure@p0: p1,p2 shared a subview in v1@p0 but not in v2@p0";
+    ]
+    (Oracle.structure_violations o)
 
 (* ---------- fault scripts ---------- *)
 
@@ -333,8 +421,8 @@ let zero_weight_matches_default =
 
 (* ---------- cluster ---------- *)
 
-(* A plain cluster shares the EVS cluster's Section 6 surface, and it stays
-   empty however the membership churns. *)
+(* A plain cluster's oracle judges Section 6 as an EVS cluster's does, and
+   finds nothing however the membership churns: it records no e-views. *)
 let test_cluster_vsync_records_no_eviews () =
   let c = Cluster.vsync ~seed:5L ~n:4 () in
   Cluster.run_script c
@@ -346,15 +434,13 @@ let test_cluster_vsync_records_no_eviews () =
     ];
   Cluster.pump_traffic c ~start:0.5 ~until:5.0 ~mean_gap:0.1;
   Cluster.run c ~until:8.0;
-  check Alcotest.bool "views changed" true
-    (Oracle.distinct_views (Cluster.oracle c) > 1);
+  let o = Cluster.oracle c in
+  check Alcotest.bool "views changed" true (Oracle.distinct_views o > 1);
   check Alcotest.int "no e-view records" 0
-    (List.length (Cluster.eview_records c));
-  check Alcotest.int "no e-view changes" 0 (Cluster.eview_changes_total c);
-  check Alcotest.(list string) "6.1 finds nothing" []
-    (Cluster.check_total_order c);
-  check Alcotest.(list string) "6.3 finds nothing" []
-    (Cluster.check_structure c)
+    (List.length (Oracle.eview_records o));
+  check Alcotest.int "no e-view changes" 0 (Oracle.eview_changes o);
+  check verdicts "6.1 finds nothing" [] (Oracle.eview_order_violations o);
+  check verdicts "6.3 finds nothing" [] (Oracle.structure_violations o)
 
 let test_cluster_evs_stats_total () =
   let c = Cluster.evs ~seed:5L ~n:4 () in
@@ -373,7 +459,7 @@ let test_cluster_evs_stats_total () =
     total.Endpoint.delivered;
   check Alcotest.int "views installed" 8 total.Endpoint.views_installed;
   check Alcotest.int "one e-view record per install" 8
-    (List.length (Cluster.eview_records c))
+    (List.length (Oracle.eview_records (Cluster.oracle c)))
 
 (* The cluster, not the fleet, records a corruption with the oracle — once,
    under the field the endpoint names, and only on a live member. *)
@@ -445,6 +531,8 @@ let () =
             test_oracle_fifo_exempts_total_order;
           Alcotest.test_case "detects total-order violation" `Quick
             test_oracle_detects_total_order_violation;
+          Alcotest.test_case "section 6 verdicts are attributable" `Quick
+            test_oracle_section6_verdicts_attributable;
         ] );
       ( "faults",
         [
