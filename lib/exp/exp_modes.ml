@@ -16,13 +16,6 @@ module Go = Vs_apps.Group_object
 module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 
-type outcome = {
-  counts : (Mode.transition * int) list;  (* per machine and edge *)
-  steps_total : int;
-  illegal : int;
-  runs : int;
-}
-
 let run_campaign ~seed ~n ~duration =
   let sim = Sim.create ~seed () in
   let net = Rf.make_net sim Net.default_config in
@@ -66,20 +59,15 @@ let run_campaign ~seed ~n ~duration =
 let run ?(quick = false) () =
   let seeds = if quick then [ 1 ] else [ 1; 2; 3; 4; 5 ] in
   let duration = if quick then 4.0 else 12.0 in
-  let merged =
+  (* transition counts per machine and edge, machine steps, illegal steps *)
+  let counts, steps, illegal =
     List.fold_left
-      (fun acc seed ->
-        let counts, steps, illegal =
+      (fun (counts, steps, illegal) seed ->
+        let c, s, i =
           run_campaign ~seed:(Int64.of_int (seed * 31)) ~n:5 ~duration
         in
-        {
-          counts = counts @ acc.counts;
-          steps_total = acc.steps_total + steps;
-          illegal = acc.illegal + illegal;
-          runs = acc.runs + 1;
-        })
-      { counts = []; steps_total = 0; illegal = 0; runs = 0 }
-      seeds
+        (c @ counts, steps + s, illegal + i))
+      ([], 0, 0) seeds
   in
   let edge_of = function
     | Mode.Failure -> "Normal/Settling -> Reduced"
@@ -93,7 +81,7 @@ let run ?(quick = false) () =
         (Printf.sprintf
            "E1 / Figure 1 — mode transitions over %d fault campaigns (%d \
             machine steps, %d illegal)"
-           merged.runs merged.steps_total merged.illegal)
+           (List.length seeds) steps illegal)
       ~columns:[ "transition"; "edge"; "count" ]
   in
   List.iter
@@ -101,11 +89,11 @@ let run ?(quick = false) () =
       let n =
         List.fold_left
           (fun n (tr', k) -> if Mode.equal_transition tr tr' then n + k else n)
-          0 merged.counts
+          0 counts
       in
       Table.add_row table
         [ Mode.transition_to_string tr; edge_of tr; Table.fint n ])
     [ Mode.Failure; Mode.Repair; Mode.Reconfigure; Mode.Reconcile ];
-  (table, merged)
+  table
 
-let tables ?quick () = [ fst (run ?quick ()) ]
+let tables ?quick () = [ run ?quick () ]
