@@ -6,7 +6,6 @@ module Int_tbl = Vs_util.Hashtblx.Int_tbl
 type 'm envelope = {
   src : Proc_id.t;
   dst : Proc_id.t;
-  sent_at : float;
   payload : 'm;
 }
 
@@ -236,7 +235,7 @@ let send_to t ~src ~dst payload =
   end
   else begin
     emit_send t ~src ~dst payload;
-    let env = { src; dst; sent_at = Sim.now t.sim; payload } in
+    let env = { src; dst; payload } in
     let extra_copy = (not self) && Rng.bool t.rng t.config.dup_prob in
     deliver_later ~extra_copy t env
   end
@@ -266,7 +265,6 @@ let send_node t ~src ~dst_node payload =
     emit_drop t ~src ~dst:node_dst payload ~reason:"loss"
   end
   else begin
-    let sent_at = Sim.now t.sim in
     let bytes = t.size_of payload in
     emit_send t ~src ~dst:node_dst payload;
     let deliver () =
@@ -276,7 +274,7 @@ let send_node t ~src ~dst_node payload =
           | Some handler ->
               t.delivered <- t.delivered + 1;
               emit_recv t ~src ~dst payload;
-              handler { src; dst; sent_at; payload }
+              handler { src; dst; payload }
           | None ->
               meter_dropped t;
               emit_drop t ~src ~dst:node_dst payload ~reason:"dst-dead")

@@ -16,7 +16,6 @@ type 'm t
 type 'm envelope = {
   src : Proc_id.t;
   dst : Proc_id.t;
-  sent_at : float;
   payload : 'm;
 }
 
