@@ -11,6 +11,7 @@
    Unknown arguments are rejected with a usage message. *)
 
 module Table = Vs_stats.Table
+module Alloc = Vs_stats.Alloc
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 
@@ -104,25 +105,6 @@ let measured_alloc f =
   f ();
   Gc.allocated_bytes () -. before
 
-(* Words allocated per call of [f].  A long warm-up grows any structure [f]
-   feeds (the simulator's event heap) past its last doubling, [Gc.minor]
-   empties the nursery, and the measured batch is small enough to fit in it —
-   so [Gc.minor_words] (precise in native code) counts exactly the per-call
-   allocations, with no GC-phase noise.  ([Gc.allocated_bytes] deltas are not
-   stable here: the heap-array growths land minor-or-major depending on
-   nursery phase.) *)
-let words_per f =
-  for _ = 1 to 20_000 do
-    f ()
-  done;
-  Gc.minor ();
-  let reps = 64 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int reps
-
 (* Words allocated per [Net.send] at a given recording level. *)
 let words_per_send ?(with_series = false) ?(with_causal = false) ~level () =
   let module Net = Vs_net.Net in
@@ -150,7 +132,7 @@ let words_per_send ?(with_series = false) ?(with_causal = false) ~level () =
   let a = Proc_id.initial 0 and b = Proc_id.initial 1 in
   Net.register net a (fun _ -> ());
   Net.register net b (fun _ -> ());
-  words_per (fun () -> Net.send net ~src:a ~dst:b 0)
+  Alloc.words_per (fun () -> Net.send net ~src:a ~dst:b 0)
 
 (* Words allocated per [Hdr.record] — the runtime half of the A1 alloc-free
    certificate on the histogram's record path.  The sample values are
@@ -162,7 +144,7 @@ let words_per_hdr_record () =
   let h = Hdr.create () in
   let samples = [ 0.0; 0.0000004; 0.0001; 0.004; 0.2; 3.5; 70.; 2.5e7 ] in
   let record_one = Hdr.record h in
-  words_per (fun () -> List.iter record_one samples)
+  Alloc.words_per (fun () -> List.iter record_one samples)
   /. float_of_int (List.length samples)
 
 (* The same off-path discipline, re-asserted for the batched data plane: a
@@ -193,7 +175,7 @@ let words_per_send_batch ~level =
     Wire.Batch
       (List.init 4 (fun seq -> { Wire.vid; sender = a; seq; body = Wire.User seq }))
   in
-  words_per (fun () -> Net.send net ~src:a ~dst:b batch)
+  Alloc.words_per (fun () -> Net.send net ~src:a ~dst:b batch)
 
 (* The stabilization arc compiles corruption hooks (Endpoint.corrupt and its
    obs events) into the protocol library.  They live on endpoint state, not

@@ -8,6 +8,7 @@ module Json = Vs_obs.Json
 module Export = Vs_obs.Export
 module Metrics = Vs_obs.Metrics
 module Summary = Vs_stats.Summary
+module Alloc = Vs_stats.Alloc
 module Lineage = Vs_obs.Lineage
 module Explain = Vs_obs.Explain
 module Query = Vs_obs.Query
@@ -77,6 +78,28 @@ let test_tail () =
     (List.map (fun e -> e.Recorder.time) tail);
   check Alcotest.int "tail larger than stream" 10
     (List.length (Recorder.tail ~limit:50 r))
+
+(* The runtime half of the zero-allocation contract (vslint's A1 is the
+   static half): below Full, recording costs a Net.send no words, and
+   Hdr.record allocates none.  The bench's obs section measures the same
+   with the same meter, over more configurations. *)
+let test_zero_alloc_runtime () =
+  let module Net = Vs_net.Net in
+  let words_per_send level =
+    let sim = Vs_sim.Sim.create ~seed:11L ~obs:(Recorder.create ~level ()) () in
+    let net = Net.create sim Net.default_config in
+    let a = p 0 0 and b = p 1 0 in
+    Net.register net a ignore;
+    Net.register net b ignore;
+    Alloc.words_per (fun () -> Net.send net ~src:a ~dst:b 0)
+  in
+  check (Alcotest.float 0.) "words per Net.send, Protocol = Off"
+    (words_per_send Recorder.Off)
+    (words_per_send Recorder.Protocol);
+  let record = Vs_obs.Hdr.record (Vs_obs.Hdr.create ()) in
+  let samples = [ 0.0; 0.0000004; 0.0001; 0.004; 0.2; 3.5; 70.; 2.5e7 ] in
+  check (Alcotest.float 0.) "words per Hdr.record" 0.
+    (Alloc.words_per (fun () -> List.iter record samples))
 
 (* ---------- exporters ---------- *)
 
@@ -629,6 +652,8 @@ let () =
           Alcotest.test_case "protocol-skips-traffic" `Quick
             test_protocol_skips_traffic;
           Alcotest.test_case "tail" `Quick test_tail;
+          Alcotest.test_case "zero-alloc runtime guard" `Quick
+            test_zero_alloc_runtime;
         ] );
       ( "exporters",
         [
