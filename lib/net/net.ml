@@ -52,10 +52,15 @@ type 'm t = {
   mutable bytes_sent : int;
 }
 
+let check_config c =
+  if c.delay_min < 0. || c.delay_max < c.delay_min then
+    Error (Printf.sprintf "bad delay bounds [%g, %g]" c.delay_min c.delay_max)
+  else Ok ()
+
 let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
     ?(idents = fun _ -> []) sim config =
-  if config.delay_min < 0. || config.delay_max < config.delay_min then
-    invalid_arg "Net.create: bad delay bounds";
+  Result.iter_error (fun e -> invalid_arg ("Net.create: " ^ e))
+    (check_config config);
   {
     sim;
     rng = Sim.fork_rng sim;
@@ -141,6 +146,8 @@ let meter_send t ~bytes =
 (* vslint: alloc-free *)
 let meter_dropped t = t.dropped <- t.dropped + 1
 
+let duplicates t ~self = (not self) && Rng.bool t.rng t.config.dup_prob
+
 let sample_delay t ~bytes =
   Rng.uniform t.rng t.config.delay_min t.config.delay_max
   +. (t.config.byte_delay *. float_of_int bytes)
@@ -148,7 +155,7 @@ let sample_delay t ~bytes =
 (* Per-message events are Full-level only, and each of the four emitters
    below guards on [Sim.obs_full] *before* constructing an event, so runs at
    Protocol/Off level allocate nothing extra on the send path (the bench
-   harness asserts this).  Both send paths emit through them.
+   harness and test_obs assert this).
 
    A payload may carry several application messages (a batch): the emitters
    send one event per carried identity so lineage conservation stays
@@ -158,7 +165,7 @@ let emit_each ids ~f =
   | [] -> f None ~first:true
   | ids -> List.iteri (fun i m -> f (Some m) ~first:(i = 0)) ids
 
-let emit_send t ~src ~dst payload =
+let emit_send t ~src ~dst ~bytes payload =
   if Sim.obs_full t.sim then
     emit_each (t.idents payload) ~f:(fun msg ~first ->
         (* A batch's bytes belong to the wire message, not each payload:
@@ -169,7 +176,7 @@ let emit_send t ~src ~dst payload =
                src;
                dst;
                kind = t.describe payload;
-               bytes = (if first then t.size_of payload else 0);
+               bytes = (if first then bytes else 0);
                msg;
              }))
 
@@ -184,115 +191,64 @@ let emit_dup t ~src ~dst payload =
     emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
         Sim.emit t.sim (Event.Dup { src; dst; kind = t.describe payload; msg }))
 
-let emit_drop t ~src ~dst payload ~reason =
+let drop t ~src ~dst payload ~reason =
+  meter_dropped t;
   if Sim.obs_full t.sim then
     emit_each (t.idents payload) ~f:(fun msg ~first:_ ->
         Sim.emit t.sim
           (Event.Drop { src; dst; kind = t.describe payload; reason; msg }))
 
-(* Delivery is re-checked at arrival time: the destination incarnation must
-   still be live and the nodes still connected, so a partition installed
-   while a message is in flight kills it — the asynchronous-link model the
-   paper assumes. *)
-let deliver_later ?(extra_copy = false) t env =
-  let bytes = t.size_of env.payload in
-  let deliver () =
-    match Proc_id.Tbl.find_opt t.handlers env.dst with
-    | Some handler when connected t env.src.Proc_id.node env.dst.Proc_id.node ->
-        t.delivered <- t.delivered + 1;
-        emit_recv t ~src:env.src ~dst:env.dst env.payload;
-        handler env
-    | Some _ ->
-        meter_dropped t;
-        emit_drop t ~src:env.src ~dst:env.dst env.payload
-          ~reason:"partition-inflight"
-    | None ->
-        meter_dropped t;
-        emit_drop t ~src:env.src ~dst:env.dst env.payload ~reason:"dst-dead"
+(* The one transmission path.  [dst] is an incarnation, or the
+   pseudo-destination [{ node; inc = -1 }] of a node address: the events of
+   the send and of a drop name it, and [deliver] resolves it to the node's
+   live incarnation.  Delivery is re-checked at arrival, so a partition
+   installed while a message is in flight kills it — the asynchronous-link
+   model the paper assumes. *)
+let transmit t ~src ~dst payload =
+  let bytes = t.size_of payload in
+  meter_send t ~bytes;
+  let by_node = dst.Proc_id.inc < 0 in
+  (* Exempt from loss and duplication: the same incarnation, or for a node
+     address the same node. *)
+  let self =
+    if by_node then src.Proc_id.node = dst.Proc_id.node
+    else Proc_id.equal src dst
   in
-  ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
-  if extra_copy then begin
-    t.duplicated <- t.duplicated + 1;
-    emit_dup t ~src:env.src ~dst:env.dst env.payload;
-    ignore (Sim.after t.sim (sample_delay t ~bytes) deliver)
-  end
-
-let send_to t ~src ~dst payload =
-  meter_send t ~bytes:(t.size_of payload);
-  let self = Proc_id.equal src dst in
-  if not (is_live t src) then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst payload ~reason:"src-dead"
-  end
-  else if (not self) && not (connected t src.Proc_id.node dst.Proc_id.node)
-  then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst payload ~reason:"partition"
-  end
-  else if (not self) && Rng.bool t.rng t.config.drop_prob then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst payload ~reason:"loss"
-  end
+  if not (is_live t src) then drop t ~src ~dst payload ~reason:"src-dead"
+  else if not (connected t src.Proc_id.node dst.Proc_id.node) then
+    drop t ~src ~dst payload ~reason:"partition"
+  else if (not self) && Rng.bool t.rng t.config.drop_prob then
+    drop t ~src ~dst payload ~reason:"loss"
   else begin
-    emit_send t ~src ~dst payload;
-    let env = { src; dst; payload } in
-    let extra_copy = (not self) && Rng.bool t.rng t.config.dup_prob in
-    deliver_later ~extra_copy t env
-  end
-
-let send t ~src ~dst payload = send_to t ~src ~dst payload
-
-(* Address the node: the live incarnation is resolved when the message
-   lands, so a recovery between send and arrival is reached.  Send-side
-   events name the n<dst_node> pseudo-destination; a Recv names the
-   incarnation that got the message. *)
-let send_node t ~src ~dst_node payload =
-  meter_send t ~bytes:(t.size_of payload);
-  let node_dst = { Proc_id.node = dst_node; inc = -1 } in
-  if not (is_live t src) then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst:node_dst payload ~reason:"src-dead"
-  end
-  else if
-    src.Proc_id.node <> dst_node && not (connected t src.Proc_id.node dst_node)
-  then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst:node_dst payload ~reason:"partition"
-  end
-  else if src.Proc_id.node <> dst_node && Rng.bool t.rng t.config.drop_prob
-  then begin
-    meter_dropped t;
-    emit_drop t ~src ~dst:node_dst payload ~reason:"loss"
-  end
-  else begin
-    let bytes = t.size_of payload in
-    emit_send t ~src ~dst:node_dst payload;
+    emit_send t ~src ~dst ~bytes payload;
     let deliver () =
-      match live_on_node t dst_node with
-      | Some dst when connected t src.Proc_id.node dst_node -> (
-          match Proc_id.Tbl.find_opt t.handlers dst with
-          | Some handler ->
-              t.delivered <- t.delivered + 1;
-              emit_recv t ~src ~dst payload;
-              handler { src; dst; payload }
-          | None ->
-              meter_dropped t;
-              emit_drop t ~src ~dst:node_dst payload ~reason:"dst-dead")
-      | Some _ ->
-          meter_dropped t;
-          emit_drop t ~src ~dst:node_dst payload ~reason:"partition-inflight"
-      | None ->
-          meter_dropped t;
-          emit_drop t ~src ~dst:node_dst payload ~reason:"dst-dead"
+      let reached =
+        if dst.Proc_id.inc >= 0 then dst
+        else Option.value ~default:dst (live_on_node t dst.Proc_id.node)
+      in
+      match Proc_id.Tbl.find_opt t.handlers reached with
+      | Some handler when connected t src.Proc_id.node dst.Proc_id.node ->
+          t.delivered <- t.delivered + 1;
+          emit_recv t ~src ~dst:reached payload;
+          handler { src; dst = reached; payload }
+      | Some _ -> drop t ~src ~dst payload ~reason:"partition-inflight"
+      | None -> drop t ~src ~dst payload ~reason:"dst-dead"
     in
+    (* The duplication draw precedes the first delay draw for a process
+       address and follows it for a node address. *)
+    let early = (not by_node) && duplicates t ~self in
     ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
-    (* Same duplication model as [send_to]: self-sends exempt. *)
-    if src.Proc_id.node <> dst_node && Rng.bool t.rng t.config.dup_prob then begin
+    if early || (by_node && duplicates t ~self) then begin
       t.duplicated <- t.duplicated + 1;
-      emit_dup t ~src ~dst:node_dst payload;
+      emit_dup t ~src ~dst payload;
       ignore (Sim.after t.sim (sample_delay t ~bytes) deliver)
     end
   end
+
+let send t ~src ~dst payload = transmit t ~src ~dst payload
+
+let send_node t ~src ~dst_node payload =
+  transmit t ~src ~dst:{ Proc_id.node = dst_node; inc = -1 } payload
 
 let stats t =
   {

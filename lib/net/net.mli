@@ -4,8 +4,17 @@
     connected processes arrive after an unpredictable (sampled) delay;
     messages to crashed incarnations or across a partition boundary are lost;
     links may drop or duplicate.  Self-addressed messages are exempt from
-    loss and partitions but still go through the event queue, so a process
+    loss and duplication but still go through the event queue, so a process
     never re-enters its own handlers synchronously.
+
+    {!send} and {!send_node} share one transmission path: the send-time
+    checks (dead source, partition, loss), the duplication model and the
+    arrival check (destination live, nodes connected).  Two rules depend on
+    the kind of address, and every seeded run depends on both:
+    - "self" is the same incarnation for a process address and the same
+      node for a node address;
+    - the duplication draw precedes the first delay draw for a process
+      address and follows it for a node address.
 
     The network is polymorphic in the payload ['m]; the protocol stack
     defines one wire-message variant and instantiates a single ['m t] per
@@ -32,6 +41,11 @@ type config = {
 val default_config : config
 (** 1–10 ms delay, no loss, no duplication, infinite bandwidth. *)
 
+val check_config : config -> (unit, string) result
+(** The rule {!create} enforces: [0 <= delay_min <= delay_max].  Readers of
+    untrusted configs (repro artifacts) call it to return an error instead
+    of raising. *)
+
 val create :
   ?size_of:('m -> int) ->
   ?describe:('m -> string) ->
@@ -45,14 +59,14 @@ val create :
     (origin, seq) correlation identities of the application messages a
     payload carries — none for control traffic, one per payload for a
     batch (default [fun _ -> []]).  Like [describe] it is only called under
-    [Full] recording, so the off-path send cost is unchanged.  Both
-    {!send} and {!send_node} emit their Send/Recv/Drop/Dup events through
-    the same emitters, once per carried identity (bytes attributed to the
-    first) or once identity-less, so lineage conservation stays per-payload
-    even when the protocol ships many application messages in one wire
-    message. *)
-(** [size_of] gives a nominal byte size per payload for traffic accounting
-    (defaults to 1 per message). *)
+    [Full] recording, so the off-path send cost is unchanged.  Every
+    Send/Recv/Drop/Dup event is emitted once per carried identity (bytes
+    attributed to the first) or once identity-less, so lineage conservation
+    stays per-payload even when the protocol ships many application
+    messages in one wire message.  [?size_of] gives a nominal byte size per
+    payload for traffic accounting and the per-byte delay (default 1); it
+    is called once per transmission.  Raises [Invalid_argument] when
+    {!check_config} rejects [config]. *)
 
 (** {2 Process lifecycle} *)
 
@@ -92,9 +106,10 @@ val send : 'm t -> src:Proc_id.t -> dst:Proc_id.t -> 'm -> unit
 val send_node : 'm t -> src:Proc_id.t -> dst_node:int -> 'm -> unit
 (** Unicast to whatever incarnation is live on [dst_node] at delivery time —
     how heartbeats find recovered processes without knowing their new
-    identifier.  Full-level Send, Dup and Drop events name the pseudo-
-    destination [{ node = dst_node; inc = -1 }]; Recv names the incarnation
-    reached. *)
+    identifier.  The address is the pseudo-destination
+    [{ node = dst_node; inc = -1 }] (rendered ["n<dst_node>"]): Full-level
+    Send, Dup and Drop events name it, including a drop at arrival; Recv
+    names the incarnation reached. *)
 
 (** {2 Accounting} *)
 

@@ -11,8 +11,9 @@ let initial node = make ~node ~inc:0
    see a typed comparator rather than Stdlib's polymorphic compare. *)
 let compare = Vs_obs.Event.compare_proc
 
-(* [make] rejects negative incarnations, so the schema's "n3" spelling of a
-   node-addressed destination never arises here. *)
+(* [make] rejects negative incarnations, but Net builds the node-addressed
+   pseudo-destination { node = 3; inc = -1 } for [send_node]; it prints as
+   "n3". *)
 let to_string = Vs_obs.Event.proc_to_string
 
 let sort ids = Vs_util.Listx.sorted_set ~cmp:compare ids

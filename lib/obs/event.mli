@@ -10,8 +10,10 @@
 
 type proc = { node : int; inc : int }
 (** The type of [Proc_id.t].  [inc = -1] encodes a node-addressed
-    destination (a [send_node] target whose live incarnation is resolved at
-    delivery); [Proc_id.make] never builds one. *)
+    destination, the pseudo-destination [Net.send_node] builds for every
+    send: its live incarnation is resolved at delivery, so the Send, Dup
+    and Drop events of the message name the pseudo-destination and its
+    Recv names the incarnation reached.  [Proc_id.make] never builds one. *)
 
 type vid = { epoch : int; proposer : proc }
 (** The type of [View.Id.t]. *)

@@ -192,6 +192,24 @@ let test_send_node_finds_new_incarnation () =
 
 (* ---------- node-addressed sends at Full level ---------- *)
 
+(* The traffic a Full-level recorder saw, one "<kind> <dst> <msg> <bytes>"
+   row per event; a drop's kind is its reason. *)
+let traffic recorder =
+  let row kind dst (msg : Event.msg option) bytes =
+    Printf.sprintf "%s %s %s %d" kind (Event.proc_to_string dst)
+      (match msg with Some m -> Event.msg_to_string m | None -> "-")
+      bytes
+  in
+  List.filter_map
+    (fun { Recorder.event; _ } ->
+      match event with
+      | Event.Send { dst; msg; bytes; _ } -> Some (row "send" dst msg bytes)
+      | Event.Dup { dst; msg; _ } -> Some (row "dup" dst msg 0)
+      | Event.Recv { dst; msg; _ } -> Some (row "recv" dst msg 0)
+      | Event.Drop { dst; msg; reason; _ } -> Some (row reason dst msg 0)
+      | _ -> None)
+    (Recorder.entries recorder)
+
 (* [send_node] emits through the same per-identity emitters as [send]: one
    Send, Dup and Drop per carried identity, addressed to the n<node>
    pseudo-destination, with the bytes on the first Send only, and Recv
@@ -214,22 +232,6 @@ let test_send_node_full_events () =
   Net.set_partition net [ [ 0 ]; [ 1 ] ];
   Net.send_node net ~src:p0 ~dst_node:1 "batch";
   ignore (Sim.run sim);
-  let row kind dst (msg : Event.msg option) bytes =
-    Printf.sprintf "%s %s %s %d" kind (Event.proc_to_string dst)
-      (match msg with Some m -> Event.msg_to_string m | None -> "-")
-      bytes
-  in
-  let traffic =
-    List.filter_map
-      (fun { Recorder.event; _ } ->
-        match event with
-        | Event.Send { dst; msg; bytes; _ } -> Some (row "send" dst msg bytes)
-        | Event.Dup { dst; msg; _ } -> Some (row "dup" dst msg 0)
-        | Event.Recv { dst; msg; _ } -> Some (row "recv" dst msg 0)
-        | Event.Drop { dst; msg; reason; _ } -> Some (row reason dst msg 0)
-        | _ -> None)
-      (Recorder.entries recorder)
-  in
   check
     (Alcotest.list Alcotest.string)
     "per-identity events"
@@ -245,7 +247,76 @@ let test_send_node_full_events () =
       "partition n1 p0#1 0";
       "partition n1 p0#2 0";
     ]
-    traffic
+    (traffic recorder)
+
+(* ---------- the per-address rules, on a link that loses everything ---------- *)
+
+let lossy_full () =
+  let recorder = Recorder.create ~level:Recorder.Full () in
+  let sim = Sim.create ~seed:5L ~obs:recorder () in
+  let net = Net.create sim { Net.default_config with Net.drop_prob = 1.0 } in
+  (recorder, sim, net)
+
+(* "Self" is exempt from loss.  For a node address it is the same node. *)
+let test_node_self_send_exempt () =
+  let recorder, sim, net = lossy_full () in
+  let inbox = register_collecting net p0 in
+  Net.send_node net ~src:p0 ~dst_node:0 "self";
+  Net.send_node net ~src:p0 ~dst_node:1 "remote";
+  ignore (Sim.run sim);
+  check Alcotest.int "the send to its own node arrives" 1 (List.length !inbox);
+  check
+    (Alcotest.list Alcotest.string)
+    "events"
+    [ "send n0 - 1"; "loss n1 - 0"; "recv p0 - 0" ]
+    (traffic recorder)
+
+(* For a process address it is the same incarnation: another incarnation on
+   the sender's node is lost before it could be found dead. *)
+let test_other_incarnation_not_self () =
+  let recorder, sim, net = lossy_full () in
+  Net.register net p0 (fun _ -> ());
+  Net.crash net p0;
+  let p0' = Net.fresh_incarnation net 0 in
+  Net.register net p0' (fun _ -> ());
+  Net.send net ~src:p0' ~dst:p0 "stale";
+  ignore (Sim.run sim);
+  check (Alcotest.list Alcotest.string) "events" [ "loss p0 - 0" ]
+    (traffic recorder)
+
+(* A node address is resolved at arrival: a drop there names the n<node>
+   pseudo-destination, a Recv names the incarnation reached. *)
+let test_node_address_at_arrival () =
+  let recorder, sim, net = lossy_full () in
+  Net.register net p0 (fun _ -> ());
+  Net.send_node net ~src:p0 ~dst_node:0 "to-recovered";
+  Net.crash net p0;
+  let p0' = Net.fresh_incarnation net 0 in
+  let inbox = register_collecting net p0' in
+  ignore (Sim.run sim);
+  Net.send_node net ~src:p0' ~dst_node:0 "to-nobody";
+  Net.crash net p0';
+  ignore (Sim.run sim);
+  check Alcotest.int "the recovered incarnation got it" 1 (List.length !inbox);
+  check
+    (Alcotest.list Alcotest.string)
+    "events"
+    [ "send n0 - 1"; "recv p0.1 - 0"; "send n0 - 1"; "dst-dead n0 - 0" ]
+    (traffic recorder);
+  (* A partition drop at arrival needs a link that delivers across nodes. *)
+  let recorder = Recorder.create ~level:Recorder.Full () in
+  let sim = Sim.create ~seed:5L ~obs:recorder () in
+  let net = Net.create sim Net.default_config in
+  Net.register net p0 (fun _ -> ());
+  Net.register net p1 (fun _ -> ());
+  Net.send_node net ~src:p0 ~dst_node:1 "cut";
+  ignore (Sim.at sim 0.0005 (fun () -> Net.set_partition net [ [ 0 ]; [ 1 ] ]));
+  ignore (Sim.run sim);
+  check
+    (Alcotest.list Alcotest.string)
+    "partitioned in flight"
+    [ "send n1 - 1"; "partition-inflight n1 - 0" ]
+    (traffic recorder)
 
 (* ---------- accounting ---------- *)
 
@@ -303,6 +374,14 @@ let () =
         [
           Alcotest.test_case "node sends at full level" `Quick
             test_send_node_full_events;
+        ] );
+      ( "per-address rules",
+        [
+          Alcotest.test_case "own node is self" `Quick test_node_self_send_exempt;
+          Alcotest.test_case "other incarnation is not self" `Quick
+            test_other_incarnation_not_self;
+          Alcotest.test_case "node address resolved at arrival" `Quick
+            test_node_address_at_arrival;
         ] );
       ( "accounting",
         [
