@@ -6,26 +6,11 @@ module Cluster = Vs_harness.Cluster
 module Oracle = Vs_harness.Oracle
 module Driver = Vs_harness.Driver
 
-type knobs = {
-  loss_prob : float;
-  dup_prob : float;
-  delay_min : float;
-  delay_max : float;
-}
-
-let default_knobs =
-  {
-    loss_prob = 0.;
-    dup_prob = 0.;
-    delay_min = Net.default_config.Net.delay_min;
-    delay_max = Net.default_config.Net.delay_max;
-  }
-
 type spec = {
   seed : int64;
   protocol : Driver.protocol;
   nodes : int;
-  knobs : knobs;
+  net : Net.config;
   script : Faults.script;
   traffic_gap : float;
   traffic_until : float;
@@ -38,9 +23,9 @@ let equal_spec (a : spec) (b : spec) = a = b
 let weight spec =
   let flag b = if b then 1 else 0 in
   List.length spec.script + spec.nodes
-  + flag (spec.knobs.loss_prob > 0.)
-  + flag (spec.knobs.dup_prob > 0.)
-  + flag (spec.knobs.delay_max > default_knobs.delay_max)
+  + flag (spec.net.Net.drop_prob > 0.)
+  + flag (spec.net.Net.dup_prob > 0.)
+  + flag (spec.net.Net.delay_max > Net.default_config.Net.delay_max)
   + flag (spec.traffic_gap > 0.)
 
 let describe spec =
@@ -51,13 +36,13 @@ let describe spec =
     (Driver.protocol_to_string spec.protocol)
     spec.nodes
     (List.length spec.script)
-    spec.knobs.loss_prob spec.knobs.dup_prob spec.knobs.delay_min
-    spec.knobs.delay_max spec.traffic_gap spec.horizon
+    spec.net.Net.drop_prob spec.net.Net.dup_prob spec.net.Net.delay_min
+    spec.net.Net.delay_max spec.traffic_gap spec.horizon
   ^ if spec.transient then " transient" else ""
 
 (* Derive every campaign parameter from the integer seed.  The derivation
    rng is independent of the cluster seed (offset by a large odd constant)
-   so knob sampling never correlates with in-run randomness. *)
+   so the link parameters never correlate with in-run randomness. *)
 let generate ?protocol ?(transient = false) ~seed ~nodes ~quick () =
   let seed64 = Int64.of_int seed in
   let rng = Rng.create (Int64.add (Int64.mul seed64 2654435761L) 97531L) in
@@ -66,14 +51,11 @@ let generate ?protocol ?(transient = false) ~seed ~nodes ~quick () =
     | Some p -> p
     | None -> if Rng.bool rng 0.5 then Driver.Evs else Driver.Vsync
   in
-  let knobs =
-    {
-      loss_prob = (if Rng.bool rng 0.3 then 0. else Rng.uniform rng 0. 0.15);
-      dup_prob = (if Rng.bool rng 0.5 then 0. else Rng.uniform rng 0. 0.10);
-      delay_min = 0.001;
-      delay_max = Rng.uniform rng 0.005 0.020;
-    }
-  in
+  (* Drawn in this order: every seeded campaign depends on it. *)
+  let delay_max = Rng.uniform rng 0.005 0.020 in
+  let dup_prob = if Rng.bool rng 0.5 then 0. else Rng.uniform rng 0. 0.10 in
+  let drop_prob = if Rng.bool rng 0.3 then 0. else Rng.uniform rng 0. 0.15 in
+  let net = { Net.default_config with Net.drop_prob; dup_prob; delay_max } in
   let duration = if quick then 3.0 else 6.0 in
   let mean_gap = Rng.uniform rng 0.3 0.8 in
   let node_list = List.init nodes (fun i -> i) in
@@ -92,7 +74,7 @@ let generate ?protocol ?(transient = false) ~seed ~nodes ~quick () =
     seed = seed64;
     protocol;
     nodes;
-    knobs;
+    net;
     script;
     traffic_gap;
     traffic_until = 1.0 +. duration +. 0.5;
@@ -119,15 +101,6 @@ type outcome = {
 (* Boot the spec's cluster, schedule its faults and traffic, run to the
    horizon, then judge the run. *)
 let run ?obs spec =
-  let net_config =
-    {
-      Net.default_config with
-      Net.drop_prob = spec.knobs.loss_prob;
-      Net.dup_prob = spec.knobs.dup_prob;
-      Net.delay_min = spec.knobs.delay_min;
-      Net.delay_max = spec.knobs.delay_max;
-    }
-  in
   let drive c =
     Cluster.run_script c spec.script;
     if spec.traffic_gap > 0. then
@@ -148,7 +121,7 @@ let run ?obs spec =
       quarantine;
     }
   in
-  let seed = spec.seed and n = spec.nodes in
+  let seed = spec.seed and n = spec.nodes and net_config = spec.net in
   match spec.protocol with
   | Driver.Vsync -> drive (Cluster.vsync ~seed ?obs ~net_config ~n ())
   | Driver.Evs -> drive (Cluster.evs ~seed ?obs ~net_config ~n ())

@@ -2,9 +2,9 @@
 
     Sweeps a contiguous range of integer seeds; each seed deterministically
     expands ({!Campaign.generate}) into one campaign per protocol — random
-    churn x network fault knobs x app traffic — which is run and checked.
-    Failing campaigns are shrunk to minimal repros ready to be persisted
-    with {!Repro.save} and replayed forever after. *)
+    churn x link parameters ({!Vs_net.Net.config}) x app traffic — which is
+    run and checked.  Failing campaigns are shrunk to minimal repros ready
+    to be persisted with {!Repro.save} and replayed forever after. *)
 
 type failure = {
   f_seed : int;

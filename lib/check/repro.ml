@@ -1,5 +1,6 @@
 module Faults = Vs_harness.Faults
 module Driver = Vs_harness.Driver
+module Net = Vs_net.Net
 
 (* ---------- minimal s-expressions (no parser dependency available) ---------- *)
 
@@ -120,10 +121,10 @@ let spec_to_sexp (spec : Campaign.spec) =
       field "seed" (Atom (Int64.to_string spec.Campaign.seed));
       field "protocol" (Atom (Driver.protocol_to_string spec.Campaign.protocol));
       field "nodes" (Atom (string_of_int spec.Campaign.nodes));
-      field "loss" (Atom (float_atom spec.Campaign.knobs.Campaign.loss_prob));
-      field "dup" (Atom (float_atom spec.Campaign.knobs.Campaign.dup_prob));
-      field "delay-min" (Atom (float_atom spec.Campaign.knobs.Campaign.delay_min));
-      field "delay-max" (Atom (float_atom spec.Campaign.knobs.Campaign.delay_max));
+      field "loss" (Atom (float_atom spec.Campaign.net.Net.drop_prob));
+      field "dup" (Atom (float_atom spec.Campaign.net.Net.dup_prob));
+      field "delay-min" (Atom (float_atom spec.Campaign.net.Net.delay_min));
+      field "delay-max" (Atom (float_atom spec.Campaign.net.Net.delay_max));
       field "traffic-gap" (Atom (float_atom spec.Campaign.traffic_gap));
       field "traffic-until" (Atom (float_atom spec.Campaign.traffic_until));
       field "horizon" (Atom (float_atom spec.Campaign.horizon));
@@ -235,23 +236,21 @@ let spec_of_sexp sexp =
           entries
     | Atom _ -> fail "script must be a list"
   in
-  let delay_min = as_float (get "delay-min") in
-  let delay_max = as_float (get "delay-max") in
-  (* The bounds Net.create accepts. *)
-  if delay_min < 0. || delay_max < delay_min then
-    fail "bad delay bounds: delay-min %s, delay-max %s" (float_atom delay_min)
-      (float_atom delay_max);
+  let net =
+    {
+      Net.default_config with
+      Net.drop_prob = as_float (get "loss");
+      dup_prob = as_float (get "dup");
+      delay_min = as_float (get "delay-min");
+      delay_max = as_float (get "delay-max");
+    }
+  in
+  Result.iter_error (fail "%s") (Net.check_config net);
   {
     Campaign.seed;
     protocol;
     nodes = as_int (get "nodes");
-    knobs =
-      {
-        Campaign.loss_prob = as_float (get "loss");
-        dup_prob = as_float (get "dup");
-        delay_min;
-        delay_max;
-      };
+    net;
     script;
     traffic_gap = as_float (get "traffic-gap");
     traffic_until = as_float (get "traffic-until");

@@ -1,4 +1,5 @@
 module Faults = Vs_harness.Faults
+module Net = Vs_net.Net
 
 type stats = { attempts : int; accepted : int }
 
@@ -93,26 +94,19 @@ let partition_merges spec =
       | _, _ -> [])
     (List.init (List.length spec.Campaign.script) (fun i -> i))
 
-let knob_simplifications spec =
-  let k = spec.Campaign.knobs in
+let link_simplifications spec =
+  let net = spec.Campaign.net in
   let candidates = ref [] in
   let add c = candidates := c :: !candidates in
   if spec.Campaign.traffic_gap > 0. then
     add { spec with Campaign.traffic_gap = 0. };
-  if k.Campaign.loss_prob > 0. then
-    add { spec with Campaign.knobs = { k with Campaign.loss_prob = 0. } };
-  if k.Campaign.dup_prob > 0. then
-    add { spec with Campaign.knobs = { k with Campaign.dup_prob = 0. } };
-  if k.Campaign.delay_max > Campaign.default_knobs.Campaign.delay_max then
-    add
-      {
-        spec with
-        Campaign.knobs =
-          {
-            k with
-            Campaign.delay_max = Campaign.default_knobs.Campaign.delay_max;
-          };
-      };
+  if net.Net.drop_prob > 0. then
+    add { spec with Campaign.net = { net with Net.drop_prob = 0. } };
+  if net.Net.dup_prob > 0. then
+    add { spec with Campaign.net = { net with Net.dup_prob = 0. } };
+  let default_max = Net.default_config.Net.delay_max in
+  if net.Net.delay_max > default_max then
+    add { spec with Campaign.net = { net with Net.delay_max = default_max } };
   List.rev !candidates
 
 (* Compress the schedule toward its first action and tighten the horizon.
@@ -157,7 +151,7 @@ let time_compressions spec =
 
 let candidates spec =
   chunk_removals spec @ remove_top_node spec @ partition_merges spec
-  @ knob_simplifications spec @ time_compressions spec
+  @ link_simplifications spec @ time_compressions spec
 
 (* ---------- the greedy ddmin loop ---------- *)
 
