@@ -117,12 +117,20 @@ let random_script rng ~nodes ~start ~duration ~mean_gap ?(crash_weight = 1.0)
             | `Corrupt ->
                 let target = Rng.pick rng alive in
                 let sign mag = if Rng.bool rng 0.5 then mag else -mag in
+                (* A member-and-amount kind draws the amount first: every
+                   seeded transient script depends on this order. *)
                 let kind =
                   match Rng.int rng 4 with
                   | 0 -> Seq_skew (sign (1 + Rng.int rng 5))
-                  | 1 -> Stability_smear (Rng.pick rng alive, 1 + Rng.int rng 8)
+                  | 1 ->
+                      let amount = 1 + Rng.int rng 8 in
+                      let member = Rng.pick rng alive in
+                      Stability_smear (member, amount)
                   | 2 -> View_skew (sign (1 + Rng.int rng 3))
-                  | _ -> Deps_truncate (Rng.pick rng alive, 1 + Rng.int rng 4)
+                  | _ ->
+                      let k = 1 + Rng.int rng 4 in
+                      let member = Rng.pick rng alive in
+                      Deps_truncate (member, k)
                 in
                 corrupted := true;
                 Corrupt (target, kind)
