@@ -594,13 +594,13 @@ let run_throughput ~quick ~scale =
         ( "c1_at_scale",
           Json.Arr
             (List.map
-               (fun (m : TP.merge_result) ->
+               (fun (m : Vs_exp.Exp_join.sample) ->
                  Json.Obj
                    [
-                     ("k", Json.Int m.TP.m_k);
-                     ("installs_after_heal", Json.Int m.TP.m_installs_total);
-                     ("installs_per_proc", Json.Float m.TP.m_installs_per_proc);
-                     ("merge_latency_s", Json.Float m.TP.m_merge_latency);
+                     ("k", Json.Int m.k);
+                     ("installs_after_heal", Json.Int m.installs_total);
+                     ("installs_per_proc", Json.Float m.installs_per_proc);
+                     ("merge_latency_s", Json.Float m.merge_latency);
                    ])
                merges) );
       ]

@@ -15,34 +15,47 @@ module Faults = Vs_harness.Faults
 module Table = Vs_stats.Table
 
 type sample = {
+  k : int;
   installs_total : int;     (* installation events after the heal, summed *)
   installs_per_proc : float;
-  merge_latency : float;
+  merge_latency : float;    (* heal to stable merged view, sim seconds *)
 }
 
-let run_once ~one_at_a_time ~k =
+(* The one merge measurement, also run at scale by T/C1-at-scale: [2k]
+   nodes partitioned into halves assemble until [assembled], the partition
+   heals, and the merged view is awaited in [step]s for up to [settle]
+   seconds. *)
+let merge ~seed ~config ~k ~assembled ~settle ~step =
   let n = 2 * k in
-  let config = { Endpoint.default_config with Endpoint.one_at_a_time } in
-  let c = Cluster.vsync ~seed:(Int64.of_int (400 + k)) ~config ~n () in
+  let c = Cluster.vsync ~seed ~config ~n () in
   let nodes = List.init n (fun i -> i) in
   let left = Vs_util.Listx.take k nodes and right = Vs_util.Listx.drop k nodes in
   Cluster.apply_action c (Faults.Partition [ left; right ]);
-  (* Let both halves assemble (one-at-a-time needs ~k rounds for that too,
-     so give it room). *)
-  let assembly_deadline = 2.0 +. (0.6 *. float_of_int k) in
-  Cluster.run c ~until:assembly_deadline;
+  Cluster.run c ~until:assembled;
   let before = Oracle.total_installs (Cluster.oracle c) in
   let heal_time = Sim.now (Cluster.sim c) in
   Cluster.apply_action c Faults.Heal;
-  (* Run until the merged view is stable, in small steps to timestamp it. *)
-  let deadline = heal_time +. 4.0 +. (0.8 *. float_of_int k) in
-  let stable_at = Cluster.await_stable_view c ~step:0.05 ~deadline in
+  let stable_at =
+    Cluster.await_stable_view c ~step ~deadline:(heal_time +. settle)
+  in
   let installs_total = Oracle.total_installs (Cluster.oracle c) - before in
   {
+    k;
     installs_total;
     installs_per_proc = float_of_int installs_total /. float_of_int n;
     merge_latency = stable_at -. heal_time;
   }
+
+(* One-at-a-time needs ~k rounds to assemble each half too, so the
+   deadlines grow with k. *)
+let run_once ~one_at_a_time ~k =
+  merge
+    ~seed:(Int64.of_int (400 + k))
+    ~config:{ Endpoint.default_config with Endpoint.one_at_a_time }
+    ~k
+    ~assembled:(2.0 +. (0.6 *. float_of_int k))
+    ~settle:(4.0 +. (0.8 *. float_of_int k))
+    ~step:0.05
 
 let run ?(quick = false) () =
   let ks = if quick then [ 2; 4 ] else [ 1; 2; 4; 8; 16 ] in

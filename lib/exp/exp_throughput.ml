@@ -42,9 +42,6 @@ module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
 module Critpath = Vs_obs.Critpath
 module Obs_event = Vs_obs.Event
-module Cluster = Vs_harness.Cluster
-module Oracle = Vs_harness.Oracle
-module Faults = Vs_harness.Faults
 module Wire = Vs_vsync.Wire
 module View = Vs_gms.View
 
@@ -689,40 +686,16 @@ let scale_config =
     batching = true;
   }
 
-type merge_result = {
-  m_k : int;
-  m_installs_total : int;  (* installation events after the heal, summed *)
-  m_installs_per_proc : float;
-  m_merge_latency : float;  (* heal to stable merged view, sim seconds *)
-}
-
+(* Both halves assemble behind the partition: a couple of heartbeat periods
+   to hear everyone, a settle period, one flush. *)
 let merge_at_scale ~k =
-  let n = 2 * k in
-  let c =
-    Cluster.vsync
-      ~seed:(Int64.of_int (7000 + k))
-      ~config:scale_config ~n ()
-  in
-  let nodes = List.init n (fun i -> i) in
-  let left = Vs_util.Listx.take k nodes
-  and right = Vs_util.Listx.drop k nodes in
-  Cluster.apply_action c (Faults.Partition [ left; right ]);
-  (* Both halves assemble behind the partition: a couple of heartbeat
-     periods to hear everyone, a settle period, one flush. *)
-  let assembly_deadline = 15.0 +. (0.002 *. float_of_int n) in
-  Cluster.run c ~until:assembly_deadline;
-  let before = Oracle.total_installs (Cluster.oracle c) in
-  let heal_time = Sim.now (Cluster.sim c) in
-  Cluster.apply_action c Faults.Heal;
-  let deadline = heal_time +. 30.0 +. (0.005 *. float_of_int n) in
-  let stable_at = Cluster.await_stable_view c ~step:0.5 ~deadline in
-  let installs_total = Oracle.total_installs (Cluster.oracle c) - before in
-  {
-    m_k = k;
-    m_installs_total = installs_total;
-    m_installs_per_proc = float_of_int installs_total /. float_of_int n;
-    m_merge_latency = stable_at -. heal_time;
-  }
+  let n = float_of_int (2 * k) in
+  Exp_join.merge
+    ~seed:(Int64.of_int (7000 + k))
+    ~config:scale_config ~k
+    ~assembled:(15.0 +. (0.002 *. n))
+    ~settle:(30.0 +. (0.005 *. n))
+    ~step:0.5
 
 let merge_table samples =
   let table =
@@ -734,13 +707,13 @@ let merge_table samples =
         [ "k"; "installs after heal"; "installs/proc"; "merge latency (s)" ]
   in
   List.iter
-    (fun m ->
+    (fun (m : Exp_join.sample) ->
       Table.add_row table
         [
-          Table.fint m.m_k;
-          Table.fint m.m_installs_total;
-          Table.ffloat m.m_installs_per_proc;
-          Table.ffloat ~decimals:2 m.m_merge_latency;
+          Table.fint m.k;
+          Table.fint m.installs_total;
+          Table.ffloat m.installs_per_proc;
+          Table.ffloat ~decimals:2 m.merge_latency;
         ])
     samples;
   table
