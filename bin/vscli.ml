@@ -8,8 +8,7 @@
      top          per-window vsmon telemetry + flush-stall attribution
      metrics      expose the end-of-run registry (OpenMetrics or JSON)
      path         causal critical-path profile (vspath); --flame for stacks
-     diff-runs    structural diff of two runs; first causal divergence
-     bench diff   compare two BENCH_*.json artifacts; non-zero on regression *)
+     diff-runs    structural diff of two runs; first causal divergence *)
 
 module Recorder = Vs_obs.Recorder
 module Event = Vs_obs.Event
@@ -438,7 +437,6 @@ let trace_cmd =
 module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
 module Openmetrics = Vs_obs.Openmetrics
-module Bench_diff = Vs_obs.Bench_diff
 
 let interval_arg =
   Arg.(
@@ -669,62 +667,6 @@ let diff_runs_cmd =
           per-phase latency deltas.")
     Term.(const run $ a_arg $ b_arg $ nodes_arg $ evs_arg $ json)
 
-(* ---------- bench diff ---------- *)
-
-let load_bench path =
-  match Bench_diff.load path with
-  | Ok doc -> doc
-  | Error msg ->
-      Printf.eprintf "cannot load %s: %s\n" path msg;
-      exit 2
-
-let bench_diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD.json" ~doc:"Baseline BENCH_*.json artifact.")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW.json" ~doc:"Candidate BENCH_*.json artifact.")
-  in
-  let threshold =
-    Arg.(
-      value
-      & opt float Bench_diff.default_threshold
-      & info [ "threshold" ] ~docv:"FRACTION"
-          ~doc:
-            "Relative tolerance for measured keys (wall-clock keys get 2.5x \
-             this); exact keys ignore it.")
-  in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Show unchanged keys too, not only diffs.")
-  in
-  let run old_path new_path threshold all =
-    let old_doc = load_bench old_path and new_doc = load_bench new_path in
-    let rows = Bench_diff.diff ~threshold ~old_doc ~new_doc () in
-    Vs_stats.Table.print (Bench_diff.to_table ~all rows);
-    print_endline (Bench_diff.summary rows);
-    exit (Bench_diff.exit_code rows)
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two BENCH_*.json artifacts key by key with per-key-class \
-          thresholds; exits non-zero on any regression (the CI gate).")
-    Term.(const run $ old_arg $ new_arg $ threshold $ all)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Operations on the machine-readable bench artifacts.")
-    [ bench_diff_cmd ]
-
 let () =
   let info =
     Cmd.info "vscli" ~version:"1.0.0"
@@ -737,5 +679,5 @@ let () =
        (Cmd.group info
           [
             check_cmd; explain_cmd; query_cmd; trace_cmd; top_cmd; metrics_cmd;
-            path_cmd; diff_runs_cmd; bench_cmd;
+            path_cmd; diff_runs_cmd;
           ]))

@@ -16,7 +16,7 @@
 
    Reported per arm: offered/accepted load, operations applied at an
    observer replica inside the measured window, wall-clock throughput of
-   the simulation over that window (the ops/sec the bench gate compares),
+   the simulation over that window (printed only when a clock is injected),
    sampled end-to-end put latency, install / flush-stall percentiles from
    the Obs.Metrics histograms, and wire messages per operation.
 
@@ -152,12 +152,10 @@ type result = {
   r_accepted : int;
   r_rejected : int;
   r_applied : int;  (* puts applied at the observer replica in-window *)
-  r_wall_s : float option;
   r_ops_per_wall_s : float option;
   r_put_lat : Summary.t;  (* sampled end-to-end put latency, sim seconds *)
   r_install : Hdr.t option;
   r_flush : Hdr.t option;
-  r_wire_sent : int;
   r_wire_per_op : float;
   r_windows : window_stat list;  (* measured window sliced by the series *)
   (* vspath critical-path block: install latency decomposed on the causal
@@ -171,15 +169,15 @@ type result = {
   r_critpath_consistent : bool;
 }
 
+(* Series windows per measured load window — Δ = w_window / 4, so the
+   report shows how the rate and install cost move through the window. *)
+let windows_per_measured = 4
+
 (* One arm: same seed, same workload drawing order — only the endpoint
    config differs, so the arrival sequence (times, clients, keys) is
    identical across arms.  [clock], when given, must read wall-clock
    seconds; it is injected by the caller (bench, CLI) so this library stays
    free of wall-clock reads. *)
-(* Series windows per measured load window — Δ = w_window / 4, so the
-   report shows how the rate and install cost move through the window. *)
-let windows_per_measured = 4
-
 let run_arm ?clock ~seed ~workload:w arm =
   let recorder = Recorder.create ~level:Recorder.Protocol () in
   let interval = w.w_window /. float_of_int windows_per_measured in
@@ -320,7 +318,6 @@ let run_arm ?clock ~seed ~workload:w arm =
     r_accepted = load.App_fleet.accepted;
     r_rejected = load.App_fleet.rejected;
     r_applied = !applied;
-    r_wall_s = wall_s;
     r_ops_per_wall_s =
       Option.map
         (fun s ->
@@ -329,7 +326,6 @@ let run_arm ?clock ~seed ~workload:w arm =
     r_put_lat = put_lat;
     r_install = Metrics.hist metrics "view.install-latency";
     r_flush = Metrics.hist metrics "view.flush-stall";
-    r_wire_sent = wire_sent;
     r_wire_per_op =
       (if load.App_fleet.accepted > 0 then
          float_of_int wire_sent /. float_of_int load.App_fleet.accepted
@@ -405,9 +401,7 @@ type dp_result = {
   p_name : string;
   p_offered : int;
   p_delivered : int;   (* total-order deliveries summed over all replicas *)
-  p_wall_s : float option;
   p_ops_per_wall_s : float option;
-  p_wire_sent : int;
   p_wire_per_op : float;
   p_batches : int;
 }
@@ -467,12 +461,10 @@ let run_data_plane_arm ?clock ~seed ~workload:w name config =
     p_name = name;
     p_offered = !offered;
     p_delivered = !delivered;
-    p_wall_s = wall_s;
     p_ops_per_wall_s =
       Option.map
         (fun s -> if s > 0. then float_of_int !offered /. s else 0.)
         wall_s;
-    p_wire_sent = wire_sent;
     p_wire_per_op =
       (if !offered > 0 then float_of_int wire_sent /. float_of_int !offered
        else 0.);
@@ -720,8 +712,8 @@ let merge_table samples =
 
 (* [tables] renders without wall-clock numbers (no clock is injected here:
    the experiment registry must stay deterministic for the lint and the
-   repro corpus); the bench harness calls {!run_arms} with a clock and
-   writes BENCH_throughput.json itself. *)
+   repro corpus); bench throughput calls {!run_arms} and {!run_data_plane}
+   with a clock and prints the wall-clock columns. *)
 let tables ?(quick = false) () =
   let results = run_arms ~quick () in
   let dp = run_data_plane ~quick () in

@@ -17,7 +17,7 @@ let usage =
    Whole-program lint over every .ml under the given files/directories\n\
    (default: lib bin bench examples): per-site determinism rules plus the\n\
    call-graph passes (effect certification C1, alloc-free proof A1, stale\n\
-   suppressions S2, bench contract B1).  Exits 1 on any unsuppressed\n\
+   suppressions S2, zero-alloc contract B1).  Exits 1 on any unsuppressed\n\
    finding, 2 on usage errors.\n\
    \n\
   \  --format FMT   human (default), json, or sarif (SARIF 2.1.0)\n\

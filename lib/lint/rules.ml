@@ -166,20 +166,20 @@ let a1 =
        annotation); the annotation is written (* vslint" ^ ": alloc-free *) \
        on the line above the definition";
     explain =
-      "The send fast path must not allocate when observability is off; the \
-       bench asserts this at runtime with word-exact Gc counters \
-       (words_per_send in bench/main.ml), but a runtime assertion only \
-       guards the scenarios the bench happens to run.  A1 turns the \
-       guarantee into a build-time proof: a function annotated alloc-free \
-       may not contain closure captures, tuple/record/variant/array \
-       construction, string concatenation, known-allocating stdlib calls, \
-       partial applications of known functions, or obvious float boxing — \
-       and may not call another function in this tree whose body contains \
-       such a construct (reported with the call chain to the allocating \
-       site).  Calls that the analysis cannot resolve (first-class \
-       functions, external primitives) are not flagged: the proof is \
-       conservative in what it accepts under the annotation, not in what \
-       it rejects.";
+      "The send fast path must not allocate when observability is off; \
+       test_obs's \"zero-alloc runtime guard\" asserts this at runtime with \
+       word-exact Gc counters (bench obs prints the same counts at every \
+       recording level), but a runtime assertion only guards the scenarios \
+       it happens to run.  A1 turns the guarantee into a build-time proof: \
+       a function annotated alloc-free may not contain closure captures, \
+       tuple/record/variant/array construction, string concatenation, \
+       known-allocating stdlib calls, partial applications of known \
+       functions, or obvious float boxing — and may not call another \
+       function in this tree whose body contains such a construct \
+       (reported with the call chain to the allocating site).  Calls that \
+       the analysis cannot resolve (first-class functions, external \
+       primitives) are not flagged: the proof is conservative in what it \
+       accepts under the annotation, not in what it rejects.";
   }
 
 let s2 =
@@ -212,14 +212,15 @@ let b1 =
        remove it from Net.zero_alloc_contract; the contract list and the \
        annotated set must name the same functions";
     explain =
-      "Two guards protect the zero-allocation send path: the bench's \
-       runtime Gc assertion (which exports Net.zero_alloc_contract into \
-       BENCH_obs.json next to its word counts) and the static A1 \
-       annotations.  If they named different functions they could silently \
-       diverge — the bench measuring one set while the analyzer proves \
-       another.  B1 pins them together: every \"path:function\" entry of \
-       zero_alloc_contract must resolve to a function in the analyzed tree \
-       that carries the alloc-free annotation.";
+      "Two guards protect the zero-allocation send path: the runtime Gc \
+       counts (test_obs's \"zero-alloc runtime guard\", and bench obs, which \
+       prints Net.zero_alloc_contract next to its word counts) and the \
+       static A1 annotations.  If they named different functions they could \
+       silently diverge — the runtime check measuring one set while the \
+       analyzer proves another.  B1 pins them together: every \
+       \"path:function\" entry of zero_alloc_contract must resolve to a \
+       function in the analyzed tree that carries the alloc-free \
+       annotation.";
   }
 
 let s1 =

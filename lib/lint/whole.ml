@@ -7,7 +7,7 @@
        of Ambient_time/Ambient_rand/Unix_io (capability seam certification);
    A1  functions annotated alloc-free must contain no allocating construct
        and call no resolved function that does;
-   B1  every entry of the bench's zero-alloc contract list must carry the
+   B1  every entry of a zero-alloc contract list must carry the
        alloc-free annotation;
    S2  every justified allow must still guard a firing finding.
 
@@ -42,8 +42,9 @@ type report = {
 let finding rule ~file ~line ~col message =
   { Lint.rule; file; line; col; message }
 
-(* The contract list tying the bench's runtime Gc assertion to the A1
-   annotations: a toplevel [let zero_alloc_contract = [ "path:fn"; ... ]]. *)
+(* The contract list tying the runtime word counts (test_obs, bench obs)
+   to the A1 annotations: a toplevel
+   [let zero_alloc_contract = [ "path:fn"; ... ]]. *)
 let contract_name = "zero_alloc_contract"
 
 let rec strings_of_list_expr (e : Parsetree.expression) =
@@ -264,7 +265,7 @@ let analyze ~files () =
             intrinsic @ via_calls)
       annotated
   in
-  (* --- B1: the bench contract and the annotated set name the same
+  (* --- B1: the contract and the annotated set name the same
      functions --- *)
   let b1 =
     List.concat_map

@@ -267,11 +267,11 @@ let reset_stats t =
   t.bytes_sent <- 0
 
 (* The zero-allocation contract of the send fast path, as "path:function"
-   entries.  The bench (bench/main.ml) asserts the runtime half — word-exact
-   Gc counters at Protocol/Off observability — and exports this list into
-   BENCH_obs.json next to those counts; vslint's A1 proves each body
-   allocation-free and B1 proves this list and the annotated set name the
-   same functions, so the two guards cannot silently diverge. *)
+   entries.  test_obs's "zero-alloc runtime guard" asserts the runtime half
+   (word-exact Gc counters, Off = Protocol), and bench obs prints this list
+   next to its word counts; vslint's A1 proves each body allocation-free
+   and B1 proves this list and the annotated set name the same functions,
+   so the two guards cannot silently diverge. *)
 let zero_alloc_contract =
   [
     "lib/net/net.ml:is_live";

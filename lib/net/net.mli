@@ -129,6 +129,7 @@ val reset_stats : 'm t -> unit
     names of the guards that run on every send whatever the observability
     level.  Each named function carries the alloc-free annotation (vslint
     rule A1 proves the bodies are allocation-free; rule B1 proves this
-    list and the annotated set agree), and the bench exports the list next
-    to its word-exact Gc counters. *)
+    list and the annotated set agree).  test_obs's "zero-alloc runtime
+    guard" asserts the runtime half with word-exact Gc counters, and bench
+    obs prints the list next to its word counts. *)
 val zero_alloc_contract : string list

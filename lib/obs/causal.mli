@@ -63,7 +63,7 @@ val validate : t -> (unit, string) result
 
     A {!Recorder.add_sink} tap that accumulates the stream as it is
     recorded, so a DAG can be built without re-reading the recorder (and so
-    the bench can attach a causal collector while asserting the off-path
+    test_obs can attach a causal collector while asserting the off-path
     send still allocates zero words). *)
 
 type collector

@@ -100,7 +100,7 @@ val close : tol:float -> float -> float -> bool
     {!consistent_with_stall} and the property suite share. *)
 
 val consistent_with_stall : t -> Stall.attr list -> bool
-(** The cross-check the bench gate and the property suite assert: every
+(** The cross-check bench throughput and the property suite assert: every
     install path's segments sum to its latency, and the summed
     flush-ack-wait / stability-wait components equal the {!Stall}
     attribution of the same recording, each within {!default_tol}. *)

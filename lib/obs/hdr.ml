@@ -18,8 +18,9 @@
    arithmetic, no float constants, no closures — only comparisons against
    precomputed boundaries and integer increments.  vslint rule A1 proves
    this statically (the alloc-free annotations below), rule B1 ties the
-   [zero_alloc_contract] list to those annotations, and the bench asserts
-   the runtime half with word-exact Gc counters. *)
+   [zero_alloc_contract] list to those annotations, and test_obs's
+   "zero-alloc runtime guard" asserts the runtime half with word-exact Gc
+   counters. *)
 
 type t = {
   bounds : float array;
@@ -91,7 +92,7 @@ let record t v =
 (* The static half of the no-allocation guarantee, in the same
    "path:function" shape as [Net.zero_alloc_contract]: rule A1 proves each
    body allocation-free, rule B1 pins this list to the annotated set, and
-   the bench exports it next to its runtime word counts. *)
+   bench obs prints it next to its runtime word counts. *)
 let zero_alloc_contract =
   [ "lib/obs/hdr.ml:bucket_index"; "lib/obs/hdr.ml:record" ]
 

@@ -4,7 +4,7 @@
     continuous-telemetry path: memory is fixed at {!create} time and
     {!record} performs no allocation (certified statically by vslint rule
     A1 via the [alloc-free] annotations, pinned by {!zero_alloc_contract},
-    and asserted at runtime by the bench's word-exact Gc counters).
+    and asserted at runtime by test_obs's word-exact Gc counters).
 
     Quantiles are reported as the upper bound of the bucket holding the
     exact quantile's sample, so for values inside [(lowest, highest)]:

@@ -4,7 +4,7 @@
     builds), no whitespace, the {!float_repr} rule for floats — so
     identical event streams serialize byte-identically, and parsing then
     re-printing a canonical document reproduces it exactly.  The parser
-    reads [BENCH_*.json] baselines for [Bench_diff], the committed samples
+    reads vsbench's BENCHMARK.json and run records, the committed samples
     the structural tests check, and JSONL lines back for {!Explain}. *)
 
 type t =

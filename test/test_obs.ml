@@ -84,8 +84,10 @@ let test_tail () =
    Hdr.record allocates none.  Every send shape is measured: a plain
    Net.send, a node-addressed Net.send_node (heartbeats), a 4-payload
    Wire.Batch on a net sized and identified by Wire, and sends with a
-   Series sink or a Causal collector attached.  The bench's obs section
-   prints the same counts, at Full too. *)
+   Series sink or a Causal collector attached.  Corruption hooks act on
+   endpoint state, not the wire, so a plain send costs the same words after
+   two of them hit a live cluster.  The bench's obs section prints the
+   counts, at Full too. *)
 let test_zero_alloc_runtime () =
   let module Net = Vs_net.Net in
   let module Wire = Vs_vsync.Wire in
@@ -134,6 +136,23 @@ let test_zero_alloc_runtime () =
       ( "node-addressed, both sinks",
         words ~sinks:[ series; causal ] ~make:plain ~send:to_node );
     ];
+  let plain_protocol () =
+    words ~sinks:[] ~make:plain ~send:to_proc Recorder.Protocol
+  in
+  let before = plain_protocol () in
+  let module Cluster = Vs_harness.Cluster in
+  let module Endpoint = Vs_vsync.Endpoint in
+  let c = Cluster.vsync ~seed:17L ~n:3 () in
+  Cluster.run c ~until:2.0;
+  (match Cluster.on_node c 0 with
+  | Some ep ->
+      List.iter
+        (fun k -> ignore (Endpoint.corrupt ep k : string))
+        [ Endpoint.Seq_skew 3; Endpoint.Stability_smear (1, 4) ]
+  | None -> Alcotest.fail "node 0 has no live member");
+  Cluster.run c ~until:3.0;
+  check (Alcotest.float 0.) "plain: words per send after corruption" before
+    (plain_protocol ());
   let record = Vs_obs.Hdr.record (Vs_obs.Hdr.create ()) in
   let samples = [ 0.0; 0.0000004; 0.0001; 0.004; 0.2; 3.5; 70.; 2.5e7 ] in
   check (Alcotest.float 0.) "words per Hdr.record" 0.

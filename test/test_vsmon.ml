@@ -1,7 +1,7 @@
 (* vsmon telemetry-plane tests: HDR histogram error bounds against the
    exact Summary statistics, byte-determinism of the windowed series and
-   the OpenMetrics exposition, schedule-invisibility of scraping, stall
-   attribution arithmetic, and the bench-diff verdict rules. *)
+   the OpenMetrics exposition, schedule-invisibility of scraping and stall
+   attribution arithmetic. *)
 
 module Hdr = Vs_obs.Hdr
 module Metrics = Vs_obs.Metrics
@@ -9,7 +9,6 @@ module Series = Vs_obs.Series
 module Stall = Vs_obs.Stall
 module Critpath = Vs_obs.Critpath
 module Openmetrics = Vs_obs.Openmetrics
-module Bench_diff = Vs_obs.Bench_diff
 module Json = Vs_obs.Json
 module Event = Vs_obs.Event
 module Recorder = Vs_obs.Recorder
@@ -381,92 +380,6 @@ let test_openmetrics_format () =
     (String.length mutated < String.length sample
     && openmetrics_problems mutated <> [])
 
-(* --- bench diff ----------------------------------------------------------- *)
-
-let obj fields = Json.Obj fields
-
-let test_bench_diff_verdicts () =
-  let old_doc =
-    obj
-      [
-        ("zero_alloc_send", Json.Bool true);
-        ("words_per_call", Json.Float 0.);
-        ("e1_wall_ms", Json.Float 10.);
-        ("ops_per_wall_s", Json.Float 1000.);
-        ("note", Json.Str "info");
-      ]
-  in
-  let new_doc =
-    obj
-      [
-        ("zero_alloc_send", Json.Bool false);
-        ("words_per_call", Json.Float 2.);
-        ("e1_wall_ms", Json.Float 10.5);
-        ("ops_per_wall_s", Json.Float 100.);
-        ("note", Json.Str "changed-info");
-      ]
-  in
-  let rows = Bench_diff.diff ~old_doc ~new_doc () in
-  let verdict key =
-    match List.find_opt (fun r -> r.Bench_diff.key = key) rows with
-    | Some r -> r.Bench_diff.r_verdict
-    | None -> Alcotest.fail ("missing key " ^ key)
-  in
-  Alcotest.(check bool) "bool false-ing regresses" true
-    (verdict "zero_alloc_send" = Bench_diff.Regressed);
-  Alcotest.(check bool) "word count increase regresses" true
-    (verdict "words_per_call" = Bench_diff.Regressed);
-  Alcotest.(check bool) "small wall drift tolerated" true
-    (verdict "e1_wall_ms" = Bench_diff.Ok);
-  Alcotest.(check bool) "throughput collapse regresses" true
-    (verdict "ops_per_wall_s" = Bench_diff.Regressed);
-  Alcotest.(check bool) "info churn never gates" true
-    (verdict "note" = Bench_diff.Changed);
-  Alcotest.(check int) "exit code flags regressions" 1
-    (Bench_diff.exit_code rows);
-  (* the flake-free CI subset excludes the throughput key (measured) *)
-  let det = Bench_diff.deterministic_regressions rows in
-  Alcotest.(check int) "deterministic subset" 2 (List.length det);
-  (* identical documents diff clean *)
-  let clean = Bench_diff.diff ~old_doc ~new_doc:old_doc () in
-  Alcotest.(check int) "identical docs exit 0" 0 (Bench_diff.exit_code clean)
-
-let test_bench_diff_keyed_arrays () =
-  let arm name wall = obj [ ("name", Json.Str name); ("wall_ms", Json.Float wall) ] in
-  let old_doc = obj [ ("arms", Json.Arr [ arm "a" 5.; arm "b" 7. ]) ] in
-  (* same content, reordered — must not produce any changed/added rows *)
-  let new_doc = obj [ ("arms", Json.Arr [ arm "b" 7.; arm "a" 5. ]) ] in
-  let rows = Bench_diff.diff ~old_doc ~new_doc () in
-  Alcotest.(check bool) "reordering keyed arrays is invisible" true
-    (List.for_all (fun r -> r.Bench_diff.r_verdict = Bench_diff.Ok) rows);
-  (* a dropped arm shows up as removed, a new one as added *)
-  let new_doc2 = obj [ ("arms", Json.Arr [ arm "a" 5.; arm "c" 9. ]) ] in
-  let rows2 = Bench_diff.diff ~old_doc ~new_doc:new_doc2 () in
-  let count v =
-    List.length (List.filter (fun r -> r.Bench_diff.r_verdict = v) rows2)
-  in
-  Alcotest.(check int) "removed arm reported" 2 (count Bench_diff.Removed);
-  Alcotest.(check int) "added arm reported" 2 (count Bench_diff.Added)
-
-(* Unreadable and unparseable files are typed errors, not exceptions. *)
-let test_bench_diff_load () =
-  let is_error = function Error _ -> true | Ok _ -> false in
-  Alcotest.(check bool) "missing file" true
-    (is_error (Bench_diff.load "no-such-bench.json"));
-  Alcotest.(check bool) "not JSON" true
-    (is_error (Bench_diff.load "openmetrics_sample.txt"));
-  let path = Filename.temp_file "bench" ".json" in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc {|{"gate_10x":true}|});
-  let loaded = Bench_diff.load path in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc {|{"ops_per_s":5e460}|});
-  let overflowing = Bench_diff.load path in
-  Sys.remove path;
-  Alcotest.(check bool) "a BENCH document" true
-    (loaded = Ok (obj [ ("gate_10x", Json.Bool true) ]));
-  Alcotest.(check bool) "a number beyond a double" true (is_error overflowing)
-
 let () =
   Alcotest.run "vsmon"
     [
@@ -493,10 +406,4 @@ let () =
         ] );
       ( "openmetrics",
         [ Alcotest.test_case "exposition format" `Quick test_openmetrics_format ] );
-      ( "bench-diff",
-        [
-          Alcotest.test_case "verdict rules" `Quick test_bench_diff_verdicts;
-          Alcotest.test_case "keyed arrays" `Quick test_bench_diff_keyed_arrays;
-          Alcotest.test_case "load" `Quick test_bench_diff_load;
-        ] );
     ]
