@@ -8,9 +8,11 @@
    straight into one buffer: the [t]/[c]/[ev] envelope, then the payload
    keys in a fixed order.  The optional correlation identity renders last,
    and only when present, so pre-identity streams stay byte-identical.  A
-   run of entries at one time formats that time once. *)
+   run of entries at one time formats that time once.  At 128 bytes an
+   entry, above the 95 a Full-level line averages, a full-length
+   campaign's 2 MB export fills one block without growing it. *)
 let jsonl_of_entries entries =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create (128 * List.length entries) in
   let key k =
     Buffer.add_string b ",\"";
     Buffer.add_string b k;

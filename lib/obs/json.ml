@@ -1,7 +1,8 @@
 (* A minimal deterministic JSON value type, printer, and parser, plus the
    printer's primitives ([add_int], [escape_string], [float_repr]) that the
-   streaming JSONL writer calls directly.  Kept dependency-free on purpose:
-   the container has no JSON library baked in. *)
+   streaming JSONL writer calls directly.  Kept dependency-free on purpose.
+   [printf_rule] defines a float's text; [float_repr] prints the same bytes
+   by integer arithmetic for the values exports mostly hold. *)
 
 type t =
   | Null
@@ -16,18 +17,88 @@ type t =
    directly skips the format interpreter. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-(* An integral value of magnitude below 1e15 prints as "%.1f"; any other
-   value as 12 significant digits when they parse back to the same float,
-   else 17 (which always do).  Not the shortest round-trippable text:
-   1.0000000000001 prints as 1.0000000000000999.  Re-emitting a parsed
-   stream is byte-identical to the original. *)
-let float_repr f =
+(* The float rule, and its definition: an integral value of magnitude below
+   1e15 prints as "%.1f"; any other value as 12 significant digits when they
+   parse back to the same float, else 17 (which always do).  Not the
+   shortest round-trippable text: 1.0000000000001 prints as
+   1.0000000000000999.  Re-emitting a parsed stream is byte-identical to the
+   original.  [float_repr] calls it outside its integer path's domain. *)
+let printf_rule f =
   if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
   else
     let s = format_float "%.12g" f in
     match float_of_string_opt s with
     | Some f' when Float.equal f' f -> s
     | Some _ | None -> format_float "%.17g" f
+
+(* 10^k for k = 0..22, each an exact double (5^22 < 2^53). *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+let rec ndigits d = if d < 10 then 1 else 1 + ndigits (d / 10)
+
+(* [%g]'s fixed notation of [d * 10^x], for [d > 0] and [x <= 0]: the
+   fraction's trailing zeros and a bare point dropped, "0.00ddd" below 1. *)
+let fixed ~neg d x =
+  let d = ref d and frac = ref (-x) in
+  while !frac > 0 && !d mod 10 = 0 do
+    d := !d / 10;
+    decr frac
+  done;
+  let sign = Bool.to_int neg in
+  let whole = Int.max 1 (ndigits !d - !frac) in
+  let point = if !frac > 0 then sign + whole else -1 in
+  let len = sign + whole + if !frac > 0 then !frac + 1 else 0 in
+  (* the digits fill from the right; the zeros of "0.00ddd" are the fill *)
+  let s = Bytes.make len '0' in
+  if neg then Bytes.set s 0 '-';
+  if point >= 0 then Bytes.set s point '.';
+  let i = ref (len - 1) in
+  while !d > 0 do
+    if !i = point then decr i;
+    Bytes.set s !i (Char.unsafe_chr (48 + (!d mod 10)));
+    d := !d / 10;
+    decr i
+  done;
+  Bytes.unsafe_to_string s
+
+(* [printf_rule]'s bytes without printf, for a finite non-integral [f] with
+   1e-4 <= |f| < 1e15 (decimal exponent E = -4..14, where both precisions
+   print fixed notation).  For a = |f| and k = 16 - E <= 20, 10^k is exact
+   and [Float.fma] gives a*10^k = p + r exactly, which corrects
+   [Float.log10]'s E next to a power of ten.  p >= 1e16 > 2^53 is an even
+   integer, so N = p + r rounded half to even is glibc's [%.17g] digits.
+   q, N rounded to 12 digits, times 10^(E-11) is one correctly rounded
+   multiply or divide of exact doubles (Clinger's fast path), so it equals
+   what [float_of_string] reads back from the [%.12g] text; and a 12-digit
+   decimal that reads back as a lies within an ulp of a, so it is q.  For
+   E >= 11 that decimal is an integer, never a, so [%.12g]'s exponent
+   notation from 1e12 up is never wanted. *)
+let float_repr f =
+  let a = Float.abs f in
+  if Float.is_integer f || not (a >= 1e-4 && a < 1e15) then printf_rule f
+  else begin
+    let e = int_of_float (Float.floor (Float.log10 a)) in
+    let p = a *. pow10.(16 - e) in
+    let r = Float.fma a pow10.(16 - e) (-.p) in
+    let e =
+      if p > 1e17 || (Float.equal p 1e17 && r >= 0.) then e + 1
+      else if p < 1e16 || (Float.equal p 1e16 && r < 0.) then e - 1
+      else e
+    in
+    let p = a *. pow10.(16 - e) in
+    let r = Float.fma a pow10.(16 - e) (-.p) in
+    (* adding and taking away 1.5 * 2^52 rounds r half to even *)
+    let n = int_of_float p + int_of_float (r +. 0x1.8p52 -. 0x1.8p52) in
+    let q = (n + 50_000) / 100_000 in
+    let back =
+      if e >= 11 then float_of_int q *. pow10.(e - 11)
+      else float_of_int q /. pow10.(11 - e)
+    in
+    let neg = f < 0. in
+    if Float.equal back a then fixed ~neg q (e - 11) else fixed ~neg n (e - 16)
+  end
 
 (* Decimal digits of [-n] for [n <= 0], so [min_int] needs no case. *)
 (* vslint: alloc-free *)
@@ -65,7 +136,8 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Float f when Float.is_finite f -> Buffer.add_string buf (float_repr f)
+  | Float _ -> Buffer.add_string buf "null"
   | Str s -> escape_string buf s
   | Arr items ->
       Buffer.add_char buf '[';

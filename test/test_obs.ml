@@ -176,14 +176,28 @@ let test_jsonl_deterministic () =
     (Metrics.to_text (Metrics.of_entries (Recorder.entries a)))
     (Metrics.to_text (Metrics.of_entries (Recorder.entries b)))
 
-(* A real run's bytes, pinned.  Its times take the 17-digit branch of the
-   float rule, which the hand-timed schema sample never reaches. *)
+(* Real runs' bytes, pinned.  Their times take the 17-digit branch of the
+   float rule, which the hand-timed schema sample never reaches.  The
+   second run is shaped like vsbench's obs-full: a full-length 5-node
+   campaign (EVS, with transient corruptions) whose export is about 2 MB. *)
 let test_jsonl_real_run () =
-  let jsonl = Export.jsonl_of_entries (Recorder.entries (full_run 5)) in
-  check Alcotest.int "lines" 10529
-    (List.length (String.split_on_char '\n' jsonl) - 1);
-  check Alcotest.string "digest" "411788312d23170b91c77c15eec59fd7"
-    (Digest.to_hex (Digest.string jsonl))
+  let pin name entries ~lines ~digest =
+    let jsonl = Export.jsonl_of_entries entries in
+    check Alcotest.int (name ^ " lines") lines
+      (List.length (String.split_on_char '\n' jsonl) - 1);
+    check Alcotest.string (name ^ " digest") digest
+      (Digest.to_hex (Digest.string jsonl))
+  in
+  pin "quick" (Recorder.entries (full_run 5)) ~lines:10529
+    ~digest:"411788312d23170b91c77c15eec59fd7";
+  let recorder = Recorder.create ~level:Recorder.Full () in
+  let spec =
+    Campaign.generate ~protocol:Vs_harness.Driver.Evs ~transient:true ~seed:5
+      ~nodes:5 ~quick:false ()
+  in
+  let (_ : Campaign.outcome) = Campaign.run ~obs:recorder spec in
+  pin "full-length" (Recorder.entries recorder) ~lines:19812
+    ~digest:"8d1b1c5ecc9ae13c6ab66606606f7855"
 
 (* Explain embeds each slice entry as its JSONL line parsed back, so the
    JSON slice prints exactly as the stream does. *)
@@ -512,6 +526,51 @@ let test_lineage_conservation_batched () =
     ((Cluster.stats_total c).Endpoint.batches_sent > 0);
   assert_conservation (Recorder.entries recorder)
 
+(* Views as oracles: Lineage counts each message's copies in place and
+   Causal matches each copy from its send to the entry that consumed it, so
+   the two must agree on how many copies arrived or died in flight.
+   Causal's message edges into identity-carrying [Recv] and [Drop] entries
+   equal Lineage's receipts plus in-flight drops over every lifecycle. *)
+let test_lineage_agrees_with_causal () =
+  List.iter
+    (fun (seed, protocol, quick, transient) ->
+      let recorder = Recorder.create ~level:Recorder.Full () in
+      let spec =
+        Campaign.generate ~protocol ~transient ~seed ~nodes:5 ~quick ()
+      in
+      let (_ : Campaign.outcome) = Campaign.run ~obs:recorder spec in
+      let entries = Recorder.entries recorder in
+      let dag = Vs_obs.Causal.of_entries entries in
+      let edges = ref 0 in
+      Array.iteri
+        (fun i (e : Recorder.entry) ->
+          match e.Recorder.event with
+          | Event.Recv { msg = Some _; _ } | Event.Drop { msg = Some _; _ } ->
+              List.iter
+                (fun (_, kind) ->
+                  match kind with
+                  | Vs_obs.Causal.Message -> incr edges
+                  | Program | Barrier -> ())
+                (Vs_obs.Causal.preds dag i)
+          | _ -> ())
+        (Vs_obs.Causal.nodes dag);
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+      let copies =
+        List.fold_left
+          (fun acc (l : Lineage.lifecycle) ->
+            acc + l.Lineage.l_received + total l.Lineage.l_inflight_drops)
+          0 (Lineage.of_entries entries).Lineage.lifecycles
+      in
+      let name = Campaign.describe spec in
+      check Alcotest.bool (name ^ ": copies consumed") true (copies > 0);
+      check Alcotest.int (name ^ ": causal edges = lineage copies") copies
+        !edges)
+    Vs_harness.Driver.
+      [
+        (1, Vsync, false, false); (2, Evs, false, false);
+        (3, Vsync, true, true); (4, Evs, false, true); (5, Vsync, true, false);
+      ]
+
 (* Causal and Lineage share one drop classification: the five reasons Net
    emits keep their split, and a reason Net never emits (a hand-edited
    replay) is a send-time kill in both — the sender's action, consuming no
@@ -569,6 +628,13 @@ let test_json_canonical () =
     ];
   check Alcotest.string "integer float" "3.0" (Json.float_repr 3.);
   check Alcotest.string "fraction" "0.0012" (Json.float_repr 0.0012);
+  let non_finite =
+    Json.(to_string (Arr [ Float nan; Float infinity; Float neg_infinity ]))
+  in
+  check Alcotest.string "non-finite floats print as null" "[null,null,null]"
+    non_finite;
+  check Alcotest.bool "and parse back" true
+    (Json.of_string non_finite = Ok (Json.Arr [ Null; Null; Null ]));
   List.iter
     (fun txt ->
       check Alcotest.bool (txt ^ " overflows a double") true
@@ -598,14 +664,33 @@ let test_float_repr_edges () =
       -0.0; 0.0; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 2. ** 53.;
       Float.min_float; largest_subnormal; -.largest_subnormal; 5e-324;
       -5e-324; 1e-310; Float.max_float; Float.infinity; Float.neg_infinity;
-      Float.nan; 0.1; 59.999999999999;
-    ]
+      Float.nan; 0.1; 59.999999999999; 65536.0001220703125;
+      65536.0003662109375; 1.000000000005; 7.000002613275;
+      (* the doubles below powers of ten, where [Float.log10] rounds up *)
+      Float.pred 0.01; Float.pred 0.1; Float.pred 100.; Float.pred 1e14;
+    ];
+  (* exact 17-digit ties (2^16 + 2^-13 and 2^16 + 3 * 2^-13) round to
+     even *)
+  check Alcotest.string "tie rounds down to even" "65536.000122070312"
+    (Json.float_repr 65536.0001220703125);
+  check Alcotest.string "tie rounds up to even" "65536.000366210938"
+    (Json.float_repr 65536.0003662109375)
 
 (* Any bit pattern, subnormals on their own (a shortcut through the 17-digit
-   text once diverged on one), and sim-like times in [0, 60). *)
+   text once diverged on one), sim-like times in [0, 60), and the edges of
+   the integer path: magnitudes log-uniform over 1e-5..1e16 of both signs,
+   short decimals i / 10^d, the 2,000 doubles on each side of 10^k for
+   k = -5..16, and exact 17-digit ties 2^j + c * 2^-m (m = 17 - E, c odd). *)
 let float_repr_property =
   let subnormal bits = Int64.logand bits 0x800F_FFFF_FFFF_FFFFL in
-  QCheck.Test.make ~name:"float_repr is the Printf rule" ~count:5000
+  let signed neg x = if neg then -.x else x in
+  let pow10 k = float_of_string ("1e" ^ string_of_int k) in
+  let ulps x n = Int64.float_of_bits (Int64.add (Int64.bits_of_float x) n) in
+  let tie j c =
+    let e = int_of_float (Float.log10 (Float.ldexp 1. j)) in
+    Float.ldexp 1. j +. Float.ldexp (float_of_int ((2 * c) + 1)) (e - 17)
+  in
+  QCheck.Test.make ~name:"float_repr is the Printf rule" ~count:10_000
     (QCheck.make ~print:(Printf.sprintf "%h")
        QCheck.Gen.(
          oneof
@@ -613,6 +698,14 @@ let float_repr_property =
              map Int64.float_of_bits int64;
              map (fun b -> Int64.float_of_bits (subnormal b)) int64;
              float_range 0. 60.;
+             map2 (fun neg e -> signed neg (10. ** e)) bool
+               (float_range (-5.) 16.);
+             map2 (fun i d -> float_of_int i /. pow10 d)
+               (int_range 1 10_000_000) (int_range 1 8);
+             map3 (fun neg k n -> signed neg (ulps (pow10 k) (Int64.of_int n)))
+               bool (int_range (-5) 16) (int_range (-2000) 2000);
+             map3 (fun neg j c -> signed neg (tie j c))
+               bool (int_range 0 40) (int_range 0 500);
            ]))
     (fun f -> String.equal (Json.float_repr f) (printf_float_repr f))
 
@@ -728,6 +821,8 @@ let () =
             test_lineage_conservation_batched;
           Alcotest.test_case "drop classification" `Quick
             test_drop_classification;
+          Alcotest.test_case "agrees with causal on copies" `Quick
+            test_lineage_agrees_with_causal;
         ] );
       ( "json",
         [
