@@ -58,11 +58,6 @@ let run_experiments ~quick ~only =
    keep off the Off path.  test_obs's "zero-alloc runtime guard" asserts the
    Off = Protocol half for every send shape; this section prints the counts
    at all three levels, the only place the Full-level ones show. *)
-let measured_alloc f =
-  Gc.full_major ();
-  let before = Gc.allocated_bytes () in
-  f ();
-  Gc.allocated_bytes () -. before
 
 (* Words allocated per [Net.send] at a given recording level. *)
 let words_per_send ~level =
@@ -142,11 +137,11 @@ let run_obs () =
   Printf.printf "zero-alloc contract (A1-certified): %s\n\n"
     (String.concat " " contract);
   (* 2. Whole-experiment allocation, instrumentation off vs Full, via the
-     process-wide default level every Sim.create picks up.  The MB columns
-     are a [Gc.allocated_bytes] delta over the first run of each, which can
-     move by about 1% between runs of one binary, so read them as
-     approximate; wall clock is the median of [wall_reps] runs, since
-     single-shot numbers can invert (e1's on < off). *)
+     process-wide default level every Sim.create picks up.  The word
+     columns are a [Gc.minor_words] delta over the first run of each, the
+     counter {!Alloc} reads, and repeat exactly between runs of one binary;
+     wall clock is the median of [wall_reps] runs, since single-shot
+     numbers can invert (e1's on < off). *)
   let wall_reps = 3 in
   let median xs =
     let sorted = List.sort Float.compare xs in
@@ -158,7 +153,15 @@ let run_obs () =
       ~title:
         "E-series allocation and wall time, recording off vs Full (quick \
          sweeps)"
-      ~columns:[ "experiment"; "MB off"; "MB on"; "ratio"; "ms off"; "ms on" ]
+      ~columns:
+        [
+          "experiment";
+          "M words off";
+          "M words on";
+          "ratio";
+          "ms off";
+          "ms on";
+        ]
   in
   List.iter
     (fun (id, _blurb, tables) ->
@@ -166,7 +169,9 @@ let run_obs () =
       let measure level =
         Recorder.set_default_level level;
         let t0 = now_ms () in
-        let bytes = measured_alloc (fun () -> ignore (run ~quick:true ())) in
+        let w0 = Gc.minor_words () in
+        ignore (run ~quick:true ());
+        let words = Gc.minor_words () -. w0 in
         let first_ms = now_ms () -. t0 in
         let rest =
           List.init (wall_reps - 1) (fun _ ->
@@ -174,17 +179,17 @@ let run_obs () =
               ignore (run ~quick:true ());
               now_ms () -. t)
         in
-        (bytes, median (first_ms :: rest))
+        (words, median (first_ms :: rest))
       in
-      let bytes_off, ms_off = measure Recorder.Off in
-      let bytes_on, ms_on = measure Recorder.Full in
+      let words_off, ms_off = measure Recorder.Off in
+      let words_on, ms_on = measure Recorder.Full in
       Table.add_row delta_table
         [
           id;
-          Table.ffloat ~decimals:2 (bytes_off /. 1e6);
-          Table.ffloat ~decimals:2 (bytes_on /. 1e6);
+          Table.ffloat ~decimals:6 (words_off /. 1e6);
+          Table.ffloat ~decimals:6 (words_on /. 1e6);
           Table.ffloat ~decimals:3
-            (if bytes_off > 0. then bytes_on /. bytes_off else 0.);
+            (if words_off > 0. then words_on /. words_off else 0.);
           Table.ffloat ~decimals:1 ms_off;
           Table.ffloat ~decimals:1 ms_on;
         ])

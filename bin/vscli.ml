@@ -32,11 +32,33 @@ let print_indented ~indent text =
 
 (* ---------- shared argument pieces ---------- *)
 
+(* [base] restricted to the values [ok] accepts: anything else is a usage
+   error (exit 124) at parse time, before a run can fail on it. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int = checked Arg.int ~what:"a positive integer" (fun n -> n > 0)
+
+let non_negative_int =
+  checked Arg.int ~what:"a non-negative integer" (fun n -> n >= 0)
+
+let positive_float =
+  checked Arg.float ~what:"a positive finite number" (fun x ->
+      x > 0. && Float.is_finite x)
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
 let nodes_arg =
-  Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(
+    value & opt positive_int 5
+    & info [ "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
 let typed_conv name of_string to_string =
   let parse s =
@@ -107,7 +129,7 @@ let evs_arg =
 let check_cmd =
   let seeds =
     Arg.(
-      value & opt int 100
+      value & opt non_negative_int 100
       & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
   let start_seed =
@@ -117,7 +139,7 @@ let check_cmd =
   in
   let check_nodes =
     Arg.(
-      value & opt int 5
+      value & opt positive_int 5
       & info [ "nodes" ] ~docv:"K" ~doc:"Nodes per campaign.")
   in
   let quick =
@@ -324,7 +346,7 @@ let query_cmd =
   in
   let limit =
     Arg.(
-      value & opt int 500
+      value & opt non_negative_int 500
       & info [ "limit" ] ~docv:"N" ~doc:"Maximum entries printed.")
   in
   let run seed nodes evs replay procs nodes_f vids msgs types comps t0 t1
@@ -380,7 +402,7 @@ let trace_cmd =
   in
   let limit =
     Arg.(
-      value & opt int 200
+      value & opt non_negative_int 200
       & info [ "limit" ] ~docv:"N" ~doc:"Maximum text entries printed.")
   in
   let format =
@@ -441,7 +463,7 @@ module Openmetrics = Vs_obs.Openmetrics
 let interval_arg =
   Arg.(
     value
-    & opt float Series.default_interval
+    & opt positive_float Series.default_interval
     & info [ "interval" ] ~docv:"SECONDS"
         ~doc:"Scrape window length in simulated seconds.")
 

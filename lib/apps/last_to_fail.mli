@@ -11,8 +11,7 @@
     otherwise wait for one to recover.
 
     The module is a pure decision procedure over persisted logs plus the
-    persistence helpers; the demo application and tests drive it through
-    the store. *)
+    persistence helpers; test_apps drives it through the store. *)
 
 module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View

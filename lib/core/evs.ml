@@ -65,16 +65,12 @@ type ('a, 'ann) callbacks = {
   on_message : sender:Proc_id.t -> 'a -> unit;
 }
 
-type stats = { eview_changes : int; merges_rejected : int }
-
 type ('a, 'ann) t = {
   sim : Sim.t;
   callbacks : ('a, 'ann) callbacks;
   mutable ep : ('a wire, 'ann evs_ann) Endpoint.t option;
   mutable eview : E_view.t;
   mutable app_ann : 'ann option;
-  mutable s_echanges : int;
-  mutable s_rejected : int;
 }
 
 let get_ep t =
@@ -157,11 +153,10 @@ let handle_ctl t ctl =
   match result with
   | Ok (eview, cause) ->
       t.eview <- eview;
-      t.s_echanges <- t.s_echanges + 1;
       refresh_annotation t;
       log_eview t ~cause:(cause_label cause);
       t.callbacks.on_eview { eview; cause; annotations = []; priors = [] }
-  | Error `No_effect -> t.s_rejected <- t.s_rejected + 1
+  | Error `No_effect -> ()
 
 let create sim net ~me:me_ ~universe ~config ~callbacks =
   let t =
@@ -171,8 +166,6 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       ep = None;
       eview = E_view.initial me_;
       app_ann = None;
-      s_echanges = 0;
-      s_rejected = 0;
     }
   in
   let ep_callbacks =
@@ -231,5 +224,3 @@ let kill t = Endpoint.kill (get_ep t)
 let corrupt t c = Endpoint.corrupt (get_ep t) c
 
 let endpoint_stats t = Endpoint.stats (get_ep t)
-
-let stats t = { eview_changes = t.s_echanges; merges_rejected = t.s_rejected }

@@ -121,10 +121,3 @@ val corrupt : ('a, 'ann) t -> Endpoint.corruption -> string
     the corrupted field name (see {!Endpoint.corrupt}). *)
 
 val endpoint_stats : ('a, 'ann) t -> Endpoint.stats
-
-type stats = {
-  eview_changes : int;    (** within-view e-view changes applied *)
-  merges_rejected : int;  (** merge requests that had no effect *)
-}
-
-val stats : ('a, 'ann) t -> stats

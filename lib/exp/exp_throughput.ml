@@ -502,10 +502,17 @@ let dp_speedup results =
   | Some base, Some piped when base > 0. -> Some (piped /. base)
   | _ -> None
 
-let data_plane_table ?(with_wall = true) results =
+(* The "ops/s (wall)" column: rows carry a wall-clock rate exactly when
+   their runs were given a clock, and only then is there a column. *)
+let wall_column rates =
+  if List.exists Option.is_some rates then [ "ops/s (wall)" ] else []
+
+let wall_cell = function Some v -> [ Printf.sprintf "%.0f" v ] | None -> []
+
+let data_plane_table results =
   let columns =
     [ "arm"; "offered"; "delivered (all replicas)" ]
-    @ (if with_wall then [ "ops/s (wall)" ] else [])
+    @ wall_column (List.map (fun r -> r.p_ops_per_wall_s) results)
     @ [ "wire msgs/op"; "batch rounds" ]
   in
   let table =
@@ -519,23 +526,17 @@ let data_plane_table ?(with_wall = true) results =
     (fun r ->
       let row =
         [ r.p_name; Table.fint r.p_offered; Table.fint r.p_delivered ]
-        @ (if with_wall then
-             [
-               (match r.p_ops_per_wall_s with
-               | Some v -> Printf.sprintf "%.0f" v
-               | None -> "-");
-             ]
-           else [])
+        @ wall_cell r.p_ops_per_wall_s
         @ [ Table.ffloat ~decimals:2 r.p_wire_per_op; Table.fint r.p_batches ]
       in
       Table.add_row table row)
     results;
   table
 
-let throughput_table ?(with_wall = true) results =
+let throughput_table results =
   let columns =
     [ "arm"; "offered"; "accepted"; "applied" ]
-    @ (if with_wall then [ "ops/s (wall)" ] else [])
+    @ wall_column (List.map (fun r -> r.r_ops_per_wall_s) results)
     @ [
         "put p50 (ms)";
         "put p99 (ms)";
@@ -561,13 +562,7 @@ let throughput_table ?(with_wall = true) results =
           Table.fint r.r_accepted;
           Table.fint r.r_applied;
         ]
-        @ (if with_wall then
-             [
-               (match r.r_ops_per_wall_s with
-               | Some v -> Printf.sprintf "%.0f" v
-               | None -> "-");
-             ]
-           else [])
+        @ wall_cell r.r_ops_per_wall_s
         @ [
             opt_ms (sum_pct r.r_put_lat 0.5);
             opt_ms (sum_pct r.r_put_lat 0.99);
@@ -719,9 +714,9 @@ let tables ?(quick = false) () =
   let dp = run_data_plane ~quick () in
   let merge = [ merge_at_scale ~k:(if quick then 25 else 50) ] in
   [
-    throughput_table ~with_wall:false results;
+    throughput_table results;
     critpath_table results;
     window_table results;
-    data_plane_table ~with_wall:false dp;
+    data_plane_table dp;
     merge_table merge;
   ]

@@ -200,24 +200,7 @@ let pump_traffic t ~start ~until ~mean_gap =
 (* Endpoint counters summed over the live members — the cluster-level view
    of retry/NACK activity for experiments and tests. *)
 let stats_total t =
-  let all = List.map t.member.endpoint_stats (live t) in
-  let sum field = List.fold_left (fun acc s -> acc + field s) 0 all in
-  {
-    Endpoint.views_installed = sum (fun s -> s.Endpoint.views_installed);
-    proposals_started = sum (fun s -> s.Endpoint.proposals_started);
-    data_sent = sum (fun s -> s.Endpoint.data_sent);
-    delivered = sum (fun s -> s.Endpoint.delivered);
-    sync_delivered = sum (fun s -> s.Endpoint.sync_delivered);
-    stale_dropped = sum (fun s -> s.Endpoint.stale_dropped);
-    to_dropped = sum (fun s -> s.Endpoint.to_dropped);
-    nacks_sent = sum (fun s -> s.Endpoint.nacks_sent);
-    retransmits = sum (fun s -> s.Endpoint.retransmits);
-    peer_retransmits = sum (fun s -> s.Endpoint.peer_retransmits);
-    stabilized = sum (fun s -> s.Endpoint.stabilized);
-    ctl_retries = sum (fun s -> s.Endpoint.ctl_retries);
-    ctl_abandoned = sum (fun s -> s.Endpoint.ctl_abandoned);
-    batches_sent = sum (fun s -> s.Endpoint.batches_sent);
-  }
+  Endpoint.sum_stats (List.map t.member.endpoint_stats (live t))
 
 let stable_view_reached t =
   match live t with

@@ -57,11 +57,6 @@ let file_module path =
   let base = Filename.remove_extension (Filename.basename path) in
   String.capitalize_ascii base
 
-let path_of_lident lid =
-  match Longident.flatten lid with parts -> parts | exception _ -> []
-
-let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | p -> p
-
 (* ---------- per-file collection ---------- *)
 
 let loc_pos (loc : Location.t) =
@@ -145,8 +140,12 @@ let collect_body ~aliases bodies =
         | None -> parts)
     | [] -> parts
   in
+  (* An identifier's dotted path, alias-expanded and Stdlib-stripped. *)
+  let resolve lid =
+    Lint.strip_stdlib (expand (Lint.strip_stdlib (Lint.path_of_lident lid)))
+  in
   let add_ref ~args lid loc =
-    match strip_stdlib (expand (strip_stdlib (path_of_lident lid))) with
+    match resolve lid with
     | [] -> ()
     | parts ->
         let rec split acc = function
@@ -174,10 +173,7 @@ let collect_body ~aliases bodies =
         (* One call record per application; recurse into the arguments only
            so the applied ident is not re-recorded as a bare reference. *)
         add_ref ~args:(List.length args) txt loc;
-        let path =
-          String.concat "."
-            (strip_stdlib (expand (strip_stdlib (path_of_lident txt))))
-        in
+        let path = String.concat "." (resolve txt) in
         if path = ":=" then mutates := true;
         (if List.mem path float_ops then
            add_alloc (Printf.sprintf "float arithmetic (%s, boxes)" path) loc
@@ -195,7 +191,7 @@ let collect_body ~aliases bodies =
         | Pexp_construct (lid, Some _) ->
             add_alloc
               (Printf.sprintf "variant construction (%s)"
-                 (String.concat "." (path_of_lident lid.Location.txt)))
+                 (String.concat "." (Lint.path_of_lident lid.Location.txt)))
               e.pexp_loc
         | Pexp_variant (_, Some _) ->
             add_alloc "polymorphic-variant construction" e.pexp_loc
@@ -261,7 +257,7 @@ let defs_of_file path (ast : Parsetree.structure) =
             in
             match mb.Parsetree.pmb_expr.Parsetree.pmod_desc with
             | Pmod_ident { txt; _ } when chain = [] ->
-                aliases := (name, path_of_lident txt) :: !aliases
+                aliases := (name, Lint.path_of_lident txt) :: !aliases
             | _ -> (
                 match module_structure mb.Parsetree.pmb_expr with
                 | Some items -> walk (name :: chain) items
@@ -269,7 +265,7 @@ let defs_of_file path (ast : Parsetree.structure) =
         | Pstr_open od -> (
             match od.Parsetree.popen_expr.Parsetree.pmod_desc with
             | Pmod_ident { txt; _ } when chain = [] ->
-                opens := path_of_lident txt :: !opens
+                opens := Lint.path_of_lident txt :: !opens
             | _ -> ())
         | _ -> ())
       items
@@ -344,7 +340,7 @@ let resolve t ~(from : def) (c : call) =
           candidates
       in
       let via_opens =
-        List.concat_map (fun o -> qualified (strip_stdlib o)) from.d_opens
+        List.concat_map (fun o -> qualified (Lint.strip_stdlib o)) from.d_opens
       in
       same_file @ via_opens
   | quals -> qualified quals

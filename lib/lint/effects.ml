@@ -62,13 +62,13 @@ type origin =
 
 (* Intrinsic effect of one external reference, by expanded dotted path. *)
 let leaf_effect (c : Callgraph.call) =
-  match c.Callgraph.c_quals @ [ c.Callgraph.c_name ] with
-  | "Random" :: _ -> Some Ambient_rand
-  | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
-      Some Ambient_time
-  | "Unix" :: _ -> Some Unix_io
-  | path when Lint.hash_enumeration path -> Some Hash_order
-  | _ -> None
+  let path = c.Callgraph.c_quals @ [ c.Callgraph.c_name ] in
+  match (Lint.ambient_read path, path) with
+  | Some Lint.Randomness, _ -> Some Ambient_rand
+  | Some Lint.Wall_clock, _ -> Some Ambient_time
+  | None, "Unix" :: _ -> Some Unix_io
+  | None, path when Lint.hash_enumeration path -> Some Hash_order
+  | None, _ -> None
 
 type t = {
   graph : Callgraph.t;

@@ -172,6 +172,18 @@ let path_of_lident lid =
   | parts -> parts
   | exception _ -> []
 
+let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | p -> p
+
+(* An ambient read: what D1 flags and what seeds the effect analysis's
+   Ambient_rand and Ambient_time. *)
+type ambient = Randomness | Wall_clock
+
+let ambient_read = function
+  | "Random" :: _ -> Some Randomness
+  | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
+      Some Wall_clock
+  | _ -> None
+
 (* [M.fn] with [fn] among [fns] and [M] a hash-table module: any module
    whose name ends in "tbl", case-insensitively — Stdlib's Hashtbl, a
    functor instance such as Proc_id.Tbl or Int_tbl, or an alias of one. *)
@@ -205,42 +217,38 @@ let collect_ident_findings ~path ast =
   in
   let check_path original_parts loc =
     let qualified = List.length original_parts > 1 in
-    let parts =
-      match original_parts with
-      | "Stdlib" :: (_ :: _ as rest) -> rest
-      | parts -> parts
-    in
+    let parts = strip_stdlib original_parts in
     let ident = String.concat "." original_parts in
-    match parts with
-    | "Random" :: _ ->
+    match (ambient_read parts, parts) with
+    | Some Randomness, _ ->
         if not (d1_exempt path) then
           add Rules.d1 loc
             (Printf.sprintf
                "%s draws ambient randomness; use the campaign-seeded Rng.t"
                ident)
-    | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
+    | Some Wall_clock, _ ->
         if not (d1_exempt path) then
           add Rules.d1 loc
             (Printf.sprintf "%s reads the wall clock; use Sim.now" ident)
-    | _ when hash_enumeration parts ->
+    | None, _ when hash_enumeration parts ->
         add Rules.d2 loc
           (Printf.sprintf "%s enumerates a hash table in unspecified order"
              ident)
-    | _ when hash_table_call parts [ "find" ] ->
+    | None, _ when hash_table_call parts [ "find" ] ->
         add Rules.d3 loc
           (Printf.sprintf
              "bare %s raises a contextless Not_found; match on find_opt" ident)
-    | [ "List"; ("hd" | "tl") ] | [ "Option"; "get" ] ->
+    | None, ([ "List"; ("hd" | "tl") ] | [ "Option"; "get" ]) ->
         add Rules.d3 loc
           (Printf.sprintf
              "%s is partial; make the empty/missing case an explicit match"
              ident)
-    | [ "Obj"; "magic" ] ->
+    | None, [ "Obj"; "magic" ] ->
         add Rules.d4 loc (Printf.sprintf "%s defeats the type system" ident)
-    | [ "==" ] | [ "!=" ] ->
+    | None, ([ "==" ] | [ "!=" ]) ->
         add Rules.d4 loc
           (Printf.sprintf "physical equality (%s) on structural data" ident)
-    | [ "compare" ] ->
+    | None, [ "compare" ] ->
         let use_line = loc.Location.loc_start.Lexing.pos_lnum in
         let shadowed =
           (not qualified)
@@ -251,7 +259,7 @@ let collect_ident_findings ~path ast =
             (Printf.sprintf
                "polymorphic %s on protocol data; name the element comparator"
                ident)
-    | _ -> ()
+    | None, _ -> ()
   in
   let open Ast_iterator in
   let expr self (e : Parsetree.expression) =

@@ -27,11 +27,11 @@ let default_config =
   }
 
 type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  duplicated : int;
-  bytes_sent : int;
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable bytes_sent : int;
 }
 
 type 'm t = {
@@ -45,11 +45,7 @@ type 'm t = {
   node_live : Proc_id.t Int_tbl.t;   (* node -> live incarnation *)
   node_next_inc : int Int_tbl.t;     (* node -> next unused incarnation *)
   mutable component : int -> int;         (* node -> component id *)
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable bytes_sent : int;
+  stats : stats;
 }
 
 let check_config c =
@@ -72,11 +68,8 @@ let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
     node_live = Int_tbl.create 64;
     node_next_inc = Int_tbl.create 64;
     component = (fun _ -> 0);
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    bytes_sent = 0;
+    stats =
+      { sent = 0; delivered = 0; dropped = 0; duplicated = 0; bytes_sent = 0 };
   }
 
 (* vslint: alloc-free *)
@@ -140,11 +133,12 @@ let connected t a b = a = b || t.component a = t.component b
 
 (* vslint: alloc-free *)
 let meter_send t ~bytes =
-  t.sent <- t.sent + 1;
-  t.bytes_sent <- t.bytes_sent + bytes
+  let s = t.stats in
+  s.sent <- s.sent + 1;
+  s.bytes_sent <- s.bytes_sent + bytes
 
 (* vslint: alloc-free *)
-let meter_dropped t = t.dropped <- t.dropped + 1
+let meter_dropped t = t.stats.dropped <- t.stats.dropped + 1
 
 let duplicates t ~self = (not self) && Rng.bool t.rng t.config.dup_prob
 
@@ -228,7 +222,7 @@ let transmit t ~src ~dst payload =
       in
       match Proc_id.Tbl.find_opt t.handlers reached with
       | Some handler when connected t src.Proc_id.node dst.Proc_id.node ->
-          t.delivered <- t.delivered + 1;
+          t.stats.delivered <- t.stats.delivered + 1;
           emit_recv t ~src ~dst:reached payload;
           handler { src; dst = reached; payload }
       | Some _ -> drop t ~src ~dst payload ~reason:"partition-inflight"
@@ -239,7 +233,7 @@ let transmit t ~src ~dst payload =
     let early = (not by_node) && duplicates t ~self in
     ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
     if early || (by_node && duplicates t ~self) then begin
-      t.duplicated <- t.duplicated + 1;
+      t.stats.duplicated <- t.stats.duplicated + 1;
       emit_dup t ~src ~dst payload;
       ignore (Sim.after t.sim (sample_delay t ~bytes) deliver)
     end
@@ -250,21 +244,7 @@ let send t ~src ~dst payload = transmit t ~src ~dst payload
 let send_node t ~src ~dst_node payload =
   transmit t ~src ~dst:{ Proc_id.node = dst_node; inc = -1 } payload
 
-let stats t =
-  {
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    duplicated = t.duplicated;
-    bytes_sent = t.bytes_sent;
-  }
-
-let reset_stats t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.duplicated <- 0;
-  t.bytes_sent <- 0
+let stats t = { t.stats with sent = t.stats.sent }
 
 (* The zero-allocation contract of the send fast path, as "path:function"
    entries.  test_obs's "zero-alloc runtime guard" asserts the runtime half

@@ -113,17 +113,19 @@ val send_node : 'm t -> src:Proc_id.t -> dst_node:int -> 'm -> unit
 
 (** {2 Accounting} *)
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;      (** lost to links, partitions or dead endpoints *)
-  duplicated : int;
-  bytes_sent : int;
+type stats = private {
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;      (** lost to links, partitions or dead endpoints *)
+  mutable duplicated : int;
+  mutable bytes_sent : int;
 }
+(** The network's counters, bumped in place as traffic flows; only this
+    module writes them. *)
 
 val stats : 'm t -> stats
-
-val reset_stats : 'm t -> unit
+(** A copy of the counters now: later traffic does not change it, so two
+    snapshots subtract to the traffic between them. *)
 
 (** The zero-allocation contract of the send fast path: "path:function"
     names of the guards that run on every send whatever the observability

@@ -65,20 +65,14 @@ type ('a, 'ann) callbacks = {
 }
 
 type stats = {
-  views_installed : int;
-  proposals_started : int;
-  data_sent : int;
-  delivered : int;
-  sync_delivered : int;
-  stale_dropped : int;
-  to_dropped : int;
-  nacks_sent : int;
-  retransmits : int;
-  peer_retransmits : int;
-  stabilized : int;
-  ctl_retries : int;
-  ctl_abandoned : int;
-  batches_sent : int;
+  mutable data_sent : int;
+  mutable to_dropped : int;
+  mutable nacks_sent : int;
+  mutable retransmits : int;
+  mutable peer_retransmits : int;
+  mutable stabilized : int;
+  mutable ctl_retries : int;
+  mutable batches_sent : int;
 }
 
 (* Per-sender incoming stream within the current view.  [log] keeps every
@@ -190,21 +184,7 @@ type ('a, 'ann) t = {
          config.pipeline_depth when stability gossip is on *)
   to_batch : 'a round;
       (* total-order requests awaiting one To_batch envelope *)
-  (* stats *)
-  mutable s_views : int;
-  mutable s_proposals : int;
-  mutable s_data_sent : int;
-  mutable s_delivered : int;
-  mutable s_sync_delivered : int;
-  mutable s_stale : int;
-  mutable s_to_dropped : int;
-  mutable s_nacks : int;
-  mutable s_retransmits : int;
-  mutable s_peer_retransmits : int;
-  mutable s_stabilized : int;
-  mutable s_ctl_retries : int;
-  mutable s_ctl_abandoned : int;
-  mutable s_batches : int;
+  stats : stats;
 }
 
 let me t = t.me
@@ -215,22 +195,19 @@ let is_blocked t = match t.phase with Flushing _ -> true | Active -> false
 
 let is_alive t = t.alive
 
-let stats t =
+let stats t = { t.stats with data_sent = t.stats.data_sent }
+
+let sum_stats all =
+  let sum field = List.fold_left (fun acc s -> acc + field s) 0 all in
   {
-    views_installed = t.s_views;
-    proposals_started = t.s_proposals;
-    data_sent = t.s_data_sent;
-    delivered = t.s_delivered;
-    sync_delivered = t.s_sync_delivered;
-    stale_dropped = t.s_stale;
-    to_dropped = t.s_to_dropped;
-    nacks_sent = t.s_nacks;
-    retransmits = t.s_retransmits;
-    peer_retransmits = t.s_peer_retransmits;
-    stabilized = t.s_stabilized;
-    ctl_retries = t.s_ctl_retries;
-    ctl_abandoned = t.s_ctl_abandoned;
-    batches_sent = t.s_batches;
+    data_sent = sum (fun s -> s.data_sent);
+    to_dropped = sum (fun s -> s.to_dropped);
+    nacks_sent = sum (fun s -> s.nacks_sent);
+    retransmits = sum (fun s -> s.retransmits);
+    peer_retransmits = sum (fun s -> s.peer_retransmits);
+    stabilized = sum (fun s -> s.stabilized);
+    ctl_retries = sum (fun s -> s.ctl_retries);
+    batches_sent = sum (fun s -> s.batches_sent);
   }
 
 let set_annotation t ann = t.ann <- ann
@@ -271,19 +248,16 @@ let rec ctl_arm t rid entry payload ~is_done =
       (Sim.after t.sim delay (fun () ->
            entry.c_timer <- None;
            if t.alive && Int_tbl.mem t.ctl_pending rid then begin
-             if is_done () then Int_tbl.remove t.ctl_pending rid
-             else if
-               entry.c_attempts >= retry_limit
+             if
+               is_done ()
+               || entry.c_attempts >= retry_limit
                || not (ctl_peer_listed t entry.c_dst)
-             then begin
-               t.s_ctl_abandoned <- t.s_ctl_abandoned + 1;
-               Int_tbl.remove t.ctl_pending rid
-             end
+             then Int_tbl.remove t.ctl_pending rid
              else begin
                entry.c_attempts <- entry.c_attempts + 1;
                entry.c_delay <-
                  Float.min t.config.retry_backoff_max (entry.c_delay *. 2.0);
-               t.s_ctl_retries <- t.s_ctl_retries + 1;
+               t.stats.ctl_retries <- t.stats.ctl_retries + 1;
                Sim.emit t.sim
                  (Vs_obs.Event.Backoff
                     {
@@ -401,7 +375,6 @@ let all_seen t =
   |> List.sort Wire.compare_data
 
 let deliver_user t (d : 'a Wire.data) =
-  t.s_delivered <- t.s_delivered + 1;
   match d.body with
   | Wire.User u -> t.callbacks.on_message ~sender:d.sender u
   | Wire.Relay { orig; user } -> t.callbacks.on_message ~sender:orig user
@@ -497,7 +470,7 @@ let rec arm_nack t sender s =
                if not (Int_tbl.mem s.log seq) then missing := seq :: !missing
              done;
              if !missing <> [] then begin
-               t.s_nacks <- t.s_nacks + 1;
+               t.stats.nacks_sent <- t.stats.nacks_sent + 1;
                unicast t
                  (nack_target t sender s.nack_round)
                  (Wire.Nack { vid = vid_at_arm; sender; missing = !missing });
@@ -577,7 +550,7 @@ let batch_try_flush t ~force =
         match r.items with d :: _ -> d.Wire.seq | [] -> assert false
       in
       let msg = Wire.Batch (take_round r) in
-      t.s_batches <- t.s_batches + 1;
+      t.stats.batches_sent <- t.stats.batches_sent + 1;
       if pipeline_bounded t then Queue.add last_seq t.rounds_inflight;
       members_iter t (fun dst -> unicast t dst msg)
     end
@@ -626,7 +599,7 @@ let send_data t body =
     { Wire.vid = t.view.View.id; sender = t.me; seq = t.send_seq; body }
   in
   t.send_seq <- t.send_seq + 1;
-  t.s_data_sent <- t.s_data_sent + 1;
+  t.stats.data_sent <- t.stats.data_sent + 1;
   if t.config.batching then round_add t t.batch d
   else members_iter t (fun dst -> unicast t dst (Wire.Data d))
 
@@ -704,7 +677,7 @@ let ingest t (first : 'a Wire.data) rest =
     | Flushing pvid when View.Id.equal first.Wire.vid pvid ->
         (* Sent in the view we are about to install; replayed after. *)
         t.stash <- List.rev_append rest (first :: t.stash)
-    | Flushing _ | Active -> t.s_stale <- t.s_stale + 1 + List.length rest
+    | Flushing _ | Active -> () (* stale: another view's data *)
   end
   else begin
     let s = stream_for t first.Wire.sender in
@@ -745,7 +718,7 @@ let handle_to_request t ~orig ~rseq ~user =
           | None -> contiguous := false
         done
       end
-  | Active | Flushing _ -> t.s_to_dropped <- t.s_to_dropped + 1
+  | Active | Flushing _ -> t.stats.to_dropped <- t.stats.to_dropped + 1
 
 (* Total-order requests [user :: rest] from [orig] for view [vid], with
    request sequence numbers [rseq], [rseq + 1], ...: a {!Wire.To_batch},
@@ -758,7 +731,7 @@ let rec receive_requests t ~orig ~vid ~rseq user rest =
      match t.phase with
      | Flushing pvid when View.Id.equal vid pvid ->
          Queue.add (orig, rseq, user) t.stash_to
-     | Flushing _ | Active -> t.s_to_dropped <- t.s_to_dropped + 1);
+     | Flushing _ | Active -> t.stats.to_dropped <- t.stats.to_dropped + 1);
   match rest with
   | [] -> ()
   | user :: rest -> receive_requests t ~orig ~vid ~rseq:(rseq + 1) user rest
@@ -831,7 +804,6 @@ and start_proposal t members =
   let pvid = View.Id.make ~epoch:t.max_epoch ~proposer:t.me in
   let p = { p_vid = pvid; p_members = members; p_acks = Ptbl.create 8; p_timer = None } in
   t.proposal <- Some p;
-  t.s_proposals <- t.s_proposals + 1;
   Sim.emit t.sim
     (Vs_obs.Event.Propose
        {
@@ -979,7 +951,6 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
         Int_tbl.remove s.buffer d.Wire.seq;
         s.next <- d.Wire.seq + 1;
         incr delivered_now;
-        t.s_sync_delivered <- t.s_sync_delivered + 1;
         deliver_user t d
       in
       (* Deliver in passes: per-sender order always, and causal messages
@@ -1031,7 +1002,6 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
          multicasts during the flush went to pending_out); the round
          pipeline restarts with the fresh stream. *)
       Queue.clear t.rounds_inflight;
-      t.s_views <- t.s_views + 1;
       Sim.emit t.sim
         (Vs_obs.Event.Install
            {
@@ -1107,7 +1077,7 @@ let handle_stable_report t ~src ~vid ~vector =
             for seq = s.trimmed to floor - 1 do
               if Int_tbl.mem s.log seq then begin
                 Int_tbl.remove s.log seq;
-                t.s_stabilized <- t.s_stabilized + 1
+                t.stats.stabilized <- t.stats.stabilized + 1
               end
             done;
             s.trimmed <- floor
@@ -1153,8 +1123,9 @@ let handle_nack t ~src ~vid ~sender ~missing =
         if found <> [] then begin
           let n = List.length found in
           let peer = not (Proc_id.equal sender t.me) in
-          t.s_retransmits <- t.s_retransmits + n;
-          if peer then t.s_peer_retransmits <- t.s_peer_retransmits + n;
+          t.stats.retransmits <- t.stats.retransmits + n;
+          if peer then
+            t.stats.peer_retransmits <- t.stats.peer_retransmits + n;
           Sim.emit t.sim
             (Vs_obs.Event.Retransmit
                {
@@ -1238,20 +1209,17 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       batch = new_round ();
       rounds_inflight = Queue.create ();
       to_batch = new_round ();
-      s_views = 0;
-      s_proposals = 0;
-      s_data_sent = 0;
-      s_delivered = 0;
-      s_sync_delivered = 0;
-      s_stale = 0;
-      s_to_dropped = 0;
-      s_nacks = 0;
-      s_retransmits = 0;
-      s_peer_retransmits = 0;
-      s_stabilized = 0;
-      s_ctl_retries = 0;
-      s_ctl_abandoned = 0;
-      s_batches = 0;
+      stats =
+        {
+          data_sent = 0;
+          to_dropped = 0;
+          nacks_sent = 0;
+          retransmits = 0;
+          peer_retransmits = 0;
+          stabilized = 0;
+          ctl_retries = 0;
+          batches_sent = 0;
+        };
     }
   in
   t.batch.close <- (fun () -> batch_try_flush t ~force:false);
@@ -1279,15 +1247,13 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
      its initial (singleton) view. *)
   ignore
     (Sim.after sim 0. (fun () ->
-         if t.alive then begin
-           t.s_views <- t.s_views + 1;
+         if t.alive then
            t.callbacks.on_view
              {
                view = t.view;
                annotations = [ (me_, t.ann) ];
                priors = [ (me_, t.view.View.id) ];
-             }
-         end));
+             }));
   t
 
 let stop_stack t =

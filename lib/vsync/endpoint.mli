@@ -155,30 +155,28 @@ val corrupt : ('a, 'ann) t -> corruption -> string
     [Corrupt] observability event with a before/after detail.  Returns
     {!corruption_field}. *)
 
-type stats = {
-  views_installed : int;
-  proposals_started : int;
-  data_sent : int;
-  delivered : int;
-  sync_delivered : int;  (** deliveries forced by the flush protocol *)
-  stale_dropped : int;   (** data for a view other than the current one *)
-  to_dropped : int;      (** total-order requests lost to view changes *)
-  nacks_sent : int;
-  retransmits : int;     (** data messages served in answer to NACKs *)
-  peer_retransmits : int;
+type stats = private {
+  mutable data_sent : int;
+  mutable to_dropped : int;  (** total-order requests lost to view changes *)
+  mutable nacks_sent : int;
+  mutable retransmits : int; (** data messages served in answer to NACKs *)
+  mutable peer_retransmits : int;
       (** of [retransmits], those served for another sender's stream —
           the peer-served recovery path *)
-  stabilized : int;      (** log entries trimmed as stable *)
-  ctl_retries : int;
+  mutable stabilized : int;  (** log entries trimmed as stable *)
+  mutable ctl_retries : int;
       (** control-plane re-sends by the reliable-delivery layer *)
-  ctl_abandoned : int;
-      (** reliable sends given up on (peer dead, or 8 re-sends without an
-          ack) *)
-  batches_sent : int;
+  mutable batches_sent : int;
       (** {!Wire.Batch} rounds shipped (0 unless [config.batching]) *)
 }
+(** The endpoint's counters, bumped in place; only this module writes
+    them. *)
 
 val stats : ('a, 'ann) t -> stats
+(** A copy of the counters now: later activity does not change it. *)
+
+val sum_stats : stats list -> stats
+(** Field-wise sum, e.g. over a cluster's members. *)
 
 (** {2 Test hooks}
 

@@ -443,21 +443,40 @@ let test_cluster_vsync_records_no_eviews () =
   check verdicts "6.3 finds nothing" [] (Oracle.structure_violations o)
 
 let test_cluster_evs_stats_total () =
-  let c = Cluster.evs ~seed:5L ~n:4 () in
+  (* Loss makes the NACK, retransmit and retry counters non-zero. *)
+  let net_config = { Vs_net.Net.default_config with drop_prob = 0.3 } in
+  let c = Cluster.evs ~seed:5L ~net_config ~n:4 () in
   Cluster.run c ~until:2.0;
+  for node = 0 to 3 do
+    Cluster.multicast_from c ~node ();
+    Cluster.multicast_from c ~node ~order:Endpoint.Total ()
+  done;
+  Cluster.run c ~until:3.0;
   let live = Cluster.live c in
-  let sum field =
-    List.fold_left (fun acc e -> acc + field (Evs.endpoint_stats e)) 0 live
+  let counters (s : Endpoint.stats) =
+    Endpoint.
+      [
+        s.data_sent;
+        s.to_dropped;
+        s.nacks_sent;
+        s.retransmits;
+        s.peer_retransmits;
+        s.stabilized;
+        s.ctl_retries;
+        s.batches_sent;
+      ]
+  in
+  let summed =
+    List.fold_left
+      (fun acc e -> List.map2 ( + ) acc (counters (Evs.endpoint_stats e)))
+      (List.init 8 (fun _ -> 0))
+      live
   in
   let total = Cluster.stats_total c in
   check Alcotest.int "four handles" 4 (List.length live);
-  check Alcotest.int "views installed, summed"
-    (sum (fun s -> s.Endpoint.views_installed))
-    total.Endpoint.views_installed;
-  check Alcotest.int "deliveries, summed"
-    (sum (fun s -> s.Endpoint.delivered))
-    total.Endpoint.delivered;
-  check Alcotest.int "views installed" 8 total.Endpoint.views_installed;
+  check Alcotest.(list int) "every counter, summed" summed (counters total);
+  check Alcotest.int "one data message per multicast" 8
+    total.Endpoint.data_sent;
   check Alcotest.int "one e-view record per install" 8
     (List.length (Oracle.eview_records (Cluster.oracle c)))
 

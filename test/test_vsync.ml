@@ -196,12 +196,20 @@ let test_duplicating_network () =
 let test_stability_trims_logs () =
   let c = Cluster.vsync ~seed:79L ~n:3 () in
   Cluster.run c ~until:1.0;
+  let ep0 = Option.get (Cluster.on_node c 0) in
+  let before = Endpoint.stats ep0 in
   for _ = 1 to 20 do
     Cluster.multicast_from c ~node:0 ();
     Cluster.multicast_from c ~node:1 ()
   done;
   (* Leave time for delivery and a few stability gossip rounds. *)
   Cluster.run c ~until:2.0;
+  (* [stats] is a snapshot: one taken before the traffic does not move. *)
+  check Alcotest.int "sent" 20 (Endpoint.stats ep0).Endpoint.data_sent;
+  check
+    Alcotest.(pair int int)
+    "earlier snapshot" (0, 0)
+    (before.Endpoint.data_sent, before.Endpoint.stabilized);
   let trimmed =
     List.fold_left
       (fun acc ep -> acc + (Endpoint.stats ep).Endpoint.stabilized)
