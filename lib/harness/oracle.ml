@@ -11,15 +11,7 @@ let msg_id_to_string = Vs_obs.Event.msg_to_string
 
 let compare_msg_id = Vs_obs.Event.compare_msg
 
-module Msg_tbl = Vs_util.Hashtblx.Make (struct
-  type t = msg_id
-
-  let equal a b = Int.equal a.mseq b.mseq && Proc_id.equal a.origin b.origin
-
-  let hash m = (Proc_id.hash m.origin * 65599) + m.mseq
-
-  let compare = compare_msg_id
-end)
+module Msg_tbl = Vs_obs.Event.Msg_tbl
 
 (* Structured verdicts: the property that broke plus the protocol ids the
    verdict names.  [detail] is the one-line string [check_all] reports. *)

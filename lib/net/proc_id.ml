@@ -34,12 +34,4 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-let hash p = (p.node * 65599) + p.inc
-
-module Tbl = Vs_util.Hashtblx.Make (struct
-  include Ord
-
-  let equal a b = Int.equal a.node b.node && Int.equal a.inc b.inc
-
-  let hash = hash
-end)
+module Tbl = Vs_obs.Event.Proc_tbl

@@ -29,8 +29,5 @@ val min_member : t list -> t option
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
-val hash : t -> int
-(** [node * 65599 + inc]: the hash of {!Tbl}. *)
-
-module Tbl : Vs_util.Hashtblx.S with type key = t
+module Tbl = Vs_obs.Event.Proc_tbl
 (** Hash tables keyed by identifier, with typed equality. *)

@@ -39,8 +39,11 @@ val nodes : t -> Recorder.entry array
     not copies. *)
 
 val preds : t -> int -> (int * edge_kind) list
-(** Predecessors of node [id] (its happened-before frontier).  Order is not
-    meaningful; consumers that need determinism pick by [(time, id)]. *)
+(** Predecessors of node [id] (its happened-before frontier): barrier edges
+    newest first, then the message edge, then the program edge.  A node has
+    at most one message and one program predecessor, and both can be the
+    same node (a process's own send consumed by its next event).  Consumers
+    that need determinism pick by [(time, id)], not by this order. *)
 
 val stats : t -> stats
 

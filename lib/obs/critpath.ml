@@ -94,19 +94,30 @@ type t = {
 
 (* --- backward walk -------------------------------------------------------- *)
 
-(* Latest-finishing predecessor: max time, ties to the max stream id —
-   deterministic whatever order edges were registered in. *)
+(* Latest-finishing predecessor: max time, ties to the max stream id.  Two
+   edges can leave the same node: a process's own send consumed by its next
+   event (program and message), or its own propose or flush-ack before its
+   next flush or install (program and barrier).  There the message or
+   barrier edge wins, since that is the wait the walk explains.  With that
+   rule the choice does not depend on the order of [Causal.preds]. *)
 let best_pred dag cur =
   let nodes = Causal.nodes dag in
   List.fold_left
     (fun best (j, k) ->
       match best with
       | None -> Some (j, k)
-      | Some (j', _) ->
+      | Some (j', k') ->
           let c =
             Float.compare nodes.(j).Recorder.time nodes.(j').Recorder.time
           in
-          if c > 0 || (c = 0 && j > j') then Some (j, k) else best)
+          let waits =
+            match (k', k) with
+            | Causal.Program, (Causal.Message | Causal.Barrier) -> true
+            | _ -> false
+          in
+          if c > 0 || (c = 0 && j > j') || (Int.equal j j' && waits) then
+            Some (j, k)
+          else best)
     None (Causal.preds dag cur)
 
 (* A segment charged to one process rather than a wire link. *)
@@ -181,9 +192,9 @@ let walk dag ~stop_time ~start ~fallback =
 
 let charge tbl (p : Event.proc) seconds =
   let prev =
-    match Hashtbl.find_opt tbl p with Some c -> c | None -> 0.
+    match Event.Proc_tbl.find_opt tbl p with Some c -> c | None -> 0.
   in
-  Hashtbl.replace tbl p (prev +. seconds)
+  Event.Proc_tbl.replace tbl p (prev +. seconds)
 
 let charge_segments tbl segs =
   List.iter (fun s -> charge tbl s.s_proc (seg_duration s)) segs
@@ -197,7 +208,7 @@ let top_charge tbl =
       | Some (_, c') when c <= c' -> best
       | _ -> Some (p, c))
     None
-    (Hashtblx.sorted_bindings ~cmp:Event.compare_proc tbl)
+    (Event.Proc_tbl.sorted_bindings tbl)
 
 (* Seconds per kind, each segment added into [a] in list order. *)
 let add_segments a segs =
@@ -247,7 +258,7 @@ let view_rows installs =
   List.map
     (fun (vid, ips) ->
       let kinds = Array.make n_kinds 0. in
-      let charges = Hashtbl.create 8 in
+      let charges = Event.Proc_tbl.create 8 in
       List.iter
         (fun ip ->
           charge_segments charges ip.ip_segments;
@@ -267,8 +278,8 @@ let view_rows installs =
 let of_dag dag =
   let anchors = Stall.tracker () in
   (* per-op endpoints: first Send node, last Recv node *)
-  let op_first : (Event.msg, float * int) Hashtbl.t = Hashtbl.create 256 in
-  let op_last : (Event.msg, float * int) Hashtbl.t = Hashtbl.create 256 in
+  let op_first = Event.Msg_tbl.create 256 in
+  let op_last = Event.Msg_tbl.create 256 in
   let rev_installs = ref [] in
   Array.iteri
     (fun i (nd : Recorder.entry) ->
@@ -278,7 +289,7 @@ let of_dag dag =
           Option.iter
             (fun a ->
               let segs = install_segments dag install a in
-              let charges = Hashtbl.create 8 in
+              let charges = Event.Proc_tbl.create 8 in
               charge_segments charges segs;
               rev_installs :=
                 {
@@ -291,13 +302,14 @@ let of_dag dag =
       | None -> (
           match nd.Recorder.event with
           | Event.Send { msg = Some m; _ } ->
-              if not (Hashtbl.mem op_first m) then
-                Hashtbl.replace op_first m (time, i)
-          | Event.Recv { msg = Some m; _ } -> Hashtbl.replace op_last m (time, i)
+              if not (Event.Msg_tbl.mem op_first m) then
+                Event.Msg_tbl.replace op_first m (time, i)
+          | Event.Recv { msg = Some m; _ } ->
+              Event.Msg_tbl.replace op_last m (time, i)
           | _ -> ()))
     (Causal.nodes dag);
   let installs = List.rev !rev_installs in
-  let global_charges = Hashtbl.create 16 in
+  let global_charges = Event.Proc_tbl.create 16 in
   List.iter (fun ip -> charge_segments global_charges ip.ip_segments) installs;
   (* per-op walks, aggregated in identity order *)
   let op_kind = Array.make n_kinds 0. in
@@ -308,7 +320,7 @@ let of_dag dag =
   let o_slowest = ref None in
   List.iter
     (fun (m, (t_send, _)) ->
-      match Hashtbl.find_opt op_last m with
+      match Event.Msg_tbl.find_opt op_last m with
       | None -> () (* never delivered: no applied op to attribute *)
       | Some (t_recv, last_node) ->
           let latency = t_recv -. t_send in
@@ -325,7 +337,7 @@ let of_dag dag =
             o_max := latency;
             o_slowest := Some (m, latency)
           end)
-    (Hashtblx.sorted_bindings ~cmp:Event.compare_msg op_first);
+    (Event.Msg_tbl.sorted_bindings op_first);
   {
     installs;
     views = view_rows installs;

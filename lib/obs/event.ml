@@ -99,6 +99,30 @@ let compare_msg a b =
   | 0 -> Int.compare a.mseq b.mseq
   | c -> c
 
+let equal_proc a b = Int.equal a.node b.node && Int.equal a.inc b.inc
+
+let hash_proc p = (p.node * 65599) + p.inc
+
+module Proc_tbl = Vs_util.Hashtblx.Make (struct
+  type t = proc
+
+  let equal = equal_proc
+
+  let hash = hash_proc
+
+  let compare = compare_proc
+end)
+
+module Msg_tbl = Vs_util.Hashtblx.Make (struct
+  type t = msg
+
+  let equal a b = Int.equal a.mseq b.mseq && equal_proc a.origin b.origin
+
+  let hash m = (hash_proc m.origin * 65599) + m.mseq
+
+  let compare = compare_msg
+end)
+
 type t =
   | Send of {
       src : proc;

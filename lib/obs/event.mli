@@ -54,6 +54,17 @@ val compare_vid : vid -> vid -> int
 
 val compare_msg : msg -> msg -> int
 
+module Proc_tbl : Vs_util.Hashtblx.S with type key = proc
+(** Hash tables keyed by process, hashing [node * 65599 + inc] with typed
+    equality; [Proc_id.Tbl] is this module.  Sorted views enumerate in
+    {!compare_proc} order. *)
+
+module Msg_tbl : Vs_util.Hashtblx.S with type key = msg
+(** Hash tables keyed by message identity, hashing
+    [(node * 65599 + inc) * 65599 + mseq] of the origin and index; the
+    Oracle's message table is this module.  Sorted views enumerate in
+    {!compare_msg} order. *)
+
 type t =
   | Send of {
       src : proc;

@@ -13,8 +13,9 @@
    — the bucket-error contract the test-suite pins against the exact
    [Vs_stats.Summary] on random vectors.
 
-   Memory is fixed at creation (one int array, one float array; ~2.8k
-   buckets at the defaults) and the record path allocates nothing: no float
+   Memory is fixed at creation (one int array per histogram, and one float
+   array of bounds that all histograms share; ~2.8k buckets at the
+   defaults) and the record path allocates nothing: no float
    arithmetic, no float constants, no closures — only comparisons against
    precomputed boundaries and integer increments.  vslint rule A1 proves
    this statically (the alloc-free annotations below), rule B1 ties the
@@ -46,13 +47,21 @@ let highest = 1e6
 
 let relative_error = 0.01
 
+let growth = 1. +. relative_error
+
+(* The bucket bounds every histogram shares: computed once, on first use,
+   and never written. *)
+let shared_bounds =
+  lazy
+    (let m =
+       let needed = log (highest /. lowest) /. log growth in
+       max 1 (int_of_float (ceil needed))
+     in
+     Array.init m (fun k -> lowest *. (growth ** float_of_int (k + 1))))
+
 let create () =
-  let growth = 1. +. relative_error in
-  let m =
-    let needed = log (highest /. lowest) /. log growth in
-    max 1 (int_of_float (ceil needed))
-  in
-  let bounds = Array.init m (fun k -> lowest *. (growth ** float_of_int (k + 1))) in
+  let bounds = Lazy.force shared_bounds in
+  let m = Array.length bounds in
   {
     bounds;
     counts = Array.make (m + 3) 0;
@@ -117,13 +126,15 @@ let low_edge t i =
   else if i = t.over then t.top
   else t.bounds.(i - 3)
 
+(* The sample of rank [ceil (p * n)], clamped to [1, n]. *)
+let rank t p =
+  let r = int_of_float (ceil (p *. float_of_int t.n)) in
+  if r < 1 then 1 else if r > t.n then t.n else r
+
 let percentile t p =
   if t.n = 0 then 0.
   else begin
-    let rank =
-      let r = int_of_float (ceil (p *. float_of_int t.n)) in
-      if r < 1 then 1 else if r > t.n then t.n else r
-    in
+    let rank = rank t p in
     let slots = Array.length t.counts in
     let rec find i acc =
       if i >= slots then rep t (slots - 1)
@@ -160,6 +171,43 @@ let approx_sum t =
   !acc
 
 let mean t = if t.n = 0 then 0. else approx_sum t /. float_of_int t.n
+
+type summary = {
+  h_n : int;
+  h_p50 : float;
+  h_p95 : float;
+  h_p99 : float;
+  h_max : float;
+  h_mean : float;
+}
+
+(* One scan for what [percentile] 0.5/0.95/0.99, [max_value] and [mean]
+   find in five: the first slot whose running count reaches each rank, the
+   last occupied slot, and the representatives' sum added in slot order. *)
+let summary t =
+  if t.n = 0 then
+    { h_n = 0; h_p50 = 0.; h_p95 = 0.; h_p99 = 0.; h_max = neg_infinity;
+      h_mean = 0. }
+  else begin
+    let r50 = rank t 0.5 and r95 = rank t 0.95 and r99 = rank t 0.99 in
+    let p50 = ref 0. and p95 = ref 0. and p99 = ref 0. and top = ref 0. in
+    let sum = ref 0. and running = ref 0 in
+    for i = 0 to Array.length t.counts - 1 do
+      let c = t.counts.(i) in
+      if c > 0 then begin
+        let v = rep t i in
+        let before = !running in
+        running := before + c;
+        if before < r50 && !running >= r50 then p50 := v;
+        if before < r95 && !running >= r95 then p95 := v;
+        if before < r99 && !running >= r99 then p99 := v;
+        top := v;
+        sum := !sum +. (float_of_int c *. v)
+      end
+    done;
+    { h_n = t.n; h_p50 = !p50; h_p95 = !p95; h_p99 = !p99; h_max = !top;
+      h_mean = !sum /. float_of_int t.n }
+  end
 
 (* Occupied buckets as (upper bound, running count), in value order — the
    [le] series the OpenMetrics exposition renders.  Empty buckets are

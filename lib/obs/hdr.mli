@@ -47,6 +47,19 @@ val approx_sum : t -> float
 (** Sum of bucket representatives weighted by count — within a factor
     [1 + error] of the exact sum for in-range samples. *)
 
+type summary = {
+  h_n : int;
+  h_p50 : float;
+  h_p95 : float;
+  h_p99 : float;
+  h_max : float;
+  h_mean : float;
+}
+
+val summary : t -> summary
+(** {!count}, {!percentile} at 0.5, 0.95 and 0.99, {!max_value} and {!mean},
+    bit for bit, from one scan of the buckets. *)
+
 val cumulative : t -> (float * int) list
 (** Occupied buckets as [(upper_bound, running_count)]; the last running
     count equals {!count}.  This is the [le]-labelled series the

@@ -114,22 +114,32 @@ let add_int buf n =
 
 let needs_escape c = Char.equal c '"' || Char.equal c '\\' || Char.code c < 0x20
 
+(* Index of the first byte of [s] from [i] on that needs escaping, or
+   [String.length s]. *)
+let rec clean_until s i =
+  if i < String.length s && not (needs_escape (String.unsafe_get s i)) then
+    clean_until s (i + 1)
+  else i
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  if not (String.exists needs_escape s) then Buffer.add_string buf s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+  let n = String.length s in
+  let first = clean_until s 0 in
+  if first = n then Buffer.add_string buf s
+  else begin
+    Buffer.add_substring buf s 0 first;
+    for i = first to n - 1 do
+      match String.unsafe_get s i with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c
+    done
+  end;
   Buffer.add_char buf '"'
 
 let rec write buf = function

@@ -128,11 +128,11 @@ let bump assoc reason =
   (reason, n + 1) :: List.remove_assoc reason assoc
 
 let of_entries entries =
-  let tallies : (Event.msg, tally) Hashtbl.t = Hashtbl.create 256 in
+  let tallies : tally Event.Msg_tbl.t = Event.Msg_tbl.create 256 in
   let views : (Event.vid, view_agg) Hashtbl.t = Hashtbl.create 32 in
   let rev_marks = ref [] in
   let tally m =
-    match Hashtbl.find_opt tallies m with
+    match Event.Msg_tbl.find_opt tallies m with
     | Some t -> t
     | None ->
         let t =
@@ -145,7 +145,7 @@ let of_entries entries =
             rev_arrivals = [];
           }
         in
-        Hashtbl.add tallies m t;
+        Event.Msg_tbl.add tallies m t;
         t
   in
   let view_agg vid time =
@@ -244,7 +244,7 @@ let of_entries entries =
   in
   let sort_counts l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
   let lifecycles =
-    Hashtblx.sorted_bindings ~cmp:Event.compare_msg tallies
+    Event.Msg_tbl.sorted_bindings tallies
     |> List.map (fun (m, t) ->
            {
              l_msg = m;

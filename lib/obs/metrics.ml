@@ -58,14 +58,68 @@ let hists t = Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare t.hists
 
 (* --- derivation from an event stream ------------------------------------- *)
 
+(* A registry entry the fold bumps on every event of its kind, looked up by
+   name once, at its first bump.  So it enters the registry exactly when
+   [incr] or [set_gauge] by name would have put it there, and every scrape
+   prints the same bytes; later bumps hash nothing and build no string. *)
+type 'a cell = { name : string; mutable slot : 'a ref option }
+
+let cell name = { name; slot = None }
+
+let resolve tbl c init =
+  match c.slot with
+  | Some r -> r
+  | None ->
+      let r =
+        match Hashtbl.find_opt tbl c.name with
+        | Some r -> r
+        | None ->
+            let r = ref init in
+            Hashtbl.replace tbl c.name r;
+            r
+      in
+      c.slot <- Some r;
+      r
+
+let bump_by t c by =
+  let r = resolve t.counters c 0 in
+  r := !r + by
+
+let bump t c = bump_by t c 1
+
+let set t c v = resolve t.gauges c v := v
+
 (* Incremental derivation state.  [step] consumes one timestamped event and
    updates the registry in place, so the same fold serves both the
    end-of-run [of_entries] pass and the vsmon series sink, which feeds
    events as the simulation emits them. *)
 type deriv = {
   metrics : t;
-  (* current app mode per node, for the messages-per-mode split *)
-  node_mode : (int, string) Hashtbl.t;
+  last_time : float cell;
+  sends : int cell;
+  recvs : int cell;
+  drops : int cell;
+  dups : int cell;
+  retransmits : int cell;
+  peer_retransmits : int cell;
+  backoffs : int cell;
+  suspects : int cell;
+  unsuspects : int cell;
+  proposes : int cell;
+  flushes : int cell;
+  installs : int cell;
+  eviews : int cell;
+  settles : int cell;
+  crashes : int cell;
+  partitions : int cell;
+  heals : int cell;
+  corruptions : int cell;
+  (* each node's "net.sends.mode.<mode>" for its current app mode; a node
+     with no recorded mode change sends in "N" *)
+  node_sends : int cell Vs_util.Hashtblx.Int_tbl.t;
+  normal_sends : int cell;
+  (* "net.drops.<reason>" per drop reason, newest reason first *)
+  mutable drop_reasons : (string * int cell) list;
   (* propose / flush-ack anchors, for install latency and flush stall *)
   anchors : Stall.tracker;
   (* open tasks per (proc, task kind) *)
@@ -75,19 +129,44 @@ type deriv = {
 let deriv_create () =
   {
     metrics = create ();
-    node_mode = Hashtbl.create 8;
+    last_time = cell "run.last-event-time";
+    sends = cell "net.sends";
+    recvs = cell "net.recvs";
+    drops = cell "net.drops";
+    dups = cell "net.dups";
+    retransmits = cell "vsync.retransmits";
+    peer_retransmits = cell "vsync.retransmits.peer";
+    backoffs = cell "vsync.backoffs";
+    suspects = cell "fd.suspects";
+    unsuspects = cell "fd.unsuspects";
+    proposes = cell "gms.proposes";
+    flushes = cell "gms.flushes";
+    installs = cell "gms.installs";
+    eviews = cell "evs.eviews";
+    settles = cell "app.settles";
+    crashes = cell "faults.crashes";
+    partitions = cell "faults.partitions";
+    heals = cell "faults.heals";
+    corruptions = cell "faults.corruptions";
+    node_sends = Vs_util.Hashtblx.Int_tbl.create 8;
+    normal_sends = cell "net.sends.mode.N";
+    drop_reasons = [];
     anchors = Stall.tracker ();
     tasks = Hashtbl.create 8;
   }
 
 let deriv_metrics d = d.metrics
 
+let rec drop_cell d reason = function
+  | (r, c) :: rest -> if String.equal r reason then c else drop_cell d reason rest
+  | [] ->
+      let c = cell ("net.drops." ^ reason) in
+      d.drop_reasons <- (reason, c) :: d.drop_reasons;
+      c
+
 let step d ~time (event : Event.t) =
   let m = d.metrics in
-  let mode_of (p : Event.proc) =
-    match Hashtbl.find_opt d.node_mode p.node with Some s -> s | None -> "N"
-  in
-  set_gauge m "run.last-event-time" time;
+  set m d.last_time time;
   (match Stall.step d.anchors ~time event with
   | Some i ->
       Option.iter
@@ -99,29 +178,33 @@ let step d ~time (event : Event.t) =
   | None -> ());
   match event with
   | Event.Send { src; _ } ->
-      incr m "net.sends";
-      incr m ("net.sends.mode." ^ mode_of src)
-  | Event.Recv _ -> incr m "net.recvs"
+      bump m d.sends;
+      bump m
+        (match Vs_util.Hashtblx.Int_tbl.find_opt d.node_sends src.node with
+        | Some c -> c
+        | None -> d.normal_sends)
+  | Event.Recv _ -> bump m d.recvs
   | Event.Drop { reason; _ } ->
-      incr m "net.drops";
-      incr m ("net.drops." ^ reason)
-  | Event.Dup _ -> incr m "net.dups"
+      bump m d.drops;
+      bump m (drop_cell d reason d.drop_reasons)
+  | Event.Dup _ -> bump m d.dups
   | Event.Retransmit { count; peer; _ } ->
-      incr ~by:count m "vsync.retransmits";
-      if peer then incr ~by:count m "vsync.retransmits.peer"
-  | Event.Backoff _ -> incr m "vsync.backoffs"
-  | Event.Suspect _ -> incr m "fd.suspects"
-  | Event.Unsuspect _ -> incr m "fd.unsuspects"
-  | Event.Propose _ -> incr m "gms.proposes"
-  | Event.Flush _ -> incr m "gms.flushes"
+      bump_by m d.retransmits count;
+      if peer then bump_by m d.peer_retransmits count
+  | Event.Backoff _ -> bump m d.backoffs
+  | Event.Suspect _ -> bump m d.suspects
+  | Event.Unsuspect _ -> bump m d.unsuspects
+  | Event.Propose _ -> bump m d.proposes
+  | Event.Flush _ -> bump m d.flushes
   | Event.Install { sync; _ } ->
-      incr m "gms.installs";
+      bump m d.installs;
       observe m "view.sync-deliveries" (float_of_int sync)
-  | Event.Eview _ -> incr m "evs.eviews"
+  | Event.Eview _ -> bump m d.eviews
   | Event.Mode_change { proc; into_mode; cause; _ } ->
       incr m ("mode.transitions." ^ cause);
-      Hashtbl.replace d.node_mode proc.node into_mode
-  | Event.Settle _ -> incr m "app.settles"
+      Vs_util.Hashtblx.Int_tbl.replace d.node_sends proc.node
+        (cell ("net.sends.mode." ^ into_mode))
+  | Event.Settle _ -> bump m d.settles
   | Event.Task_start { proc; task; _ } ->
       let key = (proc, task) in
       if not (Hashtbl.mem d.tasks key) then Hashtbl.replace d.tasks key time
@@ -132,10 +215,10 @@ let step d ~time (event : Event.t) =
           Hashtbl.remove d.tasks key;
           observe m ("task." ^ task) (time -. t0)
       | None -> ())
-  | Event.Crash _ -> incr m "faults.crashes"
-  | Event.Partition _ -> incr m "faults.partitions"
-  | Event.Heal -> incr m "faults.heals"
-  | Event.Corrupt _ -> incr m "faults.corruptions"
+  | Event.Crash _ -> bump m d.crashes
+  | Event.Partition _ -> bump m d.partitions
+  | Event.Heal -> bump m d.heals
+  | Event.Corrupt _ -> bump m d.corruptions
   | Event.Quarantine _ -> ()
   | Event.Note _ -> ()
 
@@ -149,7 +232,7 @@ let of_entries (entries : Recorder.entry list) =
 (* One immutable reading of the registry: the sorted enumerations, with each
    histogram cut to the summary every renderer prints.  [to_json],
    [to_tables] and the series snapshots all render from it. *)
-type summary = {
+type summary = Hdr.summary = {
   h_n : int;
   h_p50 : float;
   h_p95 : float;
@@ -164,21 +247,11 @@ type scrape = {
   s_hists : (string * summary) list;
 }
 
-let summary h =
-  {
-    h_n = Hdr.count h;
-    h_p50 = Hdr.percentile h 0.5;
-    h_p95 = Hdr.percentile h 0.95;
-    h_p99 = Hdr.percentile h 0.99;
-    h_max = Hdr.max_value h;
-    h_mean = Hdr.mean h;
-  }
-
 let scrape t =
   {
     s_counters = counters t;
     s_gauges = gauges t;
-    s_hists = List.map (fun (k, h) -> (k, summary h)) (hists t);
+    s_hists = List.map (fun (k, h) -> (k, Hdr.summary h)) (hists t);
   }
 
 (* --- rendering ----------------------------------------------------------- *)

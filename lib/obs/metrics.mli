@@ -54,7 +54,7 @@ val of_entries : Recorder.entry list -> t
 
 (** {2 The scrape} *)
 
-type summary = {
+type summary = Hdr.summary = {
   h_n : int;
   h_p50 : float;
   h_p95 : float;
@@ -62,7 +62,7 @@ type summary = {
   h_max : float;
   h_mean : float;
 }
-(** A histogram cut to the figures every renderer prints. *)
+(** A histogram cut to the figures every renderer prints ({!Hdr.summary}). *)
 
 type scrape = {
   s_counters : (string * int) list;  (** sorted by name *)

@@ -86,8 +86,11 @@ let test_tail () =
    Wire.Batch on a net sized and identified by Wire, and sends with a
    Series sink or a Causal collector attached.  Corruption hooks act on
    endpoint state, not the wire, so a plain send costs the same words after
-   two of them hit a live cluster.  The bench's obs section prints the
-   counts, at Full too. *)
+   two of them hit a live cluster.  Metrics.step, which a Series sink runs
+   on every Full-level event, hashes no counter name and builds no string
+   on the wire path once the counters exist: a Recv or Dup allocates
+   nothing, and a Send (the sender's mode lookup) or a Drop at most 2
+   words.  The bench's obs section prints the counts, at Full too. *)
 let test_zero_alloc_runtime () =
   let module Net = Vs_net.Net in
   let module Wire = Vs_vsync.Wire in
@@ -156,7 +159,29 @@ let test_zero_alloc_runtime () =
   let record = Vs_obs.Hdr.record (Vs_obs.Hdr.create ()) in
   let samples = [ 0.0; 0.0000004; 0.0001; 0.004; 0.2; 3.5; 70.; 2.5e7 ] in
   check (Alcotest.float 0.) "words per Hdr.record" 0.
-    (Alloc.words_per (fun () -> List.iter record samples))
+    (Alloc.words_per (fun () -> List.iter record samples));
+  let d = Metrics.deriv_create () in
+  let a = p 0 0 and b = p 1 0 and msg = Some { Event.origin = p 0 0; mseq = 1 } in
+  Metrics.step d ~time:0.5
+    (Event.Mode_change
+       { proc = a; from_mode = "N"; into_mode = "R"; cause = "view" });
+  List.iter
+    (fun (name, most, event) ->
+      let words = Alloc.words_per (fun () -> Metrics.step d ~time:1.0 event) in
+      if words > most then
+        Alcotest.failf "words per Metrics.step on a %s: %g > %g" name words
+          most)
+    [
+      ( "send", 2.,
+        Event.Send { src = a; dst = b; kind = "data"; bytes = 8; msg } );
+      ("recv", 0., Event.Recv { src = a; dst = b; kind = "data"; msg });
+      ( "drop", 2.,
+        Event.Drop { src = a; dst = b; kind = "data"; reason = "loss"; msg } );
+      ("dup", 0., Event.Dup { src = a; dst = b; kind = "data"; msg });
+    ];
+  check Alcotest.int "the sends counted under the sender's mode"
+    (Metrics.counter (Metrics.deriv_metrics d) "net.sends")
+    (Metrics.counter (Metrics.deriv_metrics d) "net.sends.mode.R")
 
 (* ---------- exporters ---------- *)
 

@@ -47,6 +47,38 @@ let hdr_quantile_property =
       reported >= exact *. (1. -. 1e-9)
       && reported <= exact *. (1. +. err) *. (1. +. 1e-9))
 
+(* Hdr.summary reads in one scan what percentile 0.5/0.95/0.99, max_value
+   and mean read in five, bit for bit.  Samples reach every bucket kind:
+   zero and negatives, underflow, the log buckets and overflow; a third of
+   the lists are empty. *)
+let hdr_summary_property =
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [
+          float_range (-1.) 0.;
+          float_range 0. 1e-6;
+          map (fun e -> 10. ** e) (float_range (-6.) 7.);
+        ])
+  in
+  QCheck.Test.make ~name:"hdr summary equals the five scans" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          frequency
+            [ (1, return []); (2, list_size (int_range 1 300) sample) ]))
+    (fun samples ->
+      let h = Hdr.create () in
+      List.iter (Hdr.record h) samples;
+      let s = Hdr.summary h in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      s.Hdr.h_n = Hdr.count h
+      && same s.Hdr.h_p50 (Hdr.percentile h 0.5)
+      && same s.Hdr.h_p95 (Hdr.percentile h 0.95)
+      && same s.Hdr.h_p99 (Hdr.percentile h 0.99)
+      && same s.Hdr.h_max (Hdr.max_value h)
+      && same s.Hdr.h_mean (Hdr.mean h))
+
 let test_hdr_edges () =
   let h = Hdr.create () in
   Alcotest.(check int) "empty count" 0 (Hdr.count h);
@@ -386,6 +418,7 @@ let () =
       ( "hdr",
         [
           QCheck_alcotest.to_alcotest hdr_quantile_property;
+          QCheck_alcotest.to_alcotest hdr_summary_property;
           Alcotest.test_case "edge buckets" `Quick test_hdr_edges;
         ] );
       ( "series",

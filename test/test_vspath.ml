@@ -151,6 +151,35 @@ let test_critpath_sums_to_install_latency () =
         cp.Critpath.installs)
     seeds
 
+(* A process's own self-addressed send, consumed by its next event, is
+   both that Recv's program and its message predecessor.  The hop is a
+   network flight whatever order Causal lists the two edges in: on one
+   node, a message (or barrier) edge beats a program edge. *)
+let test_self_send_hop () =
+  let p0 = { Event.node = 0; inc = 0 } in
+  let msg = Some { Event.origin = p0; mseq = 0 } in
+  let dag =
+    Causal.of_entries
+      [
+        {
+          Recorder.time = 1.0;
+          event = Event.Send { src = p0; dst = p0; kind = "data"; bytes = 8; msg };
+        };
+        {
+          Recorder.time = 1.25;
+          event = Event.Recv { src = p0; dst = p0; kind = "data"; msg };
+        };
+      ]
+  in
+  Alcotest.(check int) "two edges from the send" 2 (List.length (Causal.preds dag 1));
+  let ops = (Critpath.of_dag dag).Critpath.ops in
+  let seconds k = List.assoc k ops.Critpath.o_kind_seconds in
+  Alcotest.(check int) "one op" 1 ops.Critpath.o_ops;
+  Alcotest.(check (float 0.)) "the hop is network flight" 0.25
+    (seconds Critpath.Network_flight);
+  Alcotest.(check (float 0.)) "and no local compute" 0.
+    (seconds Critpath.Local_compute)
+
 let test_critpath_agrees_with_stall () =
   List.iter
     (fun seed ->
@@ -334,6 +363,8 @@ let () =
             test_critpath_sums_to_install_latency;
           Alcotest.test_case "agrees with stall" `Slow
             test_critpath_agrees_with_stall;
+          Alcotest.test_case "self-send hop is network flight" `Quick
+            test_self_send_hop;
         ] );
       ( "determinism",
         [
